@@ -22,7 +22,6 @@
 #include "bench_common.hpp"
 #include "core/windowed.hpp"
 #include "features/dataset_builder.hpp"
-#include "gbdt/quantized_forest.hpp"
 #include "obs/exporters.hpp"
 #include "obs/flight_recorder.hpp"
 #include "obs/metrics.hpp"
@@ -36,10 +35,8 @@ namespace {
 
 /// Run `rows` predictions split across `threads` workers; returns
 /// seconds. Each worker owns a contiguous block of rows and drives it
-/// through the allocation-free predict_batch — the engine actually
-/// deployed on the serving path (quantized lane-group kernel under
-/// kFlatQuantized) — not strided single-row predict() calls, so the
-/// thread-scaling curve measures the batch kernel the server runs.
+/// through the allocation-free predict_batch of the model's engine (the
+/// flat forest's blocked kernel by default).
 double timed_predict(const core::LfoModel& model,
                      std::span<const float> matrix, std::size_t dim,
                      std::size_t rows, unsigned threads,
@@ -137,7 +134,7 @@ int main(int argc, char** argv) {
               matrix.begin() + static_cast<std::ptrdiff_t>(i * dim));
   }
 
-  // Thread sweep through the deployed batch engine. The server-level
+  // Thread sweep through the default engine's batch kernel. The server-level
   // equivalent of this curve — full request path, sockets and shard
   // locks included — is bench_server's BENCH_server.json.
   util::CsvWriter csv(std::cout);
@@ -155,20 +152,12 @@ int main(int argc, char** argv) {
   }
 
   // --- Inference engines: the reference per-tree walk vs the compiled
-  // flat forest (scalar and blocked-batch) vs the quantized SIMD engine
-  // (single-row and lane-group batch, plus its forced-scalar fallback),
-  // on one thread. This is the serving hot loop the compiled engines
-  // exist for; the float engines must produce bitwise-identical
-  // probabilities, and the quantized engine identical *decisions* at the
-  // admission cutoff (its contract — in practice it is bitwise identical
-  // too, and the forced-scalar kernel must match the SIMD kernel bitwise).
+  // flat forest (single-row, as served, and blocked-batch) on one thread.
+  // Both must produce bitwise-identical probabilities.
   const auto& booster = trained.model->booster();
   const auto& forest = trained.model->forest();
-  const auto& quantized = trained.model->quantized();
   std::vector<double> walk_out(rows), flat_single_out(rows),
-      flat_batch_out(rows), quant_single_out(rows), quant_batch_out(rows),
-      quant_scalar_out(rows);
-  std::vector<std::uint8_t> quant_scratch, quant_row_scratch;
+      flat_batch_out(rows);
 
   // Best-of-repeats, like the overhead sections below: the minimum per-
   // repeat wall time estimates the kernel's throughput rather than the
@@ -200,46 +189,14 @@ int main(int argc, char** argv) {
   });
   const double flat_batch_pps = preds_per_sec(
       [&] { forest.predict_proba_batch(matrix, dim, flat_batch_out); });
-  const double quant_single_pps = preds_per_sec([&] {
-    for (std::size_t i = 0; i < rows; ++i) {
-      quant_single_out[i] =
-          quantized.predict_proba(row_at(i), quant_row_scratch);
-    }
-  });
-  const double quant_batch_pps = preds_per_sec([&] {
-    quantized.predict_proba_batch(matrix, dim, quant_batch_out,
-                                  quant_scratch);
-  });
-  // Forced-scalar fallback: same quantized batch with SIMD disabled —
-  // identical results prove the dispatch seam cannot change a decision
-  // on CPUs without the vector ISA.
-  const auto saved_simd = gbdt::simd_mode();
-  gbdt::set_simd_mode(gbdt::SimdMode::kForceScalar);
-  const double quant_scalar_pps = preds_per_sec([&] {
-    quantized.predict_proba_batch(matrix, dim, quant_scalar_out,
-                                  quant_scratch);
-  });
-  gbdt::set_simd_mode(saved_simd);
 
   bool bitwise_identical = true;
-  bool quantized_bitwise = true;
-  bool quantized_same_decisions = true;
-  bool quantized_scalar_identical = true;
-  const double cutoff = config.cutoff;
   for (std::size_t i = 0; i < rows; ++i) {
     bitwise_identical &= walk_out[i] == flat_single_out[i] &&
                          walk_out[i] == flat_batch_out[i];
-    quantized_bitwise &= walk_out[i] == quant_single_out[i] &&
-                         walk_out[i] == quant_batch_out[i];
-    quantized_same_decisions &=
-        (walk_out[i] >= cutoff) == (quant_single_out[i] >= cutoff) &&
-        (walk_out[i] >= cutoff) == (quant_batch_out[i] >= cutoff);
-    quantized_scalar_identical &= quant_batch_out[i] == quant_scalar_out[i];
   }
 
-  std::cout << "\n# Inference-engine comparison (single thread, simd_kernel="
-            << gbdt::active_simd_kernel() << ", quantized row_bytes="
-            << quantized.row_bytes() << ")\n";
+  std::cout << "\n# Inference-engine comparison (single thread)\n";
   util::CsvWriter engine_csv(std::cout);
   engine_csv.header({"engine", "million_preds_per_sec", "ns_per_pred",
                      "speedup_vs_tree_walk"});
@@ -250,20 +207,9 @@ int main(int argc, char** argv) {
   engine_row("tree_walk", walk_pps);
   engine_row("flat_single", flat_single_pps);
   engine_row("flat_batch", flat_batch_pps);
-  engine_row("flat_quantized_single", quant_single_pps);
-  engine_row("flat_quantized_batch", quant_batch_pps);
-  engine_row("flat_quantized_batch_scalar", quant_scalar_pps);
   std::cout << "# float engines bitwise identical: "
             << (bitwise_identical ? "yes" : "NO (bug)")
-            << "; quantized decisions identical: "
-            << (quantized_same_decisions ? "yes" : "NO (bug)")
-            << " (bitwise: " << (quantized_bitwise ? "yes" : "no")
-            << "); simd-vs-scalar bitwise: "
-            << (quantized_scalar_identical ? "yes" : "NO (bug)") << '\n'
-            << "# quantized batch speedup " << quant_batch_pps / walk_pps
-            << "x vs tree_walk, " << quant_batch_pps / flat_batch_pps
-            << "x vs flat_batch (acceptance: >= 2x over flat_batch); "
-            << "flat_single speedup " << flat_single_pps / walk_pps
+            << "; flat_single speedup " << flat_single_pps / walk_pps
             << "x (acceptance: >= 1x)\n";
 
   // Link-rate arithmetic from the paper: 40 Gbit/s at 32 KB objects needs
@@ -329,29 +275,17 @@ int main(int argc, char** argv) {
                "behind serving)\n";
 
   // Engine A/B through the full pipeline: the same serial run with the
-  // reference tree-walk engine AND the quantized SIMD engine must
-  // reproduce every caching decision the flat-forest default made above
-  // — the three-engine same_decisions gate.
+  // reference tree-walk engine must reproduce every caching decision the
+  // flat-forest default made above.
   const auto saved_engine = core::LfoModel::default_engine();
   core::LfoModel::set_default_engine(core::LfoModel::Engine::kTreeWalk);
   const auto [tree_secs, tree_result] =
       timed_pipeline(pipe_trace, wconfig, /*async=*/false, train_threads);
-  core::LfoModel::set_default_engine(
-      core::LfoModel::Engine::kFlatQuantized);
-  const auto [quant_secs, quant_result] =
-      timed_pipeline(pipe_trace, wconfig, /*async=*/false, train_threads);
   core::LfoModel::set_default_engine(saved_engine);
-  const bool tree_same_decisions =
-      core::same_decisions(sync_result, tree_result);
-  const bool quantized_pipeline_same_decisions =
-      core::same_decisions(sync_result, quant_result);
   const bool engines_same_decisions =
-      tree_same_decisions && quantized_pipeline_same_decisions;
+      core::same_decisions(sync_result, tree_result);
   std::cout << "# identical decisions (flat vs tree-walk engine): "
-            << (tree_same_decisions ? "yes" : "NO (bug)")
-            << "; (flat vs quantized engine): "
-            << (quantized_pipeline_same_decisions ? "yes" : "NO (bug)")
-            << '\n';
+            << (engines_same_decisions ? "yes" : "NO (bug)") << '\n';
 
   // Rollout guard A/B: the serial runs above use the default
   // health-gated activation (core::RolloutGuard); rerun with the guard
@@ -522,21 +456,6 @@ int main(int argc, char** argv) {
         .set("flat_batch_ns_per_request", 1e9 / flat_batch_pps)
         .set("flat_single_speedup", flat_single_pps / walk_pps)
         .set("flat_batch_speedup", flat_batch_pps / walk_pps)
-        .set("flat_quantized_single_preds_per_sec", quant_single_pps)
-        .set("flat_quantized_single_ns_per_request", 1e9 / quant_single_pps)
-        .set("flat_quantized_batch_preds_per_sec", quant_batch_pps)
-        .set("flat_quantized_batch_ns_per_request", 1e9 / quant_batch_pps)
-        .set("flat_quantized_single_speedup", quant_single_pps / walk_pps)
-        .set("flat_quantized_batch_speedup", quant_batch_pps / walk_pps)
-        .set("flat_quantized_scalar_preds_per_sec", quant_scalar_pps)
-        .set("simd_kernel", gbdt::active_simd_kernel())
-        .set("quantized_row_bytes",
-             static_cast<std::uint64_t>(quantized.row_bytes()))
-        .set("quantized_bitwise_identical", quantized_bitwise)
-        .set("quantized_same_decisions", quantized_same_decisions)
-        .set("quantized_scalar_identical", quantized_scalar_identical)
-        .set("quantized_pipeline_same_decisions",
-             quantized_pipeline_same_decisions)
         .set("engines_bitwise_identical", bitwise_identical)
         .set("engines_same_decisions", engines_same_decisions)
         .set("async_pipeline_speedup", sync_secs / async_secs)
@@ -561,12 +480,8 @@ int main(int argc, char** argv) {
     }
   };
   gate(bitwise_identical, "float engines bitwise identical");
-  gate(quantized_same_decisions,
-       "quantized engine decisions identical at the cutoff");
-  gate(quantized_scalar_identical,
-       "quantized SIMD and forced-scalar kernels bitwise identical");
   gate(engines_same_decisions,
-       "pipeline decisions identical across all three engines");
+       "pipeline decisions identical across flat and tree-walk engines");
   gate(flat_single_pps / walk_pps >= 1.0,
        "flat_single_speedup >= 1.0 (scalar flat path lost to tree walk)");
   return gates_ok ? 0 : 1;

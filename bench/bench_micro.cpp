@@ -8,7 +8,6 @@
 #include "core/lfo_model.hpp"
 #include "features/dataset_builder.hpp"
 #include "gbdt/gbdt.hpp"
-#include "gbdt/quantized_forest.hpp"
 #include "opt/opt.hpp"
 #include "trace/generator.hpp"
 #include "trace/zipf.hpp"
@@ -133,21 +132,19 @@ std::vector<float> micro_feature_matrix(std::size_t rows) {
 }
 
 /// Serving engine under measurement in the per-engine roofline suite.
-enum class EngineKind { kTreeWalk, kFlat, kQuantized, kQuantizedScalar };
+enum class EngineKind { kTreeWalk, kFlat };
 
 /// Analytic bytes touched per fully-traversed row: feature-row reads,
-/// the quantized row write+reads where applicable, the per-visit node
-/// bytes, one leaf value per tree, and the output double. Deliberately a
-/// cold-cache upper bound — together with the measured ns/row and
-/// rows/cycle it locates each kernel against the memory roofline.
+/// the per-visit node bytes, one leaf value per tree, and the output
+/// double. Deliberately a cold-cache upper bound — together with the
+/// measured ns/row and rows/cycle it locates each kernel against the
+/// memory roofline.
 double engine_bytes_per_row(EngineKind kind) {
   const auto& model = *micro_model().model;
   const double dim = static_cast<double>(model.dimension());
   const auto& forest = model.forest();
-  const auto& quant = model.quantized();
   const double trees = static_cast<double>(forest.num_trees());
   const double flat_levels = static_cast<double>(forest.total_levels());
-  const double quant_levels = static_cast<double>(quant.total_levels());
   switch (kind) {
     case EngineKind::kTreeWalk:
       // Per visit: left/right/feature int32 + float threshold across
@@ -156,47 +153,24 @@ double engine_bytes_per_row(EngineKind kind) {
     case EngineKind::kFlat:
       // Per visit: one 12-byte packed node + the compared feature float.
       return dim * 4 + flat_levels * (12 + 4) + trees * 8 + 8;
-    case EngineKind::kQuantized:
-    case EngineKind::kQuantizedScalar:
-      // Quantize once (read floats, write bins), then 8-byte SoA nodes
-      // and a 4-byte bin gather per visit.
-      return dim * 4 + dim * static_cast<double>(quant.row_bytes()) +
-             quant_levels * (8 + 4) + trees * 8 + 8;
   }
   return 0.0;
 }
 
-/// RAII forced-scalar window for the kQuantizedScalar variants.
-struct ScalarGuard {
-  explicit ScalarGuard(bool force) {
-    if (force) gbdt::set_simd_mode(gbdt::SimdMode::kForceScalar);
-  }
-  ~ScalarGuard() { gbdt::set_simd_mode(saved); }
-  gbdt::SimdMode saved = gbdt::simd_mode();
-};
-
-/// Single-sample predict across the serving engines.
+/// Single-sample predict: the serving engine and its reference walk.
 void BM_ForestPredictSingle(benchmark::State& state, EngineKind kind) {
   const auto& trained = micro_model();
   const std::size_t dim = trained.model->dimension();
   const auto matrix = micro_feature_matrix(512);
   const auto& forest = trained.model->forest();
   const auto& booster = trained.model->booster();
-  const auto& quantized = trained.model->quantized();
-  std::vector<std::uint8_t> scratch;
   std::size_t i = 0;
   for (auto _ : state) {
     const std::span<const float> row{matrix.data() + (i % 512) * dim, dim};
-    switch (kind) {
-      case EngineKind::kTreeWalk:
-        benchmark::DoNotOptimize(booster.predict_proba(row));
-        break;
-      case EngineKind::kFlat:
-        benchmark::DoNotOptimize(forest.predict_proba(row));
-        break;
-      default:
-        benchmark::DoNotOptimize(quantized.predict_proba(row, scratch));
-        break;
+    if (kind == EngineKind::kFlat) {
+      benchmark::DoNotOptimize(forest.predict_proba(row));
+    } else {
+      benchmark::DoNotOptimize(booster.predict_proba(row));
     }
     ++i;
   }
@@ -206,12 +180,9 @@ void BM_ForestPredictSingle(benchmark::State& state, EngineKind kind) {
 BENCHMARK_CAPTURE(BM_ForestPredictSingle, flat, EngineKind::kFlat);
 BENCHMARK_CAPTURE(BM_ForestPredictSingle, tree_walk,
                   EngineKind::kTreeWalk);
-BENCHMARK_CAPTURE(BM_ForestPredictSingle, quantized,
-                  EngineKind::kQuantized);
 
 /// Batched predict at B in {1, 8, 64, 512}: the tree-outer reference
-/// walk, the blocked level-synchronous flat kernel, and the quantized
-/// SIMD lane-group kernel (plus its forced-scalar fallback). Reports
+/// walk and the blocked level-synchronous flat kernel. Reports
 /// roofline-style counters: analytic bytes touched/row, measured ns/row
 /// (inverse of items_per_second) and rows/cycle from the TSC.
 void BM_ForestPredictBatch(benchmark::State& state, EngineKind kind) {
@@ -220,22 +191,13 @@ void BM_ForestPredictBatch(benchmark::State& state, EngineKind kind) {
   const std::size_t dim = trained.model->dimension();
   const auto matrix = micro_feature_matrix(rows);
   std::vector<double> out(rows);
-  std::vector<std::uint8_t> scratch;
-  const ScalarGuard guard(kind == EngineKind::kQuantizedScalar);
   std::uint64_t cycles = 0;
   for (auto _ : state) {
     const std::uint64_t c0 = cycle_counter();
-    switch (kind) {
-      case EngineKind::kTreeWalk:
-        trained.model->booster().predict_proba_batch(matrix, dim, out);
-        break;
-      case EngineKind::kFlat:
-        trained.model->forest().predict_proba_batch(matrix, dim, out);
-        break;
-      default:
-        trained.model->quantized().predict_proba_batch(matrix, dim, out,
-                                                       scratch);
-        break;
+    if (kind == EngineKind::kFlat) {
+      trained.model->forest().predict_proba_batch(matrix, dim, out);
+    } else {
+      trained.model->booster().predict_proba_batch(matrix, dim, out);
     }
     cycles += cycle_counter() - c0;
     benchmark::DoNotOptimize(out.data());
@@ -252,12 +214,6 @@ void BM_ForestPredictBatch(benchmark::State& state, EngineKind kind) {
 BENCHMARK_CAPTURE(BM_ForestPredictBatch, flat, EngineKind::kFlat)
     ->Arg(1)->Arg(8)->Arg(64)->Arg(512);
 BENCHMARK_CAPTURE(BM_ForestPredictBatch, tree_walk, EngineKind::kTreeWalk)
-    ->Arg(1)->Arg(8)->Arg(64)->Arg(512);
-BENCHMARK_CAPTURE(BM_ForestPredictBatch, quantized,
-                  EngineKind::kQuantized)
-    ->Arg(1)->Arg(8)->Arg(64)->Arg(512);
-BENCHMARK_CAPTURE(BM_ForestPredictBatch, quantized_scalar,
-                  EngineKind::kQuantizedScalar)
     ->Arg(1)->Arg(8)->Arg(64)->Arg(512);
 
 void BM_FeatureExtraction(benchmark::State& state) {

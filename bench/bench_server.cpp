@@ -1,9 +1,14 @@
 // Server scaling: aggregate requests/second of the lfo::server front end
 // as a function of worker threads — the server-level counterpart of
-// bench_fig7's predictor thread sweep, now over the full request path
-// (socket framing, shard hash, striped lock, feature extraction,
-// admission decision). One closed-loop client per worker replays a
-// disjoint contiguous block of the standard trace in batches.
+// bench_fig7's predictor thread sweep. One closed-loop client per worker
+// replays a disjoint contiguous block of the standard trace in batches.
+//
+// No model is ever installed, so every request takes the bootstrap
+// admit-all path: the curve covers socket framing, the shard hash, the
+// striped lock and the cache bookkeeping, but no feature extraction and
+// no prediction. It cannot back a claim about serving with a trained
+// model; `python3 lfo_bench/run.py` is the benchmark that does (a
+// trained model installed, per-layer ledger included).
 //
 // Output: CSV "workers,reqs_per_sec,per_worker_reqs_per_sec,hit_fraction"
 // plus BENCH_server.json via --json (tools/run_bench.sh --server). The

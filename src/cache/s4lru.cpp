@@ -17,7 +17,12 @@ SegmentedLruCache::SegmentedLruCache(std::uint64_t capacity,
 }
 
 std::string SegmentedLruCache::name() const {
-  return "S" + std::to_string(num_segments_) + "LRU";
+  // Appends rather than operator+ chains: GCC 12 reports a -Wrestrict
+  // false positive on `"S" + std::to_string(n) + "LRU"` in Release.
+  std::string name = "S";
+  name += std::to_string(num_segments_);
+  name += "LRU";
+  return name;
 }
 
 bool SegmentedLruCache::contains(trace::ObjectId object) const {

@@ -1,7 +1,5 @@
 #include "core/lfo_cache.hpp"
 
-#include <algorithm>
-
 #include "obs/metrics.hpp"
 #include "util/check.hpp"
 #include "util/thread_annotations.hpp"
@@ -46,57 +44,12 @@ void LfoCache::clear() {
 
 void LfoCache::swap_model(std::shared_ptr<const LfoModel> model) {
   model_ = std::move(model);
-  if (options_.rescore_on_swap && model_ != nullptr &&
-      options_.eviction != LfoPolicyOptions::EvictionRank::kLru) {
-    rescore_all();
-  }
 }
 
 LFO_HOT_PATH double LfoCache::predict(const trace::Request& request) {
-  if (!model_ && !options_.rescore_on_swap) {
-    return 0.5;  // bootstrap: behave like admit-all
-  }
-  // With rescore_on_swap the row is extracted even during bootstrap so
-  // the entry's stored feature row is always current.
+  if (!model_) return 0.5;  // bootstrap: behave like admit-all
   extractor_.extract(request, clock(), free_bytes(), row_buffer_, scratch_);
-  return model_ ? model_->predict(row_buffer_, scratch_) : 0.5;
-}
-
-LFO_HOT_PATH void LfoCache::remember_row(trace::ObjectId object) {
-  if (!options_.rescore_on_swap) return;
-  const auto it = entries_.find(object);
-  if (it == entries_.end()) return;
-  // lfo-lint: allow(hotpath): assign reuses last_row capacity after warmup
-  it->second.last_row.assign(row_buffer_.begin(), row_buffer_.end());
-}
-
-void LfoCache::rescore_all() {
-  if (entries_.empty()) return;
-  const std::size_t dim = extractor_.dimension();
-  // Deterministic order (object id), independent of hash-map iteration.
-  std::vector<trace::ObjectId> objects;
-  objects.reserve(entries_.size());
-  // lfo-lint: allow(nondet): keys are sorted below, order is irrelevant
-  for (const auto& [object, entry] : entries_) {
-    if (entry.last_row.size() == dim) objects.push_back(object);
-  }
-  std::sort(objects.begin(), objects.end());
-  std::vector<float> matrix;
-  matrix.reserve(objects.size() * dim);
-  for (const auto object : objects) {
-    const auto& row = entries_[object].last_row;
-    matrix.insert(matrix.end(), row.begin(), row.end());
-  }
-  const auto proba = model_->predict_batch(matrix);
-  for (std::size_t i = 0; i < objects.size(); ++i) {
-    auto& e = entries_[objects[i]];
-    double rank = proba[i];
-    if (options_.eviction ==
-        LfoPolicyOptions::EvictionRank::kLikelihoodPerByte) {
-      rank /= static_cast<double>(e.size);
-    }
-    update_rank(objects[i], rank);
-  }
+  return model_->predict(row_buffer_, scratch_);
 }
 
 LFO_HOT_PATH double LfoCache::rank_of(const trace::Request& request,
@@ -141,7 +94,6 @@ LFO_HOT_PATH void LfoCache::on_hit(const trace::Request& request) {
     // Re-rank; the hit object may now be the eviction candidate (paper:
     // a hit can lead to the eviction of the hit object).
     update_rank(request.object, rank_of(request, p));
-    if (!lru_mode) remember_row(request.object);
   }
   extractor_.observe(request, clock());
 }
@@ -165,10 +117,9 @@ void LfoCache::on_miss(const trace::Request& request) {
   const std::uint64_t expires_at =
       request.has_ttl() ? clock() + request.ttl : kNeverExpires;
   auto [it, inserted] = entries_.emplace(
-      request.object, Entry{request.size, rank, order_.end(), expires_at, {}});
+      request.object, Entry{request.size, rank, order_.end(), expires_at});
   it->second.order_it = order_.emplace(rank, request.object);
   add_used(request.size);
-  remember_row(request.object);
 }
 
 void LfoCache::evict_one() {

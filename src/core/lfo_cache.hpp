@@ -42,12 +42,6 @@ struct LfoPolicyOptions {
   /// Re-predict on every hit, allowing a hit to demote the hit object
   /// (paper §2.4). When false the admission-time score is kept.
   bool rescore_on_hit = true;
-  /// Re-rank every cached object under the incoming model on swap_model()
-  /// using one batched predict_proba pass over the objects' last feature
-  /// rows. Without it, ranks trained by the previous model linger until
-  /// each object's next access. Costs dimension() floats per cached
-  /// entry; off by default (the paper's design only rescores on access).
-  bool rescore_on_swap = false;
 };
 
 class LfoCache : public cache::CachePolicy {
@@ -67,8 +61,8 @@ class LfoCache : public cache::CachePolicy {
   /// Install a newly trained model (paper Fig 2: the policy trained on
   /// window t serves window t+1). The history table is retained. Must be
   /// called from the serving thread (the windowed pipelines do, at
-  /// window boundaries); with rescore_on_swap it batch-re-ranks every
-  /// cached entry under the new model. Passing nullptr reverts to the
+  /// window boundaries). Cached entries keep the rank the previous model
+  /// gave them until their next access. Passing nullptr reverts to the
   /// heuristic bootstrap mode (admit-all, likelihood 0.5) — the rollout
   /// guard's fallback path; cached entries and the feature history
   /// survive the transition.
@@ -104,9 +98,6 @@ class LfoCache : public cache::CachePolicy {
     /// Logical clock after which the cached copy is stale; kNeverExpires
     /// for ttl-free objects. Set at admission, never refreshed by hits.
     std::uint64_t expires_at;
-    /// Latest feature row of the object (only kept with rescore_on_swap,
-    /// which re-predicts all of them in one batch at model swaps).
-    std::vector<float> last_row;
   };
 
   /// Predict the caching likelihood for this request given current state.
@@ -115,10 +106,6 @@ class LfoCache : public cache::CachePolicy {
   double rank_of(const trace::Request& request, double likelihood) const;
   void update_rank(trace::ObjectId object, double rank);
   void evict_one();
-  /// rescore_on_swap: remember the row predict() just built.
-  void remember_row(trace::ObjectId object);
-  /// Batch-re-rank all cached entries under the current model.
-  void rescore_all();
 
   std::shared_ptr<const LfoModel> model_;
   features::FeatureExtractor extractor_;

@@ -31,41 +31,21 @@ LfoModel::Engine LfoModel::default_engine() {
   return default_engine_slot().load(std::memory_order_relaxed);
 }
 
-namespace {
-// Fallback quantization scratch for callers that don't own a
-// FeatureScratch (grow-once per thread; the serving path goes through
-// the scratch-taking overloads instead).
-std::vector<std::uint8_t>& thread_quantize_scratch() {
-  thread_local std::vector<std::uint8_t> scratch;
-  return scratch;
-}
-}  // namespace
-
 LfoModel::LfoModel(gbdt::Model model, features::FeatureConfig config)
     : model_(std::move(model)),
       forest_(gbdt::FlatForest::compile(model_)),
       config_(config),
-      quantized_(gbdt::QuantizedForest::compile(model_, config_.dimension())),
       engine_(default_engine()) {}
 
 double LfoModel::predict(std::span<const float> feature_row) const {
-  switch (engine_) {
-    case Engine::kFlatForest:
-      return forest_.predict_proba(feature_row);
-    case Engine::kFlatQuantized:
-      return quantized_.predict_proba(feature_row,
-                                      thread_quantize_scratch());
-    case Engine::kTreeWalk:
-      break;
+  if (engine_ == Engine::kFlatForest) {
+    return forest_.predict_proba(feature_row);
   }
   return model_.predict_proba(feature_row);
 }
 
 double LfoModel::predict(std::span<const float> feature_row,
-                         features::FeatureScratch& scratch) const {
-  if (engine_ == Engine::kFlatQuantized) {
-    return quantized_.predict_proba(feature_row, scratch.quantized);
-  }
+                         features::FeatureScratch& /*scratch*/) const {
   return predict(feature_row);
 }
 
@@ -79,16 +59,9 @@ std::vector<double> LfoModel::predict_batch(
 
 void LfoModel::predict_batch(std::span<const float> matrix,
                              std::span<double> out) const {
-  switch (engine_) {
-    case Engine::kFlatForest:
-      forest_.predict_proba_batch(matrix, dimension(), out);
-      return;
-    case Engine::kFlatQuantized:
-      quantized_.predict_proba_batch(matrix, dimension(), out,
-                                     thread_quantize_scratch());
-      return;
-    case Engine::kTreeWalk:
-      break;
+  if (engine_ == Engine::kFlatForest) {
+    forest_.predict_proba_batch(matrix, dimension(), out);
+    return;
   }
   model_.predict_proba_batch(matrix, dimension(), out);
 }

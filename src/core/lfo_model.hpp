@@ -11,7 +11,6 @@
 #include "features/features.hpp"
 #include "gbdt/flat_forest.hpp"
 #include "gbdt/gbdt.hpp"
-#include "gbdt/quantized_forest.hpp"
 #include "obs/model_health.hpp"
 #include "opt/opt.hpp"
 #include "trace/trace.hpp"
@@ -45,15 +44,12 @@ struct LfoConfig {
 class LfoModel {
  public:
   /// Which inference kernel serves predictions. kFlatForest (default) is
-  /// the compiled contiguous engine and kTreeWalk the reference per-tree
-  /// walk over gbdt::Model — both bitwise identical by construction.
-  /// kFlatQuantized serves from histogram-bin-quantized rows with SIMD
-  /// lane groups (gbdt::QuantizedForest); its contract only promises
-  /// identical *decisions* (scores may differ in ulps, see DESIGN.md),
-  /// though the current implementation reproduces the reference bitwise
-  /// too. The toggle exists so tests and bench_fig7_throughput can
-  /// diff/compare the engines.
-  enum class Engine { kFlatForest, kTreeWalk, kFlatQuantized };
+  /// the compiled contiguous engine that serves requests; kTreeWalk is
+  /// the reference per-tree walk over gbdt::Model, kept as the oracle the
+  /// flat engine is checked against. The two are bitwise identical by
+  /// construction. The toggle exists so tests and bench_fig7_throughput
+  /// can diff/compare the engines.
+  enum class Engine { kFlatForest, kTreeWalk };
 
   LfoModel(gbdt::Model model, features::FeatureConfig config);
 
@@ -66,9 +62,9 @@ class LfoModel {
 
   /// Probability that OPT would cache this feature vector.
   double predict(std::span<const float> feature_row) const;
-  /// Allocation-free variant: the quantized engine bins the row into
-  /// `scratch.quantized` (grow-once, caller-owned — LfoCache passes its
-  /// per-instance FeatureScratch). Other engines ignore the scratch.
+  /// Serving-path overload taking the caller's per-instance scratch.
+  /// Both engines are allocation-free and ignore it; it stays so the
+  /// call sites need not change with the engine.
   double predict(std::span<const float> feature_row,
                  features::FeatureScratch& scratch) const;
 
@@ -76,17 +72,16 @@ class LfoModel {
   /// dimension() columns. Bitwise identical to row-by-row predict();
   /// much friendlier to the cache (blocked level-synchronous traversal
   /// on the flat engine, tree-outer on the reference walk). Used by the
-  /// eviction-ranking rescore and the prediction-error evaluation.
+  /// prediction-error evaluation.
   std::vector<double> predict_batch(std::span<const float> matrix) const;
   /// Allocation-free variant writing into caller-owned storage.
   void predict_batch(std::span<const float> matrix,
                      std::span<double> out) const;
 
   const gbdt::Model& booster() const { return model_; }
-  /// The compiled serving engines (built once at construction, i.e. at
+  /// The compiled serving engine (built once at construction, i.e. at
   /// model-swap time in the windowed pipeline).
   const gbdt::FlatForest& forest() const { return forest_; }
-  const gbdt::QuantizedForest& quantized() const { return quantized_; }
   const features::FeatureConfig& feature_config() const { return config_; }
   std::size_t dimension() const { return config_.dimension(); }
 
@@ -109,7 +104,6 @@ class LfoModel {
   gbdt::Model model_;
   gbdt::FlatForest forest_;
   features::FeatureConfig config_;
-  gbdt::QuantizedForest quantized_;  // after config_: compile needs dimension()
   Engine engine_;
 };
 

@@ -275,8 +275,7 @@ void emit_report(const WindowedConfig& config, const WindowReport& report) {
   }
 }
 
-/// Swap a freshly activated model into the cache (spanned: with
-/// rescore_on_swap this re-ranks every cached entry).
+/// Swap a freshly activated model into the cache (spanned and counted).
 void swap_model_into(LfoCache& cache,
                      std::shared_ptr<const LfoModel> model) {
   LFO_TRACE_SPAN("model_swap");

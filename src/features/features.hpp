@@ -90,11 +90,6 @@ class HistoryTable {
 /// the buffer is sized on first use and reused for every later request.
 struct FeatureScratch {
   std::vector<float> gaps;
-  /// Bin-index row for the kFlatQuantized engine: LfoModel::predict
-  /// quantizes the extracted float row in here (grow-once, sized by
-  /// gbdt::QuantizedForest::quantize), so a request is binned exactly
-  /// once and the hot path stays allocation-free.
-  std::vector<std::uint8_t> quantized;
 };
 
 /// Stateful feature extractor combining the history table with the

@@ -128,10 +128,10 @@ class BenchDiffTest(unittest.TestCase):
         self.write_history([
             history_entry("aaa", 1.0e6),
             history_entry("bbb", 1.0e6, extra={
-                "flat_quantized_batch_preds_per_sec": 5.0e6}),
+                "flat_single_preds_per_sec": 5.0e6}),
         ])
         proc = run_diff("--require-keys",
-                        "flat_quantized_batch_preds_per_sec", cwd=self.dir)
+                        "flat_single_preds_per_sec", cwd=self.dir)
         self.assertEqual(proc.returncode, 0, proc.stderr)
 
     def test_require_keys_missing_fails(self):
@@ -140,12 +140,12 @@ class BenchDiffTest(unittest.TestCase):
         # intersection.
         self.write_history([
             history_entry("aaa", 1.0e6, extra={
-                "flat_quantized_batch_preds_per_sec": 5.0e6}),
+                "flat_single_preds_per_sec": 5.0e6}),
             history_entry("bbb", 1.0e6),
         ])
         proc = run_diff("--require-keys",
-                        "flat_quantized_batch_preds_per_sec,"
-                        "flat_quantized_scalar_preds_per_sec",
+                        "flat_single_preds_per_sec,"
+                        "tree_walk_preds_per_sec",
                         cwd=self.dir)
         self.assertEqual(proc.returncode, 1, proc.stdout)
         self.assertIn("missing required metric", proc.stderr)

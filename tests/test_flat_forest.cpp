@@ -1,13 +1,14 @@
 // Property tests of the flat-forest inference engine: on randomized
 // forests (varying depth, leaf counts, feature counts, missing-gap
-// sentinels) FlatForest must be *bitwise* identical to the per-tree
-// reference walk — single-sample, batched, and after a save/load →
-// compile round trip — and the serving pipeline must make identical
-// decisions whichever engine is installed, sync or async.
+// sentinels, ±inf values) FlatForest must be *bitwise* identical to the
+// per-tree reference walk — single-sample, batched, and after a
+// save/load → compile round trip — and the serving pipeline must make
+// identical decisions whichever engine is installed, sync or async.
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <sstream>
 #include <vector>
 
@@ -22,15 +23,20 @@ namespace {
 using namespace lfo;
 
 constexpr float kMissingGap = 1e8f;
+constexpr float kInf = std::numeric_limits<float>::infinity();
 
 /// Threshold/feature values drawn from a small integer pool so random
 /// rows frequently hit a split threshold exactly (the `<=` boundary),
-/// with the missing-gap sentinel mixed in.
+/// with the missing-gap sentinel and both infinities mixed in.
 float random_value(util::Rng& rng) {
-  switch (rng.uniform(5)) {
+  switch (rng.uniform(7)) {
     case 0:
       return kMissingGap;
     case 1:
+      return kInf;
+    case 2:
+      return -kInf;
+    case 3:
       return -static_cast<float>(rng.uniform(16));
     default:
       return static_cast<float>(rng.uniform(16));
@@ -242,11 +248,13 @@ TEST(FlatForest, LfoModelEngineToggleIsBitwiseNeutral) {
   lfo.set_engine(core::LfoModel::Engine::kTreeWalk);
   const auto walk = lfo.predict_batch(matrix);
   ASSERT_EQ(flat.size(), walk.size());
+  features::FeatureScratch scratch;
   for (std::size_t r = 0; r < flat.size(); ++r) {
     EXPECT_EQ(flat[r], walk[r]) << "row " << r;
     const std::span<const float> row{matrix.data() + r * fc.dimension(),
                                      fc.dimension()};
     EXPECT_EQ(walk[r], lfo.predict(row));
+    EXPECT_EQ(walk[r], lfo.predict(row, scratch));
   }
 }
 

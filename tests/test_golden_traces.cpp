@@ -304,38 +304,26 @@ TEST(GoldenTraces, Freshness) { expect_matches_golden(kGolden[6]); }
 TEST(GoldenTraces, EnginesMatchGoldenDecisionsOnAllScenarios) {
   // The golden LFO counts above were recorded with the default
   // kFlatForest engine. Serving every scenario with the reference tree
-  // walk AND the quantized SIMD engine must reproduce the same integers
-  // exactly — the three-engine `same_decisions` gate on all 7 golden
-  // workloads (the quantized contract allows ulp-level score drift but
-  // never a different decision).
+  // walk must reproduce the same integers exactly: the two-engine
+  // `same_decisions` gate on all 7 golden workloads.
   struct EngineGuard {
     core::LfoModel::Engine saved = core::LfoModel::default_engine();
     ~EngineGuard() { core::LfoModel::set_default_engine(saved); }
   } guard;
-  constexpr core::LfoModel::Engine kEngines[] = {
-      core::LfoModel::Engine::kTreeWalk,
-      core::LfoModel::Engine::kFlatQuantized,
-  };
-  constexpr const char* kEngineNames[] = {"tree_walk", "flat_quantized"};
+  core::LfoModel::set_default_engine(core::LfoModel::Engine::kTreeWalk);
   for (const auto& expected : kGolden) {
     const auto trace = make_trace(expected.name);
     const auto cache_size = scenario_cache_size(expected.name);
-    for (std::size_t e = 0; e < std::size(kEngines); ++e) {
-      core::LfoModel::set_default_engine(kEngines[e]);
-      const auto lfo = run_lfo(trace, cache_size);
-      GoldenDiff diff(expected.name);
-      diff.check_cache(kEngineNames[e],
-                       expected.lfo.overall,
-                       {lfo.overall.requests, lfo.overall.hits,
-                        lfo.overall.bytes_requested,
-                        lfo.overall.bytes_hit});
-      diff.check("bypassed", expected.lfo.bypassed, lfo.bypassed);
-      diff.check("demoted_hits", expected.lfo.demoted_hits,
-                 lfo.demoted_hits);
-      diff.check("expired_hits", expected.lfo.expired_hits,
-                 lfo.overall.expired_hits);
-      diff.report();
-    }
+    const auto lfo = run_lfo(trace, cache_size);
+    GoldenDiff diff(expected.name);
+    diff.check_cache("tree_walk", expected.lfo.overall,
+                     {lfo.overall.requests, lfo.overall.hits,
+                      lfo.overall.bytes_requested, lfo.overall.bytes_hit});
+    diff.check("bypassed", expected.lfo.bypassed, lfo.bypassed);
+    diff.check("demoted_hits", expected.lfo.demoted_hits, lfo.demoted_hits);
+    diff.check("expired_hits", expected.lfo.expired_hits,
+               lfo.overall.expired_hits);
+    diff.report();
   }
 }
 

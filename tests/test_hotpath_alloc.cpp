@@ -19,7 +19,6 @@
 #include "features/features.hpp"
 #include "gbdt/flat_forest.hpp"
 #include "gbdt/gbdt.hpp"
-#include "gbdt/quantized_forest.hpp"
 #include "server/sharded_cache.hpp"
 #include "trace/request.hpp"
 
@@ -125,34 +124,6 @@ TEST(HotPathAlloc, FlatForestPredictAllocatesNothing) {
     sink += out[0];
   }
   expect_zero_allocations(allocations() - before, "FlatForest predict");
-  EXPECT_GT(sink, 0.0);
-}
-
-TEST(HotPathAlloc, QuantizedForestPredictAllocatesNothing) {
-  const auto forest =
-      gbdt::QuantizedForest::compile(size_split_model(), /*features=*/3);
-  constexpr std::size_t kRows = 256, kDim = 3;
-  std::vector<float> matrix(kRows * kDim, 50.0f);
-  std::vector<double> out(kRows);
-  std::vector<std::uint8_t> scratch, row_scratch;
-  // Warm pass: the grow-once quantization scratches size themselves here.
-  forest.predict_proba_batch(matrix, kDim, out, scratch);
-  forest.predict_proba(std::span<const float>{matrix.data(), kDim},
-                       row_scratch);
-
-  const auto before = allocations();
-  double sink = 0.0;
-  for (int round = 0; round < 100; ++round) {
-    for (std::size_t r = 0; r < kRows; ++r) {
-      sink += forest.predict_proba(
-          std::span<const float>{matrix.data() + r * kDim, kDim},
-          row_scratch);
-    }
-    forest.predict_proba_batch(matrix, kDim, out, scratch);
-    sink += out[0];
-  }
-  expect_zero_allocations(allocations() - before,
-                          "QuantizedForest predict");
   EXPECT_GT(sink, 0.0);
 }
 
@@ -262,42 +233,6 @@ TEST(HotPathAlloc, ShardedCacheSteadyStateAllocatesNothing) {
   }
   expect_zero_allocations(allocations() - before,
                           "ShardedLfoCache steady-state access");
-  EXPECT_EQ(cache.stats().hits % 10, 0u);
-  EXPECT_GE(cache.bypassed(), 5u * 102u);
-}
-
-TEST(HotPathAlloc, LfoCacheQuantizedEngineAllocatesNothing) {
-  features::FeatureConfig config;
-  config.num_gaps = 16;
-  core::LfoCache cache(/*capacity=*/4096, config);
-  auto model =
-      std::make_shared<core::LfoModel>(size_split_model(), config);
-  model->set_engine(core::LfoModel::Engine::kFlatQuantized);
-  cache.swap_model(std::move(model));
-
-  // Same steady-state workload as the FlatForest cache test: ten
-  // permanent hits, five permanently bypassed misses, so the replay is
-  // pure extract → quantize → predict once warm (the quantized row lives
-  // in the cache's own FeatureScratch).
-  std::vector<trace::Request> requests;
-  for (std::uint64_t i = 0; i < 10; ++i) {
-    requests.push_back(trace::Request{i, 50, 50.0});
-  }
-  for (std::uint64_t i = 0; i < 5; ++i) {
-    requests.push_back(trace::Request{100 + i, 2000, 2000.0});
-  }
-  for (int pass = 0; pass < 2; ++pass) {
-    for (const auto& r : requests) cache.access(r);
-  }
-  ASSERT_EQ(cache.stats().hits, 10u);
-  ASSERT_EQ(cache.bypassed(), 10u);
-
-  const auto before = allocations();
-  for (int round = 0; round < 100; ++round) {
-    for (const auto& r : requests) cache.access(r);
-  }
-  expect_zero_allocations(allocations() - before,
-                          "LfoCache kFlatQuantized steady-state access");
   EXPECT_EQ(cache.stats().hits % 10, 0u);
   EXPECT_GE(cache.bypassed(), 5u * 102u);
 }

@@ -3,8 +3,8 @@
 #
 #   tools/run_static_checks.sh [--skip-asan] [--skip-tsan] [--skip-tidy]
 #                              [--skip-obs] [--skip-faults] [--skip-perf]
-#                              [--skip-simd] [--skip-threadsafety]
-#                              [--skip-lint] [--skip-server]
+#                              [--skip-threadsafety] [--skip-lint]
+#                              [--skip-server]
 #
 # Runs, in order:
 #   1. asan-ubsan preset: configure, build the test suite, run ctest under
@@ -27,27 +27,21 @@
 #      flat-forest-vs-tree-walk golden decision diff and the
 #      instrumented-operator-new zero-allocation hot-path test, whose
 #      strict assertions only arm in optimized unsanitized builds.
-#   6. simd-off gate: the same Release build, `ctest -L tier1` with
-#      LFO_SIMD=scalar — the env override pins gbdt's portable scalar
-#      kernels, so every bitwise-identity and golden-decision test
-#      re-proves the quantized engine's scores cannot depend on which
-#      ISA the dispatcher picked (the fallback CPUs without AVX2/NEON
-#      actually run).
-#   7. clang-tidy over src/ (including src/obs) via the asan build's
+#   6. clang-tidy over src/ (including src/obs) via the asan build's
 #      compile_commands.json with the repo .clang-tidy config (skipped
 #      with a warning when no clang-tidy binary is installed, e.g.
 #      gcc-only containers).
-#   8. thread-safety: clang's -Werror=thread-safety over the annotated
+#   7. thread-safety: clang's -Werror=thread-safety over the annotated
 #      lock discipline (util::Mutex / LFO_GUARDED_BY) via the
 #      thread-safety preset, after first proving the analysis is armed
 #      on a known-good / known-bad fixture pair (skipped with a warning
 #      when clang++ is not installed).
-#   9. server smoke: Release build of bench_server, then
+#   8. server smoke: Release build of bench_server, then
 #      tools/server_smoke.sh — boots the sharded lfo::server front end in
 #      --linger mode, replays a trace through the closed-loop client,
 #      scrapes the mounted /metrics + /healthz from outside, pushes one
 #      raw wire-protocol frame, and requires a clean natural shutdown.
-#  10. lfo_lint: tools/lfo_lint.py invariant rules (hot-path allocation
+#   9. lfo_lint: tools/lfo_lint.py invariant rules (hot-path allocation
 #      and locking, nondeterminism in decision code, side effects in
 #      LFO_CHECK arguments, obs metric-name conventions, no aborting
 #      checks in LFO_ENDPOINT_HANDLER bodies) over src/, plus its
@@ -68,7 +62,6 @@ SKIP_TIDY=0
 SKIP_OBS=0
 SKIP_FAULTS=0
 SKIP_PERF=0
-SKIP_SIMD=0
 SKIP_THREADSAFETY=0
 SKIP_LINT=0
 SKIP_SERVER=0
@@ -80,7 +73,6 @@ for arg in "$@"; do
     --skip-obs) SKIP_OBS=1 ;;
     --skip-faults) SKIP_FAULTS=1 ;;
     --skip-perf) SKIP_PERF=1 ;;
-    --skip-simd) SKIP_SIMD=1 ;;
     --skip-threadsafety) SKIP_THREADSAFETY=1 ;;
     --skip-lint) SKIP_LINT=1 ;;
     --skip-server) SKIP_SERVER=1 ;;
@@ -161,16 +153,6 @@ if [[ "$SKIP_PERF" -eq 0 ]]; then
   # walk and the warm serving path must perform zero heap allocations
   # (NDEBUG + no sanitizer arms the EXPECT_EQ(delta, 0) assertions).
   ctest --test-dir build-perf -L perfsmoke --output-on-failure -j "$JOBS"
-fi
-
-if [[ "$SKIP_SIMD" -eq 0 ]]; then
-  banner "simd-off: tier1 with LFO_SIMD=scalar (forced portable kernels)"
-  cmake -S . -B build-perf -DCMAKE_BUILD_TYPE=Release
-  cmake --build build-perf --target lfo_tests -j "$JOBS"
-  # Same binaries, scalar dispatch pinned by the environment: the bitwise
-  # and golden-decision tier1 tests now certify the no-SIMD fallback.
-  LFO_SIMD=scalar ctest --test-dir build-perf -L tier1 \
-      --output-on-failure -j "$JOBS"
 fi
 
 if [[ "$SKIP_TIDY" -eq 0 ]]; then
