@@ -27,7 +27,6 @@ bool LfoCache::expired(const trace::Request& request) const {
 }
 
 void LfoCache::on_expired(const trace::Request& request) {
-  LFO_COUNTER_INC("lfo_cache_expired_hits_total");
   const auto it = entries_.find(request.object);
   LFO_CHECK(it != entries_.end()) << "on_expired for an uncached object";
   sub_used(it->second.size);
@@ -77,7 +76,6 @@ LFO_HOT_PATH void LfoCache::update_rank(trace::ObjectId object, double rank) {
 }
 
 LFO_HOT_PATH void LfoCache::on_hit(const trace::Request& request) {
-  LFO_COUNTER_INC("lfo_cache_hits_total");
   // Stale-serve contract: the access() template method must have routed
   // expired entries through on_expired/on_miss; reaching on_hit with a
   // dead deadline means stale bytes are about to be served as fresh.
@@ -87,10 +85,7 @@ LFO_HOT_PATH void LfoCache::on_hit(const trace::Request& request) {
       options_.eviction == LfoPolicyOptions::EvictionRank::kLru;
   if (options_.rescore_on_hit || lru_mode) {
     const double p = lru_mode ? 0.0 : predict(request);
-    if (!lru_mode && p < cutoff_) {
-      ++demoted_hits_;
-      LFO_COUNTER_INC("lfo_cache_demoted_hits_total");
-    }
+    if (!lru_mode && p < cutoff_) ++demoted_hits_;
     // Re-rank; the hit object may now be the eviction candidate (paper:
     // a hit can lead to the eviction of the hit object).
     update_rank(request.object, rank_of(request, p));
@@ -99,13 +94,11 @@ LFO_HOT_PATH void LfoCache::on_hit(const trace::Request& request) {
 }
 
 void LfoCache::on_miss(const trace::Request& request) {
-  LFO_COUNTER_INC("lfo_cache_misses_total");
   const double p = predict(request);
   extractor_.observe(request, clock());
   if (request.size > capacity()) return;
   if (p < cutoff_) {
     ++bypassed_;
-    LFO_COUNTER_INC("lfo_cache_bypassed_total");
     return;
   }
   LFO_COUNTER_INC("lfo_cache_admitted_total");

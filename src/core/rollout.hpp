@@ -82,10 +82,6 @@ struct RolloutConfig {
   /// Bounded retry for failed training jobs: total attempts are
   /// 1 + max_train_retries before the window's job counts as failed.
   std::uint32_t max_train_retries = 2;
-  /// Wall-clock backoff between training retries (attempt k sleeps
-  /// k * retry_backoff_seconds). Affects timing only, never decisions;
-  /// keep 0 in tests.
-  double retry_backoff_seconds = 0.0;
 };
 
 /// Training-side diagnostics of one candidate model, assembled by the

@@ -36,25 +36,22 @@ void serve_window(LfoCache& cache, std::span<const trace::Request> window,
   const auto before = cache.stats();
   const auto bypassed_before = cache.bypassed();
 #if LFO_METRICS_ENABLED
-  if (obs::metrics_enabled()) {
-    // Sampled per-request latency: clock reads on every 64th request
-    // keep the histogram meaningful at < 1% timing overhead.
-    static obs::LatencyHistogram& request_hist =
-        obs::MetricsRegistry::instance().histogram("lfo_request_seconds");
-    std::size_t i = 0;
-    for (const auto& r : window) {
-      if ((i++ & 63u) == 0u) {
-        obs::ScopedTimer timer(request_hist);
-        cache.access(r);
-      } else {
-        cache.access(r);
-      }
+  // Sampled per-request latency: clock reads on every 64th request
+  // keep the histogram meaningful at < 1% timing overhead.
+  static obs::LatencyHistogram& request_hist =
+      obs::MetricsRegistry::instance().histogram("lfo_request_seconds");
+  std::size_t i = 0;
+  for (const auto& r : window) {
+    if ((i++ & 63u) == 0u) {
+      obs::ScopedTimer timer(request_hist);
+      cache.access(r);
+    } else {
+      cache.access(r);
     }
-  } else
-#endif
-  {
-    for (const auto& r : window) cache.access(r);
   }
+#else
+  for (const auto& r : window) cache.access(r);
+#endif
   const auto after = cache.stats();
   const auto bytes = after.bytes_requested - before.bytes_requested;
   const auto reqs = after.requests - before.requests;
@@ -111,21 +108,14 @@ TrainedWindow train_window_task(
   LFO_TRACE_SPAN("train_window");
   TrainedWindow out;
   out.started = Clock::now();
-  // Bounded retry with (optional, wall-clock-only) backoff: a failed
-  // attempt — an injected fault or a real exception out of
-  // train_on_window — is retried up to max_train_retries times before
-  // the job counts as failed and the guard keeps the last-good model.
+  // Bounded retry: a failed attempt — an injected fault or a real
+  // exception out of train_on_window — is retried up to
+  // max_train_retries times before the job counts as failed and the
+  // guard keeps the last-good model.
   const std::uint32_t max_attempts = 1 + config.rollout.max_train_retries;
   for (std::uint32_t attempt = 1; attempt <= max_attempts; ++attempt) {
     out.train_attempts = attempt;
-    if (attempt > 1) {
-      LFO_COUNTER_INC("lfo_train_retries_total");
-      if (config.rollout.retry_backoff_seconds > 0.0) {
-        std::this_thread::sleep_for(std::chrono::duration<double>(
-            config.rollout.retry_backoff_seconds *
-            static_cast<double>(attempt - 1)));
-      }
-    }
+    if (attempt > 1) LFO_COUNTER_INC("lfo_train_retries_total");
     try {
       if (config.train_fault && config.train_fault(window_index, attempt)) {
         throw std::runtime_error("injected training fault");

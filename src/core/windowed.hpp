@@ -74,12 +74,11 @@ struct WindowedConfig {
   /// attempt (attempt starts at 1) for the job trained on
   /// `window_index`; returning true fails that attempt as if the
   /// training job crashed or timed out. Failed attempts retry up to
-  /// RolloutConfig::max_train_retries times (with optional wall-clock
-  /// backoff); a job whose every attempt fails produces a
-  /// train_failed candidate that the guard rejects. Must be
-  /// deterministic in (window_index, attempt) for decision-determinism
-  /// guarantees to hold; may be called from training threads in async
-  /// mode.
+  /// RolloutConfig::max_train_retries times; a job whose every attempt
+  /// fails produces a train_failed candidate that the guard rejects.
+  /// Must be deterministic in (window_index, attempt) for
+  /// decision-determinism guarantees to hold; may be called from
+  /// training threads in async mode.
   std::function<bool(std::size_t window_index, std::uint32_t attempt)>
       train_fault;
   /// Telemetry flight recorder (obs::FlightRecorder): when set, the

@@ -43,6 +43,13 @@ HistoryTable::HistoryTable(std::uint32_t num_gaps) : capacity_(num_gaps) {
 }
 
 void HistoryTable::record(trace::ObjectId object, std::uint64_t time) {
+  // Ids come off the wire. resize(object + 1) would wrap to 0 for the
+  // largest id and then write past the end, so refuse any id the table
+  // cannot index.
+  if (object >= table_.max_size()) {
+    throw std::length_error("HistoryTable: object id " +
+                            std::to_string(object) + " out of range");
+  }
   if (object >= table_.size()) table_.resize(object + 1);
   auto& h = table_[object];
   if (h.times.empty()) h.times.assign(capacity_, 0);

@@ -42,15 +42,18 @@ struct FeatureConfig {
   std::vector<std::uint32_t> gap_indices() const;
 };
 
-/// Tracks per-object request-time history with bounded memory, providing
-/// the gap features. The representation is sparse: only objects seen in
-/// the current horizon occupy memory (most CDN objects see < 5 requests).
+/// Tracks per-object request-time history, providing the gap features.
+/// The representation is dense: a vector indexed by object id, so memory
+/// grows with the largest id seen, not with the number of distinct
+/// objects; only recorded ids get a ring buffer.
 class HistoryTable {
  public:
   explicit HistoryTable(std::uint32_t num_gaps = 50);
 
   /// Record that `object` was requested at logical time `time` (a request
-  /// counter). Call after extracting features for the request.
+  /// counter). Call after extracting features for the request. Throws
+  /// std::length_error for an id at or above the table's max_size(); the
+  /// existing histories are left untouched.
   void record(trace::ObjectId object, std::uint64_t time);
 
   /// Number of recorded past requests for this object (capped).

@@ -80,8 +80,7 @@ std::string json_escaped(std::string_view text) {
   return out;
 }
 
-void write_prometheus_text(std::ostream& os) {
-  const auto snap = MetricsRegistry::instance().snapshot();
+void write_prometheus_text(std::ostream& os, const MetricsSnapshot& snap) {
   const auto& info = build_info();
   os << "# TYPE lfo_build_info gauge\n"
      << "lfo_build_info{revision=\"" << prometheus_label_value(info.revision)

@@ -9,14 +9,14 @@
 
 namespace lfo::obs {
 
-/// Serialize the whole registry in Prometheus text exposition format:
+/// Serialize a registry snapshot in Prometheus text exposition format:
 /// one `# TYPE` line plus value line(s) per metric, series names unique,
 /// names sanitized to [a-zA-Z_:][a-zA-Z0-9_:]*. Counters get the
 /// conventional `counter` type, histograms emit `_bucket{le="..."}`
 /// (cumulative, ascending) plus `_sum`/`_count`. The exposition opens
 /// with the `lfo_build_info` info-gauge (value 1; revision / compiler /
 /// build_type as labels), so every scrape is attributable to a commit.
-void write_prometheus_text(std::ostream& os);
+void write_prometheus_text(std::ostream& os, const MetricsSnapshot& snap);
 
 /// Append one JSONL time-series line: a single JSON object holding every
 /// counter, gauge and histogram (count/sum/p50/p90/p99), plus the

@@ -11,18 +11,6 @@
 
 namespace lfo::obs {
 
-namespace {
-std::atomic<bool> g_metrics_enabled{true};
-}  // namespace
-
-bool metrics_enabled() {
-  return g_metrics_enabled.load(std::memory_order_relaxed);
-}
-
-void set_metrics_enabled(bool enabled) {
-  g_metrics_enabled.store(enabled, std::memory_order_relaxed);
-}
-
 namespace detail {
 std::uint64_t monotonic_ns() {
   return static_cast<std::uint64_t>(
@@ -31,13 +19,6 @@ std::uint64_t monotonic_ns() {
           .count());
 }
 }  // namespace detail
-
-void Gauge::add(double delta) {
-  double cur = value_.load(std::memory_order_relaxed);
-  while (!value_.compare_exchange_weak(cur, cur + delta,
-                                       std::memory_order_relaxed)) {
-  }
-}
 
 void LatencyHistogram::observe_ns(std::uint64_t ns) {
   const auto idx = std::min<std::size_t>(std::bit_width(ns), kBuckets - 1);

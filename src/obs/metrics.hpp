@@ -22,7 +22,7 @@
 namespace lfo::obs {
 
 /// Monotonically increasing event count. Lock-free: one relaxed
-/// fetch_add on the hot path; cache-line aligned so independent counters
+/// fetch_add per event; cache-line aligned so independent counters
 /// never false-share.
 class alignas(64) Counter {
  public:
@@ -40,11 +40,10 @@ class alignas(64) Counter {
 };
 
 /// Last-written double value (queue depths, ratios, window metrics).
-/// Relaxed store/load; add() is a CAS loop for the rare accumulating use.
+/// Relaxed store/load.
 class alignas(64) Gauge {
  public:
   void set(double v) { value_.store(v, std::memory_order_relaxed); }
-  void add(double delta);
   double value() const { return value_.load(std::memory_order_relaxed); }
   void reset() { set(0.0); }
 
@@ -113,9 +112,12 @@ struct MetricsSnapshot {
 
 /// Process-wide named metrics. Registration (first lookup of a name)
 /// takes a mutex; after that the returned reference is stable for the
-/// process lifetime and the hot path touches only its own atomic. The
+/// process lifetime and the caller touches only its own atomic. The
 /// LFO_COUNTER_* macros cache that reference in a function-local static,
-/// so steady-state cost is one branch + one relaxed atomic op.
+/// so steady-state cost is one relaxed atomic op. Facts the serving path
+/// already counts (CacheStats and friends) are not mirrored here: the
+/// server appends them to the snapshot at scrape time
+/// (TelemetryServerConfig::collect).
 class MetricsRegistry {
  public:
   static MetricsRegistry& instance();
@@ -136,12 +138,6 @@ class MetricsRegistry {
   Impl& impl() const;
 };
 
-/// Runtime toggle checked by every instrumentation macro (one relaxed
-/// load). Defaults to enabled; bench_fig7_throughput flips it to measure
-/// instrumented-vs-off overhead inside a single binary.
-bool metrics_enabled();
-void set_metrics_enabled(bool enabled);
-
 namespace detail {
 std::uint64_t monotonic_ns();
 }  // namespace detail
@@ -153,34 +149,27 @@ std::uint64_t monotonic_ns();
 
 #if LFO_METRICS_ENABLED
 
-#define LFO_COUNTER_ADD(name, delta)                               \
-  do {                                                             \
-    if (::lfo::obs::metrics_enabled()) {                           \
-      static ::lfo::obs::Counter& lfo_obs_counter_ref =            \
-          ::lfo::obs::MetricsRegistry::instance().counter(name);   \
-      lfo_obs_counter_ref.add(                                     \
-          static_cast<std::uint64_t>(delta));                      \
-    }                                                              \
+#define LFO_COUNTER_ADD(name, delta)                             \
+  do {                                                           \
+    static ::lfo::obs::Counter& lfo_obs_counter_ref =            \
+        ::lfo::obs::MetricsRegistry::instance().counter(name);   \
+    lfo_obs_counter_ref.add(static_cast<std::uint64_t>(delta));  \
   } while (0)
 
 #define LFO_COUNTER_INC(name) LFO_COUNTER_ADD(name, 1)
 
-#define LFO_GAUGE_SET(name, v)                                     \
-  do {                                                             \
-    if (::lfo::obs::metrics_enabled()) {                           \
-      static ::lfo::obs::Gauge& lfo_obs_gauge_ref =                \
-          ::lfo::obs::MetricsRegistry::instance().gauge(name);     \
-      lfo_obs_gauge_ref.set(static_cast<double>(v));               \
-    }                                                              \
+#define LFO_GAUGE_SET(name, v)                                   \
+  do {                                                           \
+    static ::lfo::obs::Gauge& lfo_obs_gauge_ref =                \
+        ::lfo::obs::MetricsRegistry::instance().gauge(name);     \
+    lfo_obs_gauge_ref.set(static_cast<double>(v));               \
   } while (0)
 
-#define LFO_HISTOGRAM_OBSERVE_SECONDS(name, seconds)               \
-  do {                                                             \
-    if (::lfo::obs::metrics_enabled()) {                           \
-      static ::lfo::obs::LatencyHistogram& lfo_obs_hist_ref =      \
-          ::lfo::obs::MetricsRegistry::instance().histogram(name); \
-      lfo_obs_hist_ref.observe_seconds(seconds);                   \
-    }                                                              \
+#define LFO_HISTOGRAM_OBSERVE_SECONDS(name, seconds)             \
+  do {                                                           \
+    static ::lfo::obs::LatencyHistogram& lfo_obs_hist_ref =      \
+        ::lfo::obs::MetricsRegistry::instance().histogram(name); \
+    lfo_obs_hist_ref.observe_seconds(seconds);                   \
   } while (0)
 
 #else  // !LFO_METRICS_ENABLED — every call site compiles to nothing.

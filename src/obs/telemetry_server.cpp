@@ -40,7 +40,6 @@ constexpr EndpointMetric kEndpointRequestCounters[] = {
 };
 
 void count_request(std::string_view path) {
-  if (!metrics_enabled()) return;
   MetricsRegistry::instance().counter("lfo_telemetry_requests_total").inc();
   for (const auto& e : kEndpointRequestCounters) {
     if (path == e.path) {
@@ -51,7 +50,6 @@ void count_request(std::string_view path) {
 }
 
 void count_bad_request() {
-  if (!metrics_enabled()) return;
   MetricsRegistry::instance()
       .counter("lfo_telemetry_bad_requests_total")
       .inc();
@@ -291,6 +289,12 @@ void TelemetryServer::serve_connection(int fd) const {
   if (send_all(fd, head.str())) send_all(fd, resp.body);
 }
 
+MetricsSnapshot TelemetryServer::snapshot() const {
+  auto snap = MetricsRegistry::instance().snapshot();
+  if (config_.collect) config_.collect(snap);
+  return snap;
+}
+
 LFO_ENDPOINT_HANDLER
 HttpResponse TelemetryServer::handle_request(
     std::string_view request) const {
@@ -337,7 +341,7 @@ HttpResponse TelemetryServer::handle_request(
   HttpResponse resp;
   if (path == "/metrics") {
     std::ostringstream body;
-    write_prometheus_text(body);
+    write_prometheus_text(body, snapshot());
     resp.content_type = "text/plain; version=0.0.4; charset=utf-8";
     resp.body = body.str();
     return resp;
@@ -360,7 +364,7 @@ HttpResponse TelemetryServer::handle_request(
     body << "{\"monotonic_seconds\":" << ts << ',';
     append_build_info_json(body);
     body << ',';
-    append_snapshot_json(body, MetricsRegistry::instance().snapshot());
+    append_snapshot_json(body, snapshot());
     body << ",\"history\":[";
     if (config_.flight_recorder != nullptr && history > 0) {
       const auto frames = config_.flight_recorder->history(history);
@@ -390,7 +394,7 @@ HttpResponse TelemetryServer::handle_request(
       count_bad_request();
       return error_response(400, "missing ?name=<metric>");
     }
-    const auto snap = MetricsRegistry::instance().snapshot();
+    const auto snap = snapshot();
     for (const auto& c : snap.counters) {
       if (c.name == name) {
         resp.body = std::to_string(c.value) + "\n";

@@ -48,6 +48,11 @@ struct TelemetryServerConfig {
   FlightRecorder* flight_recorder = nullptr;
   /// Callback behind /healthz. Null means "always serving".
   std::function<HealthStatus()> health = nullptr;
+  /// Scrape-time hook: appends series the registry does not hold (facts
+  /// another component already counts) to the snapshot that /metrics,
+  /// /stats and /vars serve. It must keep each kind's names sorted. Null
+  /// serves the registry alone.
+  std::function<void(MetricsSnapshot&)> collect = nullptr;
   /// Hard cap on a request head (start line + headers). Longer requests
   /// are answered 431 and the connection dropped.
   std::size_t max_request_bytes = 8192;
@@ -80,9 +85,10 @@ struct TelemetryServerConfig {
 ///   GET /vars?name=<m>      single metric as a bare value
 ///   GET /trace              chrome://tracing JSON dump
 ///
-/// Every handler is a pure registry/recorder read — serving a scrape can
-/// never change a caching decision (tests/test_telemetry_server.cpp
-/// asserts same_decisions with a live scraper). Binds 127.0.0.1 only:
+/// Every handler is a pure registry/recorder read (plus the read-only
+/// `collect` hook) — serving a scrape can never change a caching
+/// decision (tests/test_telemetry_server.cpp asserts same_decisions with
+/// a live scraper). Binds 127.0.0.1 only:
 /// this is an operator loopback port, not an internet-facing server.
 class TelemetryServer {
  public:
@@ -112,6 +118,8 @@ class TelemetryServer {
 
  private:
   HttpResponse handle_request(std::string_view request) const;
+  /// Registry snapshot with the `collect` series appended.
+  MetricsSnapshot snapshot() const;
   void accept_loop();
   void handler_loop();
   void serve_connection(int fd) const;

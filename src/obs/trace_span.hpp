@@ -82,14 +82,6 @@ class ScopedTimer {
     }                                          \
   } while (0)
 
-/// Time the enclosing scope into the named registry histogram.
-#define LFO_SCOPED_TIMER(name)                                        \
-  static ::lfo::obs::LatencyHistogram&                                \
-      LFO_OBS_CONCAT(lfo_scoped_timer_hist_, __LINE__) =              \
-          ::lfo::obs::MetricsRegistry::instance().histogram(name);    \
-  ::lfo::obs::ScopedTimer LFO_OBS_CONCAT(lfo_scoped_timer_, __LINE__)(\
-      LFO_OBS_CONCAT(lfo_scoped_timer_hist_, __LINE__))
-
 #else
 
 #define LFO_TRACE_SPAN(name) \
@@ -97,9 +89,6 @@ class ScopedTimer {
   } while (0)
 #define LFO_TRACE_THREAD_LABEL(label) \
   do {                                \
-  } while (0)
-#define LFO_SCOPED_TIMER(name) \
-  do {                         \
   } while (0)
 
 #endif  // LFO_METRICS_ENABLED

@@ -9,8 +9,10 @@
 #include <sys/time.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstring>
+#include <exception>
 #include <utility>
 
 #include "core/rollout.hpp"
@@ -69,6 +71,28 @@ ReadStatus read_exact(int fd, void* data, std::size_t size,
     return ReadStatus::kError;
   }
   return ReadStatus::kOk;
+}
+
+/// TelemetryServerConfig::collect: the serving counts, read from the
+/// shard-local cache stats at scrape time (the request path keeps no
+/// second copy of them).
+void append_serving_series(const ShardedLfoCache& cache,
+                           obs::MetricsSnapshot& snap) {
+  const auto stats = cache.stats();
+  snap.counters.push_back({"lfo_server_bypassed_total", cache.bypassed()});
+  snap.counters.push_back(
+      {"lfo_server_demoted_hits_total", cache.demoted_hits()});
+  snap.counters.push_back(
+      {"lfo_server_expired_hits_total", stats.expired_hits});
+  snap.counters.push_back({"lfo_server_hits_total", stats.hits});
+  snap.counters.push_back({"lfo_server_requests_total", stats.requests});
+  snap.gauges.push_back(
+      {"lfo_server_used_bytes", static_cast<double>(cache.used_bytes())});
+  const auto by_name = [](const auto& a, const auto& b) {
+    return a.name < b.name;
+  };
+  std::sort(snap.counters.begin(), snap.counters.end(), by_name);
+  std::sort(snap.gauges.begin(), snap.gauges.end(), by_name);
 }
 
 }  // namespace
@@ -137,6 +161,9 @@ bool LfoServer::start() {
       health.serving = state != core::RolloutState::kFallback;
       health.detail = core::to_string(state);
       return health;
+    };
+    tconfig.collect = [this](obs::MetricsSnapshot& snap) {
+      append_serving_series(cache_, snap);
     };
     telemetry_ = std::make_unique<obs::TelemetryServer>(std::move(tconfig));
     if (!telemetry_->start()) {
@@ -235,28 +262,27 @@ void LfoServer::serve_connection(int fd) {
       return;
     }
     decisions.resize(count);
-    std::uint64_t hits = 0;
-    std::uint64_t expired = 0;
-    for (std::uint32_t i = 0; i < count; ++i) {
-      trace::Request request;
-      request.object = batch[i].object;
-      request.size = batch[i].size;
-      request.cost = batch[i].cost;
-      request.ttl = batch[i].ttl;
-      const AccessResult result = cache_.access(request);
-      hits += result.hit ? 1 : 0;
-      expired += result.expired ? 1 : 0;
-      decisions[i] = static_cast<std::uint8_t>(
-          result.expired ? WireDecision::kExpired
-                         : (result.hit ? WireDecision::kHit
-                                       : WireDecision::kMiss));
+    // A request the cache cannot take (an id the history table cannot
+    // index, or one too large to allocate for) is a bad frame too: count
+    // it and close this connection, never let it end the worker.
+    try {
+      for (std::uint32_t i = 0; i < count; ++i) {
+        trace::Request request;
+        request.object = batch[i].object;
+        request.size = batch[i].size;
+        request.cost = batch[i].cost;
+        request.ttl = batch[i].ttl;
+        const AccessResult result = cache_.access(request);
+        decisions[i] = static_cast<std::uint8_t>(
+            result.expired ? WireDecision::kExpired
+                           : (result.hit ? WireDecision::kHit
+                                         : WireDecision::kMiss));
+      }
+    } catch (const std::exception&) {
+      LFO_COUNTER_INC("lfo_server_bad_frames_total");
+      return;
     }
-    LFO_COUNTER_ADD("lfo_server_requests_total", count);
-    LFO_COUNTER_ADD("lfo_server_hits_total", hits);
-    LFO_COUNTER_ADD("lfo_server_expired_hits_total", expired);
     LFO_COUNTER_INC("lfo_server_batches_total");
-    LFO_GAUGE_SET("lfo_server_used_bytes",
-                  static_cast<double>(cache_.used_bytes()));
     if (!send_all(fd, &count, sizeof(count)) ||
         !send_all(fd, decisions.data(), decisions.size())) {
       return;

@@ -23,9 +23,11 @@ namespace lfo::server {
 ///   response frame: u32 count, then count x u8 WireDecision
 ///
 /// A frame with count == 0 or count > LfoServerConfig::max_batch is
-/// malformed: the server counts it (lfo_server_bad_frames_total) and
-/// closes the connection. Clients pipeline at batch granularity — one
-/// frame in flight per connection (closed loop).
+/// malformed, and so is one carrying a request the cache cannot take (an
+/// object id the history table cannot index): the server counts it
+/// (lfo_server_bad_frames_total) and closes the connection. Clients
+/// pipeline at batch granularity — one frame in flight per connection
+/// (closed loop).
 struct WireRequest {
   std::uint64_t object;
   std::uint64_t size;
@@ -54,8 +56,11 @@ struct LfoServerConfig {
   /// Largest accepted request-frame count.
   std::uint32_t max_batch = 1 << 16;
   /// Mount the obs::TelemetryServer (/metrics, /stats, /healthz, ...)
-  /// next to the serving port. /healthz reports 503 while the rollout
-  /// guard is in fallback. No-op when LFO_METRICS=OFF.
+  /// next to the serving port. Scrapes read the serving counts
+  /// (lfo_server_{requests,hits,expired_hits,bypassed,demoted_hits}_total,
+  /// lfo_server_used_bytes) from the cache stats at scrape time. /healthz
+  /// reports 503 while the rollout guard is in fallback. No-op when
+  /// LFO_METRICS=OFF.
   bool telemetry = true;
   std::uint16_t telemetry_port = 0;
   obs::FlightRecorder* flight_recorder = nullptr;

@@ -52,7 +52,6 @@ LFO_HOT_PATH AccessResult ShardedLfoCache::access(
   AccessResult result;
   result.hit = shard.cache.access(request);
   result.expired = shard.cache.stats().expired_hits != expired_before;
-  shard.used.store(shard.cache.used_bytes(), std::memory_order_release);
   return result;
 }
 
@@ -118,21 +117,16 @@ std::uint64_t ShardedLfoCache::demoted_hits() const {
 std::uint64_t ShardedLfoCache::used_bytes() const {
   std::uint64_t total = 0;
   for (const auto& shard : shards_) {
-    total += shard->used.load(std::memory_order_acquire);
+    util::MutexLock lock(shard->mu);
+    total += shard->cache.used_bytes();
   }
   return total;
-}
-
-std::uint64_t ShardedLfoCache::shard_used_bytes(std::uint32_t shard) const {
-  LFO_CHECK(shard < shards_.size()) << "shard index out of range";
-  return shards_[shard]->used.load(std::memory_order_acquire);
 }
 
 void ShardedLfoCache::clear() {
   for (auto& shard : shards_) {
     util::MutexLock lock(shard->mu);
     shard->cache.clear();
-    shard->used.store(0, std::memory_order_release);
   }
 }
 

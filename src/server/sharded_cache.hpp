@@ -61,9 +61,10 @@ struct AccessResult {
 ///    can briefly serve different models — same situation as two CDN
 ///    front-end processes mid-deploy, and harmless because decisions
 ///    are per-request).
-///  - stats()/bypassed()/demoted_hits() merge shard-locals on read;
-///    used_bytes() reads lock-free atomic mirrors (for gauges on the
-///    serving path).
+///  - stats()/bypassed()/demoted_hits()/used_bytes() merge shard-locals
+///    on read, taking each shard lock in turn. They are the single
+///    source of the serving counts: nothing on the access path mirrors
+///    them, and the server exports them at scrape time.
 class ShardedLfoCache {
  public:
   explicit ShardedLfoCache(ShardedCacheConfig config);
@@ -106,12 +107,7 @@ class ShardedLfoCache {
   cache::CacheStats stats() const;
   std::uint64_t bypassed() const;
   std::uint64_t demoted_hits() const;
-
-  /// Lock-free aggregate of the per-shard used-byte mirrors; slightly
-  /// stale under concurrent writes, exact when quiescent. Safe to call
-  /// from metrics/telemetry threads.
   std::uint64_t used_bytes() const;
-  std::uint64_t shard_used_bytes(std::uint32_t shard) const;
   std::uint64_t capacity() const { return config_.capacity; }
 
   /// Drop every shard's cached objects and feature history.
@@ -125,9 +121,6 @@ class ShardedLfoCache {
         : cache(capacity, features, cutoff, options) {}
     mutable util::Mutex mu;
     core::LfoCache cache LFO_GUARDED_BY(mu);
-    /// Mirror of cache.used_bytes(), refreshed after every access so
-    /// gauges read byte occupancy without taking the shard lock.
-    std::atomic<std::uint64_t> used{0};
   };
 
   ShardedCacheConfig config_;

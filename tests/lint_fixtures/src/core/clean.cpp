@@ -37,7 +37,7 @@ inline std::vector<std::uint64_t> sorted_keys(
   return keys;
 }
 
-inline void count_hit() { LFO_COUNTER_INC("lfo_cache_hits_total"); }
+inline void count_admit() { LFO_COUNTER_INC("lfo_cache_admitted_total"); }
 
 // Endpoint metric table with conforming counter names: the metric-name
 // rule's table form must stay quiet here.

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <stdexcept>
 #include <vector>
 
 #include "features/dataset_builder.hpp"
@@ -102,6 +104,24 @@ TEST(HistoryTable, ClearAndAccounting) {
   EXPECT_LE(h.bytes_per_object(), 1024u);
   h.clear();
   EXPECT_EQ(h.tracked_objects(), 0u);
+}
+
+// Regression: record(2^64-1) used to resize the dense table to
+// object + 1 == 0 and then write out of bounds.
+TEST(HistoryTable, MaxObjectIdThrowsAndKeepsHistories) {
+  HistoryTable h(4);
+  h.record(7, 10);
+  h.record(7, 13);
+  EXPECT_THROW(h.record(std::numeric_limits<trace::ObjectId>::max(), 20),
+               std::length_error);
+  EXPECT_EQ(h.tracked_objects(), 1u);
+  EXPECT_EQ(h.depth(7), 2u);
+  std::vector<float> gaps(4);
+  h.gaps(7, 26, gaps, -1.0f);
+  EXPECT_FLOAT_EQ(gaps[0], 13.0f);  // 26 - 13
+  EXPECT_FLOAT_EQ(gaps[1], 3.0f);   // 13 - 10
+  h.record(7, 30);  // the table keeps working after the refusal
+  EXPECT_EQ(h.depth(7), 3u);
 }
 
 TEST(FeatureExtractor, ExtractLaysOutFeatures) {

@@ -295,11 +295,18 @@ TEST(Model, IgnoresIrrelevantFeature) {
 
 /// Property sweep: across hyperparameter settings, training converges to
 /// something better than the trivial predictor on XOR.
+///
+/// gtest names each case after a byte dump of its parameter, so the
+/// padding is spelled out as zeroed members: implicit padding bytes are
+/// uninitialised and made the test names change with the environment.
 struct HyperParams {
   std::uint32_t leaves;
+  std::uint32_t pad0 = 0;
   double lr;
   std::uint32_t iters;
+  std::uint32_t pad1 = 0;
 };
+static_assert(sizeof(HyperParams) == 24, "HyperParams must have no padding");
 class TrainSweep : public ::testing::TestWithParam<HyperParams> {};
 
 TEST_P(TrainSweep, BeatsTrivialBaseline) {
@@ -315,9 +322,11 @@ TEST_P(TrainSweep, BeatsTrivialBaseline) {
 
 INSTANTIATE_TEST_SUITE_P(
     Hyperparameters, TrainSweep,
-    ::testing::Values(HyperParams{4, 0.3, 10}, HyperParams{8, 0.1, 20},
-                      HyperParams{31, 0.1, 30}, HyperParams{64, 0.05, 40},
-                      HyperParams{16, 0.5, 5}));
+    ::testing::Values(HyperParams{.leaves = 4, .lr = 0.3, .iters = 10},
+                      HyperParams{.leaves = 8, .lr = 0.1, .iters = 20},
+                      HyperParams{.leaves = 31, .lr = 0.1, .iters = 30},
+                      HyperParams{.leaves = 64, .lr = 0.05, .iters = 40},
+                      HyperParams{.leaves = 16, .lr = 0.5, .iters = 5}));
 
 }  // namespace
 }  // namespace lfo::gbdt

@@ -64,6 +64,7 @@ def check_clean_fixture(relpath: str) -> None:
 
 def main() -> int:
     check_bad_fixture("src/gbdt/hotpath_bad.cpp", "hotpath")
+    check_bad_fixture("src/core/hotpath_metric_bad.cpp", "hotpath")
     check_bad_fixture("src/core/nondet_bad.cpp", "nondet")
     check_bad_fixture("src/trace/nondet_bad.cpp", "nondet")
     check_bad_fixture("src/util/check_effect_bad.cpp", "check-effect")
@@ -72,13 +73,13 @@ def main() -> int:
     check_bad_fixture("src/obs/endpoint_bad.cpp", "endpoint")
     check_clean_fixture("src/core/clean.cpp")
 
-    # The whole fixture tree at once: the seven seeded violations and
+    # The whole fixture tree at once: the eight seeded violations and
     # nothing else (guards against cross-file false positives).
     code, out = run_lint(FIXTURES / "src")
     total = len([l for l in out.splitlines() if "[" in l and "]" in l])
-    print("full fixture tree (expect exactly 7 violations):")
+    print("full fixture tree (expect exactly 8 violations):")
     expect(code == 1, "exit status 1", f"got {code}")
-    expect(total == 7, "exactly 7 violations", f"got {total}:\n{out}")
+    expect(total == 8, "exactly 8 violations", f"got {total}:\n{out}")
 
     if failures:
         print(f"\n{failures} assertion(s) failed")

@@ -9,7 +9,11 @@ Rules
 -----
 hotpath      Functions tagged ``LFO_HOT_PATH`` must not allocate or
              lock: no ``new``/``malloc``/``make_unique``/container
-             growth calls and no mutexes inside the tagged body.
+             growth calls and no mutexes inside the tagged body.  Nor
+             may they write process-wide metrics (``LFO_COUNTER_*``,
+             ``LFO_GAUGE_SET``, ``LFO_HISTOGRAM_OBSERVE_SECONDS``): a
+             per-request fact is counted once, shard-locally, and read
+             at scrape time.
 nondet       Decision-affecting code (``src/core``, ``src/opt``,
              ``src/gbdt``, ``src/trace``) must be deterministic: no ``rand``/
              ``random_device``/``mt19937``, no wall clocks
@@ -72,6 +76,8 @@ HOTPATH_BANNED = [
                 r"shared_mutex|shared_lock)\b"), "locking"),
     (re.compile(r"\bMutexLock\b"), "locking"),
     (re.compile(r"[.>]\s*(?:lock|try_lock)\s*\("), "locking"),
+    (re.compile(r"\bLFO_(?:COUNTER_(?:ADD|INC)|GAUGE_SET|"
+                r"HISTOGRAM_OBSERVE_SECONDS)\b"), "process-wide metric write"),
 ]
 
 NONDET_BANNED = [
@@ -94,7 +100,6 @@ METRIC_FORMS = [
     (re.compile(r"[.>]\s*counter\s*\(\s*\"([^\"]*)\""), "counter"),
     (re.compile(r"\bLFO_HISTOGRAM_OBSERVE_SECONDS\s*\(\s*\"([^\"]*)\""),
      "histogram"),
-    (re.compile(r"\bLFO_SCOPED_TIMER\s*\(\s*\"([^\"]*)\""), "histogram"),
     (re.compile(r"[.>]\s*histogram\s*\(\s*\"([^\"]*)\""), "histogram"),
     (re.compile(r"\bLFO_GAUGE_SET\s*\(\s*\"([^\"]*)\""), "gauge"),
     (re.compile(r"[.>]\s*gauge\s*\(\s*\"([^\"]*)\""), "gauge"),

@@ -10,7 +10,9 @@
 # Default binary: ./build/bench/bench_server (built by the standard
 # `cmake --build build` invocation). Checks:
 #   replay    — the built-in client drives the whole trace, hits > 0
-#   /metrics  — 200 and the lfo_server_* serving metrics present
+#   /metrics  — 200; the scrape-time serving counts match the replay
+#               (requests, and hits equal to the hits the client saw)
+#               and the lfo_server_* series are present
 #   /healthz  — 200 (bootstrap serves as healthy)
 #   protocol  — a raw one-request frame gets a one-decision reply
 #   shutdown  — the process exits 0 by itself after the linger window
@@ -75,8 +77,12 @@ BASE="http://127.0.0.1:$TPORT"
 
 METRICS="$(curl -fsS --max-time 5 "$BASE/metrics")" \
   || fail "/metrics did not return 200"
-grep -q '^lfo_server_requests_total 20000' <<<"$METRICS" \
+grep -q '^lfo_server_requests_total 20000$' <<<"$METRICS" \
   || fail "/metrics lfo_server_requests_total does not match the replay"
+grep -q "^lfo_server_hits_total $HITS\$" <<<"$METRICS" \
+  || fail "/metrics lfo_server_hits_total does not equal the $HITS replay hits"
+grep -q '^lfo_server_bypassed_total ' <<<"$METRICS" \
+  || fail "/metrics missing lfo_server_bypassed_total"
 grep -q '^lfo_server_workers ' <<<"$METRICS" \
   || fail "/metrics missing lfo_server_workers"
 grep -q '^lfo_server_shards ' <<<"$METRICS" \
