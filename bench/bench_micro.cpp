@@ -83,7 +83,12 @@ void BM_GbdtTrain(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(n));
 }
-BENCHMARK(BM_GbdtTrain)->Arg(5000)->Arg(20000)->Unit(benchmark::kMillisecond);
+// 50K rows is the window shape lfo_bench and the pipeline train on.
+BENCHMARK(BM_GbdtTrain)
+    ->Arg(5000)
+    ->Arg(20000)
+    ->Arg(50000)
+    ->Unit(benchmark::kMillisecond);
 
 /// One trained LFO model shared by the predictor microbenchmarks (GBDT
 /// training is itself benchmarked above; re-training per benchmark would

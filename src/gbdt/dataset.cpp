@@ -1,7 +1,11 @@
 #include "gbdt/dataset.hpp"
 
 #include <algorithm>
+#include <array>
+#include <bit>
+#include <cmath>
 #include <stdexcept>
+#include <utility>
 
 namespace lfo::gbdt {
 
@@ -14,6 +18,12 @@ Dataset::Dataset(std::size_t num_features) : num_features_(num_features) {
 void Dataset::add_row(std::span<const float> features, float label) {
   if (features.size() != num_features_) {
     throw std::invalid_argument("Dataset::add_row: feature count mismatch");
+  }
+  // Binning orders values, and NaN has no place in that order.
+  if (std::isnan(label) ||
+      std::any_of(features.begin(), features.end(),
+                  [](float v) { return std::isnan(v); })) {
+    throw std::invalid_argument("Dataset::add_row: NaN feature or label");
   }
   features_.insert(features_.end(), features.begin(), features.end());
   labels_.push_back(label);
@@ -33,13 +43,13 @@ std::uint32_t FeatureBins::bin_for(float value) const {
 
 namespace {
 
-/// Quantile bin boundaries for one feature column. Distinct values fewer
-/// than max_bins get one bin each (exact splits); otherwise boundaries sit
-/// at evenly spaced quantiles of the value distribution.
-FeatureBins build_bins(std::vector<float> values, std::uint32_t max_bins) {
+/// Quantile bin boundaries for one feature column, from its sorted
+/// distinct values. Fewer distinct values than max_bins get one bin each
+/// (exact splits); otherwise boundaries sit at evenly spaced quantiles of
+/// the distinct values.
+FeatureBins build_bins(std::span<const float> values,
+                       std::uint32_t max_bins) {
   FeatureBins fb;
-  std::sort(values.begin(), values.end());
-  values.erase(std::unique(values.begin(), values.end()), values.end());
   if (values.size() <= 1) return fb;  // constant feature: single bin
   if (values.size() <= max_bins) {
     // One bin per distinct value; boundary = midpoint between neighbours.
@@ -64,6 +74,43 @@ FeatureBins build_bins(std::vector<float> values, std::uint32_t max_bins) {
   return fb;
 }
 
+/// Order-preserving unsigned key of a non-NaN float: keys compare as the
+/// floats do. -0 is keyed as +0, since the two compare equal.
+std::uint32_t sort_key(float v) {
+  auto u = std::bit_cast<std::uint32_t>(v);
+  if (u == 0x80000000u) u = 0;
+  return (u & 0x80000000u) != 0 ? ~u : u | 0x80000000u;
+}
+
+float from_key(std::uint32_t key) {
+  return std::bit_cast<float>((key & 0x80000000u) != 0 ? key & 0x7fffffffu
+                                                       : ~key);
+}
+
+/// Stable LSD radix sort of `items` by their high 32 bits (the key), one
+/// byte per pass; a pass whose byte every key shares is skipped.
+void radix_sort_by_key(std::vector<std::uint64_t>& items,
+                       std::vector<std::uint64_t>& scratch) {
+  std::array<std::array<std::size_t, 256>, 4> counts{};
+  for (const auto item : items) {
+    for (std::size_t p = 0; p < 4; ++p) {
+      ++counts[p][(item >> (32 + 8 * p)) & 0xffu];
+    }
+  }
+  scratch.resize(items.size());
+  for (std::size_t p = 0; p < 4; ++p) {
+    const auto shift = 32 + 8 * p;
+    auto& offsets = counts[p];
+    if (offsets[(items.front() >> shift) & 0xffu] == items.size()) continue;
+    std::size_t sum = 0;
+    for (auto& c : offsets) sum += std::exchange(c, sum);
+    for (const auto item : items) {
+      scratch[offsets[(item >> shift) & 0xffu]++] = item;
+    }
+    items.swap(scratch);
+  }
+}
+
 }  // namespace
 
 BinnedDataset::BinnedDataset(const Dataset& data, std::uint32_t max_bins)
@@ -74,16 +121,32 @@ BinnedDataset::BinnedDataset(const Dataset& data, std::uint32_t max_bins)
   const std::size_t cols = data.num_features();
   bins_.reserve(cols);
   binned_.resize(cols * num_rows_);
-  std::vector<float> column_values(num_rows_);
+  // Per column: sort the row ids once by value, read the distinct values
+  // off the sorted order, then give every run of equal values its bin in
+  // one walk that moves monotonically through the bounds.
+  std::vector<std::uint64_t> sorted(num_rows_), scratch;
+  std::vector<float> distinct;
   for (std::size_t c = 0; c < cols; ++c) {
     for (std::size_t r = 0; r < num_rows_; ++r) {
-      column_values[r] = data.feature(r, c);
+      sorted[r] = std::uint64_t{sort_key(data.feature(r, c))} << 32 | r;
     }
-    bins_.push_back(build_bins(column_values, max_bins));
-    const auto& fb = bins_.back();
-    for (std::size_t r = 0; r < num_rows_; ++r) {
-      binned_[c * num_rows_ + r] =
-          static_cast<std::uint8_t>(fb.bin_for(data.feature(r, c)));
+    if (!sorted.empty()) radix_sort_by_key(sorted, scratch);
+    distinct.clear();
+    for (std::size_t i = 0; i < sorted.size(); ++i) {
+      if (i == 0 || (sorted[i] >> 32) != (sorted[i - 1] >> 32)) {
+        distinct.push_back(
+            from_key(static_cast<std::uint32_t>(sorted[i] >> 32)));
+      }
+    }
+    bins_.push_back(build_bins(distinct, max_bins));
+    const auto& bounds = bins_.back().upper_bounds;
+    std::uint8_t* out = binned_.data() + c * num_rows_;
+    std::size_t bin = 0;
+    std::size_t d = 0;
+    for (std::size_t i = 0; i < sorted.size(); ++i) {
+      if (i > 0 && (sorted[i] >> 32) != (sorted[i - 1] >> 32)) ++d;
+      while (bin < bounds.size() && bounds[bin] < distinct[d]) ++bin;
+      out[sorted[i] & 0xffffffffu] = static_cast<std::uint8_t>(bin);
     }
   }
 }

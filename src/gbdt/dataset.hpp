@@ -19,6 +19,7 @@ class Dataset {
   std::size_t num_rows() const { return labels_.size(); }
 
   /// Append one sample; `features` must have num_features() entries.
+  /// Throws std::invalid_argument on a NaN feature or label.
   void add_row(std::span<const float> features, float label);
 
   /// Reserve capacity for `rows` samples.
@@ -57,7 +58,8 @@ struct FeatureBins {
 class BinnedDataset {
  public:
   /// Build quantile bins (at most `max_bins` <= 256 per feature) from the
-  /// dataset and bin every value.
+  /// dataset and bin every value. Each column is sorted once (a radix
+  /// sort of row ids by value); bins are read off that order.
   BinnedDataset(const Dataset& data, std::uint32_t max_bins);
 
   std::size_t num_rows() const { return num_rows_; }

@@ -6,9 +6,11 @@
 #include <limits>
 #include <memory>
 #include <numeric>
+#include <ostream>
 #include <queue>
 #include <stdexcept>
 #include <thread>
+#include <utility>
 
 #include "obs/metrics.hpp"
 #include "obs/trace_span.hpp"
@@ -118,34 +120,84 @@ Model Model::load_file(const std::string& path) {
 
 namespace {
 
-/// Gradient/hessian histogram of one feature over one leaf's rows.
-struct Histogram {
-  double sum_g[256];
-  double sum_h[256];
-  std::uint32_t count[256];
-  void clear(std::uint32_t bins) {
-    std::fill_n(sum_g, bins, 0.0);
-    std::fill_n(sum_h, bins, 0.0);
-    std::fill_n(count, bins, 0u);
+/// Fixed-point gradient and hessian sums plus a row count: one histogram
+/// bin, or the totals of a leaf or split side. Integer sums are exact and
+/// independent of the order rows are added in, so a sibling histogram
+/// derived as parent - child is exactly the one a direct build gives.
+struct GradSum {
+  std::int64_t g = 0;
+  std::int64_t h = 0;
+  std::uint32_t count = 0;
+
+  GradSum& operator+=(const GradSum& o) {
+    g += o.g;
+    h += o.h;
+    count += o.count;
+    return *this;
+  }
+  GradSum& operator-=(const GradSum& o) {
+    g -= o.g;
+    h -= o.h;
+    count -= o.count;
+    return *this;
+  }
+  friend GradSum operator-(GradSum a, const GradSum& b) { return a -= b; }
+  friend bool operator==(const GradSum&, const GradSum&) = default;
+  friend std::ostream& operator<<(std::ostream& os, const GradSum& s) {
+    return os << "{g=" << s.g << " h=" << s.h << " count=" << s.count
+              << '}';
   }
 };
+
+/// One sampled row of a leaf with its round's fixed-point gradients,
+/// kept in leaf order so histogram builds read gradients sequentially.
+struct LeafRow {
+  std::int64_t g;
+  std::int64_t h;
+  std::uint32_t row;
+};
+
+/// Power-of-two unit of one array's fixed-point values. Scaling by a
+/// power of two is exact, so a value is rounded once, to the unit.
+struct FixedPointUnit {
+  double unit = 1.0;
+  double inverse = 1.0;
+
+  std::int64_t to_fixed(double x) const { return std::llround(x * inverse); }
+  double to_double(std::int64_t sum) const {
+    return static_cast<double>(sum) * unit;
+  }
+};
+
+/// The finest unit at which a sum over all of `values` still fits in
+/// int64.
+FixedPointUnit fixed_point_unit(std::span<const double> values) {
+  double max_abs = 0.0;
+  for (const double v : values) max_abs = std::max(max_abs, std::abs(v));
+  // max_abs * n <= 2^exp, so |round(x / 2^(exp - 62))| summed over all n
+  // rows is at most 2^62 + n/2 < 2^63.
+  int exp = 0;
+  std::frexp(max_abs * static_cast<double>(values.size()), &exp);
+  return {std::ldexp(1.0, exp - 62), std::ldexp(1.0, 62 - exp)};
+}
 
 struct SplitInfo {
   double gain = 0.0;
   std::int32_t feature = -1;
   std::uint32_t bin = 0;  ///< go left when bin <= this
-  double left_g = 0, left_h = 0, right_g = 0, right_h = 0;
+  GradSum left, right;
 
   bool valid() const { return feature >= 0; }
 };
 
 /// A grown leaf pending a potential split: rows are the [begin, end) slice
-/// of the trainer's index array.
+/// of the trainer's leaf-row array, and `hist` its histogram buffer.
 struct LeafTask {
   std::int32_t node = 0;
   std::size_t begin = 0, end = 0;
-  double sum_g = 0, sum_h = 0;
+  GradSum sum;
   std::int32_t depth = 0;
+  std::uint32_t hist = 0;
   SplitInfo best;
 };
 
@@ -242,6 +294,8 @@ class Trainer {
         hessians_[r] = 1.0;
       });
     }
+    g_unit_ = fixed_point_unit(gradients_);
+    h_unit_ = fixed_point_unit(hessians_);
   }
 
   /// Mean loss (logloss or squared error, per objective) over the
@@ -301,127 +355,204 @@ class Trainer {
     return rows;
   }
 
-  /// Histogram + best split of a single feature over one leaf's rows.
-  /// Pure w.r.t. trainer state (reads gradients/hessians/binning only),
-  /// so features can be evaluated concurrently; for a fixed feature the
-  /// result is independent of which thread runs it (same accumulation
-  /// order over `rows`).
-  SplitInfo best_split_for_feature(std::int32_t f,
-                                   std::span<const std::uint32_t> rows,
-                                   double sum_g, double sum_h) const {
+  /// Lay out one histogram buffer for the tree's candidate features: the
+  /// bins of features_[fi] start at offsets_[fi].
+  void layout_histograms() {
+    offsets_.assign(features_.size() + 1, 0);
+    for (std::size_t fi = 0; fi < features_.size(); ++fi) {
+      offsets_[fi + 1] =
+          offsets_[fi] +
+          binned_.feature_bins(static_cast<std::size_t>(features_[fi]))
+              .num_bins();
+    }
+    free_hists_.clear();
+    for (std::uint32_t i = 0; i < hists_.size(); ++i) free_hists_.push_back(i);
+  }
+
+  std::uint32_t acquire_histogram() {
+    if (free_hists_.empty()) {
+      free_hists_.push_back(static_cast<std::uint32_t>(hists_.size()));
+      hists_.emplace_back();
+    }
+    const auto id = free_hists_.back();
+    free_hists_.pop_back();
+    hists_[id].resize(offsets_.back());
+    return id;
+  }
+
+  void release_histogram(std::uint32_t id) { free_hists_.push_back(id); }
+
+  GradSum* feature_histogram(std::uint32_t id, std::size_t fi) {
+    return hists_[id].data() + offsets_[fi];
+  }
+
+  std::uint32_t feature_bins(std::size_t fi) const {
+    return offsets_[fi + 1] - offsets_[fi];
+  }
+
+  /// Histogram of candidate feature `fi` over leaf rows [begin, end).
+  void build_histogram(std::size_t fi, std::size_t begin, std::size_t end,
+                       GradSum* hist) const {
+    std::fill_n(hist, feature_bins(fi), GradSum{});
+    const auto column =
+        binned_.column(static_cast<std::size_t>(features_[fi]));
+    for (std::size_t i = begin; i < end; ++i) {
+      const LeafRow& lr = leaf_rows_[i];
+      GradSum& bin = hist[column[lr.row]];
+      bin.g += lr.g;
+      bin.h += lr.h;
+      bin.count += 1;
+    }
+  }
+
+  /// Debug check: a histogram accounts for exactly its leaf's rows and
+  /// fixed-point mass. A mismatch means the binning, the row partition
+  /// and the subtraction have diverged.
+  void check_histogram([[maybe_unused]] std::size_t fi,
+                       [[maybe_unused]] const GradSum* hist,
+                       [[maybe_unused]] const GradSum& leaf,
+                       [[maybe_unused]] const char* what) const {
+#if LFO_DEBUG_CHECKS
+    GradSum total;
+    for (std::uint32_t b = 0; b < feature_bins(fi); ++b) total += hist[b];
+    LFO_CHECK_EQ(total, leaf) << what << " histogram does not match its "
+                              << "leaf (feature " << features_[fi] << ")";
+#endif
+  }
+
+  /// Best split of candidate feature `fi` for a leaf with totals `sum`
+  /// and histogram `hist`. Reads only that histogram, so features can be
+  /// scanned concurrently.
+  SplitInfo scan_histogram(std::size_t fi, const GradSum* hist,
+                           const GradSum& sum) const {
     SplitInfo best;
     best.gain = params_.min_split_gain;
-    const double parent_obj = objective(sum_g, sum_h);
-    const auto& fb = binned_.feature_bins(static_cast<std::size_t>(f));
-    const std::uint32_t bins = fb.num_bins();
-    if (bins < 2) return best;  // constant feature
-    thread_local Histogram hist;
-    hist.clear(bins);
-    const auto column = binned_.column(static_cast<std::size_t>(f));
-    for (const auto r : rows) {
-      const std::uint8_t b = column[r];
-      hist.sum_g[b] += gradients_[r];
-      hist.sum_h[b] += hessians_[r];
-      hist.count[b] += 1;
-    }
-#if LFO_DEBUG_CHECKS
-    // Every row of the leaf must land in exactly one bin; a mismatch
-    // means the binning index and the row partition have diverged.
-    std::uint64_t binned_rows = 0;
-    for (std::uint32_t b = 0; b < bins; ++b) binned_rows += hist.count[b];
-    LFO_CHECK_EQ(binned_rows, rows.size())
-        << "histogram bin counts do not sum to leaf row count (feature "
-        << f << ")";
-#endif
-    double left_g = 0, left_h = 0;
-    std::uint32_t left_count = 0;
-    for (std::uint32_t b = 0; b + 1 < bins; ++b) {
-      left_g += hist.sum_g[b];
-      left_h += hist.sum_h[b];
-      left_count += hist.count[b];
-      const auto right_count =
-          static_cast<std::uint32_t>(rows.size()) - left_count;
-      if (left_count < params_.min_data_in_leaf ||
-          right_count < params_.min_data_in_leaf) {
+    const double parent_obj = objective(sum);
+    GradSum left;
+    for (std::uint32_t b = 0; b + 1 < feature_bins(fi); ++b) {
+      left += hist[b];
+      const GradSum right = sum - left;
+      if (left.count < params_.min_data_in_leaf ||
+          right.count < params_.min_data_in_leaf) {
         continue;
       }
-      const double right_g = sum_g - left_g;
-      const double right_h = sum_h - left_h;
-      const double gain =
-          objective(left_g, left_h) + objective(right_g, right_h) -
-          parent_obj;
+      const double gain = objective(left) + objective(right) - parent_obj;
       if (gain > best.gain) {
         best.gain = gain;
-        best.feature = f;
+        best.feature = features_[fi];
         best.bin = b;
-        best.left_g = left_g;
-        best.left_h = left_h;
-        best.right_g = right_g;
-        best.right_h = right_h;
+        best.left = left;
+        best.right = right;
       }
     }
     return best;
   }
 
-  SplitInfo find_best_split(std::span<const std::uint32_t> rows,
-                            std::span<const std::int32_t> features,
-                            double sum_g, double sum_h) {
-    // Each feature is scored independently (into its own slot), then the
-    // winner is reduced strictly in feature order — so the chosen split,
-    // including tie-breaks, is identical at any thread count.
-    per_feature_.resize(features.size());
-    const bool parallel =
-        pool_ != nullptr && features.size() > 1 &&
-        rows.size() * features.size() >= kParallelSplitMinWork;
-    if (parallel) {
-      pool_->parallel_for(features.size(), [&](std::size_t fi) {
-        per_feature_[fi] =
-            best_split_for_feature(features[fi], rows, sum_g, sum_h);
-      });
+  /// Run fn(fi) for every candidate feature, fanned out over the pool when
+  /// a leaf of `rows` rows is big enough.
+  template <typename F>
+  void for_each_feature(std::size_t rows, F&& fn) {
+    if (pool_ != nullptr && features_.size() > 1 &&
+        rows * features_.size() >= kParallelSplitMinWork) {
+      pool_->parallel_for(features_.size(), fn);
     } else {
-      for (std::size_t fi = 0; fi < features.size(); ++fi) {
-        per_feature_[fi] =
-            best_split_for_feature(features[fi], rows, sum_g, sum_h);
-      }
+      for (std::size_t fi = 0; fi < features_.size(); ++fi) fn(fi);
     }
+  }
+
+  /// The per-feature winners reduced strictly in feature order (strict >
+  /// keeps the first of equal gains), so the chosen split, tie-breaks
+  /// included, is identical at any thread count.
+  SplitInfo reduce(std::span<const SplitInfo> per_feature) const {
     SplitInfo best;
     best.gain = params_.min_split_gain;
-    for (const auto& s : per_feature_) {
+    for (const auto& s : per_feature) {
       if (s.valid() && s.gain > best.gain) best = s;
     }
     return best;
   }
 
-  double objective(double g, double h) const {
-    return g * g / (h + params_.lambda_l2);
+  /// Build the root's histogram and find its best split.
+  void evaluate_root(LeafTask& root) {
+    root.hist = acquire_histogram();
+    std::vector<SplitInfo> per_feature(features_.size());
+    for_each_feature(root.end - root.begin, [&](std::size_t fi) {
+      if (feature_bins(fi) < 2) return;  // constant feature
+      GradSum* hist = feature_histogram(root.hist, fi);
+      build_histogram(fi, root.begin, root.end, hist);
+      check_histogram(fi, hist, root.sum, "root");
+      per_feature[fi] = scan_histogram(fi, hist, root.sum);
+    });
+    root.best = reduce(per_feature);
   }
 
-  double output(double g, double h) const {
-    return -g / (h + params_.lambda_l2) * params_.learning_rate;
+  /// Give the children of a split their histograms and best splits. The
+  /// parent's buffer passes to the larger child; only the smaller child
+  /// is built from its rows, and the larger one becomes parent - smaller,
+  /// in place and exactly.
+  void evaluate_children(std::uint32_t parent_hist, LeafTask& left,
+                         LeafTask& right) {
+    const bool left_smaller = left.sum.count <= right.sum.count;
+    LeafTask& small = left_smaller ? left : right;
+    LeafTask& large = left_smaller ? right : left;
+    small.hist = acquire_histogram();
+    large.hist = parent_hist;
+    std::vector<SplitInfo> small_best(features_.size());
+    std::vector<SplitInfo> large_best(features_.size());
+    for_each_feature(small.end - small.begin, [&](std::size_t fi) {
+      const std::uint32_t bins = feature_bins(fi);
+      if (bins < 2) return;  // constant feature
+      GradSum* sh = feature_histogram(small.hist, fi);
+      GradSum* lh = feature_histogram(large.hist, fi);
+      build_histogram(fi, small.begin, small.end, sh);
+      for (std::uint32_t b = 0; b < bins; ++b) lh[b] -= sh[b];
+      check_histogram(fi, sh, small.sum, "built");
+      check_histogram(fi, lh, large.sum, "subtracted sibling");
+      small_best[fi] = scan_histogram(fi, sh, small.sum);
+      large_best[fi] = scan_histogram(fi, lh, large.sum);
+    });
+    small.best = reduce(small_best);
+    large.best = reduce(large_best);
+  }
+
+  double objective(const GradSum& s) const {
+    const double g = g_unit_.to_double(s.g);
+    return g * g / (h_unit_.to_double(s.h) + params_.lambda_l2);
+  }
+
+  double output(const GradSum& s) const {
+    return -g_unit_.to_double(s.g) /
+           (h_unit_.to_double(s.h) + params_.lambda_l2) *
+           params_.learning_rate;
   }
 
   Tree grow_tree() {
-    auto rows = sample_rows();
-    const auto features = sample_features();
+    const auto rows = sample_rows();
+    features_ = sample_features();
+    layout_histograms();
     const bool bagged = rows.size() != data_.num_rows();
 
-    double root_g = 0, root_h = 0;
-    for (const auto r : rows) {
-      root_g += gradients_[r];
-      root_h += hessians_[r];
-    }
+    // Round this tree's gradients to fixed point, in leaf order.
+    leaf_rows_.resize(rows.size());
+    run_elementwise(rows.size(), [&](std::size_t i) {
+      const auto r = rows[i];
+      leaf_rows_[i] = {g_unit_.to_fixed(gradients_[r]),
+                       h_unit_.to_fixed(hessians_[r]), r};
+    });
+    GradSum root_sum;
+    for (const auto& lr : leaf_rows_) root_sum += {lr.g, lr.h, 1};
 
-    Tree tree(output(root_g, root_h));
-    // node -> which rows land there; maintained as slices of `rows`.
+    Tree tree(output(root_sum));
+    // node -> which rows land there; maintained as slices of leaf_rows_.
+    std::vector<std::pair<std::size_t, std::size_t>> node_rows = {
+        {0, rows.size()}};
     std::priority_queue<LeafTask, std::vector<LeafTask>, GainLess> heap;
     LeafTask root;
     root.node = 0;
     root.begin = 0;
     root.end = rows.size();
-    root.sum_g = root_g;
-    root.sum_h = root_h;
-    root.best = find_best_split({rows.data(), rows.size()}, features, root_g,
-                                root_h);
+    root.sum = root_sum;
+    evaluate_root(root);
     if (root.best.valid()) heap.push(root);
 
     std::uint32_t leaves = 1;
@@ -433,66 +564,84 @@ class Trainer {
       // so with the default non-negative threshold gains stay monotone.
       LFO_DCHECK_GE(s.gain, params_.min_split_gain)
           << "split with sub-threshold gain escaped pruning";
-      // Gradient mass is conserved across the split.
-      LFO_DCHECK_LE(std::abs(s.left_g + s.right_g - task.sum_g),
-                    1e-6 * (1.0 + std::abs(task.sum_g)))
+      // Gradient mass is conserved across the split, exactly.
+      LFO_DCHECK_EQ(s.left.g + s.right.g, task.sum.g)
           << "split lost gradient mass";
+      LFO_DCHECK_EQ(s.left.h + s.right.h, task.sum.h)
+          << "split lost hessian mass";
       // Partition rows of this leaf by the chosen split.
       const auto column =
           binned_.column(static_cast<std::size_t>(s.feature));
       auto mid_it = std::stable_partition(
-          rows.begin() + static_cast<std::ptrdiff_t>(task.begin),
-          rows.begin() + static_cast<std::ptrdiff_t>(task.end),
-          [&](std::uint32_t r) { return column[r] <= s.bin; });
+          leaf_rows_.begin() + static_cast<std::ptrdiff_t>(task.begin),
+          leaf_rows_.begin() + static_cast<std::ptrdiff_t>(task.end),
+          [&](const LeafRow& lr) { return column[lr.row] <= s.bin; });
       const auto mid =
-          static_cast<std::size_t>(mid_it - rows.begin());
+          static_cast<std::size_t>(mid_it - leaf_rows_.begin());
+      LFO_DCHECK_EQ(mid - task.begin, s.left.count)
+          << "partition disagrees with the split's histogram";
 
       const float threshold = binned_.split_value(
           static_cast<std::size_t>(s.feature), s.bin);
-      const auto children = tree.split_leaf(
-          task.node, s.feature, threshold, output(s.left_g, s.left_h),
-          output(s.right_g, s.right_h));
+      const auto children = tree.split_leaf(task.node, s.feature, threshold,
+                                            output(s.left), output(s.right));
+      node_rows.resize(static_cast<std::size_t>(tree.num_nodes()));
+      node_rows[static_cast<std::size_t>(children.left)] = {task.begin, mid};
+      node_rows[static_cast<std::size_t>(children.right)] = {mid, task.end};
       ++leaves;
 
-      if (task.depth + 1 < params_.max_depth || params_.max_depth < 0) {
-        LeafTask left;
-        left.node = children.left;
-        left.begin = task.begin;
-        left.end = mid;
-        left.sum_g = s.left_g;
-        left.sum_h = s.left_h;
-        left.depth = task.depth + 1;
-        left.best = find_best_split(
-            {rows.data() + left.begin, left.end - left.begin}, features,
-            left.sum_g, left.sum_h);
-        if (left.best.valid()) heap.push(left);
+      // Children are evaluated only if they could still be split.
+      if (leaves == params_.num_leaves ||
+          (params_.max_depth >= 0 && task.depth + 1 >= params_.max_depth)) {
+        release_histogram(task.hist);
+        continue;
+      }
+      LeafTask left;
+      left.node = children.left;
+      left.begin = task.begin;
+      left.end = mid;
+      left.sum = s.left;
+      left.depth = task.depth + 1;
 
-        LeafTask right;
-        right.node = children.right;
-        right.begin = mid;
-        right.end = task.end;
-        right.sum_g = s.right_g;
-        right.sum_h = s.right_h;
-        right.depth = task.depth + 1;
-        right.best = find_best_split(
-            {rows.data() + right.begin, right.end - right.begin}, features,
-            right.sum_g, right.sum_h);
-        if (right.best.valid()) heap.push(right);
+      LeafTask right;
+      right.node = children.right;
+      right.begin = mid;
+      right.end = task.end;
+      right.sum = s.right;
+      right.depth = task.depth + 1;
+
+      evaluate_children(task.hist, left, right);
+      for (const LeafTask* child : {&left, &right}) {
+        if (child->best.valid()) {
+          heap.push(*child);
+        } else {
+          release_histogram(child->hist);
+        }
       }
     }
 
     // Update scores. Bagged-out rows still need their score refreshed so
-    // future gradients see every tree. Each element is computed
+    // future gradients see every tree, through a full prediction. Sampled
+    // rows already sit in their leaf's slice: a bin at or below the split
+    // bin holds exactly the values at or below its threshold, so the leaf
+    // value is the one predict() would return. Each element is computed
     // independently, so the parallel path is bitwise-deterministic.
     if (bagged) {
       run_elementwise(data_.num_rows(), [&](std::size_t r) {
         scores_[r] += tree.predict(data_.row(r));
       });
     } else {
-      run_elementwise(rows.size(), [&](std::size_t i) {
-        const auto r = rows[i];
-        scores_[r] += tree.predict(data_.row(r));
-      });
+      for (std::int32_t node = 0; node < tree.num_nodes(); ++node) {
+        if (!tree.is_leaf(node)) continue;
+        const double value = tree.leaf_value(node);
+        const auto [begin, end] = node_rows[static_cast<std::size_t>(node)];
+        for (std::size_t i = begin; i < end; ++i) {
+          const auto r = leaf_rows_[i].row;
+          LFO_DCHECK_EQ(tree.predict(data_.row(r)), value)
+              << "binned routing disagrees with the tree (row " << r << ")";
+          scores_[r] += value;
+        }
+      }
     }
     return tree;
   }
@@ -523,7 +672,16 @@ class Trainer {
   std::vector<double> gradients_;
   std::vector<double> hessians_;
   std::vector<std::uint8_t> is_valid_;  // early-stopping holdout mask
-  std::vector<SplitInfo> per_feature_;  // slot per candidate feature
+  // This round's fixed-point units.
+  FixedPointUnit g_unit_;
+  FixedPointUnit h_unit_;
+  // Per tree: sampled rows in leaf order, candidate features, and a pool
+  // of histogram buffers (one per open leaf, at most num_leaves).
+  std::vector<LeafRow> leaf_rows_;
+  std::vector<std::int32_t> features_;
+  std::vector<std::uint32_t> offsets_;
+  std::vector<std::vector<GradSum>> hists_;
+  std::vector<std::uint32_t> free_hists_;
 };
 
 }  // namespace

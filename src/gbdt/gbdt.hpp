@@ -41,9 +41,10 @@ struct Params {
 
   /// Worker threads for histogram construction and per-feature split
   /// finding. Training is seed-deterministic: a fixed seed yields a
-  /// bitwise-identical model at ANY thread count, because each feature's
-  /// histogram is built independently and the split reduction always runs
-  /// in feature order. 1 = serial; 0 = hardware concurrency.
+  /// bitwise-identical model at ANY thread count, because histograms hold
+  /// exact integer (fixed-point) gradient sums, which no summation order
+  /// can change, and the split reduction always runs in feature order.
+  /// 1 = serial; 0 = hardware concurrency.
   std::uint32_t num_threads = 1;
 
   /// Early stopping: when > 0, a `validation_fraction` of rows is held

@@ -1,6 +1,7 @@
 // Determinism guarantees of the training and retraining pipeline:
 //  - a fixed seed yields a bitwise-identical GBDT model at any thread
-//    count (per-feature histograms + reduction in feature order);
+//    count and for any row order (exact integer histogram sums +
+//    reduction in feature order);
 //  - the windowed pipeline makes identical caching decisions whether
 //    retraining runs inline (sync) or overlapped on a thread pool
 //    (async), at any pool size, for equal swap_lag.
@@ -9,6 +10,8 @@
 
 #include <sstream>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "core/windowed.hpp"
 #include "gbdt/gbdt.hpp"
@@ -80,6 +83,28 @@ TEST(GbdtDeterminism, SameModelWithSamplingAndEarlyStopping) {
     EXPECT_EQ(serial, model_dump(gbdt::train(data, params)))
         << "sampled model drifted at num_threads=" << threads;
   }
+}
+
+TEST(GbdtDeterminism, SameModelOnRowPermutedData) {
+  // Histogram sums are exact integers, so the order rows arrive in
+  // cannot move a gain by even one rounding step. Floating-point sums
+  // would (addition order), and the dump would drift.
+  const auto data = make_dataset(3000, 12, 5);
+  std::vector<std::size_t> order(data.num_rows());
+  for (std::size_t r = 0; r < order.size(); ++r) order[r] = r;
+  util::Rng rng(9);
+  for (std::size_t i = order.size(); i > 1; --i) {
+    std::swap(order[i - 1], order[rng.uniform(i)]);
+  }
+  gbdt::Dataset permuted(data.num_features());
+  permuted.reserve(data.num_rows());
+  for (const auto r : order) permuted.add_row(data.row(r), data.label(r));
+
+  gbdt::Params params;
+  params.num_iterations = 12;
+  params.num_leaves = 15;
+  EXPECT_EQ(model_dump(gbdt::train(data, params)),
+            model_dump(gbdt::train(permuted, params)));
 }
 
 TEST(GbdtDeterminism, BatchPredictMatchesScalar) {

@@ -1,7 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <limits>
 #include <sstream>
+#include <vector>
 
 #include "gbdt/dataset.hpp"
 #include "gbdt/gbdt.hpp"
@@ -42,6 +45,19 @@ TEST(Dataset, RejectsWrongArity) {
   const float r[3] = {1, 2, 3};
   EXPECT_THROW(d.add_row(r, 0.0f), std::invalid_argument);
   EXPECT_THROW(Dataset(0), std::invalid_argument);
+}
+
+TEST(Dataset, RejectsNan) {
+  // NaN has no place in the value order binning sorts by.
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  Dataset d(2);
+  const float bad_feature[2] = {1.0f, nan};
+  const float good[2] = {1.0f, 2.0f};
+  EXPECT_THROW(d.add_row(bad_feature, 0.0f), std::invalid_argument);
+  EXPECT_THROW(d.add_row(good, nan), std::invalid_argument);
+  EXPECT_EQ(d.num_rows(), 0u);
+  d.add_row(good, 1.0f);
+  EXPECT_EQ(d.num_rows(), 1u);
 }
 
 TEST(FeatureBins, BinForIsConsistentWithBounds) {
@@ -85,6 +101,129 @@ TEST(BinnedDataset, RejectsBadMaxBins) {
   d.add_row({&v, 1}, 0.0f);
   EXPECT_THROW(BinnedDataset(d, 1), std::invalid_argument);
   EXPECT_THROW(BinnedDataset(d, 257), std::invalid_argument);
+}
+
+/// Binning as std::sort + std::unique over the column, quantile bounds
+/// over the distinct values, then lower_bound per value: the reference
+/// BinnedDataset's sort-once radix binning must reproduce exactly.
+struct ReferenceBinning {
+  std::vector<float> bounds;
+  std::vector<std::uint32_t> bins;
+};
+
+ReferenceBinning reference_binning(const std::vector<float>& column,
+                                   std::uint32_t max_bins) {
+  std::vector<float> values = column;
+  std::sort(values.begin(), values.end());
+  values.erase(std::unique(values.begin(), values.end()), values.end());
+  ReferenceBinning ref;
+  if (values.size() > 1 && values.size() <= max_bins) {
+    for (std::size_t i = 0; i + 1 < values.size(); ++i) {
+      ref.bounds.push_back(values[i] + (values[i + 1] - values[i]) * 0.5f);
+    }
+  } else if (values.size() > max_bins) {
+    for (std::uint32_t b = 1; b < max_bins; ++b) {
+      const auto idx = static_cast<std::size_t>(
+          static_cast<double>(b) * static_cast<double>(values.size()) /
+          static_cast<double>(max_bins));
+      const float bound = values[std::min(idx, values.size() - 1)];
+      if (ref.bounds.empty() || bound > ref.bounds.back()) {
+        ref.bounds.push_back(bound);
+      }
+    }
+  }
+  for (const float v : column) {
+    ref.bins.push_back(static_cast<std::uint32_t>(
+        std::lower_bound(ref.bounds.begin(), ref.bounds.end(), v) -
+        ref.bounds.begin()));
+  }
+  return ref;
+}
+
+void expect_reference_binning(const std::vector<float>& column,
+                              std::uint32_t max_bins) {
+  Dataset d(1);
+  for (const float v : column) d.add_row({&v, 1}, 0.0f);
+  const BinnedDataset binned(d, max_bins);
+  const auto ref = reference_binning(column, max_bins);
+  const auto& bounds = binned.feature_bins(0).upper_bounds;
+  ASSERT_EQ(bounds.size(), ref.bounds.size()) << "max_bins=" << max_bins;
+  for (std::size_t b = 0; b < bounds.size(); ++b) {
+    EXPECT_TRUE(bounds[b] == ref.bounds[b])
+        << "bound " << b << ": " << bounds[b] << " vs " << ref.bounds[b];
+  }
+  for (std::size_t r = 0; r < column.size(); ++r) {
+    ASSERT_EQ(binned.bin(r, 0), ref.bins[r])
+        << "row " << r << " value " << column[r] << " max_bins=" << max_bins;
+  }
+}
+
+/// `distinct` distinct values, each repeated a random number of times,
+/// in random order.
+std::vector<float> column_with_distinct(std::size_t distinct,
+                                        std::uint64_t seed) {
+  util::Rng rng(seed);
+  std::vector<float> column;
+  for (std::size_t i = 0; i < distinct; ++i) {
+    const auto copies = 1 + rng.uniform(4);
+    for (std::uint64_t c = 0; c < copies; ++c) {
+      column.push_back(static_cast<float>(i) * 0.75f - 20.0f);
+    }
+  }
+  for (std::size_t i = column.size(); i > 1; --i) {
+    std::swap(column[i - 1], column[rng.uniform(i)]);
+  }
+  return column;
+}
+
+TEST(BinnedDataset, MatchesSortUniqueReference) {
+  util::Rng rng(21);
+  const float inf = std::numeric_limits<float>::infinity();
+  const float denorm = std::numeric_limits<float>::denorm_min();
+
+  // Heavy duplicates, negatives and -0.0/+0.0 mixes, in both the
+  // one-bin-per-value and the quantile regime.
+  std::vector<float> few, many, zeros;
+  const float small_set[] = {-3.0f, -1.0f, -0.0f, 0.0f, 0.5f, 2.0f};
+  for (int i = 0; i < 2000; ++i) {
+    few.push_back(small_set[rng.uniform(6)]);
+    many.push_back(static_cast<float>(rng.uniform(500)) - 250.0f);
+    if (i % 7 == 0) many.back() = -0.0f;
+    zeros.push_back(rng.bernoulli(0.5) ? -0.0f : 0.0f);
+  }
+  // +-inf and denormals. A midpoint between -inf and a finite value is
+  // NaN in either binning, so -inf is only mixed in where bounds are
+  // quantile values.
+  std::vector<float> infs_quantile, infs_exact, denormals;
+  for (int i = 0; i < 3000; ++i) {
+    infs_quantile.push_back(static_cast<float>(rng.uniform01() * 2 - 1));
+    if (i % 11 == 0) infs_quantile.back() = inf;
+    if (i % 13 == 0) infs_quantile.back() = -inf;
+    infs_exact.push_back(i % 5 == 0 ? inf
+                                    : static_cast<float>(rng.uniform(10)));
+    denormals.push_back(denorm * static_cast<float>(rng.uniform(100)) *
+                        (rng.bernoulli(0.5) ? 1.0f : -1.0f));
+  }
+  // Every key byte varies: all four radix passes run.
+  std::vector<float> wide;
+  for (int i = 0; i < 20000; ++i) {
+    wide.push_back(static_cast<float>(rng.pareto(1e-3, 0.5)) *
+                   (rng.bernoulli(0.3) ? -1.0f : 1.0f));
+  }
+
+  for (const std::uint32_t max_bins : {2u, 16u, 64u, 256u}) {
+    for (const auto* column : {&few, &many, &zeros, &infs_quantile,
+                               &infs_exact, &denormals, &wide}) {
+      expect_reference_binning(*column, max_bins);
+    }
+    expect_reference_binning({1.5f}, max_bins);  // one row
+    for (const std::size_t distinct :
+         {std::size_t{max_bins} - 1, std::size_t{max_bins},
+          std::size_t{max_bins} + 1}) {
+      expect_reference_binning(column_with_distinct(distinct, max_bins),
+                               max_bins);
+    }
+  }
 }
 
 TEST(Tree, SingleLeafPredictsRootValue) {
@@ -236,6 +375,27 @@ TEST(Train, RejectsBadInputs) {
   const auto data = xor_dataset(100, 10);
   params.num_leaves = 1;
   EXPECT_THROW(train(data, params), std::invalid_argument);
+}
+
+TEST(Train, RegressionWithHugeLabelsDoesNotOverflow) {
+  // L2 gradients are residuals, unbounded by the loss: here ~1e9 on the
+  // first round. Fixed-point sums must scale their unit to fit int64
+  // (signed overflow is caught by the sanitizer build).
+  util::Rng rng(16);
+  Dataset data(1);
+  for (int i = 0; i < 5000; ++i) {
+    const float x = static_cast<float>(rng.uniform01());
+    data.add_row({&x, 1}, x > 0.5f ? 3e9f : 1e9f);
+  }
+  Params params;
+  params.objective = Objective::kRegressionL2;
+  params.num_iterations = 50;
+  params.learning_rate = 0.3;
+  const auto model = train(data, params);
+  const float lo = 0.25f;
+  const float hi = 0.75f;
+  EXPECT_NEAR(model.predict_raw({&lo, 1}), 1e9, 1e6);
+  EXPECT_NEAR(model.predict_raw({&hi, 1}), 3e9, 1e6);
 }
 
 TEST(Model, SaveLoadRoundTrip) {

@@ -119,7 +119,7 @@ constexpr Scenario kGolden[] = {
         "freshness",
         /*lru=*/{20000, 13391, 1065134887, 661964596},
         /*adaptsize=*/{20000, 14302, 1065134887, 657881521},
-        /*lfo=*/{{20000, 12923, 1065134887, 636330942}, 2214, 160, 815},
+        /*lfo=*/{{20000, 12936, 1065134887, 636383239}, 2142, 123, 804},
         /*opt=*/{15996, 824799047, 20000, 1065134887},
     },
 };
