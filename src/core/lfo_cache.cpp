@@ -107,8 +107,12 @@ void LfoCache::on_miss(const trace::Request& request) {
   // Freshness deadline fixed at admission: clock() is this request's
   // logical time, so a ttl of t keeps the copy fresh for the next t
   // requests. Re-admission after expiry lands here again and resets it.
+  // A ttl past the end of the clock saturates: clock() + ttl would wrap
+  // to a deadline already behind us.
   const std::uint64_t expires_at =
-      request.has_ttl() ? clock() + request.ttl : kNeverExpires;
+      !request.has_ttl() || request.ttl > kNeverExpires - clock()
+          ? kNeverExpires
+          : clock() + request.ttl;
   auto [it, inserted] = entries_.emplace(
       request.object, Entry{request.size, rank, order_.end(), expires_at});
   it->second.order_it = order_.emplace(rank, request.object);

@@ -151,18 +151,12 @@ TrainedWindow train_window_task(
 
 /// Assemble the gate's view of a trained (or failed) candidate.
 RolloutCandidate candidate_of(const TrainedWindow& trained) {
-  RolloutCandidate candidate;
-  candidate.train_failed = trained.train_failed;
-  if (trained.train_failed) return candidate;
-  candidate.train_accuracy = trained.result.train_accuracy;
-  const auto& confusion = trained.result.train_confusion;
-  if (confusion.total() > 0) {
-    const auto total = static_cast<double>(confusion.total());
-    candidate.model_admit_share =
-        static_cast<double>(confusion.tp() + confusion.fp()) / total;
-    candidate.opt_admit_share =
-        static_cast<double>(confusion.tp() + confusion.fn()) / total;
+  if (trained.train_failed) {
+    RolloutCandidate failed;
+    failed.train_failed = true;
+    return failed;
   }
+  auto candidate = core::candidate_of(trained.result);
   if (trained.drift_valid) candidate.feature_drift = trained.drift.mean_score;
   // Out-of-sample accuracy of the serving model on the candidate's
   // window: already computed by the training task for WindowReport's
@@ -533,6 +527,20 @@ WindowedResult run_async(const trace::Trace& trace,
 }
 
 }  // namespace
+
+RolloutCandidate candidate_of(const TrainResult& result) {
+  RolloutCandidate candidate;
+  candidate.train_accuracy = result.train_accuracy;
+  const auto& confusion = result.train_confusion;
+  if (confusion.total() > 0) {
+    const auto total = static_cast<double>(confusion.total());
+    candidate.model_admit_share =
+        static_cast<double>(confusion.tp() + confusion.fp()) / total;
+    candidate.opt_admit_share =
+        static_cast<double>(confusion.tp() + confusion.fn()) / total;
+  }
+  return candidate;
+}
 
 WindowedResult run_windowed_lfo(const trace::Trace& trace,
                                 const WindowedConfig& config) {

@@ -153,6 +153,12 @@ struct WindowedResult {
   std::uint64_t demoted_hits = 0;
 };
 
+/// The rollout guard's view of one training run: train accuracy and the
+/// model-vs-OPT admit shares from its in-sample confusion. Drift and
+/// serving accuracy stay unknown (-1); the windowed driver fills them in
+/// when it has a serving model to compare against.
+RolloutCandidate candidate_of(const TrainResult& result);
+
 /// Drive a trace through LFO's record -> derive OPT -> train -> serve
 /// loop. The cache state and feature history persist across windows; only
 /// the model is swapped at window boundaries. With config.async the

@@ -5,12 +5,14 @@
 #include <netinet/in.h>
 #include <netinet/tcp.h>
 #include <poll.h>
+#include <sys/eventfd.h>
 #include <sys/socket.h>
 #include <sys/time.h>
 #include <unistd.h>
 
 #include <algorithm>
 #include <cerrno>
+#include <chrono>
 #include <cstring>
 #include <exception>
 #include <utility>
@@ -42,17 +44,11 @@ bool send_all(int fd, const void* data, std::size_t size) {
   return true;
 }
 
-enum class ReadStatus { kOk, kClosed, kError };
-
-/// Read exactly `size` bytes. kClosed only when the peer closed before
-/// the first byte (a clean end-of-stream between frames); a mid-frame
-/// EOF or socket error is kError. With a `stop` flag, SO_RCVTIMEO
-/// expiries re-check it and keep waiting (a server connection may sit
-/// idle between frames for arbitrarily long, but shutdown must not
-/// hang); without one, the first expiry is a hard deadline — that is
-/// what makes LfoClient::connect(timeout_seconds) an actual timeout.
-ReadStatus read_exact(int fd, void* data, std::size_t size,
-                      const std::atomic<bool>* stop) {
+/// Read exactly `size` bytes from a blocking client socket. SO_RCVTIMEO
+/// (set by LfoClient::connect) is a hard deadline: its first expiry fails
+/// the read, which is what makes connect(timeout_seconds) an actual
+/// timeout.
+bool read_exact(int fd, void* data, std::size_t size) {
   char* p = static_cast<char*>(data);
   std::size_t got = 0;
   while (got < size) {
@@ -61,17 +57,28 @@ ReadStatus read_exact(int fd, void* data, std::size_t size,
       got += static_cast<std::size_t>(n);
       continue;
     }
-    if (n == 0) return got == 0 ? ReadStatus::kClosed : ReadStatus::kError;
-    if (errno == EINTR) continue;
-    if (errno == EAGAIN || errno == EWOULDBLOCK) {
-      if (stop == nullptr) return ReadStatus::kError;  // deadline expired
-      if (stop->load(std::memory_order_acquire)) return ReadStatus::kError;
-      continue;  // io timeout: poll the stop flag and keep waiting
-    }
-    return ReadStatus::kError;
+    if (n < 0 && errno == EINTR) continue;
+    return false;
   }
-  return ReadStatus::kOk;
+  return true;
 }
+
+void wake(int event_fd) {
+  const std::uint64_t one = 1;
+  // Only fails when the counter would overflow, i.e. it is already set.
+  (void)!::write(event_fd, &one, sizeof(one));
+}
+
+void clear_wake(int event_fd) {
+  std::uint64_t count = 0;
+  (void)!::read(event_fd, &count, sizeof(count));
+}
+
+int to_poll_ms(double seconds) {
+  return static_cast<int>(std::clamp(seconds * 1e3, 1.0, 1e9));
+}
+
+constexpr int kIdlePollMs = 100;
 
 /// TelemetryServerConfig::collect: the serving counts, read from the
 /// shard-local cache stats at scrape time (the request path keeps no
@@ -96,6 +103,55 @@ void append_serving_series(const ShardedLfoCache& cache,
 }
 
 }  // namespace
+
+/// One decoded request frame of a connection, grouped by shard. The
+/// connection's worker fills it, then posts it to each other owner with a
+/// group in it; it is refilled only after every group has been served.
+struct LfoServer::Frame {
+  std::vector<trace::Request> requests;
+  std::vector<std::uint32_t> shard;  ///< shard of each request
+  /// Request indices grouped by shard, in arrival order within a group;
+  /// group s is order[group_end[s - 1], group_end[s]).
+  std::vector<std::uint32_t> order;
+  std::vector<std::uint32_t> group_end;
+  std::vector<AccessResult> results;
+  /// Groups posted to other owners and not yet served.
+  std::atomic<std::uint32_t> pending{0};
+  std::atomic<bool> failed{false};  ///< a group threw (a bad frame)
+  std::uint32_t origin = 0;         ///< the worker the frame belongs to
+
+  std::span<const std::uint32_t> group(std::uint32_t s) const {
+    const std::uint32_t begin = s == 0 ? 0 : group_end[s - 1];
+    return {order.data() + begin, group_end[s] - begin};
+  }
+};
+
+/// A worker's shard-owner state.
+struct LfoServer::Owner {
+  Owner(std::uint32_t index, std::uint32_t workers)
+      : index(index),
+        wake_fd(::eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC)),
+        inbox(workers) {
+    frame.origin = index;
+  }
+  ~Owner() {
+    if (wake_fd >= 0) ::close(wake_fd);
+  }
+  Owner(const Owner&) = delete;
+  Owner& operator=(const Owner&) = delete;
+
+  const std::uint32_t index;
+  /// eventfd, written when a frame lands in the inbox and when the last
+  /// posted group of this worker's own frame is served.
+  const int wake_fd;
+  /// Frames posted by other workers, one slot per posting worker: each
+  /// has at most one frame in flight, so the inbox never holds more than
+  /// workers - 1 frames and never allocates.
+  std::vector<std::atomic<Frame*>> inbox;
+  Frame frame;  ///< this worker's connection's frame
+  std::vector<WireRequest> wire;
+  std::vector<std::uint8_t> reply;
+};
 
 LfoServer::LfoServer(LfoServerConfig config)
     : config_(std::move(config)), cache_(config_.cache) {}
@@ -147,9 +203,20 @@ bool LfoServer::start() {
     ::close(fd);
     return false;
   }
+  const std::uint32_t workers = config_.workers > 0 ? config_.workers : 1;
+  owners_.clear();
+  for (std::uint32_t i = 0; i < workers; ++i) {
+    owners_.push_back(std::make_unique<Owner>(i, workers));
+    if (owners_.back()->wake_fd < 0) {
+      last_error_ = std::string("eventfd: ") + std::strerror(errno);
+      owners_.clear();
+      ::close(fd);
+      return false;
+    }
+  }
   port_ = ntohs(bound.sin_port);
   listen_fd_ = fd;
-  stop_.store(false, std::memory_order_release);
+  stop_.store(false);
 
   if (config_.telemetry) {
     obs::TelemetryServerConfig tconfig;
@@ -176,23 +243,24 @@ bool LfoServer::start() {
     }
   }
 
-  LFO_GAUGE_SET("lfo_server_workers", static_cast<double>(config_.workers));
+  LFO_GAUGE_SET("lfo_server_workers", static_cast<double>(workers));
   LFO_GAUGE_SET("lfo_server_shards", static_cast<double>(cache_.num_shards()));
-  const std::uint32_t workers = config_.workers > 0 ? config_.workers : 1;
   workers_.reserve(workers);
-  for (std::uint32_t i = 0; i < workers; ++i) {
-    workers_.emplace_back([this] { worker_loop(); });
+  for (const auto& owner : owners_) {
+    workers_.emplace_back([this, self = owner.get()] { worker_loop(*self); });
   }
   return true;
 }
 
 void LfoServer::stop() {
   if (listen_fd_ < 0) return;
-  stop_.store(true, std::memory_order_release);
+  stop_.store(true);
+  for (const auto& owner : owners_) wake(owner->wake_fd);
   for (auto& worker : workers_) {
     if (worker.joinable()) worker.join();
   }
   workers_.clear();
+  owners_.clear();
   if (telemetry_ != nullptr) telemetry_->stop();
   telemetry_.reset();
   ::close(listen_fd_);
@@ -204,89 +272,225 @@ std::uint16_t LfoServer::telemetry_port() const {
   return telemetry_ != nullptr ? telemetry_->port() : 0;
 }
 
-void LfoServer::worker_loop() {
+void LfoServer::worker_loop(Owner& self) {
   // Every worker polls the shared listening socket (same poll/stop
   // idiom as the telemetry accept loop); a pending connection may wake
   // several idle workers, one wins the non-blocking accept and the rest
-  // see EAGAIN. A worker owns its accepted connection until the peer
-  // closes, so concurrency = workers, and a worker's request stream is
-  // processed strictly in order — the 1-worker equivalence contract.
-  while (!stop_.load(std::memory_order_acquire)) {
-    pollfd pfd{};
-    pfd.fd = listen_fd_;
-    pfd.events = POLLIN;
-    const int ready = ::poll(&pfd, 1, /*timeout_ms=*/100);
-    if (ready <= 0) continue;  // timeout or EINTR: re-check stop flag
+  // see EAGAIN. A worker keeps its accepted connection until the peer
+  // closes, so concurrency = workers. Every wait also watches the wake
+  // fd, so an idle worker still serves the groups other workers post.
+  while (true) {
+    if (stop_.load()) {
+      // Another worker may still be inside a connection, waiting on a
+      // group it posted here: keep serving until every one is out.
+      if (in_connection_.load() == 0) return;
+      await(self, -1, 0, kIdlePollMs);
+      continue;
+    }
+    if (!await(self, listen_fd_, POLLIN, kIdlePollMs)) continue;
     const int client = ::accept(listen_fd_, nullptr, nullptr);
     // EAGAIN: another worker won the race (the listen fd is
     // non-blocking); also covers a connection aborted between poll
     // and accept. Either way, go back to polling.
     if (client < 0) continue;
-    // Linux accept() does not inherit O_NONBLOCK, but make it explicit:
-    // the per-connection path relies on blocking reads bounded by
-    // SO_RCVTIMEO, not on spinning.
-    const int cflags = ::fcntl(client, F_GETFL, 0);
-    if (cflags >= 0 && (cflags & O_NONBLOCK) != 0) {
-      ::fcntl(client, F_SETFL, cflags & ~O_NONBLOCK);
+    // Counted before stop_ is re-read (both sequentially consistent): a
+    // worker that saw stop_ and then in_connection_ == 0 cannot miss a
+    // connection that is about to post to it.
+    in_connection_.fetch_add(1);
+    if (!stop_.load()) {
+      LFO_COUNTER_INC("lfo_server_connections_total");
+      serve_connection(self, client);
     }
-    LFO_COUNTER_INC("lfo_server_connections_total");
-    serve_connection(client);
     ::close(client);
+    in_connection_.fetch_sub(1);
   }
 }
 
+bool LfoServer::await(Owner& self, int fd, short events, int timeout_ms) {
+  // poll() skips entries with a negative fd.
+  pollfd fds[2] = {{self.wake_fd, POLLIN, 0}, {fd, events, 0}};
+  if (::poll(fds, 2, timeout_ms) <= 0) return false;
+  if (fds[0].revents != 0) {
+    clear_wake(self.wake_fd);  // before draining: a later post re-arms it
+    drain_inbox(self);
+  }
+  return fds[1].revents != 0;
+}
+
+void LfoServer::drain_inbox(Owner& self) {
+  for (auto& slot : self.inbox) {
+    Frame* frame = slot.exchange(nullptr, std::memory_order_acquire);
+    if (frame == nullptr) continue;
+    serve_part(self.index, *frame);
+    // The origin may reuse the frame as soon as pending reaches 0, so
+    // read what the wake needs first.
+    const int origin_wake = owners_[frame->origin]->wake_fd;
+    if (frame->pending.fetch_sub(1, std::memory_order_acq_rel) == 1) {
+      wake(origin_wake);
+    }
+  }
+}
+
+void LfoServer::serve_part(std::uint32_t owner, Frame& frame) {
+  const auto stride = static_cast<std::uint32_t>(owners_.size());
+  // A request the cache cannot take (an id the history table cannot
+  // index) throws; it makes the whole frame bad, and never ends the
+  // worker that happens to own its shard.
+  try {
+    for (std::uint32_t s = owner; s < cache_.num_shards(); s += stride) {
+      const auto group = frame.group(s);
+      if (!group.empty()) {
+        cache_.access_shard(s, frame.requests, group, frame.results);
+      }
+    }
+  } catch (const std::exception&) {
+    frame.failed.store(true, std::memory_order_relaxed);
+  }
+}
+
+bool LfoServer::serve_frame(Owner& self) {
+  Frame& frame = self.frame;
+  const auto count = static_cast<std::uint32_t>(frame.requests.size());
+  const std::uint32_t shards = cache_.num_shards();
+  const auto stride = static_cast<std::uint32_t>(owners_.size());
+  // Counting sort by shard, stable: group_end[s] first counts group s,
+  // then becomes its start, then its end as the fill advances it.
+  frame.shard.resize(count);
+  frame.order.resize(count);
+  frame.group_end.assign(shards, 0);
+  frame.results.resize(count);
+  for (std::uint32_t i = 0; i < count; ++i) {
+    frame.shard[i] = cache_.shard_of(frame.requests[i].object);
+    ++frame.group_end[frame.shard[i]];
+  }
+  std::uint32_t start = 0;
+  for (auto& end : frame.group_end) start += std::exchange(end, start);
+  for (std::uint32_t i = 0; i < count; ++i) {
+    frame.order[frame.group_end[frame.shard[i]]++] = i;
+  }
+
+  auto has_part = [&](std::uint32_t owner) {
+    for (std::uint32_t s = owner; s < shards; s += stride) {
+      if (!frame.group(s).empty()) return true;
+    }
+    return false;
+  };
+  std::uint32_t posted = 0;
+  for (std::uint32_t o = 0; o < stride; ++o) {
+    posted += o != self.index && has_part(o) ? 1 : 0;
+  }
+  frame.failed.store(false, std::memory_order_relaxed);
+  frame.pending.store(posted, std::memory_order_relaxed);
+  if (posted > 0) {
+    for (std::uint32_t o = 0; o < stride; ++o) {
+      if (o == self.index || !has_part(o)) continue;
+      Owner& owner = *owners_[o];
+      owner.inbox[self.index].store(&frame, std::memory_order_release);
+      wake(owner.wake_fd);
+    }
+    LFO_COUNTER_ADD("lfo_server_handoffs_total", posted);
+  }
+  serve_part(self.index, frame);
+  // Posted groups read the frame until they are served, so wait for them
+  // even when stopping; the owners keep serving until this worker leaves
+  // its connection.
+  while (frame.pending.load(std::memory_order_acquire) != 0) {
+    await(self, -1, 0, kIdlePollMs);
+  }
+  return !frame.failed.load(std::memory_order_relaxed);
+}
+
+bool LfoServer::receive(Owner& self, int fd, void* data, std::size_t size) {
+  // A connection may sit idle between frames for arbitrarily long, but
+  // shutdown must not hang, so the wait re-checks stop_ (stop() also
+  // wakes it through the owner's eventfd). End of stream, clean or
+  // mid-frame, and socket errors all end the connection.
+  char* p = static_cast<char*>(data);
+  std::size_t got = 0;
+  while (got < size) {
+    const ssize_t n = ::recv(fd, p + got, size - got, MSG_DONTWAIT);
+    if (n > 0) {
+      got += static_cast<std::size_t>(n);
+      continue;
+    }
+    if (n < 0 && errno == EINTR) continue;
+    if (n == 0 || (errno != EAGAIN && errno != EWOULDBLOCK)) return false;
+    if (stop_.load(std::memory_order_acquire)) return false;
+    await(self, fd, POLLIN, kIdlePollMs);
+  }
+  return true;
+}
+
+bool LfoServer::transmit(Owner& self, int fd, const void* data,
+                         std::size_t size) {
+  using Clock = std::chrono::steady_clock;
+  const auto timeout = std::chrono::duration_cast<Clock::duration>(
+      std::chrono::duration<double>(config_.io_timeout_seconds));
+  const char* p = static_cast<const char*>(data);
+  std::size_t sent = 0;
+  auto deadline = Clock::now() + timeout;
+  while (sent < size) {
+    const ssize_t n =
+        ::send(fd, p + sent, size - sent, MSG_NOSIGNAL | MSG_DONTWAIT);
+    if (n > 0) {
+      sent += static_cast<std::size_t>(n);
+      deadline = Clock::now() + timeout;
+      continue;
+    }
+    if (n < 0 && errno == EINTR) continue;
+    if (n == 0 || (errno != EAGAIN && errno != EWOULDBLOCK)) return false;
+    const auto left = std::chrono::duration<double>(deadline - Clock::now());
+    if (left.count() <= 0.0) return false;
+    await(self, fd, POLLOUT, to_poll_ms(left.count()));
+  }
+  return true;
+}
+
 LFO_ENDPOINT_HANDLER
-void LfoServer::serve_connection(int fd) {
-  set_io_timeouts(fd, config_.io_timeout_seconds);
+void LfoServer::serve_connection(Owner& self, int fd) {
   const int one = 1;
   ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-  // Grow-once buffers reused across the connection's batches: the warm
+  // Grow-once buffers reused across the connection's frames: the warm
   // per-request serving path performs no allocations.
-  std::vector<WireRequest> batch;
-  std::vector<std::uint8_t> decisions;
+  Frame& frame = self.frame;
   while (!stop_.load(std::memory_order_acquire)) {
     std::uint32_t count = 0;
-    const auto head = read_exact(fd, &count, sizeof(count), &stop_);
-    if (head == ReadStatus::kClosed) return;  // clean end of stream
-    if (head != ReadStatus::kOk) return;
+    if (!receive(self, fd, &count, sizeof(count))) return;
     // Malformed frames come from outside the process: count and close,
     // never abort (lfo_lint `endpoint` rule).
     if (count == 0 || count > config_.max_batch) {
       LFO_COUNTER_INC("lfo_server_bad_frames_total");
       return;
     }
-    batch.resize(count);
-    if (read_exact(fd, batch.data(), count * sizeof(WireRequest), &stop_) !=
-        ReadStatus::kOk) {
+    self.wire.resize(count);
+    if (!receive(self, fd, self.wire.data(), count * sizeof(WireRequest))) {
       LFO_COUNTER_INC("lfo_server_bad_frames_total");
       return;
     }
-    decisions.resize(count);
-    // A request the cache cannot take (an id the history table cannot
-    // index, or one too large to allocate for) is a bad frame too: count
-    // it and close this connection, never let it end the worker.
-    try {
-      for (std::uint32_t i = 0; i < count; ++i) {
-        trace::Request request;
-        request.object = batch[i].object;
-        request.size = batch[i].size;
-        request.cost = batch[i].cost;
-        request.ttl = batch[i].ttl;
-        const AccessResult result = cache_.access(request);
-        decisions[i] = static_cast<std::uint8_t>(
-            result.expired ? WireDecision::kExpired
-                           : (result.hit ? WireDecision::kHit
-                                         : WireDecision::kMiss));
-      }
-    } catch (const std::exception&) {
+    // A record the trace readers would reject fails the whole frame
+    // before any of it reaches a shard.
+    frame.requests.resize(count);
+    bool valid = true;
+    for (std::uint32_t i = 0; i < count; ++i) {
+      const WireRequest& wire = self.wire[i];
+      frame.requests[i] = {wire.object, wire.size, wire.cost, wire.ttl};
+      valid &= trace::valid_record(frame.requests[i]);
+    }
+    if (!valid || !serve_frame(self)) {
       LFO_COUNTER_INC("lfo_server_bad_frames_total");
       return;
     }
     LFO_COUNTER_INC("lfo_server_batches_total");
-    if (!send_all(fd, &count, sizeof(count)) ||
-        !send_all(fd, decisions.data(), decisions.size())) {
-      return;
+    self.reply.resize(sizeof(count) + count);
+    std::memcpy(self.reply.data(), &count, sizeof(count));
+    for (std::uint32_t i = 0; i < count; ++i) {
+      const AccessResult result = frame.results[i];
+      self.reply[sizeof(count) + i] = static_cast<std::uint8_t>(
+          result.expired ? WireDecision::kExpired
+                         : (result.hit ? WireDecision::kHit
+                                       : WireDecision::kMiss));
     }
+    if (!transmit(self, fd, self.reply.data(), self.reply.size())) return;
   }
 }
 
@@ -330,15 +534,13 @@ bool LfoClient::exchange(std::span<const trace::Request> batch,
     return false;
   }
   std::uint32_t reply_count = 0;
-  if (read_exact(fd_, &reply_count, sizeof(reply_count), nullptr) !=
-          ReadStatus::kOk ||
+  if (!read_exact(fd_, &reply_count, sizeof(reply_count)) ||
       reply_count != count) {
     close();
     return false;
   }
   decisions.resize(reply_count);
-  if (read_exact(fd_, decisions.data(), reply_count, nullptr) !=
-      ReadStatus::kOk) {
+  if (!read_exact(fd_, decisions.data(), reply_count)) {
     close();
     return false;
   }

@@ -23,9 +23,11 @@ namespace lfo::server {
 ///   response frame: u32 count, then count x u8 WireDecision
 ///
 /// A frame with count == 0 or count > LfoServerConfig::max_batch is
-/// malformed, and so is one carrying a request the cache cannot take (an
-/// object id the history table cannot index): the server counts it
-/// (lfo_server_bad_frames_total) and closes the connection. Clients
+/// malformed, and so is one carrying a record trace::valid_record()
+/// rejects (size 0, or a negative or non-finite cost) — that frame is
+/// refused before any of it is served — or a request the cache cannot
+/// take (an object id the history table cannot index). The server counts
+/// it (lfo_server_bad_frames_total) and closes the connection. Clients
 /// pipeline at batch granularity — one frame in flight per connection
 /// (closed loop).
 struct WireRequest {
@@ -47,11 +49,15 @@ struct LfoServerConfig {
   std::uint16_t port = 0;
   /// Worker threads. Each runs its own accept+serve loop on the shared
   /// listening socket; a worker serves one connection at a time, so
-  /// `workers` is also the concurrent-connection capacity.
+  /// `workers` is also the concurrent-connection capacity. Worker w also
+  /// owns shards {s : s mod workers == w} and is the only thread that
+  /// serves their requests: a frame's groups for other owners' shards go
+  /// to those owners. Choose `workers` to divide cache.num_shards evenly,
+  /// or some owners carry more shards than others.
   std::uint32_t workers = 4;
   ShardedCacheConfig cache;
-  /// Per-connection socket read/write timeout; reads also poll the stop
-  /// flag at this cadence, bounding shutdown latency.
+  /// A reply that makes no progress for this long fails and closes its
+  /// connection.
   double io_timeout_seconds = 0.5;
   /// Largest accepted request-frame count.
   std::uint32_t max_batch = 1 << 16;
@@ -66,13 +72,25 @@ struct LfoServerConfig {
   obs::FlightRecorder* flight_recorder = nullptr;
 };
 
-/// The multithreaded cache service (ROADMAP item 1): a ShardedLfoCache
-/// behind a thread-per-worker TCP front end speaking the batch protocol
-/// above, with the telemetry endpoints mounted on a second loopback
-/// port. Decision correctness contract: with workers == 1 and
-/// num_shards == 1, replaying a trace through one connection in order
-/// yields byte-for-byte the decisions of a single-threaded LfoCache
-/// replay (tests/test_server.cpp).
+/// The multithreaded cache service: a ShardedLfoCache behind a
+/// thread-per-worker TCP front end speaking the batch protocol above,
+/// with the telemetry endpoints mounted on a second loopback port.
+///
+/// Shard ownership (DESIGN.md decision 9): each worker owns the shards
+/// {s : s mod workers == w}. A worker decodes its connection's frame,
+/// groups the requests by shard, serves its own shards' groups and hands
+/// the frame to every other owner with a group in it, through that
+/// owner's inbox; it replies once every group is served. While it waits
+/// — on its socket or on the other owners — it serves its own inbox, so
+/// two workers that wait on each other both progress. A connection has
+/// one frame in flight, so a shard sees one connection's requests in
+/// arrival order.
+///
+/// Decision correctness contract: replaying a trace through one
+/// connection makes, at any worker count, the decisions of one LfoCache
+/// per shard replaying that shard's subsequence; with num_shards == 1
+/// that is byte-for-byte a single-threaded LfoCache replay
+/// (tests/test_server.cpp).
 class LfoServer {
  public:
   explicit LfoServer(LfoServerConfig config);
@@ -104,8 +122,23 @@ class LfoServer {
   const ShardedLfoCache& cache() const { return cache_; }
 
  private:
-  void worker_loop();
-  void serve_connection(int fd);
+  struct Frame;
+  struct Owner;
+
+  void worker_loop(Owner& self);
+  void serve_connection(Owner& self, int fd);
+  /// Serve `self.frame` across its owners; false when a group threw.
+  bool serve_frame(Owner& self);
+  /// Serve the groups of `frame` whose shards `owner` owns.
+  void serve_part(std::uint32_t owner, Frame& frame);
+  void drain_inbox(Owner& self);
+  /// Wait up to `timeout_ms` for `fd` (none when negative) to be ready
+  /// for `events`, serving the inbox whenever woken. True if fd is ready.
+  bool await(Owner& self, int fd, short events, int timeout_ms);
+  /// Read or write exactly `size` bytes on a connection, serving the
+  /// inbox while the socket is not ready. False ends the connection.
+  bool receive(Owner& self, int fd, void* data, std::size_t size);
+  bool transmit(Owner& self, int fd, const void* data, std::size_t size);
 
   LfoServerConfig config_;
   ShardedLfoCache cache_;
@@ -114,6 +147,11 @@ class LfoServer {
   std::string last_error_;
   std::string telemetry_error_;
   std::atomic<bool> stop_{false};
+  /// Workers inside a connection. A worker leaves its loop only once
+  /// stop_ is set and this is 0, serving its inbox until then, so no
+  /// frame is left waiting on an owner that has gone.
+  std::atomic<std::uint32_t> in_connection_{0};
+  std::vector<std::unique_ptr<Owner>> owners_;
   std::vector<std::thread> workers_;
   std::unique_ptr<obs::TelemetryServer> telemetry_;
 };

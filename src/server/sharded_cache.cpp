@@ -17,6 +17,16 @@ std::uint64_t mix64(std::uint64_t x) {
   return x ^ (x >> 31);
 }
 
+/// One request on a shard's cache, whose lock the caller holds.
+LFO_HOT_PATH AccessResult serve(core::LfoCache& cache,
+                                const trace::Request& request) {
+  const std::uint64_t expired_before = cache.stats().expired_hits;
+  AccessResult result;
+  result.hit = cache.access(request);
+  result.expired = cache.stats().expired_hits != expired_before;
+  return result;
+}
+
 }  // namespace
 
 ShardedLfoCache::ShardedLfoCache(ShardedCacheConfig config)
@@ -48,11 +58,21 @@ LFO_HOT_PATH AccessResult ShardedLfoCache::access(
   // the guarded LfoCache path itself stays allocation-free.
   // lfo-lint: allow(hotpath): per-shard striped lock, no heap traffic
   util::MutexLock lock(shard.mu);
-  const std::uint64_t expired_before = shard.cache.stats().expired_hits;
-  AccessResult result;
-  result.hit = shard.cache.access(request);
-  result.expired = shard.cache.stats().expired_hits != expired_before;
-  return result;
+  return serve(shard.cache, request);
+}
+
+LFO_HOT_PATH void ShardedLfoCache::access_shard(
+    std::uint32_t shard, std::span<const trace::Request> requests,
+    std::span<const std::uint32_t> order, std::span<AccessResult> out) {
+  LFO_DCHECK(out.size() == requests.size()) << "out must cover requests";
+  Shard& s = *shards_[shard];
+  // lfo-lint: allow(hotpath): one lock per group of a frame, no heap traffic
+  util::MutexLock lock(s.mu);
+  for (const std::uint32_t i : order) {
+    LFO_DCHECK(shard_of(requests[i].object) == shard)
+        << "request " << i << " grouped under the wrong shard";
+    out[i] = serve(s.cache, requests[i]);
+  }
 }
 
 void ShardedLfoCache::swap_model(

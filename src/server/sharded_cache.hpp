@@ -4,6 +4,7 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "cache/policy.hpp"
@@ -52,6 +53,10 @@ struct AccessResult {
 /// Concurrency contract:
 ///  - access() takes exactly one shard lock; requests to different
 ///    shards proceed in parallel, requests to the same shard serialize.
+///    access_shard() serves a group of one shard's requests under one
+///    acquisition of the same lock; the server runs each shard's groups
+///    on the one worker that owns the shard (DESIGN.md decision 9), so
+///    that lock is uncontended on the serving path.
 ///  - Each shard keeps its own logical clock (its request count), so
 ///    TTL expiry and gap features are measured in shard-local time.
 ///    With num_shards == 1 this is the simulator's global clock and the
@@ -75,6 +80,17 @@ class ShardedLfoCache {
   /// Process one request on its shard. Safe to call from any number of
   /// threads concurrently.
   AccessResult access(const trace::Request& request);
+
+  /// Process one shard's share of a frame: requests[i] for each i in
+  /// `order`, in that order, under one acquisition of the shard lock,
+  /// with each result written to out[i]. Every requests[i] named in
+  /// `order` must map to `shard` (shard_of), and `out` must be as long as
+  /// `requests`. Decisions equal calling access() on the same requests in
+  /// the same order. Safe to call concurrently with every other member.
+  void access_shard(std::uint32_t shard,
+                    std::span<const trace::Request> requests,
+                    std::span<const std::uint32_t> order,
+                    std::span<AccessResult> out);
 
   /// The shard a given object maps to (deterministic, seed-free).
   std::uint32_t shard_of(trace::ObjectId object) const;

@@ -35,22 +35,13 @@ std::ofstream open_out(const std::string& path, std::ios::openmode mode) {
   return out;
 }
 
-/// Reject degenerate records regardless of the wire format. A size-0
-/// request corrupts byte-hit accounting (0-byte "hits" inflate BHR and
-/// produce zero-capacity MCMF arcs); a negative or non-finite cost
-/// poisons every cost-weighted metric and the flow network's costs.
+/// Reject a record that fails valid_record(), naming the rule it broke.
 /// `where` names the record for the error ("line 12" / "record 3").
 void validate_record(const Request& r, const std::string& where) {
-  if (r.size == 0) {
-    fail(where + ": size must be > 0 (zero-byte objects corrupt "
-                 "byte-hit accounting and MCMF capacities)");
-  }
-  if (std::isnan(r.cost) || std::isinf(r.cost)) {
-    fail(where + ": cost must be finite");
-  }
-  if (r.cost < 0.0) {
-    fail(where + ": cost must be >= 0");
-  }
+  if (valid_record(r)) return;
+  if (r.size == 0) fail(where + ": size must be > 0");
+  if (!std::isfinite(r.cost)) fail(where + ": cost must be finite");
+  fail(where + ": cost must be >= 0");
 }
 }  // namespace
 

@@ -1,6 +1,7 @@
 #ifndef LFO_TRACE_REQUEST_HPP
 #define LFO_TRACE_REQUEST_HPP
 
+#include <cmath>
 #include <cstdint>
 
 namespace lfo::trace {
@@ -30,6 +31,16 @@ struct Request {
 
   bool has_ttl() const { return ttl != 0; }
 };
+
+/// Whether a record is one the caches and OPT can take: size > 0 and a
+/// finite cost >= 0. A size-0 request corrupts byte-hit accounting (0-byte
+/// "hits" inflate BHR and produce zero-capacity MCMF arcs); a negative or
+/// non-finite cost poisons every cost-weighted metric and the flow
+/// network's costs. Both trace readers and the server's frame decode
+/// reject records that fail it.
+inline bool valid_record(const Request& r) {
+  return r.size > 0 && std::isfinite(r.cost) && r.cost >= 0.0;
+}
 
 /// How to instantiate per-request retrieval costs (paper §2.1).
 enum class CostModel {

@@ -20,6 +20,7 @@
 #include <unistd.h>
 
 #include <cstdint>
+#include <limits>
 #include <string>
 
 #include "core/lfo_cache.hpp"
@@ -373,6 +374,29 @@ TEST(AdversarialFreshness, AccessPathReAdmitsExpiredObjectWithoutAborting) {
   EXPECT_TRUE(death.exited_clean)
       << "legitimate expiry path aborted; stderr: " << death.stderr_text;
   EXPECT_EQ(death.stderr_text, "");
+}
+
+// Regression: admission set the freshness deadline to clock() + ttl, which
+// wraps for a ttl near 2^64, so such a copy was an expired hit on its very
+// next access. The deadline now saturates at "never expires".
+TEST(AdversarialFreshness, TtlNearTheEndOfTheClockNeverWraps) {
+  features::FeatureConfig features;
+  features.num_gaps = 4;
+  core::LfoCache cache(1 << 20, features);
+  constexpr auto kMax = std::numeric_limits<std::uint64_t>::max();
+  const trace::Request forever{0, 1024, 1024.0, /*ttl=*/kMax};
+  const trace::Request almost{1, 1024, 1024.0, /*ttl=*/kMax - 1};
+  const trace::Request bounded{2, 1024, 1024.0, /*ttl=*/1000};
+  for (const auto& r : {forever, almost, bounded}) {
+    EXPECT_FALSE(cache.access(r)) << "object " << r.object;
+  }
+  for (std::uint64_t other = 3; other < 8; ++other) {
+    cache.access({other, 1024, 1024.0});
+  }
+  for (const auto& r : {forever, almost, bounded}) {
+    EXPECT_TRUE(cache.access(r)) << "object " << r.object;
+  }
+  EXPECT_EQ(cache.stats().expired_hits, 0u);
 }
 
 }  // namespace

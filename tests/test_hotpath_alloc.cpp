@@ -1,8 +1,10 @@
 // Zero-allocation guarantee of the serving hot path. This binary replaces
 // the global operator new/delete with counting wrappers and asserts that,
-// once warm, (a) FlatForest prediction, (b) FeatureExtractor::extract, and
-// (c) a full LfoCache replay of hits and bypassed misses perform ZERO heap
-// allocations per request. The strict zero assertions only run in
+// once warm, (a) FlatForest prediction, (b) FeatureExtractor::extract,
+// (c) a full LfoCache replay of hits and bypassed misses, and (d) the
+// sharded cache and the server's frame path — per-shard groups, and a
+// frame whose groups go through another owner's inbox — perform ZERO
+// heap allocations per request. The strict zero assertions only run in
 // optimized, unsanitized builds (the perf-smoke stage of
 // tools/run_static_checks.sh runs them in Release); elsewhere the flows
 // still execute but the counts are informational.
@@ -19,6 +21,8 @@
 #include "features/features.hpp"
 #include "gbdt/flat_forest.hpp"
 #include "gbdt/gbdt.hpp"
+#include "obs/metrics.hpp"
+#include "server/server.hpp"
 #include "server/sharded_cache.hpp"
 #include "trace/request.hpp"
 
@@ -198,22 +202,10 @@ TEST(HotPathAlloc, LfoCacheSteadyStateAllocatesNothing) {
   EXPECT_GE(cache.bypassed(), 5u * 102u);
 }
 
-TEST(HotPathAlloc, ShardedCacheSteadyStateAllocatesNothing) {
-  // The server's per-request path: shard hash + striped lock + the
-  // guarded LfoCache access. Once warm it must add zero allocations on
-  // top of the single-cache guarantee above (the lock is pthread state,
-  // not heap traffic).
-  server::ShardedCacheConfig config;
-  config.capacity = 8 * 4096;
-  config.num_shards = 8;
-  config.features.num_gaps = 16;
-  server::ShardedLfoCache cache(config);
-  cache.swap_model(std::make_shared<core::LfoModel>(size_split_model(),
-                                                    config.features));
-
-  // Same steady-state workload as the single-cache tests, spread across
-  // shards by the hash: small objects admitted then permanently hit,
-  // large ones permanently bypassed.
+/// Ten small objects (admitted, then permanent hits) and five large ones
+/// the size-split model bypasses on every miss: no admissions or
+/// evictions once warm.
+std::vector<trace::Request> steady_state_requests() {
   std::vector<trace::Request> requests;
   for (std::uint64_t i = 0; i < 10; ++i) {
     requests.push_back(trace::Request{i, 50, 50.0});
@@ -221,6 +213,30 @@ TEST(HotPathAlloc, ShardedCacheSteadyStateAllocatesNothing) {
   for (std::uint64_t i = 0; i < 5; ++i) {
     requests.push_back(trace::Request{100 + i, 2000, 2000.0});
   }
+  return requests;
+}
+
+server::ShardedCacheConfig steady_state_shards() {
+  server::ShardedCacheConfig config;
+  config.capacity = 8 * 4096;
+  config.num_shards = 8;
+  config.features.num_gaps = 16;
+  return config;
+}
+
+TEST(HotPathAlloc, ShardedCacheSteadyStateAllocatesNothing) {
+  // The server's per-request path: shard hash + striped lock + the
+  // guarded LfoCache access. Once warm it must add zero allocations on
+  // top of the single-cache guarantee above (the lock is pthread state,
+  // not heap traffic).
+  const auto config = steady_state_shards();
+  server::ShardedLfoCache cache(config);
+  cache.swap_model(std::make_shared<core::LfoModel>(size_split_model(),
+                                                    config.features));
+
+  // Same steady-state workload as the single-cache tests, spread across
+  // shards by the hash.
+  const auto requests = steady_state_requests();
   for (int pass = 0; pass < 2; ++pass) {
     for (const auto& r : requests) cache.access(r);
   }
@@ -235,6 +251,88 @@ TEST(HotPathAlloc, ShardedCacheSteadyStateAllocatesNothing) {
                           "ShardedLfoCache steady-state access");
   EXPECT_EQ(cache.stats().hits % 10, 0u);
   EXPECT_GE(cache.bypassed(), 5u * 102u);
+}
+
+TEST(HotPathAlloc, ShardedCacheGroupedFrameAllocatesNothing) {
+  // The server's frame path: each shard's group of a frame served under
+  // one acquisition of the shard lock.
+  const auto config = steady_state_shards();
+  server::ShardedLfoCache cache(config);
+  cache.swap_model(std::make_shared<core::LfoModel>(size_split_model(),
+                                                    config.features));
+  const auto requests = steady_state_requests();
+  std::vector<std::vector<std::uint32_t>> groups(config.num_shards);
+  for (std::uint32_t i = 0; i < requests.size(); ++i) {
+    groups[cache.shard_of(requests[i].object)].push_back(i);
+  }
+  std::vector<server::AccessResult> results(requests.size());
+  auto serve_frame = [&] {
+    for (std::uint32_t s = 0; s < config.num_shards; ++s) {
+      cache.access_shard(s, requests, groups[s], results);
+    }
+  };
+  for (int pass = 0; pass < 2; ++pass) serve_frame();
+  ASSERT_EQ(cache.stats().hits, 10u);
+  ASSERT_EQ(cache.bypassed(), 10u);
+
+  const auto before = allocations();
+  for (int round = 0; round < 100; ++round) serve_frame();
+  expect_zero_allocations(allocations() - before,
+                          "ShardedLfoCache::access_shard frame");
+  EXPECT_EQ(cache.stats().hits, 10u * 101u);
+  EXPECT_EQ(cache.bypassed(), 5u * 102u);
+  for (std::size_t i = 0; i < requests.size(); ++i) {
+    EXPECT_EQ(results[i].hit, requests[i].size == 50) << "request " << i;
+  }
+}
+
+TEST(HotPathAlloc, ServerFrameThroughAnotherOwnersInboxAllocatesNothing) {
+  // Two workers own alternate shards, so every frame of the one
+  // connection is split: one worker serves its groups inline and posts
+  // the frame to the other's inbox. Socket buffers, the frame, the inbox
+  // and the reply are all reused once warm.
+  server::LfoServerConfig config;
+  config.workers = 2;
+  config.cache = steady_state_shards();
+  config.telemetry = false;
+  server::LfoServer lfo_server(config);
+  lfo_server.cache().swap_model(std::make_shared<core::LfoModel>(
+      size_split_model(), config.cache.features));
+  const auto requests = steady_state_requests();
+  bool owned[2] = {false, false};
+  for (const auto& r : requests) {
+    owned[lfo_server.cache().shard_of(r.object) % 2] = true;
+  }
+  ASSERT_TRUE(owned[0] && owned[1]) << "the frame must span both owners";
+  ASSERT_TRUE(lfo_server.start()) << lfo_server.last_error();
+
+  server::LfoClient client;
+  ASSERT_TRUE(client.connect(lfo_server.port()));
+  std::vector<server::WireDecision> decisions;
+  for (int pass = 0; pass < 3; ++pass) {
+    ASSERT_TRUE(client.exchange(requests, decisions));
+  }
+  ASSERT_EQ(lfo_server.cache().stats().hits, 20u);
+  const auto& handoffs = obs::MetricsRegistry::instance().counter(
+      "lfo_server_handoffs_total");
+  const auto handoffs_before = handoffs.value();
+
+  const auto before = allocations();
+  bool exchanged = true;
+  for (int round = 0; round < 100; ++round) {
+    exchanged &= client.exchange(requests, decisions);
+  }
+  const auto delta = allocations() - before;
+  ASSERT_TRUE(exchanged);
+  expect_zero_allocations(delta, "server frame through the owner inbox");
+  EXPECT_EQ(lfo_server.cache().stats().hits, 10u * 102u);
+#if LFO_METRICS_ENABLED
+  EXPECT_EQ(handoffs.value(), handoffs_before + 100);
+#else
+  (void)handoffs_before;
+#endif
+  client.close();
+  lfo_server.stop();
 }
 
 }  // namespace

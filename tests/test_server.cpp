@@ -3,8 +3,9 @@
 //  - Equivalence: with num_shards == 1 the ShardedLfoCache reproduces a
 //    plain LfoCache replay decision-for-decision on the golden web
 //    trace, in bootstrap mode and with a trained model — and the same
-//    holds over a real socket with workers == 1 (the ISSUE 10
-//    correctness contract).
+//    holds over a real socket with workers == 1. With 8 shards split
+//    across 1-4 owning workers, one connection's decisions equal 8
+//    independent LfoCache replays of each shard's subsequence.
 //  - Rollout: install_candidate routes through the RolloutGuard, so the
 //    heuristic fallback still engages under a rejection storm and
 //    recovers on a healthy candidate, exactly as in the single-threaded
@@ -199,6 +200,12 @@ TEST(ShardedRollout, FallbackEngagesOnRejectionStormAndRecovers) {
 
 // ------------------------------------------------ socket-level replay
 
+server::WireDecision wire_decision(bool hit, bool expired) {
+  return expired ? server::WireDecision::kExpired
+         : hit   ? server::WireDecision::kHit
+                 : server::WireDecision::kMiss;
+}
+
 std::vector<server::WireDecision> replay_through_plain_cache(
     const trace::Trace& trace, const core::LfoConfig& config) {
   core::LfoCache plain(config.cache_size, config.features, config.cutoff);
@@ -207,10 +214,8 @@ std::vector<server::WireDecision> replay_through_plain_cache(
   for (const auto& request : trace.requests()) {
     const std::uint64_t expired_before = plain.stats().expired_hits;
     const bool hit = plain.access(request);
-    const bool expired = plain.stats().expired_hits != expired_before;
-    decisions.push_back(expired ? server::WireDecision::kExpired
-                        : hit   ? server::WireDecision::kHit
-                                : server::WireDecision::kMiss);
+    decisions.push_back(
+        wire_decision(hit, plain.stats().expired_hits != expired_before));
   }
   return decisions;
 }
@@ -247,6 +252,82 @@ TEST(ServerEquivalence, OneWorkerOneShardMatchesSimulatorOverSocket) {
   client.close();
   lfo_server.stop();
   EXPECT_FALSE(lfo_server.running());
+}
+
+// Shard ownership moves a shard's requests onto its owner's thread but
+// must not reorder them: whatever the worker count, the server decides
+// exactly as one independent LfoCache per shard replaying that shard's
+// requests in trace order.
+TEST(ServerEquivalence, ShardOwnersMatchPerShardReplaysAtAnyWorkerCount) {
+  const auto trace = golden_trace("web");
+  const auto config = golden_config();
+  const auto model = golden_model(trace, config);
+  ASSERT_NE(model, nullptr);
+  server::ShardedCacheConfig cache;
+  cache.capacity = config.cache_size;
+  cache.num_shards = 8;
+  cache.features = config.features;
+  cache.cutoff = config.cutoff;
+
+  const server::ShardedLfoCache router(cache);
+  std::vector<std::unique_ptr<core::LfoCache>> shards;
+  for (std::uint32_t s = 0; s < cache.num_shards; ++s) {
+    shards.push_back(std::make_unique<core::LfoCache>(
+        cache.capacity / cache.num_shards, cache.features, cache.cutoff));
+    shards.back()->swap_model(model);
+  }
+  std::vector<server::WireDecision> reference;
+  std::uint64_t bypassed = 0;
+  for (const auto& request : trace.requests()) {
+    auto& shard = *shards[router.shard_of(request.object)];
+    const std::uint64_t expired_before = shard.stats().expired_hits;
+    const bool hit = shard.access(request);
+    reference.push_back(
+        wire_decision(hit, shard.stats().expired_hits != expired_before));
+  }
+  for (const auto& shard : shards) bypassed += shard->bypassed();
+  ASSERT_GT(bypassed, 0u) << "the model never bypassed";
+
+  const auto& handoffs = obs::MetricsRegistry::instance().counter(
+      "lfo_server_handoffs_total");
+  for (const std::uint32_t workers : {1u, 2u, 3u, 4u}) {
+    SCOPED_TRACE("workers " + std::to_string(workers));
+    server::LfoServerConfig sconfig;
+    sconfig.workers = workers;
+    sconfig.cache = cache;
+    sconfig.telemetry = false;
+    server::LfoServer lfo_server(sconfig);
+    lfo_server.cache().swap_model(model);
+    ASSERT_TRUE(lfo_server.start()) << lfo_server.last_error();
+    const auto handoffs_before = handoffs.value();
+
+    server::LfoClient client;
+    ASSERT_TRUE(client.connect(lfo_server.port()));
+    std::vector<server::WireDecision> decisions;
+    constexpr std::size_t kBatch = 333;
+    for (std::size_t offset = 0; offset < trace.size(); offset += kBatch) {
+      const auto n = std::min(kBatch, trace.size() - offset);
+      ASSERT_TRUE(client.exchange(trace.window(offset, n), decisions));
+      for (std::size_t i = 0; i < n; ++i) {
+        ASSERT_EQ(decisions[i], reference[offset + i])
+            << "decision diverged at request " << offset + i;
+      }
+    }
+    EXPECT_EQ(lfo_server.cache().stats().requests, trace.size());
+    EXPECT_EQ(lfo_server.cache().bypassed(), bypassed);
+#if LFO_METRICS_ENABLED
+    // One worker serves every shard inline; more hand groups over.
+    if (workers == 1) {
+      EXPECT_EQ(handoffs.value(), handoffs_before);
+    } else {
+      EXPECT_GT(handoffs.value(), handoffs_before);
+    }
+#else
+    (void)handoffs_before;
+#endif
+    client.close();
+    lfo_server.stop();
+  }
 }
 
 TEST(ServerTelemetry, MetricsAndHealthzServeNextToTheCachePort) {
@@ -404,12 +485,75 @@ TEST(ServerProtocol, OversizedFrameIsCountedAndConnectionClosed) {
 // Regression (crash input): object id 2^64-1 used to make the history
 // table write out of bounds and take the whole process down. The frame
 // carrying it is now a bad frame: its connection closes, every other
-// connection keeps being served.
+// connection keeps being served — also when the id's shard belongs to
+// another worker, which then fails the frame on its behalf.
 TEST(ServerProtocol, UnindexableObjectIdClosesOnlyItsConnection) {
   server::LfoServerConfig sconfig;
   sconfig.workers = 2;
   sconfig.cache.capacity = 1ULL << 20;
-  sconfig.cache.num_shards = 2;
+  sconfig.cache.num_shards = 8;
+  sconfig.telemetry = false;
+  server::LfoServer lfo_server(sconfig);
+  ASSERT_TRUE(lfo_server.start()) << lfo_server.last_error();
+
+  // 2^64-1, and an id past the history table's range whose shard the
+  // other worker owns. The healthy connection holds one worker, so both
+  // attackers land on the other: whichever it is, one of the two ids
+  // sits on a shard it does not own.
+  constexpr auto kMax = std::numeric_limits<trace::ObjectId>::max();
+  const auto owner = [&](trace::ObjectId id) {
+    return lfo_server.cache().shard_of(id) % 2;
+  };
+  trace::ObjectId other = kMax - 1;
+  while (owner(other) == owner(kMax)) --other;
+
+  trace::GeneratorConfig gen;
+  gen.num_requests = 64;
+  gen.classes = {trace::web_class(32)};
+  const auto trace = trace::generate_trace(gen);
+  std::vector<server::WireDecision> decisions;
+  server::LfoClient healthy;
+  ASSERT_TRUE(healthy.connect(lfo_server.port()));
+  ASSERT_TRUE(healthy.exchange(trace.window(0, 32), decisions));
+
+  const auto& bad_frames = obs::MetricsRegistry::instance().counter(
+      "lfo_server_bad_frames_total");
+  const auto bad_before = bad_frames.value();
+  for (const trace::ObjectId poison : {kMax, other}) {
+    SCOPED_TRACE("poisoned id " + std::to_string(poison));
+    const auto head = trace.window(0, 16);
+    std::vector<trace::Request> poisoned(head.begin(), head.end());
+    poisoned[7].object = poison;
+    server::LfoClient attacker;
+    ASSERT_TRUE(attacker.connect(lfo_server.port()));
+    EXPECT_FALSE(attacker.exchange(poisoned, decisions));
+    EXPECT_FALSE(attacker.connected());
+    // The open connection still gets decisions.
+    ASSERT_TRUE(healthy.exchange(trace.window(32, 32), decisions));
+    EXPECT_EQ(decisions.size(), 32u);
+  }
+#if LFO_METRICS_ENABLED
+  EXPECT_EQ(bad_frames.value(), bad_before + 2);
+#else
+  (void)bad_before;
+#endif
+
+  // So does a fresh one.
+  server::LfoClient fresh;
+  ASSERT_TRUE(fresh.connect(lfo_server.port()));
+  ASSERT_TRUE(fresh.exchange(trace.window(0, 32), decisions));
+  EXPECT_EQ(decisions.size(), 32u);
+  lfo_server.stop();
+}
+
+// A record the trace readers reject (size 0, non-finite cost) is a bad
+// frame on the wire too: the frame is refused before any of its requests
+// reaches a shard, and only its connection closes.
+TEST(ServerProtocol, InvalidRecordsAreRefusedBeforeAnyShardServesThem) {
+  server::LfoServerConfig sconfig;
+  sconfig.workers = 2;
+  sconfig.cache.capacity = 1ULL << 20;
+  sconfig.cache.num_shards = 4;
   sconfig.telemetry = false;
   server::LfoServer lfo_server(sconfig);
   ASSERT_TRUE(lfo_server.start()) << lfo_server.last_error();
@@ -422,30 +566,35 @@ TEST(ServerProtocol, UnindexableObjectIdClosesOnlyItsConnection) {
   server::LfoClient healthy;
   ASSERT_TRUE(healthy.connect(lfo_server.port()));
   ASSERT_TRUE(healthy.exchange(trace.window(0, 16), decisions));
+  const auto served_before = lfo_server.cache().stats().requests;
+  ASSERT_EQ(served_before, 16u);
 
   const auto& bad_frames = obs::MetricsRegistry::instance().counter(
       "lfo_server_bad_frames_total");
   const auto bad_before = bad_frames.value();
-  const auto head = trace.window(0, 4);
-  std::vector<trace::Request> poisoned(head.begin(), head.end());
-  poisoned[2].object = std::numeric_limits<trace::ObjectId>::max();
-  server::LfoClient attacker;
-  ASSERT_TRUE(attacker.connect(lfo_server.port()));
-  EXPECT_FALSE(attacker.exchange(poisoned, decisions));
-  EXPECT_FALSE(attacker.connected());
+  auto zero_size = [](trace::Request& r) { r.size = 0; };
+  auto nan_cost = [](trace::Request& r) {
+    r.cost = std::numeric_limits<double>::quiet_NaN();
+  };
+  for (const auto corrupt : {+zero_size, +nan_cost}) {
+    const auto head = trace.window(0, 8);
+    std::vector<trace::Request> frame(head.begin(), head.end());
+    corrupt(frame[5]);
+    server::LfoClient attacker;
+    ASSERT_TRUE(attacker.connect(lfo_server.port()));
+    EXPECT_FALSE(attacker.exchange(frame, decisions));
+    EXPECT_FALSE(attacker.connected());
+    EXPECT_EQ(lfo_server.cache().stats().requests, served_before)
+        << "a refused frame reached the cache";
+  }
 #if LFO_METRICS_ENABLED
-  EXPECT_EQ(bad_frames.value(), bad_before + 1);
+  EXPECT_EQ(bad_frames.value(), bad_before + 2);
 #else
   (void)bad_before;
 #endif
-
-  // The open connection and a fresh one both still get decisions.
   ASSERT_TRUE(healthy.exchange(trace.window(16, 16), decisions));
   EXPECT_EQ(decisions.size(), 16u);
-  server::LfoClient fresh;
-  ASSERT_TRUE(fresh.connect(lfo_server.port()));
-  ASSERT_TRUE(fresh.exchange(trace.window(0, 8), decisions));
-  EXPECT_EQ(decisions.size(), 8u);
+  EXPECT_EQ(lfo_server.cache().stats().requests, served_before + 16);
   lfo_server.stop();
 }
 
@@ -484,6 +633,50 @@ TEST(ServerShutdown, StopJoinsAllWorkersAfterAcceptRaces) {
   const auto elapsed = std::chrono::steady_clock::now() - t0;
   EXPECT_FALSE(lfo_server.running());
   EXPECT_LT(elapsed, std::chrono::seconds(10)) << "stop() stalled on a worker";
+}
+
+// stop() while every worker is mid-traffic: frames are in flight between
+// owners, and a worker must not leave while another still waits on a
+// group it posted — nor may stop() wait on the peers.
+TEST(ServerShutdown, StopMidTrafficJoinsWithinTheIoTimeout) {
+  server::LfoServerConfig sconfig;
+  sconfig.workers = 4;
+  sconfig.cache.capacity = 4ULL << 20;
+  sconfig.cache.num_shards = 8;
+  sconfig.io_timeout_seconds = 1.0;
+  sconfig.telemetry = false;
+  server::LfoServer lfo_server(sconfig);
+  ASSERT_TRUE(lfo_server.start()) << lfo_server.last_error();
+
+  const auto trace = golden_trace("web");
+  constexpr std::size_t kBatch = 256;
+  std::atomic<std::uint64_t> frames{0};
+  std::vector<std::thread> clients;
+  for (std::size_t c = 0; c < 4; ++c) {
+    clients.emplace_back([&, c] {
+      server::LfoClient client;
+      std::vector<server::WireDecision> decisions;
+      if (!client.connect(lfo_server.port())) return;
+      for (std::size_t offset = c * kBatch;; offset += kBatch) {
+        offset %= trace.size() - kBatch;
+        if (!client.exchange(trace.window(offset, kBatch), decisions)) return;
+        frames.fetch_add(1);
+      }
+    });
+  }
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(20);
+  while (frames.load() < 200 && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  EXPECT_GE(frames.load(), 200u) << "traffic never got going";
+  const auto t0 = std::chrono::steady_clock::now();
+  lfo_server.stop();
+  const auto elapsed = std::chrono::steady_clock::now() - t0;
+  for (auto& client : clients) client.join();
+  EXPECT_FALSE(lfo_server.running());
+  EXPECT_LT(elapsed, std::chrono::duration<double>(sconfig.io_timeout_seconds))
+      << "stop() stalled on a worker";
 }
 
 // Regression (unbounded client read): a server that accepts the TCP

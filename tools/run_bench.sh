@@ -12,10 +12,12 @@
 # / LRU, RolloutGuard transition counts, expired hits; exits nonzero if
 # the guarded-vs-heuristic robustness gate is violated).
 #
-# --server: the lfo::server worker-thread scaling curve ->
-# BENCH_server.json (aggregate reqs/s at 1/2/4/8 workers over the TCP
-# front end; the >=3x 1->4 scaling gate arms only on hosts with enough
-# cores for the workers plus their closed-loop clients).
+# --server: the lfo::server worker-thread scaling curve with a trained
+# model installed -> BENCH_server.json (aggregate reqs/s and per-worker
+# ns/req at 1/2/4 workers over the TCP front end, the 2-minus-1-worker
+# ns/req, and the host spin calibration; the >=3x 1->4 scaling gate arms
+# only on hosts with enough cores for the workers plus their closed-loop
+# clients).
 #
 # The human-readable CSV goes to stdout as usual. Pass a different
 # --json=<path> to relocate the JSON, or bench-specific flags (e.g.

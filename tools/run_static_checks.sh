@@ -11,7 +11,8 @@
 #      AddressSanitizer + UndefinedBehaviorSanitizer (LFO_DCHECKs on).
 #   2. tsan preset: configure, build, run the "stress" ctest label
 #      (ThreadPool, parallel sweep, async retraining pipeline, concurrent
-#      const feature extraction) under ThreadSanitizer.
+#      const feature extraction, and the cache server's cross-worker
+#      frame dispatch) under ThreadSanitizer.
 #   3. obs gate: build with -DLFO_METRICS=ON and =OFF, run tier1 under
 #      both, and diff the golden-trace decision counts across the two
 #      builds — instrumentation must be provably decision-neutral even
@@ -96,7 +97,7 @@ if [[ "$SKIP_TSAN" -eq 0 ]]; then
   banner "tsan: configure + build stress tests"
   cmake --preset tsan
   cmake --build build-tsan --target test_stress_threads \
-        --target test_async_pipeline -j "$JOBS"
+        --target test_async_pipeline --target test_server -j "$JOBS"
   banner "tsan: ctest -L stress"
   ctest --test-dir build-tsan -L stress --output-on-failure -j "$JOBS"
 fi
