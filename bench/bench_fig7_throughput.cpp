@@ -16,6 +16,7 @@
 #include <iostream>
 #include <limits>
 #include <span>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -67,12 +68,12 @@ double timed_predict(const core::LfoModel& model,
       .count();
 }
 
-/// End-to-end windowed run, sync or async, returning wall-clock seconds
-/// and the finished result (for the PipelineStats columns).
+/// End-to-end windowed run with `train_threads` training threads (0 =
+/// inline), returning wall-clock seconds and the finished result (for
+/// the PipelineStats columns).
 std::pair<double, core::WindowedResult> timed_pipeline(
-    const trace::Trace& trace, core::WindowedConfig config, bool async,
-    unsigned train_threads) {
-  config.async = async;
+    const trace::Trace& trace, core::WindowedConfig config,
+    std::size_t train_threads) {
   config.train_threads = train_threads;
   const auto start = std::chrono::steady_clock::now();
   auto result = core::run_windowed_lfo(trace, config);
@@ -85,6 +86,7 @@ std::pair<double, core::WindowedResult> timed_pipeline(
 }  // namespace
 
 int main(int argc, char** argv) {
+  const auto hw = std::max(1u, std::thread::hardware_concurrency());
   bench::Args args(argc, argv, {{"train-requests", "50000"},
                                 {"predict-requests", "100000"},
                                 {"repeats", "3"},
@@ -94,7 +96,7 @@ int main(int argc, char** argv) {
                                 {"pipeline-requests", "40000"},
                                 {"pipeline-window", "5000"},
                                 {"swap-lag", "1"},
-                                {"train-threads", "0"},
+                                {"train-threads", std::to_string(hw)},
                                 {"obs-repeats", "2"},
                                 {"obs-out-prefix", ""}});
   std::cout << "# Figure 7: prediction throughput vs threads\n";
@@ -120,7 +122,6 @@ int main(int argc, char** argv) {
   const auto dataset = features::build_dataset(eval_window, eval_opt, build);
 
   const auto repeats = args.get_u64("repeats");
-  const auto hw = std::max(1u, std::thread::hardware_concurrency());
   std::cout << "# hardware_concurrency=" << hw << '\n';
 
   // Row-major copy of the workload: the thread sweep hands each worker
@@ -224,9 +225,11 @@ int main(int argc, char** argv) {
   std::cout << "# expected shape: hundreds of K reqs/s per thread; "
                "near-linear scaling up to the physical core count\n";
 
-  // --- End-to-end pipeline: serial retraining vs the async pipeline. ---
-  // Same trace, same swap_lag, so the two runs make identical caching
-  // decisions (core::same_decisions); only the wall clock may differ.
+  // --- End-to-end pipeline: inline retraining (train_threads=0, the
+  // "serial" row) vs a training pool of --train-threads (the "async"
+  // row). Same trace, same swap_lag, so the two runs make identical
+  // caching decisions (core::same_decisions); only the wall clock may
+  // differ.
   const auto pipe_trace = bench::standard_trace(
       args.get_u64("pipeline-requests"), args.get_u64("seed") + 1);
   core::WindowedConfig wconfig;
@@ -234,40 +237,37 @@ int main(int argc, char** argv) {
       bench::scaled_cache_size(pipe_trace, args.get_double("cache-fraction")));
   wconfig.window_size = args.get_u64("pipeline-window");
   wconfig.swap_lag = args.get_u64("swap-lag");
-  const auto train_threads =
-      static_cast<unsigned>(args.get_u64("train-threads"));
+  const std::size_t train_threads = args.get_u64("train-threads");
 
   std::cout << "\n# End-to-end windowed pipeline: serial vs async retraining\n"
             << "# (swap_lag=" << wconfig.swap_lag
             << ", windows=" << pipe_trace.size() / wconfig.window_size
-            << ", train_threads=" << (train_threads ? train_threads : hw)
+            << ", train_threads=" << train_threads
             << ")\n";
   const auto [sync_secs, sync_result] =
-      timed_pipeline(pipe_trace, wconfig, /*async=*/false, train_threads);
+      timed_pipeline(pipe_trace, wconfig, /*train_threads=*/0);
   const auto [async_secs, async_result] =
-      timed_pipeline(pipe_trace, wconfig, /*async=*/true, train_threads);
+      timed_pipeline(pipe_trace, wconfig, train_threads);
 
-  double overlap = 0.0, wait = 0.0;
-  std::uint64_t depth_sum = 0;
-  for (const auto& w : async_result.windows) {
-    overlap += w.pipeline.overlap_seconds;
-    wait += w.pipeline.wait_seconds;
-    depth_sum += w.pipeline.queue_depth;
-  }
   util::CsvWriter pipe_csv(std::cout);
   pipe_csv.header({"mode", "seconds", "speedup", "bhr", "overlap_seconds",
                    "wait_seconds", "mean_queue_depth"});
-  pipe_csv.field("serial").field(sync_secs).field(1.0)
-      .field(sync_result.overall.bhr()).field(0.0).field(0.0)
-      .field(0.0).end_row();
-  pipe_csv.field("async").field(async_secs).field(sync_secs / async_secs)
-      .field(async_result.overall.bhr()).field(overlap)
-      .field(wait)
-      .field(static_cast<double>(depth_sum) /
-             static_cast<double>(async_result.windows.empty()
-                                     ? 1
-                                     : async_result.windows.size()))
-      .end_row();
+  const auto pipeline_row = [&](const char* mode, double secs,
+                                const core::WindowedResult& result) {
+    double overlap = 0.0, wait = 0.0, depth_sum = 0.0;
+    for (const auto& w : result.windows) {
+      overlap += w.pipeline.overlap_seconds;
+      wait += w.pipeline.wait_seconds;
+      depth_sum += w.pipeline.queue_depth;
+    }
+    pipe_csv.field(mode).field(secs).field(sync_secs / secs)
+        .field(result.overall.bhr()).field(overlap).field(wait)
+        .field(depth_sum / static_cast<double>(std::max<std::size_t>(
+                               1, result.windows.size())))
+        .end_row();
+  };
+  pipeline_row("serial", sync_secs, sync_result);
+  pipeline_row("async", async_secs, async_result);
   std::cout << "# identical decisions: "
             << (core::same_decisions(sync_result, async_result) ? "yes"
                                                                 : "NO (bug)")
@@ -280,7 +280,7 @@ int main(int argc, char** argv) {
   const auto saved_engine = core::LfoModel::default_engine();
   core::LfoModel::set_default_engine(core::LfoModel::Engine::kTreeWalk);
   const auto [tree_secs, tree_result] =
-      timed_pipeline(pipe_trace, wconfig, /*async=*/false, train_threads);
+      timed_pipeline(pipe_trace, wconfig, /*train_threads=*/0);
   core::LfoModel::set_default_engine(saved_engine);
   const bool engines_same_decisions =
       core::same_decisions(sync_result, tree_result);
@@ -296,8 +296,7 @@ int main(int argc, char** argv) {
   auto unguarded_config = wconfig;
   unguarded_config.rollout.enabled = false;
   const auto [unguarded_secs, unguarded_result] =
-      timed_pipeline(pipe_trace, unguarded_config, /*async=*/false,
-                     train_threads);
+      timed_pipeline(pipe_trace, unguarded_config, /*train_threads=*/0);
   const bool guard_same_decisions =
       core::same_decisions(sync_result, unguarded_result);
   const double guard_overhead_pct =
@@ -321,8 +320,7 @@ int main(int argc, char** argv) {
       // Fresh span buffer per repeat so the trace stays bounded; the
       // registry just keeps accumulating (counters are monotonic anyway).
       obs::clear_trace();
-      auto [secs, r] =
-          timed_pipeline(pipe_trace, wconfig, /*async=*/true, train_threads);
+      auto [secs, r] = timed_pipeline(pipe_trace, wconfig, train_threads);
       if (rep == 0 || secs < best) best = secs;
       result = std::move(r);
     }
@@ -390,8 +388,8 @@ int main(int argc, char** argv) {
       for (std::uint64_t rep = 0; rep < obs_repeats; ++rep) {
         obs::clear_trace();
         recorder.clear();
-        auto [secs, r] = timed_pipeline(pipe_trace, scraped_config,
-                                        /*async=*/true, train_threads);
+        auto [secs, r] =
+            timed_pipeline(pipe_trace, scraped_config, train_threads);
         if (rep == 0 || secs < scraped_secs) scraped_secs = secs;
         scraped_result = std::move(r);
       }

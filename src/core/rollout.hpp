@@ -32,7 +32,8 @@ const char* to_string(RolloutDecision decision);
 /// activate every window's model: with no injected faults the guarded
 /// pipeline makes decisions identical to an unguarded run. All gates are
 /// pure functions of training-side diagnostics, so guard decisions are
-/// deterministic and survive sync/async and thread-count changes.
+/// deterministic and survive inline vs pooled training (any
+/// WindowedConfig::train_threads).
 struct RolloutConfig {
   /// Master switch. Disabled, every trained candidate activates
   /// unconditionally (the pre-guard behaviour); a failed training job

@@ -5,8 +5,8 @@
 #include <deque>
 #include <future>
 #include <memory>
+#include <optional>
 #include <stdexcept>
-#include <thread>
 #include <utility>
 
 #include "obs/flight_recorder.hpp"
@@ -83,8 +83,8 @@ void serve_window(LfoCache& cache, std::span<const trace::Request> window,
 /// Everything one training task hands back to the pipeline. The
 /// prediction error of the model that served the window is evaluated
 /// inside the task too — it needs the freshly derived OPT labels, and
-/// keeping it off the serving thread is the point of the exercise. The
-/// same applies to the model-health confusion and drift scores.
+/// with a training pool it then stays off the serving thread. The same
+/// applies to the model-health confusion and drift scores.
 struct TrainedWindow {
   TrainResult result;
   double prediction_error = -1.0;
@@ -208,21 +208,35 @@ void fill_training_report(WindowReport& report, const TrainedWindow& trained,
   }
 }
 
-/// A window's report is complete: publish it to the metrics registry and
-/// the user's hook. Runs on the serving thread; never alters decisions.
-void emit_report(const WindowedConfig& config, const WindowReport& report) {
+/// Boundary k, for window k: publish the serve-side gauges and the
+/// guard's post-boundary state, then record the flight-recorder frame.
+/// apply_rollout has already counted this boundary's decision, so the
+/// frame's counter deltas are exactly window k's contribution.
+void publish_boundary(const WindowedConfig& config,
+                      const WindowReport& report) {
   LFO_COUNTER_INC("lfo_windows_total");
   LFO_GAUGE_SET("lfo_window_bhr", report.bhr);
   LFO_GAUGE_SET("lfo_window_ohr", report.ohr);
+  if (report.health.admission_rate >= 0.0) {
+    LFO_GAUGE_SET("lfo_admission_rate", report.health.admission_rate);
+  }
+  LFO_GAUGE_SET("lfo_rollout_state",
+                static_cast<double>(static_cast<int>(report.rollout.state)));
+  if (config.flight_recorder != nullptr) {
+    config.flight_recorder->record("window", report.index);
+  }
+}
+
+/// Window k's training was collected: publish its training and
+/// model-health figures. Runs on the serving thread; never alters
+/// decisions.
+void publish_training(const WindowReport& report) {
   if (report.health.decision_accuracy >= 0.0) {
     LFO_GAUGE_SET("lfo_model_decision_accuracy",
                   report.health.decision_accuracy);
   }
   if (report.health.feature_drift >= 0.0) {
     LFO_GAUGE_SET("lfo_model_feature_drift", report.health.feature_drift);
-  }
-  if (report.health.admission_rate >= 0.0) {
-    LFO_GAUGE_SET("lfo_admission_rate", report.health.admission_rate);
   }
   if (report.health.drift_warning) {
     LFO_COUNTER_INC("lfo_drift_warnings_total");
@@ -232,30 +246,25 @@ void emit_report(const WindowedConfig& config, const WindowReport& report) {
     LFO_HISTOGRAM_OBSERVE_SECONDS("lfo_train_seconds",
                                   report.train_seconds);
   }
-  LFO_GAUGE_SET("lfo_rollout_state",
-                static_cast<double>(static_cast<int>(report.rollout.state)));
-  if (config.flight_recorder != nullptr) {
-    // After the gauges/counters above so the frame's deltas are exactly
-    // this window's contribution; before window_hook so hooks observe a
-    // recorder that already holds their window.
-    config.flight_recorder->record("window", report.index);
-  }
-  if (config.window_hook) {
-    // The header's contract says the hook must not throw: enforce it.
-    // An unwinding hook would corrupt the pipeline mid-flight (and in
-    // async mode std::terminate a training worker), so fail fast with
-    // the offending window instead.
-    try {
-      config.window_hook(report);
-    } catch (const std::exception& e) {
-      LFO_CHECK(false) << "WindowedConfig::window_hook threw for window "
-                       << report.index
-                       << " (contract: must not throw): " << e.what();
-    } catch (...) {
-      LFO_CHECK(false) << "WindowedConfig::window_hook threw a "
-                          "non-std::exception for window "
-                       << report.index << " (contract: must not throw)";
-    }
+}
+
+/// Hand a complete report to the user's hook.
+void call_window_hook(const WindowedConfig& config,
+                      const WindowReport& report) {
+  if (!config.window_hook) return;
+  // The header's contract says the hook must not throw: enforce it. An
+  // unwinding hook would abandon the pipeline mid-flight with training
+  // jobs still queued, so fail fast with the offending window instead.
+  try {
+    config.window_hook(report);
+  } catch (const std::exception& e) {
+    LFO_CHECK(false) << "WindowedConfig::window_hook threw for window "
+                     << report.index
+                     << " (contract: must not throw): " << e.what();
+  } catch (...) {
+    LFO_CHECK(false) << "WindowedConfig::window_hook threw a "
+                        "non-std::exception for window "
+                     << report.index << " (contract: must not throw)";
   }
 }
 
@@ -271,8 +280,7 @@ void swap_model_into(LfoCache& cache,
 /// rollout guard and apply its verdict: swap on activate, clear the
 /// model on fallback, keep the last-good model on reject. Records the
 /// decision on the current window's report and counts every transition
-/// in the metrics registry. Shared by the sync and async drivers so the
-/// guard sees the identical candidate sequence in both.
+/// in the metrics registry.
 void apply_rollout(RolloutGuard& guard, LfoCache& cache,
                    WindowedResult& result, std::size_t window_index,
                    std::size_t trained_on,
@@ -331,200 +339,13 @@ void record_rollout_state(const RolloutGuard& guard, WindowReport& report) {
   report.rollout.drift_streak = guard.drift_streak();
 }
 
-/// Synchronous reference pipeline: OPT + train run inline between
-/// windows. This is the schedule the async path must reproduce exactly.
-WindowedResult run_sync(const trace::Trace& trace,
-                        const WindowedConfig& config) {
-  LFO_TRACE_THREAD_LABEL("serve");
-  WindowedResult result;
-  LfoCache cache(config.lfo.cache_size, config.lfo.features,
-                 config.lfo.cutoff);
-  RolloutGuard guard(config.rollout);
-  // Models waiting out their activation lag (front = oldest), with the
-  // index of the window they were trained on, that window's feature
-  // summary (the drift baseline once the model starts serving) and the
-  // gate's view of the candidate. Failed training jobs queue too — the
-  // pop schedule must not depend on training outcomes — and are
-  // rejected by the guard when they surface.
-  struct PendingModel {
-    std::shared_ptr<const LfoModel> model;
-    std::shared_ptr<const obs::FeatureSummary> summary;
-    std::size_t trained_on = 0;
-    RolloutCandidate candidate;
-  };
-  std::deque<PendingModel> pending;
-  // Summary of the window the *currently serving* model was trained on.
-  std::shared_ptr<const obs::FeatureSummary> serving_summary;
-
-  std::size_t window_index = 0;
-  for (std::size_t begin = 0; begin < trace.size();
-       begin += config.window_size) {
-    const auto window = trace.window(begin, config.window_size);
-    WindowReport report;
-    report.index = window_index;
-    report.begin = begin;
-    report.length = window.size();
-
-    // Serve the window with the model trained on the previous one.
-    const WindowReport* previous =
-        result.windows.empty() ? nullptr : &result.windows.back();
-    serve_window(cache, window, report, previous);
-
-    // Train on the window just recorded (unless retraining is disabled
-    // and a model already serves).
-    if (config.retrain || !cache.has_model()) {
-      LFO_COUNTER_INC("lfo_train_jobs_total");
-      const auto trained = train_window_task(window, config, window_index,
-                                             cache.model(), serving_summary);
-      fill_training_report(report, trained, config.drift_warn_threshold);
-      pending.push_back({trained.result.model,
-                         trained.result.feature_summary, window_index,
-                         candidate_of(trained)});
-    }
-    result.windows.push_back(report);
-    if (pending.size() > config.swap_lag) {
-      PendingModel next = std::move(pending.front());
-      pending.pop_front();
-      apply_rollout(guard, cache, result, window_index, next.trained_on,
-                    std::move(next.model), std::move(next.summary),
-                    next.candidate, serving_summary);
-    }
-    record_rollout_state(guard, result.windows[window_index]);
-    emit_report(config, result.windows[window_index]);
-    ++window_index;
-  }
-
-  result.overall = cache.stats();
-  result.bypassed = cache.bypassed();
-  result.demoted_hits = cache.demoted_hits();
-  return result;
-}
-
-/// One enqueued (or, in sync mode, already finished) training job.
+/// One window's training job, collected FIFO at boundary k + swap_lag.
 struct TrainJob {
   std::future<TrainedWindow> trained;
-  std::size_t report_index = 0;
   std::size_t window_index = 0;
+  /// When the serving thread went back to serving after submitting.
+  Clock::time_point submitted;
 };
-
-/// Asynchronous pipeline: while window t is served by the current model,
-/// earlier windows' OPT derivation, dataset build and GBDT fit run on a
-/// thread pool. Jobs are consumed strictly FIFO at exactly the sync
-/// schedule's swap points, so with equal swap_lag the caching decisions
-/// are identical to run_sync; with swap_lag >= 1 every job gets at least
-/// one full window of serving time to overlap with.
-WindowedResult run_async(const trace::Trace& trace,
-                         const WindowedConfig& config) {
-  LFO_TRACE_THREAD_LABEL("serve");
-  WindowedResult result;
-  LfoCache cache(config.lfo.cache_size, config.lfo.features,
-                 config.lfo.cutoff);
-  RolloutGuard guard(config.rollout);
-  const std::size_t pool_size =
-      config.train_threads != 0
-          ? config.train_threads
-          : std::max<std::size_t>(1, std::thread::hardware_concurrency());
-  util::ThreadPool pool(pool_size);
-  std::deque<TrainJob> jobs;
-  std::shared_ptr<const obs::FeatureSummary> serving_summary;
-
-  // Block on a job's result, fill its window's training diagnostics and
-  // model health, and return the trained window (model + summary).
-  const auto finish_job = [&result, &config](TrainJob job) -> TrainedWindow {
-    const auto wait_start = Clock::now();
-    TrainedWindow trained = [&] {
-      LFO_TRACE_SPAN("swap_wait");
-      return job.trained.get();
-    }();
-    const auto wait_end = Clock::now();
-    auto& report = result.windows[job.report_index];
-    fill_training_report(report, trained, config.drift_warn_threshold);
-    report.pipeline.trained_async = true;
-    report.pipeline.wait_seconds = seconds_between(wait_start, wait_end);
-    // Time the task ran before the pipeline had to block on it — the
-    // overlap with request serving the paper's §3 asks for.
-    const auto ran_until = std::min(trained.finished, wait_start);
-    report.pipeline.overlap_seconds =
-        std::max(0.0, seconds_between(trained.started, ran_until));
-    return trained;
-  };
-
-  std::size_t window_index = 0;
-  for (std::size_t begin = 0; begin < trace.size();
-       begin += config.window_size) {
-    const auto window = trace.window(begin, config.window_size);
-    WindowReport report;
-    report.index = window_index;
-    report.begin = begin;
-    report.length = window.size();
-    report.pipeline.queue_depth =
-        static_cast<std::uint32_t>(jobs.size());
-    LFO_GAUGE_SET("lfo_train_queue_depth", jobs.size());
-
-    const WindowReport* previous =
-        result.windows.empty() ? nullptr : &result.windows.back();
-    serve_window(cache, window, report, previous);
-    result.windows.push_back(report);
-
-    // cache.has_model() flips at the same swap points as in run_sync, so
-    // this trains-or-not decision matches the sync schedule exactly.
-    bool emit_current = false;
-    if (config.retrain || !cache.has_model()) {
-      LFO_COUNTER_INC("lfo_train_jobs_total");
-      TrainJob job;
-      job.report_index = result.windows.size() - 1;
-      job.window_index = window_index;
-      job.trained = pool.submit([window, &config, window_index,
-                                 serving = cache.model(),
-                                 baseline = serving_summary] {
-        LFO_TRACE_THREAD_LABEL("train");
-        return train_window_task(window, config, window_index, serving,
-                                 baseline);
-      });
-      jobs.push_back(std::move(job));
-    } else {
-      // No training diagnostics will ever arrive: complete once the
-      // boundary below has recorded this window's rollout state.
-      emit_current = true;
-    }
-    if (jobs.size() > config.swap_lag) {
-      TrainJob job = std::move(jobs.front());
-      jobs.pop_front();
-      const auto trained_on = job.window_index;
-      const auto report_index = job.report_index;
-      TrainedWindow trained = finish_job(std::move(job));
-      apply_rollout(guard, cache, result, window_index, trained_on,
-                    std::move(trained.result.model),
-                    std::move(trained.result.feature_summary),
-                    candidate_of(trained), serving_summary);
-      // Stamp the current window's post-boundary state before any emit:
-      // with swap_lag == 0 the popped report IS the current window's.
-      record_rollout_state(guard, result.windows[window_index]);
-      emit_report(config, result.windows[report_index]);
-    } else {
-      record_rollout_state(guard, result.windows[window_index]);
-    }
-    if (emit_current) emit_report(config, result.windows[window_index]);
-    ++window_index;
-  }
-
-  // Drain jobs whose models never activate (trailing windows): the sync
-  // pipeline still records their training diagnostics, so the async run
-  // must too — it just never swaps them in.
-  while (!jobs.empty()) {
-    const auto report_index = jobs.front().report_index;
-    finish_job(std::move(jobs.front()));
-    jobs.pop_front();
-    emit_report(config, result.windows[report_index]);
-  }
-  LFO_CHECK_EQ(pool.pending(), 0u)
-      << "async pipeline drained but tasks remain queued";
-
-  result.overall = cache.stats();
-  result.bypassed = cache.bypassed();
-  result.demoted_hits = cache.demoted_hits();
-  return result;
-}
 
 }  // namespace
 
@@ -544,8 +365,122 @@ RolloutCandidate candidate_of(const TrainResult& result) {
 
 WindowedResult run_windowed_lfo(const trace::Trace& trace,
                                 const WindowedConfig& config) {
-  return config.async ? run_async(trace, config)
-                      : run_sync(trace, config);
+  LFO_TRACE_THREAD_LABEL("serve");
+  WindowedResult result;
+  LfoCache cache(config.lfo.cache_size, config.lfo.features,
+                 config.lfo.cutoff);
+  RolloutGuard guard(config.rollout);
+  // train_threads == 0 trains inline on the serving thread; otherwise
+  // jobs run on the pool while later windows are served.
+  std::optional<util::ThreadPool> pool;
+  if (config.train_threads > 0) pool.emplace(config.train_threads);
+  // Jobs waiting out their activation lag, oldest first. Failed jobs
+  // queue too — the collection schedule must not depend on training
+  // outcomes — and are rejected by the guard when they surface.
+  std::deque<TrainJob> jobs;
+  // Summary of the window the *currently serving* model was trained on.
+  std::shared_ptr<const obs::FeatureSummary> serving_summary;
+  // First window whose report has not been handed to window_hook yet.
+  std::size_t next_hook = 0;
+
+  // Block on the oldest job, fill its window's training diagnostics and
+  // publish them; returns the trained window (model + summary).
+  const auto collect = [&] {
+    TrainJob job = std::move(jobs.front());
+    jobs.pop_front();
+    const auto wait_start = Clock::now();
+    TrainedWindow trained = [&] {
+      LFO_TRACE_SPAN("swap_wait");
+      return job.trained.get();
+    }();
+    auto& report = result.windows[job.window_index];
+    fill_training_report(report, trained, config.drift_warn_threshold);
+    report.pipeline.wait_seconds = seconds_between(wait_start, Clock::now());
+    // Time the job ran while the serving thread was free to serve — the
+    // overlap the paper's §3 asks for. Inline jobs finish before serving
+    // resumes, so theirs is 0.
+    report.pipeline.overlap_seconds = std::max(
+        0.0, seconds_between(std::max(trained.started, job.submitted),
+                             std::min(trained.finished, wait_start)));
+    publish_training(report);
+    return trained;
+  };
+  // Windows complete in window order: a window's report is done once
+  // every job up to it has been collected.
+  const auto call_ready_hooks = [&] {
+    const std::size_t ready =
+        jobs.empty() ? result.windows.size() : jobs.front().window_index;
+    for (; next_hook < ready; ++next_hook) {
+      call_window_hook(config, result.windows[next_hook]);
+    }
+  };
+
+  std::size_t window_index = 0;
+  for (std::size_t begin = 0; begin < trace.size();
+       begin += config.window_size) {
+    const auto window = trace.window(begin, config.window_size);
+    WindowReport report;
+    report.index = window_index;
+    report.begin = begin;
+    report.length = window.size();
+    report.pipeline.queue_depth = static_cast<std::uint32_t>(jobs.size());
+    LFO_GAUGE_SET("lfo_train_queue_depth", jobs.size());
+
+    // Serve the window with the model trained on an earlier one.
+    const WindowReport* previous =
+        result.windows.empty() ? nullptr : &result.windows.back();
+    serve_window(cache, window, report, previous);
+    result.windows.push_back(report);
+
+    // Train on the window just served (unless retraining is disabled
+    // and a model already serves).
+    if (config.retrain || !cache.has_model()) {
+      LFO_COUNTER_INC("lfo_train_jobs_total");
+      std::packaged_task<TrainedWindow()> train(
+          [window, &config, window_index, serving = cache.model(),
+           baseline = serving_summary] {
+            return train_window_task(window, config, window_index, serving,
+                                     baseline);
+          });
+      TrainJob job{train.get_future(), window_index, {}};
+      if (pool) {
+        pool->submit([train = std::move(train)]() mutable {
+          LFO_TRACE_THREAD_LABEL("train");
+          train();
+        });
+      } else {
+        train();
+      }
+      job.submitted = Clock::now();
+      jobs.push_back(std::move(job));
+    }
+    if (jobs.size() > config.swap_lag) {
+      const auto trained_on = jobs.front().window_index;
+      TrainedWindow trained = collect();
+      apply_rollout(guard, cache, result, window_index, trained_on,
+                    std::move(trained.result.model),
+                    std::move(trained.result.feature_summary),
+                    candidate_of(trained), serving_summary);
+    }
+    record_rollout_state(guard, result.windows[window_index]);
+    publish_boundary(config, result.windows[window_index]);
+    call_ready_hooks();
+    ++window_index;
+  }
+
+  // Drain jobs whose models never activate (trailing windows): their
+  // training diagnostics still land in the reports.
+  while (!jobs.empty()) {
+    collect();
+    call_ready_hooks();
+  }
+  LFO_CHECK(!pool || pool->pending() == 0u)
+      << "pipeline drained but training tasks remain queued";
+
+  result.overall = cache.stats();
+  result.bypassed = cache.bypassed();
+  result.demoted_hits = cache.demoted_hits();
+  return result;
 }
 
 bool same_decisions(const WindowedResult& a, const WindowedResult& b) {
@@ -570,7 +505,7 @@ bool same_decisions(const WindowedResult& a, const WindowedResult& b) {
     }
     // The model-health monitor is deterministic too: it derives from
     // the trace and the decision schedule only, so any divergence
-    // between sync/async or across thread counts is a bug.
+    // across thread counts is a bug.
     const auto& ha = wa.health;
     const auto& hb = wb.health;
     if (ha.decision_accuracy != hb.decision_accuracy ||

@@ -34,15 +34,12 @@ struct WindowedConfig {
   /// note that "training tasks [must] not interfere with the request
   /// traffic". 0 = the idealized synchronous swap of Fig 2.
   std::uint32_t swap_lag = 0;
-  /// Run OPT derivation, dataset build and GBDT training on background
-  /// threads while the next window(s) are being served, instead of
-  /// inline between windows. Model activation order and timing (in
-  /// windows) are exactly the synchronous schedule: with the same
-  /// swap_lag, the async run makes identical caching decisions
-  /// (same_decisions below) — only wall-clock overlap changes.
-  bool async = false;
-  /// Size of the background training pool in async mode. 0 = hardware
-  /// concurrency. Does not affect results, only overlap.
+  /// Where each window's training job (OPT derivation, dataset build,
+  /// GBDT fit) runs. 0 = inline on the serving thread, between windows.
+  /// n >= 1 = on a pool of n threads, overlapped with serving the next
+  /// window(s). Either way job k is collected at boundary k + swap_lag,
+  /// so every thread count makes identical caching decisions
+  /// (same_decisions below); only wall-clock overlap changes.
   std::size_t train_threads = 0;
   /// Model-health monitor: warn (util::log_warn + WindowReport
   /// drift_warning) when a window's mean feature-drift score vs the
@@ -52,15 +49,14 @@ struct WindowedConfig {
   /// them with ~5x margin on the quiet side (see EXPERIMENTS.md
   /// "Observability"). <= 0 disables the warning.
   double drift_warn_threshold = 0.1;
-  /// Per-window emit hook, invoked from the serving thread once a
-  /// window's report is complete (serving + training diagnostics +
-  /// model health). In async mode completion follows the training
-  /// pipeline, so invocation order can differ from window order, and
-  /// pipeline.training_lag_windows of a lagged window may still be
-  /// pending. Must not throw — the contract is enforced: a throwing
-  /// hook fails fast via LFO_CHECK instead of unwinding mid-pipeline
-  /// (and possibly terminating a background training worker). Reading
-  /// the report cannot change caching decisions.
+  /// Per-window emit hook, invoked from the serving thread once per
+  /// window, in window order, when the window's report is complete:
+  /// after its training job is collected (boundary k + swap_lag, or the
+  /// drain at the end of the trace), so its training and model-health
+  /// fields are filled in (a window that trains nothing under
+  /// retrain = false waits for the windows before it). Must not throw — the contract is enforced: a
+  /// throwing hook fails fast via LFO_CHECK instead of unwinding
+  /// mid-pipeline. Reading the report cannot change caching decisions.
   std::function<void(const WindowReport&)> window_hook;
   /// Health-gated model rollout (core::RolloutGuard): freshly trained
   /// models are shadow-scored against the last served window before
@@ -77,36 +73,37 @@ struct WindowedConfig {
   /// RolloutConfig::max_train_retries times; a job whose every attempt
   /// fails produces a train_failed candidate that the guard rejects.
   /// Must be deterministic in (window_index, attempt) for
-  /// decision-determinism guarantees to hold; may be called from
-  /// training threads in async mode.
+  /// decision-determinism guarantees to hold; called from the training
+  /// threads when train_threads > 0.
   std::function<bool(std::size_t window_index, std::uint32_t attempt)>
       train_fault;
   /// Telemetry flight recorder (obs::FlightRecorder): when set, the
-  /// pipeline records one frame per window boundary, after the window's
-  /// rollout decision and gauges are published and before window_hook
-  /// runs — so frame k's counter deltas are exactly window k's
-  /// contribution. A pure registry read; never changes decisions
-  /// (verified by the same_decisions scrape tests).
+  /// pipeline records one frame per window boundary k, after window k's
+  /// rollout decision and serve-side gauges are published — so frame k's
+  /// rollout counter deltas are exactly window k's decision, at every
+  /// train_threads. Frames precede the window's hook. A pure registry
+  /// read; never changes decisions (verified by the same_decisions
+  /// scrape tests).
   obs::FlightRecorder* flight_recorder = nullptr;
 };
 
-/// Observability of the (a)synchronous retraining pipeline, per window.
-/// These fields describe wall-clock behaviour only; they are excluded
-/// from same_decisions().
+/// Observability of the retraining pipeline, per window. These fields
+/// describe wall-clock behaviour only; they are excluded from
+/// same_decisions().
 struct PipelineStats {
-  /// Training jobs still in flight when this window started serving.
+  /// Training jobs submitted but not yet collected when this window
+  /// started serving.
   std::uint32_t queue_depth = 0;
   /// Windows between this window's recording and its model's activation
   /// (== swap_lag when the model was activated; 0 when it never was).
   std::uint32_t training_lag_windows = 0;
   /// Wall-clock this window's training ran concurrently with request
   /// serving (before the pipeline blocked on its result, if ever).
+  /// Always 0 for inline training (train_threads == 0).
   double overlap_seconds = 0.0;
   /// Wall-clock the serving thread blocked waiting for this window's
-  /// training at swap time (0 when training finished within its lag).
+  /// training at swap time (~0 when training finished within its lag).
   double wait_seconds = 0.0;
-  /// True when this window's model was trained on a background thread.
-  bool trained_async = false;
 };
 
 /// Per-window diagnostics.
@@ -161,8 +158,8 @@ RolloutCandidate candidate_of(const TrainResult& result);
 
 /// Drive a trace through LFO's record -> derive OPT -> train -> serve
 /// loop. The cache state and feature history persist across windows; only
-/// the model is swapped at window boundaries. With config.async the
-/// train side runs on a thread pool overlapped with serving.
+/// the model is swapped at window boundaries. With config.train_threads
+/// > 0 the train side runs on a thread pool overlapped with serving.
 WindowedResult run_windowed_lfo(const trace::Trace& trace,
                                 const WindowedConfig& config);
 
@@ -171,8 +168,8 @@ WindowedResult run_windowed_lfo(const trace::Trace& trace,
 /// every per-window decision field compare exactly — including the
 /// rollout guard's state / decision / train_failed record. Wall-clock
 /// fields (opt_seconds, train_seconds, PipelineStats) are ignored — they
-/// are the only fields allowed to differ between sync and async
-/// execution, or across thread counts.
+/// are the only fields allowed to differ across train_threads (inline
+/// or pooled training) or GBDT thread counts.
 bool same_decisions(const WindowedResult& a, const WindowedResult& b);
 
 }  // namespace lfo::core

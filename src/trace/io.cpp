@@ -1,5 +1,6 @@
 #include "trace/io.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <fstream>
@@ -134,18 +135,22 @@ Trace read_binary_trace(std::istream& in) {
   std::uint64_t count = 0;
   in.read(reinterpret_cast<char*>(&count), sizeof count);
   if (!in) fail("truncated header");
+  // The header's count is untrusted: reserve a bounded prefix and grow
+  // as records arrive, so a forged count fails as a truncated body
+  // instead of allocating (or overflowing) up front.
+  constexpr std::uint64_t kMaxReserve = std::uint64_t{1} << 16;
   std::vector<Request> reqs;
-  reqs.resize(count);
-  std::size_t index = 0;
-  for (auto& r : reqs) {
+  reqs.reserve(static_cast<std::size_t>(std::min(count, kMaxReserve)));
+  for (std::uint64_t index = 0; index < count; ++index) {
+    Request r;
     in.read(reinterpret_cast<char*>(&r.object), sizeof r.object);
     in.read(reinterpret_cast<char*>(&r.size), sizeof r.size);
     in.read(reinterpret_cast<char*>(&r.cost), sizeof r.cost);
     if (v2) in.read(reinterpret_cast<char*>(&r.ttl), sizeof r.ttl);
-    if (in) validate_record(r, "record " + std::to_string(index));
-    ++index;
+    if (!in) fail("truncated body");
+    validate_record(r, "record " + std::to_string(index));
+    reqs.push_back(r);
   }
-  if (!in) fail("truncated body");
   return Trace(std::move(reqs));
 }
 

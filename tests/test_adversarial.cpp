@@ -222,19 +222,18 @@ TEST(AdversarialInversion, GuardRidesOutChurnAndRecoversOnStableTail) {
       << " fell below the heuristic-only baseline " << bhr(heuristic);
 }
 
-// The torture runs must be decision-identical between the synchronous
-// pipeline and the async training pipeline — the guard's schedule is
-// part of the decision record same_decisions compares.
+// The torture runs must be decision-identical between inline training
+// and a training pool — the guard's schedule is part of the decision
+// record same_decisions compares.
 TEST(AdversarialTorture, SyncAndAsyncWalkTheSameSchedule) {
   for (const auto* name : {"flood", "inversion"}) {
     const auto trace = trace::scenario::make_scenario_trace(name);
     auto config = torture_config();
     const auto sync = core::run_windowed_lfo(trace, config);
-    config.async = true;
     config.train_threads = 4;
     const auto async = core::run_windowed_lfo(trace, config);
     EXPECT_TRUE(core::same_decisions(sync, async))
-        << name << ": async run diverged from the sync torture schedule";
+        << name << ": pooled run diverged from the inline torture schedule";
   }
 }
 

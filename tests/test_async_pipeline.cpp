@@ -1,9 +1,12 @@
-// Stress + observability tests of the asynchronous retraining pipeline.
+// Stress + observability tests of the retraining pipeline's training
+// pool (WindowedConfig::train_threads > 0) and its inline schedule.
 // Labeled "stress" so tools/run_static_checks.sh hammers it under
 // ThreadSanitizer: many small windows with a deep training queue and
 // nested GBDT parallelism maximize serve/train overlap.
 
 #include <gtest/gtest.h>
+
+#include <algorithm>
 
 #include "core/windowed.hpp"
 #include "trace/generator.hpp"
@@ -31,7 +34,6 @@ TEST(AsyncPipeline, StressManyWindowsDeepQueue) {
   const auto trace = trace::generate_trace(gen);
 
   auto config = small_window_config();
-  config.async = true;
   config.swap_lag = 3;
   config.train_threads = 4;
   config.lfo.gbdt.num_threads = 2;  // nested parallelism inside each job
@@ -44,7 +46,6 @@ TEST(AsyncPipeline, StressManyWindowsDeepQueue) {
     EXPECT_LE(w.pipeline.queue_depth, config.swap_lag + 1);
     EXPECT_GE(w.pipeline.overlap_seconds, 0.0);
     EXPECT_GE(w.pipeline.wait_seconds, 0.0);
-    EXPECT_TRUE(w.pipeline.trained_async);
     EXPECT_GT(w.train_seconds, 0.0) << "window " << w.index;
   }
   // Every activated model waited out exactly swap_lag windows.
@@ -68,9 +69,8 @@ TEST(AsyncPipeline, StressMatchesSyncUnderDrift) {
 
   auto config = small_window_config();
   config.swap_lag = 2;
-  config.async = false;
+  config.train_threads = 0;
   const auto sync = core::run_windowed_lfo(trace, config);
-  config.async = true;
   config.train_threads = 4;
   const auto async = core::run_windowed_lfo(trace, config);
   EXPECT_TRUE(core::same_decisions(sync, async));
@@ -81,20 +81,33 @@ TEST(AsyncPipeline, SingleWindowTrace) {
   // model never activates.
   const auto trace = trace::generate_zipf_trace(300, 50, 0.8, 3);
   auto config = small_window_config();
-  config.async = true;
   config.swap_lag = 2;
   config.train_threads = 2;
   const auto result = core::run_windowed_lfo(trace, config);
   ASSERT_EQ(result.windows.size(), 1u);
-  EXPECT_TRUE(result.windows[0].pipeline.trained_async);
   EXPECT_GT(result.windows[0].train_seconds, 0.0);
   EXPECT_EQ(result.windows[0].pipeline.training_lag_windows, 0u);
+}
+
+TEST(AsyncPipeline, InlineTrainingNeverOverlapsServing) {
+  // train_threads = 0 runs every job on the serving thread before the
+  // next window is served; the lag queue still holds the finished jobs.
+  const auto trace = trace::generate_zipf_trace(3000, 300, 0.8, 11);
+  auto config = small_window_config();
+  config.swap_lag = 2;
+  const auto result = core::run_windowed_lfo(trace, config);
+  ASSERT_EQ(result.windows.size(), 6u);
+  for (const auto& w : result.windows) {
+    EXPECT_EQ(w.pipeline.overlap_seconds, 0.0) << "window " << w.index;
+    EXPECT_EQ(w.pipeline.queue_depth, std::min<std::size_t>(w.index, 2))
+        << "window " << w.index;
+  }
 }
 
 TEST(AsyncPipeline, EmptyTrace) {
   const trace::Trace empty;
   auto config = small_window_config();
-  config.async = true;
+  config.train_threads = 2;
   const auto result = core::run_windowed_lfo(empty, config);
   EXPECT_TRUE(result.windows.empty());
   EXPECT_EQ(result.overall.requests, 0u);

@@ -134,15 +134,14 @@ TEST(PipelineDeterminism, AsyncMatchesSyncAtEqualSwapLag) {
   for (const std::uint32_t lag : {0u, 1u, 2u}) {
     auto config = pipeline_config(1 << 22);
     config.swap_lag = lag;
-    config.async = false;
+    config.train_threads = 0;
     const auto sync = core::run_windowed_lfo(trace, config);
-    config.async = true;
-    config.train_threads = 2;
-    const auto async = core::run_windowed_lfo(trace, config);
-    EXPECT_TRUE(core::same_decisions(sync, async))
-        << "async decisions drifted from sync at swap_lag=" << lag;
-    for (const auto& w : async.windows) {
-      EXPECT_TRUE(w.pipeline.trained_async);
+    for (const std::size_t threads : {1u, 2u, 4u}) {
+      config.train_threads = threads;
+      const auto async = core::run_windowed_lfo(trace, config);
+      EXPECT_TRUE(core::same_decisions(sync, async))
+          << "decisions on " << threads
+          << " training threads drifted from inline at swap_lag=" << lag;
     }
   }
 }
@@ -151,8 +150,7 @@ TEST(PipelineDeterminism, AsyncIdenticalAcrossPoolSizes) {
   const auto trace = trace::generate_zipf_trace(5000, 500, 0.8, 33);
   auto config = pipeline_config(1 << 21);
   config.swap_lag = 1;
-  config.async = true;
-  // Parallel GBDT inside the async pipeline: both knobs exercised.
+  // Parallel GBDT inside the training pool: both knobs exercised.
   config.lfo.gbdt.num_threads = 2;
   config.train_threads = 1;
   const auto baseline = core::run_windowed_lfo(trace, config);
@@ -160,23 +158,28 @@ TEST(PipelineDeterminism, AsyncIdenticalAcrossPoolSizes) {
     config.train_threads = threads;
     const auto run = core::run_windowed_lfo(trace, config);
     EXPECT_TRUE(core::same_decisions(baseline, run))
-        << "async decisions drifted at train_threads=" << threads;
+        << "pooled decisions drifted at train_threads=" << threads;
   }
 }
 
 TEST(PipelineDeterminism, RetrainDisabledStillMatches) {
   // retrain=false takes the "train only until a model serves" branch,
-  // whose schedule depends on swap_lag; async must reproduce it too.
+  // whose schedule depends on swap_lag; a training pool must reproduce
+  // it too.
   const auto trace = trace::generate_zipf_trace(5000, 500, 0.9, 5);
-  auto config = pipeline_config(1 << 21);
-  config.retrain = false;
-  config.swap_lag = 1;
-  config.async = false;
-  const auto sync = core::run_windowed_lfo(trace, config);
-  config.async = true;
-  config.train_threads = 2;
-  const auto async = core::run_windowed_lfo(trace, config);
-  EXPECT_TRUE(core::same_decisions(sync, async));
+  for (const std::uint32_t lag : {0u, 1u, 2u}) {
+    auto config = pipeline_config(1 << 21);
+    config.retrain = false;
+    config.swap_lag = lag;
+    config.train_threads = 0;
+    const auto sync = core::run_windowed_lfo(trace, config);
+    for (const std::size_t threads : {1u, 2u, 4u}) {
+      config.train_threads = threads;
+      const auto async = core::run_windowed_lfo(trace, config);
+      EXPECT_TRUE(core::same_decisions(sync, async))
+          << "train_threads=" << threads << " swap_lag=" << lag;
+    }
+  }
 }
 
 }  // namespace

@@ -213,16 +213,15 @@ TEST(FlatForest, PipelineDecisionsIdenticalAcrossEnginesAndSyncAsync) {
   config.swap_lag = 1;
 
   core::LfoModel::set_default_engine(core::LfoModel::Engine::kFlatForest);
-  config.async = false;
+  config.train_threads = 0;
   const auto flat_sync = core::run_windowed_lfo(trace, config);
-  config.async = true;
   config.train_threads = 2;
   const auto flat_async = core::run_windowed_lfo(trace, config);
 
   core::LfoModel::set_default_engine(core::LfoModel::Engine::kTreeWalk);
-  config.async = false;
+  config.train_threads = 0;
   const auto tree_sync = core::run_windowed_lfo(trace, config);
-  config.async = true;
+  config.train_threads = 2;
   const auto tree_async = core::run_windowed_lfo(trace, config);
 
   EXPECT_TRUE(core::same_decisions(flat_sync, tree_sync))

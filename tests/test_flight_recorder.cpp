@@ -220,82 +220,88 @@ core::WindowedConfig torture_config() {
 }
 
 TEST(FlightRecorder, TortureTimelineIsReadableFromFrameDeltas) {
-  const auto trace = torture_trace();
-  auto config = torture_config();
-  obs::FlightRecorder recorder(32);
-  config.flight_recorder = &recorder;
+  // Inline training and a training pool must tell the same story,
+  // frame for frame.
+  for (const std::size_t threads : {0u, 2u}) {
+    SCOPED_TRACE("train_threads=" + std::to_string(threads));
+    const auto trace = torture_trace();
+    auto config = torture_config();
+    config.train_threads = threads;
+    obs::FlightRecorder recorder(32);
+    config.flight_recorder = &recorder;
 
-  obs::MetricsRegistry::instance().reset_all();
-  const auto result = core::run_windowed_lfo(trace, config);
-  ASSERT_EQ(result.windows.size(), 20u);
-  ASSERT_EQ(recorder.total_recorded(), 20u);
-  const auto frames = recorder.history(32);
-  ASSERT_EQ(frames.size(), 20u);
+    obs::MetricsRegistry::instance().reset_all();
+    const auto result = core::run_windowed_lfo(trace, config);
+    ASSERT_EQ(result.windows.size(), 20u);
+    ASSERT_EQ(recorder.total_recorded(), 20u);
+    const auto frames = recorder.history(32);
+    ASSERT_EQ(frames.size(), 20u);
 
-  std::uint64_t activated = 0, rejected = 0, fallbacks = 0, recovered = 0;
-  for (std::size_t i = 0; i < frames.size(); ++i) {
-    const auto& frame = frames[i];
-    EXPECT_EQ(frame.window_index, i);
-    // The frame's rollout-state gauge is the post-boundary state of its
-    // window, exactly as the per-window report records it.
-    EXPECT_EQ(frame.gauge("lfo_rollout_state", -1.0),
+    std::uint64_t activated = 0, rejected = 0, fallbacks = 0, recovered = 0;
+    for (std::size_t i = 0; i < frames.size(); ++i) {
+      const auto& frame = frames[i];
+      EXPECT_EQ(frame.window_index, i);
+      // The frame's rollout-state gauge is the post-boundary state of its
+      // window, exactly as the per-window report records it.
+      EXPECT_EQ(frame.gauge("lfo_rollout_state", -1.0),
+                static_cast<double>(
+                    static_cast<int>(result.windows[i].rollout.state)))
+          << "window " << i;
+      // The frame's counter deltas are exactly that window's decision.
+      const auto decision = result.windows[i].rollout.decision;
+      const std::uint64_t d_act =
+          frame.counter_delta("lfo_rollout_activated_total");
+      const std::uint64_t d_rej =
+          frame.counter_delta("lfo_rollout_rejected_total");
+      const std::uint64_t d_fb =
+          frame.counter_delta("lfo_rollout_fallback_total");
+      const std::uint64_t d_rec =
+          frame.counter_delta("lfo_rollout_recovered_total");
+      const auto expected_act =
+          static_cast<std::uint64_t>(
+              decision == core::RolloutDecision::kActivated ||
+              decision == core::RolloutDecision::kRecovered);
+      const auto expected_rej =
+          static_cast<std::uint64_t>(
+              decision == core::RolloutDecision::kRejected ||
+              decision == core::RolloutDecision::kFallback);
+      EXPECT_EQ(d_act, expected_act) << "window " << i;
+      EXPECT_EQ(d_rej, expected_rej) << "window " << i;
+      EXPECT_EQ(d_fb, static_cast<std::uint64_t>(
+                          decision == core::RolloutDecision::kFallback))
+          << "window " << i;
+      EXPECT_EQ(d_rec, static_cast<std::uint64_t>(
+                           decision == core::RolloutDecision::kRecovered))
+          << "window " << i;
+      activated += d_act;
+      rejected += d_rej;
+      fallbacks += d_fb;
+      recovered += d_rec;
+    }
+
+    // The exact torture schedule, reconstructed from deltas alone.
+    EXPECT_EQ(activated, 14u);  // 13 activations + 1 recovery
+    EXPECT_EQ(rejected, 5u);    // 4 rejections + 1 fallback
+    EXPECT_EQ(fallbacks, 1u);
+    EXPECT_EQ(recovered, 1u);
+    EXPECT_EQ(frames[8].counter_delta("lfo_rollout_fallback_total"), 1u);
+    EXPECT_EQ(frames[8].gauge("lfo_rollout_state"),
               static_cast<double>(
-                  static_cast<int>(result.windows[i].rollout.state)))
-        << "window " << i;
-    // The frame's counter deltas are exactly that window's decision.
-    const auto decision = result.windows[i].rollout.decision;
-    const std::uint64_t d_act =
-        frame.counter_delta("lfo_rollout_activated_total");
-    const std::uint64_t d_rej =
-        frame.counter_delta("lfo_rollout_rejected_total");
-    const std::uint64_t d_fb =
-        frame.counter_delta("lfo_rollout_fallback_total");
-    const std::uint64_t d_rec =
-        frame.counter_delta("lfo_rollout_recovered_total");
-    const auto expected_act =
-        static_cast<std::uint64_t>(
-            decision == core::RolloutDecision::kActivated ||
-            decision == core::RolloutDecision::kRecovered);
-    const auto expected_rej =
-        static_cast<std::uint64_t>(
-            decision == core::RolloutDecision::kRejected ||
-            decision == core::RolloutDecision::kFallback);
-    EXPECT_EQ(d_act, expected_act) << "window " << i;
-    EXPECT_EQ(d_rej, expected_rej) << "window " << i;
-    EXPECT_EQ(d_fb, static_cast<std::uint64_t>(
-                        decision == core::RolloutDecision::kFallback))
-        << "window " << i;
-    EXPECT_EQ(d_rec, static_cast<std::uint64_t>(
-                         decision == core::RolloutDecision::kRecovered))
-        << "window " << i;
-    activated += d_act;
-    rejected += d_rej;
-    fallbacks += d_fb;
-    recovered += d_rec;
-  }
+                  static_cast<int>(core::RolloutState::kFallback)));
+    EXPECT_EQ(frames[11].counter_delta("lfo_rollout_recovered_total"), 1u);
+    EXPECT_EQ(frames[11].gauge("lfo_rollout_state"),
+              static_cast<double>(
+                  static_cast<int>(core::RolloutState::kServing)));
+    EXPECT_EQ(frames[8].counter_delta("lfo_models_cleared_total"), 1u);
 
-  // The exact torture schedule, reconstructed from deltas alone.
-  EXPECT_EQ(activated, 14u);  // 13 activations + 1 recovery
-  EXPECT_EQ(rejected, 5u);    // 4 rejections + 1 fallback
-  EXPECT_EQ(fallbacks, 1u);
-  EXPECT_EQ(recovered, 1u);
-  EXPECT_EQ(frames[8].counter_delta("lfo_rollout_fallback_total"), 1u);
-  EXPECT_EQ(frames[8].gauge("lfo_rollout_state"),
-            static_cast<double>(
-                static_cast<int>(core::RolloutState::kFallback)));
-  EXPECT_EQ(frames[11].counter_delta("lfo_rollout_recovered_total"), 1u);
-  EXPECT_EQ(frames[11].gauge("lfo_rollout_state"),
-            static_cast<double>(
-                static_cast<int>(core::RolloutState::kServing)));
-  EXPECT_EQ(frames[8].counter_delta("lfo_models_cleared_total"), 1u);
-
-  // Training failures are visible frame-by-frame too: the cumulative
-  // total across all frames matches the injected 5 jobs x 3 attempts.
-  std::uint64_t failures = 0;
-  for (const auto& frame : frames) {
-    failures += frame.counter_delta("lfo_train_failures_total");
+    // Training failures are visible frame-by-frame too: the cumulative
+    // total across all frames matches the injected 5 jobs x 3 attempts.
+    std::uint64_t failures = 0;
+    for (const auto& frame : frames) {
+      failures += frame.counter_delta("lfo_train_failures_total");
+    }
+    EXPECT_EQ(failures, 15u);
   }
-  EXPECT_EQ(failures, 15u);
 }
 
 #endif  // LFO_METRICS_ENABLED

@@ -195,7 +195,6 @@ TEST(ChromeTrace, AsyncRunEmitsBalancedEventsInLabeledLanes) {
   obs::clear_trace();
   obs::set_tracing_enabled(true);
   auto config = golden_lfo_config();
-  config.async = true;
   config.train_threads = 2;
   const auto trace = golden_trace("web");
   const auto result = core::run_windowed_lfo(trace, config);
@@ -356,18 +355,26 @@ TEST(ModelHealth, DriftWarningFiresOnFlashCrowdNotOnWeb) {
 
 TEST(ModelHealth, WindowHookSeesEveryWindowOnceInBothModes) {
   const auto trace = golden_trace("web");
-  for (const bool async : {false, true}) {
-    auto config = golden_lfo_config();
-    config.async = async;
-    std::vector<int> seen;
-    config.window_hook = [&seen](const core::WindowReport& report) {
-      if (report.index >= seen.size()) seen.resize(report.index + 1, 0);
-      ++seen[report.index];
-    };
-    const auto result = core::run_windowed_lfo(trace, config);
-    ASSERT_EQ(seen.size(), result.windows.size()) << "async=" << async;
-    for (std::size_t i = 0; i < seen.size(); ++i) {
-      EXPECT_EQ(seen[i], 1) << "window " << i << " async=" << async;
+  for (const std::size_t threads : {0u, 2u}) {
+    for (const std::uint32_t lag : {0u, 2u}) {
+      auto config = golden_lfo_config();
+      config.train_threads = threads;
+      config.swap_lag = lag;
+      std::vector<std::size_t> seen;
+      config.window_hook = [&seen](const core::WindowReport& report) {
+        seen.push_back(report.index);
+        // Complete reports only: this window's training is in.
+        EXPECT_GT(report.train_seconds, 0.0) << "window " << report.index;
+        EXPECT_GT(report.rollout.train_attempts, 0u)
+            << "window " << report.index;
+      };
+      const auto result = core::run_windowed_lfo(trace, config);
+      ASSERT_EQ(seen.size(), result.windows.size())
+          << "train_threads=" << threads << " swap_lag=" << lag;
+      for (std::size_t i = 0; i < seen.size(); ++i) {
+        EXPECT_EQ(seen[i], i) << "train_threads=" << threads
+                              << " swap_lag=" << lag;
+      }
     }
   }
 }
@@ -376,7 +383,6 @@ TEST(ModelHealth, HealthIsDeterministicAcrossSchedules) {
   const auto trace = golden_trace("flash-crowd");
   auto config = golden_lfo_config();
   const auto sync_result = core::run_windowed_lfo(trace, config);
-  config.async = true;
   config.train_threads = 3;
   const auto async_result = core::run_windowed_lfo(trace, config);
   EXPECT_TRUE(core::same_decisions(sync_result, async_result));

@@ -349,11 +349,13 @@ TEST(RolloutPipeline, FaultedRunIsDeterministicAcrossSyncAndAsync) {
   config.train_fault = &fault_windows_5_to_9;
 
   const auto sync = core::run_windowed_lfo(trace, config);
-  config.async = true;
-  config.train_threads = 4;
-  const auto async = core::run_windowed_lfo(trace, config);
-  EXPECT_TRUE(core::same_decisions(sync, async))
-      << "fault-injected async run diverged from the sync schedule";
+  for (const std::size_t threads : {1u, 2u, 4u}) {
+    config.train_threads = threads;
+    const auto async = core::run_windowed_lfo(trace, config);
+    EXPECT_TRUE(core::same_decisions(sync, async))
+        << "fault-injected run on " << threads
+        << " training threads diverged from the inline schedule";
+  }
 }
 
 TEST(RolloutPipeline, RetrySalvagesTransientFault) {

@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <limits>
 #include <sstream>
+#include <string>
 #include <unordered_map>
 
 #include "trace/generator.hpp"
@@ -363,6 +365,28 @@ TEST(TraceIo, BinaryRoundTrip) {
 TEST(TraceIo, BinaryRejectsBadMagic) {
   std::stringstream ss("not a trace file at all");
   EXPECT_THROW(read_binary_trace(ss), std::runtime_error);
+}
+
+// The header's record count is untrusted: a 16-byte file claiming a huge
+// body must fail as truncated without allocating for the claimed count
+// (which would exhaust memory or overflow the vector's size).
+TEST(TraceIo, BinaryForgedCountFailsAsTruncated) {
+  for (const int shift : {26, 40, 62}) {
+    const std::uint64_t count = std::uint64_t{1} << shift;
+    std::string file = "LFOTRC01";
+    file.append(reinterpret_cast<const char*>(&count), sizeof count);
+    std::stringstream ss(file);
+    try {
+      read_binary_trace(ss);
+      FAIL() << "accepted a forged count of 2^" << shift;
+    } catch (const std::runtime_error& e) {
+      EXPECT_STREQ(e.what(), "trace io: truncated body")
+          << "count 2^" << shift;
+    } catch (const std::exception& e) {
+      FAIL() << "count 2^" << shift << " threw a non-runtime_error: "
+             << e.what();
+    }
+  }
 }
 
 // The binary reader applies the same record validation as the text one:

@@ -10,9 +10,10 @@
 #   1. asan-ubsan preset: configure, build the test suite, run ctest under
 #      AddressSanitizer + UndefinedBehaviorSanitizer (LFO_DCHECKs on).
 #   2. tsan preset: configure, build, run the "stress" ctest label
-#      (ThreadPool, parallel sweep, async retraining pipeline, concurrent
-#      const feature extraction, and the cache server's cross-worker
-#      frame dispatch) under ThreadSanitizer.
+#      (ThreadPool, parallel sweep, the retraining pipeline's training
+#      pool, concurrent const feature extraction, telemetry scrapes under
+#      writer load, and the cache server's cross-worker frame dispatch)
+#      under ThreadSanitizer.
 #   3. obs gate: build with -DLFO_METRICS=ON and =OFF, run tier1 under
 #      both, and diff the golden-trace decision counts across the two
 #      builds — instrumentation must be provably decision-neutral even
@@ -22,8 +23,8 @@
 #   4. fault gate: Release build, then `ctest -L faults` — the rollout
 #      guard under injected training failures on the golden flash-crowd
 #      generator (fallback + recovery, BHR >= heuristic-only baseline,
-#      sync-vs-async determinism with faults, and guarded-vs-unguarded
-#      decision identity when no fault fires).
+#      inline-vs-pooled training determinism with faults, and
+#      guarded-vs-unguarded decision identity when no fault fires).
 #   5. perf smoke: Release build, then `ctest -L perfsmoke` — the
 #      flat-forest-vs-tree-walk golden decision diff and the
 #      instrumented-operator-new zero-allocation hot-path test, whose
@@ -96,8 +97,11 @@ fi
 if [[ "$SKIP_TSAN" -eq 0 ]]; then
   banner "tsan: configure + build stress tests"
   cmake --preset tsan
+  # Every target labeled "stress" in tests/CMakeLists.txt: an unbuilt
+  # target registers no tests, so ctest would skip it without a word.
   cmake --build build-tsan --target test_stress_threads \
-        --target test_async_pipeline --target test_server -j "$JOBS"
+        --target test_async_pipeline --target test_obs_stress \
+        --target test_server -j "$JOBS"
   banner "tsan: ctest -L stress"
   ctest --test-dir build-tsan -L stress --output-on-failure -j "$JOBS"
 fi
