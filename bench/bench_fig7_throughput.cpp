@@ -307,9 +307,8 @@ int main(int argc, char** argv) {
             << "% (expected: noise)\n";
 
   // --- Observability overhead: the same async pipeline with span
-  // tracing off vs on. Metrics have no runtime switch (-DLFO_METRICS=OFF
-  // is the one off switch; the static-check obs stage diffs those
-  // builds). Both modes must make identical decisions, and the traced
+  // tracing off vs on (metrics are always on; there is no switch for
+  // them). Both modes must make identical decisions, and the traced
   // run must stay within a few percent of the untraced one (<5%).
   const auto obs_repeats = std::max<std::uint64_t>(1, args.get_u64("obs-repeats"));
   const auto timed_obs_run = [&](bool enabled) {
@@ -352,7 +351,6 @@ int main(int argc, char** argv) {
   double scrape_overhead_pct = 0.0;
   bool telemetry_same_decisions = false;
   std::uint64_t scrape_count = 0;
-#if LFO_METRICS_ENABLED
   {
     obs::set_tracing_enabled(true);
     obs::FlightRecorder recorder(256);
@@ -416,9 +414,6 @@ int main(int argc, char** argv) {
                 << "); acceptance: overhead < 2%\n";
     }
   }
-#else
-  std::cout << "\n# Live telemetry overhead: skipped (LFO_METRICS=OFF)\n";
-#endif
 
   const auto prefix = args.get_string("obs-out-prefix");
   if (!prefix.empty()) {

@@ -35,7 +35,6 @@ void serve_window(LfoCache& cache, std::span<const trace::Request> window,
   LFO_TRACE_SPAN("serve_window");
   const auto before = cache.stats();
   const auto bypassed_before = cache.bypassed();
-#if LFO_METRICS_ENABLED
   // Sampled per-request latency: clock reads on every 64th request
   // keep the histogram meaningful at < 1% timing overhead.
   static obs::LatencyHistogram& request_hist =
@@ -49,9 +48,6 @@ void serve_window(LfoCache& cache, std::span<const trace::Request> window,
       cache.access(r);
     }
   }
-#else
-  for (const auto& r : window) cache.access(r);
-#endif
   const auto after = cache.stats();
   const auto bytes = after.bytes_requested - before.bytes_requested;
   const auto reqs = after.requests - before.requests;

@@ -8,17 +8,6 @@
 #include <string_view>
 #include <vector>
 
-/// Compile-time gate for the whole instrumentation layer. The build sets
-/// LFO_METRICS_ENABLED=0 (cmake -DLFO_METRICS=OFF) to compile every
-/// LFO_COUNTER_* / LFO_GAUGE_* / LFO_HISTOGRAM_* / LFO_TRACE_* call site
-/// in the pipeline down to nothing, so golden decisions and throughput
-/// are provably unaffected. The obs classes themselves stay available in
-/// both modes (exporters, tests and the model-health report fields do
-/// not depend on the gate).
-#ifndef LFO_METRICS_ENABLED
-#define LFO_METRICS_ENABLED 1
-#endif
-
 namespace lfo::obs {
 
 /// Monotonically increasing event count. Lock-free: one relaxed
@@ -147,8 +136,6 @@ std::uint64_t monotonic_ns();
 #define LFO_OBS_CONCAT_INNER(a, b) a##b
 #define LFO_OBS_CONCAT(a, b) LFO_OBS_CONCAT_INNER(a, b)
 
-#if LFO_METRICS_ENABLED
-
 #define LFO_COUNTER_ADD(name, delta)                             \
   do {                                                           \
     static ::lfo::obs::Counter& lfo_obs_counter_ref =            \
@@ -171,22 +158,5 @@ std::uint64_t monotonic_ns();
         ::lfo::obs::MetricsRegistry::instance().histogram(name); \
     lfo_obs_hist_ref.observe_seconds(seconds);                   \
   } while (0)
-
-#else  // !LFO_METRICS_ENABLED — every call site compiles to nothing.
-
-#define LFO_COUNTER_ADD(name, delta) \
-  do {                               \
-  } while (0)
-#define LFO_COUNTER_INC(name) \
-  do {                        \
-  } while (0)
-#define LFO_GAUGE_SET(name, v) \
-  do {                         \
-  } while (0)
-#define LFO_HISTOGRAM_OBSERVE_SECONDS(name, seconds) \
-  do {                                               \
-  } while (0)
-
-#endif  // LFO_METRICS_ENABLED
 
 #endif  // LFO_OBS_METRICS_HPP

@@ -1,7 +1,5 @@
 #include "obs/telemetry_server.hpp"
 
-#if LFO_METRICS_ENABLED
-
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
@@ -10,11 +8,13 @@
 #include <sys/time.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <sstream>
+#include <utility>
 
 #include "obs/build_info.hpp"
 #include "obs/exporters.hpp"
@@ -23,6 +23,15 @@
 namespace lfo::obs {
 
 namespace {
+
+/// Connection handler threads. Accepted sockets go to this pool, so a
+/// stalled scraper pins one handler, never the accept thread.
+constexpr std::size_t kHandlerThreads = 2;
+/// Accepted-but-unserved backlog cap; connections beyond it are shed
+/// (closed at once) rather than queued behind stalled peers.
+constexpr std::size_t kMaxPendingConnections = 16;
+/// Cap on a request head (start line + headers); longer gets 431.
+constexpr std::size_t kMaxRequestBytes = 8192;
 
 /// Per-endpoint request counters. A table (rather than inline literals)
 /// so tools/lfo_lint.py's metric-name rule covers the registrations and
@@ -176,10 +185,8 @@ bool TelemetryServer::start() {
   port_ = ntohs(bound.sin_port);
   listen_fd_ = fd;
   stop_.store(false, std::memory_order_release);
-  const std::uint32_t handlers =
-      config_.handler_threads > 0 ? config_.handler_threads : 1;
-  handler_threads_.reserve(handlers);
-  for (std::uint32_t i = 0; i < handlers; ++i) {
+  handler_threads_.reserve(kHandlerThreads);
+  for (std::size_t i = 0; i < kHandlerThreads; ++i) {
     handler_threads_.emplace_back([this] { handler_loop(); });
   }
   accept_thread_ = std::thread([this] { accept_loop(); });
@@ -220,7 +227,7 @@ void TelemetryServer::accept_loop() {
     bool shed = false;
     {
       util::MutexLock lock(queue_mu_);
-      if (pending_.size() >= config_.max_pending_connections) {
+      if (pending_.size() >= kMaxPendingConnections) {
         shed = true;  // every handler busy and the backlog full
       } else {
         pending_.push_back(client);
@@ -254,19 +261,39 @@ void TelemetryServer::handler_loop() {
 
 void TelemetryServer::serve_connection(int fd) const {
   set_io_timeouts(fd, config_.io_timeout_seconds);
+  // One deadline for the whole head: SO_RCVTIMEO alone restarts on
+  // every byte, so a peer trickling one byte per second could hold this
+  // handler for hours.
+  const std::uint64_t deadline_ns =
+      detail::monotonic_ns() +
+      static_cast<std::uint64_t>(
+          std::max(config_.io_timeout_seconds, 0.0) * 1e9);
   std::string request;
   char buf[1024];
   bool complete = false;
   bool oversize = false;
-  while (request.size() <= config_.max_request_bytes) {
-    const ssize_t n = ::recv(fd, buf, sizeof(buf), 0);
-    if (n <= 0) break;  // EOF, timeout or error: serve what we have
+  while (request.size() <= kMaxRequestBytes) {
+    const std::uint64_t now_ns = detail::monotonic_ns();
+    if (now_ns >= deadline_ns) break;  // serve what we have
+    pollfd pfd{};
+    pfd.fd = fd;
+    pfd.events = POLLIN;
+    const auto wait_ms =
+        static_cast<int>((deadline_ns - now_ns + 999'999) / 1'000'000);
+    const int ready = ::poll(&pfd, 1, wait_ms);
+    if (ready < 0 && errno == EINTR) continue;
+    if (ready <= 0) break;  // deadline or error
+    const ssize_t n = ::recv(fd, buf, sizeof(buf), MSG_DONTWAIT);
+    if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK || errno == EINTR)) {
+      continue;
+    }
+    if (n <= 0) break;  // EOF or error: serve what we have
     request.append(buf, static_cast<std::size_t>(n));
     if (request.find("\r\n\r\n") != std::string::npos) {
       complete = true;
       break;
     }
-    if (request.size() > config_.max_request_bytes) {
+    if (request.size() > kMaxRequestBytes) {
       oversize = true;
       break;
     }
@@ -465,5 +492,3 @@ std::string fetch_local(std::uint16_t port, std::string_view target,
 }
 
 }  // namespace lfo::obs
-
-#endif  // LFO_METRICS_ENABLED

@@ -8,7 +8,6 @@
 #include <string>
 #include <string_view>
 #include <thread>
-#include <utility>
 #include <vector>
 
 #include "obs/flight_recorder.hpp"
@@ -53,31 +52,23 @@ struct TelemetryServerConfig {
   /// /stats and /vars serve. It must keep each kind's names sorted. Null
   /// serves the registry alone.
   std::function<void(MetricsSnapshot&)> collect = nullptr;
-  /// Hard cap on a request head (start line + headers). Longer requests
-  /// are answered 431 and the connection dropped.
-  std::size_t max_request_bytes = 8192;
-  /// Per-connection socket read/write timeout.
+  /// Deadline for reading a whole request head, counted from the moment
+  /// a handler picks the connection up (a peer that trickles bytes
+  /// cannot extend it), and the socket timeout for each write of the
+  /// response.
   double io_timeout_seconds = 2.0;
-  /// Connection handler threads. Accepted sockets are handed to this
-  /// pool so one stalled scraper cannot block /healthz for everyone
-  /// (head-of-line blocking on the accept thread).
-  std::uint32_t handler_threads = 2;
-  /// Accepted-but-unserved backlog cap. Connections beyond it are
-  /// closed immediately (counted in
-  /// lfo_telemetry_shed_connections_total) rather than queued behind
-  /// stalled peers.
-  std::size_t max_pending_connections = 16;
 };
 
-#if LFO_METRICS_ENABLED
-
 /// Dependency-free HTTP/1.1 telemetry responder over plain POSIX
-/// sockets: one accept thread feeding a small bounded handler pool
-/// (`handler_threads`), `Connection: close` on every response. A peer
-/// that connects and then stalls occupies one handler until the io
-/// timeout; it cannot delay other scrapes — /healthz in particular
-/// stays prompt (tests/test_telemetry_server.cpp locks this down with
-/// a deliberately slow client). Endpoints:
+/// sockets: one accept thread feeding a pool of two handler threads
+/// through a backlog of at most 16 accepted connections (beyond it a
+/// connection is closed at once and counted in
+/// lfo_telemetry_shed_connections_total), `Connection: close` on every
+/// response. A request head is capped at 8 KiB (longer ones get 431). A
+/// peer that connects and then stalls or trickles occupies one handler
+/// until the io deadline; it cannot delay other scrapes — /healthz in
+/// particular stays prompt (tests/test_telemetry_server.cpp locks this
+/// down with deliberately slow clients). Endpoints:
 ///
 ///   GET /metrics            Prometheus text exposition (exporters.cpp)
 ///   GET /stats[?history=N]  JSON snapshot + last N flight frames
@@ -146,37 +137,6 @@ class TelemetryServer {
 /// socket failure.
 std::string fetch_local(std::uint16_t port, std::string_view target,
                         double timeout_seconds = 2.0);
-
-#else  // !LFO_METRICS_ENABLED — no server, no socket code is compiled.
-
-class TelemetryServer {
- public:
-  explicit TelemetryServer(TelemetryServerConfig config)
-      : config_(std::move(config)) {}
-  bool start() {
-    last_error_ = "telemetry server compiled out (LFO_METRICS=OFF)";
-    return false;
-  }
-  void stop() {}
-  bool running() const { return false; }
-  std::uint16_t port() const { return 0; }
-  const std::string& last_error() const { return last_error_; }
-  HttpResponse handle_request_for_test(std::string_view) const {
-    return HttpResponse{503, "text/plain; charset=utf-8",
-                        "telemetry compiled out\n"};
-  }
-
- private:
-  TelemetryServerConfig config_;
-  std::string last_error_;
-};
-
-inline std::string fetch_local(std::uint16_t, std::string_view,
-                               double = 2.0) {
-  return {};
-}
-
-#endif  // LFO_METRICS_ENABLED
 
 }  // namespace lfo::obs
 

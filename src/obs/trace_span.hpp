@@ -68,8 +68,6 @@ class ScopedTimer {
 
 }  // namespace lfo::obs
 
-#if LFO_METRICS_ENABLED
-
 /// Trace the enclosing scope under `name` (a string literal).
 #define LFO_TRACE_SPAN(name) \
   ::lfo::obs::TraceSpan LFO_OBS_CONCAT(lfo_trace_span_, __LINE__)(name)
@@ -81,16 +79,5 @@ class ScopedTimer {
       ::lfo::obs::set_thread_label(label);     \
     }                                          \
   } while (0)
-
-#else
-
-#define LFO_TRACE_SPAN(name) \
-  do {                       \
-  } while (0)
-#define LFO_TRACE_THREAD_LABEL(label) \
-  do {                                \
-  } while (0)
-
-#endif  // LFO_METRICS_ENABLED
 
 #endif  // LFO_OBS_TRACE_SPAN_HPP

@@ -234,10 +234,10 @@ bool LfoServer::start() {
     };
     telemetry_ = std::make_unique<obs::TelemetryServer>(std::move(tconfig));
     if (!telemetry_->start()) {
-      // Telemetry is best-effort (it is compiled out entirely under
-      // LFO_METRICS=OFF); the cache service still serves, so the
-      // failure is reported via telemetry_error(), never last_error()
-      // — a successful start() must leave last_error() empty.
+      // Telemetry is best-effort (its port may fail to bind); the
+      // cache service still serves, so the failure is reported via
+      // telemetry_error(), never last_error() — a successful start()
+      // must leave last_error() empty.
       telemetry_error_ = telemetry_->last_error();
       LFO_COUNTER_INC("lfo_server_telemetry_start_failures_total");
     }

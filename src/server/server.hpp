@@ -65,8 +65,7 @@ struct LfoServerConfig {
   /// next to the serving port. Scrapes read the serving counts
   /// (lfo_server_{requests,hits,expired_hits,bypassed,demoted_hits}_total,
   /// lfo_server_used_bytes) from the cache stats at scrape time. /healthz
-  /// reports 503 while the rollout guard is in fallback. No-op when
-  /// LFO_METRICS=OFF.
+  /// reports 503 while the rollout guard is in fallback.
   bool telemetry = true;
   std::uint16_t telemetry_port = 0;
   obs::FlightRecorder* flight_recorder = nullptr;
@@ -107,7 +106,7 @@ class LfoServer {
   bool running() const { return listen_fd_ >= 0; }
 
   std::uint16_t port() const { return port_; }
-  /// 0 when telemetry is disabled, compiled out, or failed to bind.
+  /// 0 when telemetry is disabled or failed to bind.
   std::uint16_t telemetry_port() const;
   /// Reason start() returned false; empty after a successful start().
   const std::string& last_error() const { return last_error_; }

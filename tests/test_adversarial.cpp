@@ -145,14 +145,12 @@ TEST(AdversarialFlood, GuardFallsBackAtFloodEndAndRecovers) {
             std::string::npos)
       << guarded.windows[17].rollout.reason;
 
-#if LFO_METRICS_ENABLED
   // activated_total also counts the recovery; rejected_total also counts
   // the rejection that triggered the fallback (same as test_rollout.cpp).
   EXPECT_EQ(counter("lfo_rollout_activated_total"), 16u);  // 15 + 1
   EXPECT_EQ(counter("lfo_rollout_rejected_total"), 3u);    // 2 + 1
   EXPECT_EQ(counter("lfo_rollout_fallback_total"), 1u);
   EXPECT_EQ(counter("lfo_rollout_recovered_total"), 1u);
-#endif
 
   // Acceptance gate: guarded >= heuristic-only on the hostile trace.
   const auto heuristic = run_heuristic_baseline(trace);
@@ -208,13 +206,11 @@ TEST(AdversarialInversion, GuardRidesOutChurnAndRecoversOnStableTail) {
   EXPECT_EQ(guarded.windows[19].rollout.decision, RolloutDecision::kActivated);
   EXPECT_EQ(guarded.windows[19].rollout.state, RolloutState::kServing);
 
-#if LFO_METRICS_ENABLED
   EXPECT_EQ(counter("lfo_rollout_activated_total"), 14u);  // 13 + 1
   EXPECT_EQ(counter("lfo_rollout_rejected_total"), 5u);    // 4 + 1
   EXPECT_EQ(counter("lfo_rollout_fallback_total"), 1u);
   EXPECT_EQ(counter("lfo_rollout_recovered_total"), 1u);
   EXPECT_EQ(counter("lfo_models_cleared_total"), 1u);
-#endif
 
   const auto heuristic = run_heuristic_baseline(trace);
   EXPECT_GE(bhr(guarded), bhr(heuristic))

@@ -151,8 +151,6 @@ TEST(FlightRecorder, IntervalCaptureRecordsAndStops) {
   EXPECT_EQ(recorder.total_recorded(), captured);
 }
 
-#if LFO_METRICS_ENABLED
-
 // ------------------------------------------------- windowed-pipeline wiring
 
 TEST(FlightRecorder, RecordsOneFramePerWindowBoundary) {
@@ -303,7 +301,5 @@ TEST(FlightRecorder, TortureTimelineIsReadableFromFrameDeltas) {
     EXPECT_EQ(failures, 15u);
   }
 }
-
-#endif  // LFO_METRICS_ENABLED
 
 }  // namespace

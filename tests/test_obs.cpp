@@ -190,7 +190,6 @@ TEST(Exporters, JsonlSnapshotIsValidSingleLineJson) {
 
 // ------------------------------------------------------------ chrome trace
 
-#if LFO_METRICS_ENABLED
 TEST(ChromeTrace, AsyncRunEmitsBalancedEventsInLabeledLanes) {
   obs::clear_trace();
   obs::set_tracing_enabled(true);
@@ -201,6 +200,13 @@ TEST(ChromeTrace, AsyncRunEmitsBalancedEventsInLabeledLanes) {
   obs::set_tracing_enabled(false);
   ASSERT_FALSE(result.windows.empty());
   ASSERT_GT(obs::recorded_span_count(), 0u);
+  // Tracing is the one instrumentation switch: the untraced run must
+  // make the same decisions, window for window.
+  const auto spans = obs::recorded_span_count();
+  const auto untraced = core::run_windowed_lfo(trace, config);
+  EXPECT_EQ(obs::recorded_span_count(), spans) << "tracing off recorded";
+  EXPECT_TRUE(core::same_decisions(result, untraced))
+      << "tracing changed caching decisions";
 
   std::ostringstream os;
   obs::write_chrome_trace(os);
@@ -273,7 +279,6 @@ TEST(ChromeTrace, AsyncRunEmitsBalancedEventsInLabeledLanes) {
         << "span '" << expected << "' missing from trace";
   }
 }
-#endif  // LFO_METRICS_ENABLED
 
 // ----------------------------------------------------------- model health
 

@@ -27,8 +27,6 @@ namespace {
 using namespace lfo;
 using testutil::parse_http_response;
 
-#if LFO_METRICS_ENABLED
-
 TEST(TelemetryStress, ScrapesParseAndStayMonotoneUnderWriterLoad) {
   constexpr int kWriters = 4;
   constexpr int kScrapes = 40;
@@ -131,7 +129,5 @@ TEST(TelemetryStress, ScrapesParseAndStayMonotoneUnderWriterLoad) {
     }
   }
 }
-
-#endif  // LFO_METRICS_ENABLED
 
 }  // namespace

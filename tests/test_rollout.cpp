@@ -307,7 +307,6 @@ TEST(RolloutPipeline, FlashCrowdWithInjectedFailuresFallsBackAndRecovers) {
   }
   EXPECT_FALSE(guarded.windows[4].rollout.train_failed);
 
-#if LFO_METRICS_ENABLED
   // Every transition surfaced in the metrics registry.
   EXPECT_EQ(counter_value("lfo_rollout_activated_total"), 14u);  // 13 + 1
   EXPECT_EQ(counter_value("lfo_rollout_rejected_total"), 5u);    // 4 + 1
@@ -317,7 +316,6 @@ TEST(RolloutPipeline, FlashCrowdWithInjectedFailuresFallsBackAndRecovers) {
   // 5 failed jobs x (1 first try + 2 retries), all attempts failing.
   EXPECT_EQ(counter_value("lfo_train_failures_total"), 15u);
   EXPECT_EQ(counter_value("lfo_train_retries_total"), 10u);
-#endif
 
   // Acceptance gate: under training failures the guarded pipeline may
   // not do worse than never having a model at all (the heuristic-only

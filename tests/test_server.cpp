@@ -315,16 +315,12 @@ TEST(ServerEquivalence, ShardOwnersMatchPerShardReplaysAtAnyWorkerCount) {
     }
     EXPECT_EQ(lfo_server.cache().stats().requests, trace.size());
     EXPECT_EQ(lfo_server.cache().bypassed(), bypassed);
-#if LFO_METRICS_ENABLED
     // One worker serves every shard inline; more hand groups over.
     if (workers == 1) {
       EXPECT_EQ(handoffs.value(), handoffs_before);
     } else {
       EXPECT_GT(handoffs.value(), handoffs_before);
     }
-#else
-    (void)handoffs_before;
-#endif
     client.close();
     lfo_server.stop();
   }
@@ -342,7 +338,6 @@ TEST(ServerTelemetry, MetricsAndHealthzServeNextToTheCachePort) {
   // A successful start() leaves last_error() empty even if telemetry
   // had trouble — telemetry failures go to telemetry_error() instead.
   EXPECT_TRUE(lfo_server.last_error().empty()) << lfo_server.last_error();
-#if LFO_METRICS_ENABLED
   ASSERT_NE(lfo_server.telemetry_port(), 0) << lfo_server.telemetry_error();
 
   const auto trace = golden_trace("web");
@@ -364,13 +359,9 @@ TEST(ServerTelemetry, MetricsAndHealthzServeNextToTheCachePort) {
       obs::fetch_local(lfo_server.telemetry_port(), "/healthz"));
   ASSERT_TRUE(health.ok);
   EXPECT_EQ(health.status, 200) << "bootstrap must serve as healthy";
-#else
-  EXPECT_EQ(lfo_server.telemetry_port(), 0);
-#endif
   lfo_server.stop();
 }
 
-#if LFO_METRICS_ENABLED
 /// Text of the unlabelled sample `name` in a Prometheus exposition;
 /// empty when the series is absent.
 std::string prometheus_sample(const std::string& text,
@@ -453,7 +444,6 @@ TEST(ServerTelemetry, ScrapeTimeSeriesEqualCacheStats) {
   EXPECT_EQ(hits.body, std::to_string(stats.hits) + "\n");
   lfo_server.stop();
 }
-#endif
 
 TEST(ServerProtocol, OversizedFrameIsCountedAndConnectionClosed) {
   server::LfoServerConfig sconfig;
@@ -532,11 +522,7 @@ TEST(ServerProtocol, UnindexableObjectIdClosesOnlyItsConnection) {
     ASSERT_TRUE(healthy.exchange(trace.window(32, 32), decisions));
     EXPECT_EQ(decisions.size(), 32u);
   }
-#if LFO_METRICS_ENABLED
   EXPECT_EQ(bad_frames.value(), bad_before + 2);
-#else
-  (void)bad_before;
-#endif
 
   // So does a fresh one.
   server::LfoClient fresh;
@@ -587,11 +573,7 @@ TEST(ServerProtocol, InvalidRecordsAreRefusedBeforeAnyShardServesThem) {
     EXPECT_EQ(lfo_server.cache().stats().requests, served_before)
         << "a refused frame reached the cache";
   }
-#if LFO_METRICS_ENABLED
   EXPECT_EQ(bad_frames.value(), bad_before + 2);
-#else
-  (void)bad_before;
-#endif
   ASSERT_TRUE(healthy.exchange(trace.window(16, 16), decisions));
   EXPECT_EQ(decisions.size(), 16u);
   EXPECT_EQ(lfo_server.cache().stats().requests, served_before + 16);

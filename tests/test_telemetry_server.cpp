@@ -9,6 +9,7 @@
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
+#include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -34,8 +35,6 @@ using namespace lfo;
 using testutil::JsonParser;
 using testutil::JsonValue;
 using testutil::parse_http_response;
-
-#if LFO_METRICS_ENABLED
 
 // ------------------------------------------------------- request routing
 
@@ -161,6 +160,37 @@ TEST(TelemetryRouting, StatsHistoryServesRecorderFrames) {
 
 // --------------------------------------------------- live socket round-trip
 
+/// Blocking loopback connection to `port`; -1 on failure.
+int connect_loopback(std::uint16_t port) {
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  if (fd < 0) return -1;
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  addr.sin_port = htons(port);
+  if (::connect(fd, reinterpret_cast<const sockaddr*>(&addr),
+                sizeof(addr)) != 0) {
+    ::close(fd);
+    return -1;
+  }
+  return fd;
+}
+
+/// True once the server has answered on `fd` or closed it: readable
+/// with data, EOF, or reset.
+bool answered_or_closed(int fd, int wait_ms) {
+  pollfd pfd{};
+  pfd.fd = fd;
+  pfd.events = POLLIN;
+  return ::poll(&pfd, 1, wait_ms) > 0;
+}
+
+double seconds_since(std::chrono::steady_clock::time_point start) {
+  return std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                       start)
+      .count();
+}
+
 TEST(TelemetryServer, ServesOverLoopbackAndStopsCleanly) {
   obs::TelemetryServer server({});
   ASSERT_TRUE(server.start()) << server.last_error();
@@ -216,20 +246,12 @@ TEST(TelemetryServer, ServesOverLoopbackAndStopsCleanly) {
 TEST(TelemetryServer, SlowClientDoesNotBlockHealthz) {
   obs::TelemetryServerConfig config;
   config.io_timeout_seconds = 5.0;  // stalled client pins a handler 5s
-  config.handler_threads = 2;
   obs::TelemetryServer server(std::move(config));
   ASSERT_TRUE(server.start()) << server.last_error();
 
   // A client that sends half a request head and then goes silent.
-  const int slow = ::socket(AF_INET, SOCK_STREAM, 0);
+  const int slow = connect_loopback(server.port());
   ASSERT_GE(slow, 0);
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  addr.sin_port = htons(server.port());
-  ASSERT_EQ(::connect(slow, reinterpret_cast<const sockaddr*>(&addr),
-                      sizeof(addr)),
-            0);
   const std::string partial = "GET /metrics HTTP/1.1\r\n";  // no blank line
   ASSERT_EQ(::send(slow, partial.data(), partial.size(), 0),
             static_cast<ssize_t>(partial.size()));
@@ -239,9 +261,7 @@ TEST(TelemetryServer, SlowClientDoesNotBlockHealthz) {
   const auto before = std::chrono::steady_clock::now();
   const auto health =
       parse_http_response(obs::fetch_local(server.port(), "/healthz"));
-  const double elapsed =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - before)
-          .count();
+  const double elapsed = seconds_since(before);
   ASSERT_TRUE(health.ok) << "healthz did not answer behind a slow client";
   EXPECT_EQ(health.status, 200);
   EXPECT_LT(elapsed, 2.0) << "/healthz waited behind the stalled client";
@@ -250,12 +270,92 @@ TEST(TelemetryServer, SlowClientDoesNotBlockHealthz) {
   server.stop();
 }
 
-TEST(TelemetryServer, OversizedRequestHeadGets431) {
+// Regression: the io timeout used to be SO_RCVTIMEO, which restarts on
+// every recv, so a peer trickling one byte at a time held a handler for
+// as long as it kept trickling (an 8 KiB head at 1 byte/s: ~2.3 h). The
+// timeout is now one deadline for the whole request head.
+TEST(TelemetryServer, TricklingClientIsCutOffAtTheHeadDeadline) {
   obs::TelemetryServerConfig config;
-  config.max_request_bytes = 512;
+  config.io_timeout_seconds = 0.5;
   obs::TelemetryServer server(std::move(config));
   ASSERT_TRUE(server.start()) << server.last_error();
-  const std::string huge_target(2048, 'a');
+
+  const int slow = connect_loopback(server.port());
+  ASSERT_GE(slow, 0);
+  // A head that never ends, one byte every 0.2 s, for up to 4 s.
+  const std::string head = "GET /metrics HTTP/1.1\r\nX-Slow: aaaaaaaaaa";
+  const auto start = std::chrono::steady_clock::now();
+  bool cut_off = false;
+  for (std::size_t i = 0; i < 20 && !cut_off; ++i) {
+    ::send(slow, head.data() + (i % head.size()), 1, MSG_NOSIGNAL);
+    cut_off = answered_or_closed(slow, 200);
+  }
+  const double elapsed = seconds_since(start);
+  ASSERT_TRUE(cut_off) << "a trickling client held its handler for "
+                       << elapsed << " s";
+  EXPECT_LT(elapsed, 1.5) << "head deadline is 0.5 s";
+  char buf[256];
+  const ssize_t n = ::recv(slow, buf, sizeof(buf), 0);
+  if (n > 0) {
+    EXPECT_EQ(std::string(buf, static_cast<std::size_t>(n)).rfind(
+                  "HTTP/1.1 400 ", 0),
+              0u);
+  }
+  ::close(slow);
+  server.stop();
+}
+
+// The accept thread hands connections to 2 handlers through a backlog of
+// at most 16; a connection past both is closed at once and counted.
+TEST(TelemetryServer, ConnectionPastAFullBacklogIsShedAndCounted) {
+  constexpr std::size_t kHandlers = 2;
+  constexpr std::size_t kBacklog = 16;
+  auto& shed = obs::MetricsRegistry::instance().counter(
+      "lfo_telemetry_shed_connections_total");
+  obs::TelemetryServerConfig config;
+  config.io_timeout_seconds = 5.0;  // stalled peers hold handlers 5 s
+  obs::TelemetryServer server(std::move(config));
+  ASSERT_TRUE(server.start()) << server.last_error();
+  const auto shed_before = shed.value();
+
+  // Closed before the server stops (declared after it), which frees the
+  // handlers, so stop() is prompt on every exit path.
+  struct Sockets {
+    std::vector<int> fds;
+    ~Sockets() {
+      for (const int fd : fds) ::close(fd);
+    }
+  } stalled;
+  const auto open_stalled = [&](std::size_t count) {
+    for (std::size_t i = 0; i < count; ++i) {
+      const int fd = connect_loopback(server.port());
+      ASSERT_GE(fd, 0);
+      stalled.fds.push_back(fd);
+    }
+  };
+  open_stalled(kHandlers);
+  // Let both handlers pick their stalled connection up.
+  std::this_thread::sleep_for(std::chrono::milliseconds(300));
+  open_stalled(kBacklog);
+  // Let the accept thread queue the backlog.
+  std::this_thread::sleep_for(std::chrono::milliseconds(300));
+  EXPECT_EQ(shed.value(), shed_before) << "shed before the backlog filled";
+
+  const int extra = connect_loopback(server.port());
+  ASSERT_GE(extra, 0);
+  stalled.fds.push_back(extra);
+  const auto start = std::chrono::steady_clock::now();
+  ASSERT_TRUE(answered_or_closed(extra, 2000));
+  char byte = 0;
+  EXPECT_LE(::recv(extra, &byte, 1, 0), 0) << "shed connection got data";
+  EXPECT_LT(seconds_since(start), 1.0) << "shed connection was not closed";
+  EXPECT_EQ(shed.value(), shed_before + 1);
+}
+
+TEST(TelemetryServer, OversizedRequestHeadGets431) {
+  obs::TelemetryServer server({});
+  ASSERT_TRUE(server.start()) << server.last_error();
+  const std::string huge_target(10000, 'a');  // head cap is 8 KiB
   const auto parts = parse_http_response(
       obs::fetch_local(server.port(), "/" + huge_target));
   ASSERT_TRUE(parts.ok);
@@ -449,20 +549,5 @@ TEST(TelemetrySession, WireChainsTheCallersHook) {
   config.window_hook(report);
   EXPECT_EQ(calls, 1) << "caller's hook must still run after wire()";
 }
-
-#else  // !LFO_METRICS_ENABLED
-
-TEST(TelemetryServer, CompiledOutStubRefusesToStart) {
-  obs::TelemetryServer server({});
-  EXPECT_FALSE(server.start());
-  EXPECT_FALSE(server.running());
-  EXPECT_EQ(server.port(), 0);
-  EXPECT_FALSE(server.last_error().empty());
-  EXPECT_EQ(server.handle_request_for_test("GET / HTTP/1.1\r\n\r\n").status,
-            503);
-  EXPECT_TRUE(obs::fetch_local(1, "/metrics").empty());
-}
-
-#endif  // LFO_METRICS_ENABLED
 
 }  // namespace

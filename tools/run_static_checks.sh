@@ -14,18 +14,16 @@
 #      pool, concurrent const feature extraction, telemetry scrapes under
 #      writer load, and the cache server's cross-worker frame dispatch)
 #      under ThreadSanitizer.
-#   3. obs gate: build with -DLFO_METRICS=ON and =OFF, run tier1 under
-#      both, and diff the golden-trace decision counts across the two
-#      builds — instrumentation must be provably decision-neutral even
-#      when compiled out. Then tools/obs_smoke.sh drives the live
-#      telemetry endpoints (/metrics, /stats, /healthz, /vars, malformed
-#      requests) against the example binary from outside the process.
-#   4. fault gate: Release build, then `ctest -L faults` — the rollout
+#   3. obs gate: Release build of every test, tier1 on it, then
+#      tools/obs_smoke.sh drives the live telemetry endpoints (/metrics,
+#      /stats, /healthz, /vars, malformed requests) against the example
+#      binary from outside the process.
+#   4. fault gate: `ctest -L faults` on the Release tree — the rollout
 #      guard under injected training failures on the golden flash-crowd
 #      generator (fallback + recovery, BHR >= heuristic-only baseline,
 #      inline-vs-pooled training determinism with faults, and
 #      guarded-vs-unguarded decision identity when no fault fires).
-#   5. perf smoke: Release build, then `ctest -L perfsmoke` — the
+#   5. perf smoke: `ctest -L perfsmoke` on the Release tree — the
 #      flat-forest-vs-tree-walk golden decision diff and the
 #      instrumented-operator-new zero-allocation hot-path test, whose
 #      strict assertions only arm in optimized unsanitized builds.
@@ -38,7 +36,7 @@
 #      thread-safety preset, after first proving the analysis is armed
 #      on a known-good / known-bad fixture pair (skipped with a warning
 #      when clang++ is not installed).
-#   8. server smoke: Release build of bench_server, then
+#   8. server smoke: bench_server from the Release tree, then
 #      tools/server_smoke.sh — boots the sharded lfo::server front end in
 #      --linger mode, replays a trace through the closed-loop client,
 #      scrapes the mounted /metrics + /healthz from outside, pushes one
@@ -48,6 +46,9 @@
 #      LFO_CHECK arguments, obs metric-name conventions, no aborting
 #      checks in LFO_ENDPOINT_HANDLER bodies) over src/, plus its
 #      fixture self-test.
+#
+# Stages 3, 4, 5 and 8 share one Release tree, build-release/; each
+# builds only the targets it runs, so any of them can be skipped.
 #
 # Exits non-zero on the first failing stage.
 #
@@ -86,6 +87,19 @@ JOBS="$(nproc 2>/dev/null || echo 2)"
 
 banner() { printf '\n=== %s ===\n' "$*"; }
 
+# Build targets in the shared Release tree, configuring it on first use.
+RELEASE_DIR=build-release
+RELEASE_CONFIGURED=0
+release_build() {
+  if [[ "$RELEASE_CONFIGURED" -eq 0 ]]; then
+    cmake -S . -B "$RELEASE_DIR" -DCMAKE_BUILD_TYPE=Release
+    RELEASE_CONFIGURED=1
+  fi
+  local targets=()
+  for target in "$@"; do targets+=(--target "$target"); done
+  cmake --build "$RELEASE_DIR" "${targets[@]}" -j "$JOBS"
+}
+
 if [[ "$SKIP_ASAN" -eq 0 ]]; then
   banner "asan-ubsan: configure + build tests"
   cmake --preset asan-ubsan
@@ -107,57 +121,32 @@ if [[ "$SKIP_TSAN" -eq 0 ]]; then
 fi
 
 if [[ "$SKIP_OBS" -eq 0 ]]; then
-  for mode in on off; do
-    flag=OFF
-    [[ "$mode" == on ]] && flag=ON
-    banner "obs: LFO_METRICS=$flag configure + build + tier1"
-    cmake -S . -B "build-obs-$mode" -DCMAKE_BUILD_TYPE=Release \
-          -DLFO_METRICS="$flag"
-    cmake --build "build-obs-$mode" --target lfo_tests -j "$JOBS"
-    ctest --test-dir "build-obs-$mode" -L tier1 --output-on-failure \
-          -j "$JOBS"
-  done
-  banner "obs: golden decisions must match across LFO_METRICS=ON/OFF"
-  GOLDEN_TMP="$(mktemp -d)"
-  trap 'rm -rf "$GOLDEN_TMP"' EXIT
-  for mode in on off; do
-    LFO_UPDATE_GOLDEN=1 "./build-obs-$mode/tests/test_golden_traces" \
-        --gtest_filter='*PrintCurrentValues*' \
-        | sed -n '/constexpr Scenario kGolden/,/^};/p' \
-        > "$GOLDEN_TMP/golden-$mode.txt"
-    [[ -s "$GOLDEN_TMP/golden-$mode.txt" ]] \
-        || { echo "obs gate: empty golden dump for $mode" >&2; exit 1; }
-  done
-  diff -u "$GOLDEN_TMP/golden-on.txt" "$GOLDEN_TMP/golden-off.txt" \
-      || { echo "obs gate: instrumentation changed golden decisions" >&2
-           exit 1; }
-  echo "obs gate: golden decision counts identical across ON/OFF"
-
+  banner "obs: Release build + tier1"
+  release_build lfo_tests cdn_server_simulation
+  ctest --test-dir "$RELEASE_DIR" -L tier1 --output-on-failure -j "$JOBS"
   banner "obs: live telemetry endpoint smoke (tools/obs_smoke.sh)"
-  cmake --build build-obs-on --target cdn_server_simulation -j "$JOBS"
-  tools/obs_smoke.sh ./build-obs-on/examples/cdn_server_simulation
+  tools/obs_smoke.sh "./$RELEASE_DIR/examples/cdn_server_simulation"
 fi
 
 if [[ "$SKIP_FAULTS" -eq 0 ]]; then
   banner "fault gate: Release build + ctest -L faults"
-  cmake -S . -B build-faults -DCMAKE_BUILD_TYPE=Release
-  cmake --build build-faults --target test_rollout -j "$JOBS"
+  # Every target labeled "faults" in tests/CMakeLists.txt.
+  release_build test_rollout test_adversarial test_flight_recorder \
+                test_telemetry_server
   # Injected training failures (WindowedConfig::train_fault) must drive
   # the rollout guard through fallback and recovery deterministically,
   # keep BHR at or above the heuristic-only baseline, and — with no
   # faults — leave decisions bitwise-identical to an unguarded run.
-  ctest --test-dir build-faults -L faults --output-on-failure -j "$JOBS"
+  ctest --test-dir "$RELEASE_DIR" -L faults --output-on-failure -j "$JOBS"
 fi
 
 if [[ "$SKIP_PERF" -eq 0 ]]; then
   banner "perf smoke: Release build + ctest -L perfsmoke"
-  cmake -S . -B build-perf -DCMAKE_BUILD_TYPE=Release
-  cmake --build build-perf --target test_flat_forest \
-        --target test_hotpath_alloc -j "$JOBS"
+  release_build test_flat_forest test_hotpath_alloc
   # Strict gates: the flat engine must be decision-identical to the tree
   # walk and the warm serving path must perform zero heap allocations
   # (NDEBUG + no sanitizer arms the EXPECT_EQ(delta, 0) assertions).
-  ctest --test-dir build-perf -L perfsmoke --output-on-failure -j "$JOBS"
+  ctest --test-dir "$RELEASE_DIR" -L perfsmoke --output-on-failure -j "$JOBS"
 fi
 
 if [[ "$SKIP_TIDY" -eq 0 ]]; then
@@ -211,9 +200,8 @@ fi
 
 if [[ "$SKIP_SERVER" -eq 0 ]]; then
   banner "server smoke: Release bench_server + tools/server_smoke.sh"
-  cmake -S . -B build-perf -DCMAKE_BUILD_TYPE=Release
-  cmake --build build-perf --target bench_server -j "$JOBS"
-  tools/server_smoke.sh ./build-perf/bench/bench_server
+  release_build bench_server
+  tools/server_smoke.sh "./$RELEASE_DIR/bench/bench_server"
 fi
 
 if [[ "$SKIP_LINT" -eq 0 ]]; then
