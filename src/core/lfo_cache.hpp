@@ -74,6 +74,11 @@ class LfoCache : public cache::CachePolicy {
   double cutoff() const { return cutoff_; }
   void set_cutoff(double cutoff) { cutoff_ = cutoff; }
 
+  /// The per-object request history the gap features come from.
+  const features::HistoryTable& history() const {
+    return extractor_.history();
+  }
+
   /// Number of admissions declined by the predictor (diagnostics).
   std::uint64_t bypassed() const { return bypassed_; }
   /// Number of hits whose re-evaluation dropped the object below the

@@ -43,17 +43,31 @@ struct FeatureConfig {
 };
 
 /// Tracks per-object request-time history, providing the gap features.
-/// The representation is dense: a vector indexed by object id, so memory
-/// grows with the largest id seen, not with the number of distinct
-/// objects; only recorded ids get a ring buffer.
+///
+/// The store is compact, so memory follows the number of distinct
+/// objects and their depth, never the values of their ids (paper §2.2:
+/// most objects see few requests):
+///  - Slots: one open-addressing table (linear probing, power-of-two
+///    size, load <= 1/2) of 16-byte slots holding an object's id, the
+///    offset of its ring, the ring's head and its count. A slot is
+///    occupied when its count is nonzero, so every 64-bit id is an
+///    ordinary key. Ids are mixed with a per-table seed drawn at
+///    construction, so a client cannot pick ids that share one probe
+///    chain; where an id lands never affects its gaps.
+///  - Rings: timestamps live in per-class slabs whose blocks hold 1, 2,
+///    4, ... timestamps, capped at num_gaps; a ring's class follows
+///    from its count. A full ring below num_gaps moves up one class,
+///    and its old block goes on that class's free list for reuse. A
+///    one-hit object costs one slot plus one timestamp.
 class HistoryTable {
  public:
+  /// Hash seed drawn from std::random_device.
   explicit HistoryTable(std::uint32_t num_gaps = 50);
+  /// A given hash seed (for tests that need known probe chains).
+  HistoryTable(std::uint32_t num_gaps, std::uint64_t seed);
 
   /// Record that `object` was requested at logical time `time` (a request
-  /// counter). Call after extracting features for the request. Throws
-  /// std::length_error for an id at or above the table's max_size(); the
-  /// existing histories are left untouched.
+  /// counter). Call after extracting features for the request.
   void record(trace::ObjectId object, std::uint64_t time);
 
   /// Number of recorded past requests for this object (capped).
@@ -68,22 +82,43 @@ class HistoryTable {
   void clear();
 
   /// Number of tracked objects (for memory accounting).
-  std::size_t tracked_objects() const;
+  std::size_t tracked_objects() const { return tracked_; }
 
-  /// Approximate bytes used per tracked object (the paper quotes 208 B
-  /// for the naive representation).
+  /// Bytes the store holds: the slot table plus every ring slab, free
+  /// blocks and growth slack included.
+  std::size_t bytes() const;
+
+  /// bytes() / tracked_objects(), 0 when nothing is tracked (the paper
+  /// quotes 208 B for the naive representation).
   std::size_t bytes_per_object() const;
 
  private:
-  struct ObjectHistory {
-    // Circular buffer of the most recent request times, newest last.
-    std::vector<std::uint64_t> times;
-    std::uint32_t head = 0;   // index of oldest entry
-    std::uint32_t count = 0;  // valid entries
+  struct Slot {
+    trace::ObjectId key;
+    std::uint32_t offset;  ///< first timestamp of the ring in its slab
+    std::uint16_t head;    ///< oldest timestamp; nonzero only once wrapped
+    std::uint16_t count;   ///< timestamps held; 0 marks an empty slot
   };
 
-  std::uint32_t capacity_;
-  std::vector<ObjectHistory> table_;  // dense, indexed by object id
+  std::size_t home(trace::ObjectId object) const;
+  /// The object's slot, or the empty slot where it would go.
+  std::size_t probe(trace::ObjectId object) const;
+  void grow_slots();
+  std::uint32_t class_of(std::uint32_t count) const;
+  std::uint32_t class_size(std::uint32_t cls) const;
+  /// A free block of class `cls`: reused from the free list, or carved
+  /// from the end of the slab. Throws std::length_error rather than let
+  /// an offset pass the range of Slot::offset.
+  std::uint32_t allocate(std::uint32_t cls);
+  void release(std::uint32_t cls, std::uint32_t offset);
+
+  std::uint32_t capacity_;  // num_gaps
+  std::uint32_t top_;       // class of the full num_gaps ring
+  std::uint64_t seed_;
+  std::vector<Slot> slots_;
+  std::size_t tracked_ = 0;
+  std::vector<std::vector<std::uint64_t>> slabs_;  // per class
+  std::vector<std::uint32_t> free_;  // per class: first free block
 };
 
 /// Caller-owned working memory for FeatureExtractor::extract. Holding the

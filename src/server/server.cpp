@@ -95,6 +95,10 @@ void append_serving_series(const ShardedLfoCache& cache,
   snap.counters.push_back({"lfo_server_requests_total", stats.requests});
   snap.gauges.push_back(
       {"lfo_server_used_bytes", static_cast<double>(cache.used_bytes())});
+  snap.gauges.push_back({"lfo_server_history_objects",
+                         static_cast<double>(cache.history_objects())});
+  snap.gauges.push_back({"lfo_server_history_bytes",
+                         static_cast<double>(cache.history_bytes())});
   const auto by_name = [](const auto& a, const auto& b) {
     return a.name < b.name;
   };
@@ -333,9 +337,10 @@ void LfoServer::drain_inbox(Owner& self) {
 
 void LfoServer::serve_part(std::uint32_t owner, Frame& frame) {
   const auto stride = static_cast<std::uint32_t>(owners_.size());
-  // A request the cache cannot take (an id the history table cannot
-  // index) throws; it makes the whole frame bad, and never ends the
-  // worker that happens to own its shard.
+  // A request the cache cannot take throws (std::bad_alloc when memory
+  // runs out, std::length_error when a history slab runs out of
+  // offsets); it makes the whole frame bad, and never ends the worker
+  // that happens to own its shard.
   try {
     for (std::uint32_t s = owner; s < cache_.num_shards(); s += stride) {
       const auto group = frame.group(s);

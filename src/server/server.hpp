@@ -26,7 +26,8 @@ namespace lfo::server {
 /// malformed, and so is one carrying a record trace::valid_record()
 /// rejects (size 0, or a negative or non-finite cost) — that frame is
 /// refused before any of it is served — or a request the cache cannot
-/// take (an object id the history table cannot index). The server counts
+/// take (it threw, e.g. std::bad_alloc). Every 64-bit object id is an
+/// ordinary id. The server counts
 /// it (lfo_server_bad_frames_total) and closes the connection. Clients
 /// pipeline at batch granularity — one frame in flight per connection
 /// (closed loop).
@@ -64,8 +65,9 @@ struct LfoServerConfig {
   /// Mount the obs::TelemetryServer (/metrics, /stats, /healthz, ...)
   /// next to the serving port. Scrapes read the serving counts
   /// (lfo_server_{requests,hits,expired_hits,bypassed,demoted_hits}_total,
-  /// lfo_server_used_bytes) from the cache stats at scrape time. /healthz
-  /// reports 503 while the rollout guard is in fallback.
+  /// lfo_server_used_bytes) and the history gauges
+  /// (lfo_server_history_{objects,bytes}) from the cache at scrape time.
+  /// /healthz reports 503 while the rollout guard is in fallback.
   bool telemetry = true;
   std::uint16_t telemetry_port = 0;
   obs::FlightRecorder* flight_recorder = nullptr;

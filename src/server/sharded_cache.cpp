@@ -3,18 +3,21 @@
 #include <utility>
 
 #include "util/check.hpp"
+#include "util/rng.hpp"
 
 namespace lfo::server {
 
 namespace {
 
-/// splitmix64 finalizer: a strong deterministic mix so dense generator
-/// ids (0..N-1) spread evenly across shards instead of striping.
-std::uint64_t mix64(std::uint64_t x) {
-  x += 0x9e3779b97f4a7c15ULL;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-  return x ^ (x >> 31);
+/// Sum of `value(cache)` over the shards, each read under its lock.
+template <typename Shards, typename Value>
+std::uint64_t sum_shards(const Shards& shards, Value value) {
+  std::uint64_t total = 0;
+  for (const auto& shard : shards) {
+    util::MutexLock lock(shard->mu);
+    total += value(shard->cache);
+  }
+  return total;
 }
 
 /// One request on a shard's cache, whose lock the caller holds.
@@ -48,7 +51,9 @@ ShardedLfoCache::ShardedLfoCache(ShardedCacheConfig config)
 LFO_HOT_PATH std::uint32_t ShardedLfoCache::shard_of(
     trace::ObjectId object) const {
   if (shards_.size() == 1) return 0;
-  return static_cast<std::uint32_t>(mix64(object) % shards_.size());
+  // Seed-free, so dense generator ids spread evenly across shards
+  // instead of striping, and every process routes an id alike.
+  return static_cast<std::uint32_t>(util::mix64(object) % shards_.size());
 }
 
 LFO_HOT_PATH AccessResult ShardedLfoCache::access(
@@ -117,30 +122,30 @@ cache::CacheStats ShardedLfoCache::stats() const {
 }
 
 std::uint64_t ShardedLfoCache::bypassed() const {
-  std::uint64_t total = 0;
-  for (const auto& shard : shards_) {
-    util::MutexLock lock(shard->mu);
-    total += shard->cache.bypassed();
-  }
-  return total;
+  return sum_shards(shards_,
+                    [](const core::LfoCache& c) { return c.bypassed(); });
 }
 
 std::uint64_t ShardedLfoCache::demoted_hits() const {
-  std::uint64_t total = 0;
-  for (const auto& shard : shards_) {
-    util::MutexLock lock(shard->mu);
-    total += shard->cache.demoted_hits();
-  }
-  return total;
+  return sum_shards(shards_,
+                    [](const core::LfoCache& c) { return c.demoted_hits(); });
 }
 
 std::uint64_t ShardedLfoCache::used_bytes() const {
-  std::uint64_t total = 0;
-  for (const auto& shard : shards_) {
-    util::MutexLock lock(shard->mu);
-    total += shard->cache.used_bytes();
-  }
-  return total;
+  return sum_shards(shards_,
+                    [](const core::LfoCache& c) { return c.used_bytes(); });
+}
+
+std::uint64_t ShardedLfoCache::history_objects() const {
+  return sum_shards(shards_, [](const core::LfoCache& c) {
+    return c.history().tracked_objects();
+  });
+}
+
+std::uint64_t ShardedLfoCache::history_bytes() const {
+  return sum_shards(shards_, [](const core::LfoCache& c) {
+    return c.history().bytes();
+  });
 }
 
 void ShardedLfoCache::clear() {

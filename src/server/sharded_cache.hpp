@@ -66,7 +66,8 @@ struct AccessResult {
 ///    can briefly serve different models — same situation as two CDN
 ///    front-end processes mid-deploy, and harmless because decisions
 ///    are per-request).
-///  - stats()/bypassed()/demoted_hits()/used_bytes() merge shard-locals
+///  - stats()/bypassed()/demoted_hits()/used_bytes()/history_objects()/
+///    history_bytes() merge shard-locals
 ///    on read, taking each shard lock in turn. They are the single
 ///    source of the serving counts: nothing on the access path mirrors
 ///    them, and the server exports them at scrape time.
@@ -125,6 +126,10 @@ class ShardedLfoCache {
   std::uint64_t demoted_hits() const;
   std::uint64_t used_bytes() const;
   std::uint64_t capacity() const { return config_.capacity; }
+  /// Tracked feature histories and the bytes their stores hold
+  /// (features::HistoryTable::bytes()), merged like used_bytes().
+  std::uint64_t history_objects() const;
+  std::uint64_t history_bytes() const;
 
   /// Drop every shard's cached objects and feature history.
   void clear();

@@ -67,6 +67,15 @@ class Rng {
 /// splitmix64 step; exposed because seeding helpers elsewhere use it.
 std::uint64_t splitmix64(std::uint64_t& state);
 
+/// The splitmix64 finalizer as a pure function of its input: a strong
+/// mix that spreads dense ids (0..N-1) evenly over hash buckets.
+constexpr std::uint64_t mix64(std::uint64_t x) {
+  x += 0x9e3779b97f4a7c15ULL;
+  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
+  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
+  return x ^ (x >> 31);
+}
+
 }  // namespace lfo::util
 
 #endif  // LFO_UTIL_RNG_HPP

@@ -1,13 +1,17 @@
 #include <gtest/gtest.h>
 
+#include <deque>
 #include <limits>
+#include <map>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "features/dataset_builder.hpp"
 #include "features/features.hpp"
 #include "opt/opt.hpp"
 #include "trace/generator.hpp"
+#include "util/rng.hpp"
 
 namespace lfo::features {
 namespace {
@@ -95,33 +99,141 @@ TEST(HistoryTable, UnknownObjectAllMissing) {
 
 TEST(HistoryTable, ClearAndAccounting) {
   HistoryTable h(50);
+  EXPECT_EQ(h.bytes_per_object(), 0u);
   h.record(1, 1);
   h.record(2, 2);
   EXPECT_EQ(h.tracked_objects(), 2u);
   // The paper quotes ~208 bytes/object for the naive representation; ours
   // should be the same order of magnitude.
-  EXPECT_GE(h.bytes_per_object(), 50u * 8u);
+  EXPECT_EQ(h.bytes_per_object(), h.bytes() / 2);
   EXPECT_LE(h.bytes_per_object(), 1024u);
   h.clear();
   EXPECT_EQ(h.tracked_objects(), 0u);
+  EXPECT_EQ(h.bytes_per_object(), 0u);
 }
 
-// Regression: record(2^64-1) used to resize the dense table to
-// object + 1 == 0 and then write out of bounds.
-TEST(HistoryTable, MaxObjectIdThrowsAndKeepsHistories) {
+// Every 64-bit id is an ordinary key: 0 and 2^64-1 included (the dense
+// table once wrapped resize(2^64) to 0), and 2^40 costs one slot, not a
+// 2^40-entry table.
+TEST(HistoryTable, ExtremeIdsKeepIndependentGaps) {
+  constexpr auto kMax = std::numeric_limits<trace::ObjectId>::max();
+  constexpr trace::ObjectId kIds[] = {0, trace::ObjectId{1} << 40, kMax};
   HistoryTable h(4);
-  h.record(7, 10);
-  h.record(7, 13);
-  EXPECT_THROW(h.record(std::numeric_limits<trace::ObjectId>::max(), 20),
-               std::length_error);
-  EXPECT_EQ(h.tracked_objects(), 1u);
-  EXPECT_EQ(h.depth(7), 2u);
+  std::uint64_t t = 0;
+  for (int round = 0; round < 3; ++round) {
+    for (std::size_t i = 0; i < 3; ++i) h.record(kIds[i], t += i + 1);
+  }
+  h.record(kMax, t += 10);
+  EXPECT_EQ(h.tracked_objects(), 3u);
+  EXPECT_EQ(h.depth(0), 3u);
+  EXPECT_EQ(h.depth(kIds[1]), 3u);
+  EXPECT_EQ(h.depth(kMax), 4u);
+  EXPECT_EQ(h.depth(kMax - 1), 0u);
+  // Times: 0 -> 1, 7, 13; 2^40 -> 3, 9, 15; 2^64-1 -> 6, 12, 18, 28.
   std::vector<float> gaps(4);
-  h.gaps(7, 26, gaps, -1.0f);
-  EXPECT_FLOAT_EQ(gaps[0], 13.0f);  // 26 - 13
-  EXPECT_FLOAT_EQ(gaps[1], 3.0f);   // 13 - 10
-  h.record(7, 30);  // the table keeps working after the refusal
-  EXPECT_EQ(h.depth(7), 3u);
+  h.gaps(0, 30, gaps, -1.0f);
+  EXPECT_EQ(gaps, (std::vector<float>{17, 6, 6, -1}));
+  h.gaps(kIds[1], 30, gaps, -1.0f);
+  EXPECT_EQ(gaps, (std::vector<float>{15, 6, 6, -1}));
+  h.gaps(kMax, 30, gaps, -1.0f);
+  EXPECT_EQ(gaps, (std::vector<float>{2, 10, 6, 6}));
+  EXPECT_LE(h.bytes(), 1024u);
+}
+
+/// Inverse of util::mix64, so a test can pick ids whose hash it knows.
+std::uint64_t unmix64(std::uint64_t x) {
+  auto inverse = [](std::uint64_t m) {  // m * inverse(m) == 1 mod 2^64
+    std::uint64_t inv = m;
+    for (int i = 0; i < 6; ++i) inv *= 2 - m * inv;
+    return inv;
+  };
+  auto unshift = [](std::uint64_t y, int s) {  // inverts y ^= y >> s
+    for (int done = s; done < 64; done += s) y ^= y >> done;
+    return y;
+  };
+  x = unshift(x, 31);
+  x *= inverse(0x94d049bb133111ebULL);
+  x = unshift(x, 27);
+  x *= inverse(0xbf58476d1ce4e5b9ULL);
+  x = unshift(x, 30);
+  return x - 0x9e3779b97f4a7c15ULL;
+}
+
+// Property test: the compact store against a map-of-deques model, on a
+// seeded sequence that mixes a hot set (rings wrap at num_gaps), a cold
+// tail (one-hit and shallow objects), dense ids, ids 0 and 2^64-1, and
+// ids that all hash to one home slot at every table size up to 2^16
+// (one probe chain hundreds long, carried through every rehash). After
+// every record, depth() and gaps() of that id and of one other id must
+// equal the model's; a clear() must forget everything and the table must
+// then serve a second sequence the same way.
+TEST(HistoryTable, MatchesReferenceModel) {
+  constexpr std::uint64_t kSeed = 0x5eedf00dULL;
+  for (const std::uint32_t num_gaps : {1u, 2u, 5u, 16u, 50u}) {
+    SCOPED_TRACE("num_gaps " + std::to_string(num_gaps));
+    std::vector<trace::ObjectId> ids;
+    for (std::uint64_t k = 0; k < 400; ++k) {  // one home slot
+      ids.push_back(unmix64(k << 16) ^ kSeed);
+      ASSERT_EQ(util::mix64(ids.back() ^ kSeed), k << 16);
+    }
+    for (std::uint64_t k = 0; k < 3000; ++k) ids.push_back(k + 1);
+    ids.push_back(0);
+    ids.push_back(std::numeric_limits<trace::ObjectId>::max());
+    util::Rng rng(num_gaps);
+    for (int k = 0; k < 600; ++k) ids.push_back(rng.next());
+
+    HistoryTable h(num_gaps, kSeed);
+    HistoryTable other_seed(num_gaps);
+    std::vector<float> got(num_gaps), want(num_gaps), other(num_gaps);
+    std::uint64_t now = 0;
+    for (int phase = 0; phase < 2; ++phase) {
+      std::map<trace::ObjectId, std::deque<std::uint64_t>> model;
+      auto check = [&](trace::ObjectId id) {
+        const auto it = model.find(id);
+        const std::size_t depth = it == model.end() ? 0 : it->second.size();
+        ASSERT_EQ(h.depth(id), depth) << "id " << id;
+        std::fill(want.begin(), want.end(), -1.0f);
+        std::uint64_t later = now + 1;
+        for (std::size_t k = 0; k < depth; ++k) {
+          const std::uint64_t t = it->second[depth - 1 - k];
+          want[k] = static_cast<float>(later - t);
+          later = t;
+        }
+        h.gaps(id, now + 1, got, -1.0f);
+        ASSERT_EQ(got, want) << "id " << id;
+        other_seed.gaps(id, now + 1, other, -1.0f);
+        ASSERT_EQ(other, want) << "id " << id << " under another seed";
+      };
+      for (int i = 0; i < 12000; ++i) {
+        // 30% hot (ids[0..20): colliding ids), 70% uniform.
+        const trace::ObjectId id = rng.bernoulli(0.3)
+                                       ? ids[rng.uniform(20)]
+                                       : ids[rng.uniform(ids.size())];
+        now += 1 + rng.uniform(5);
+        h.record(id, now);
+        other_seed.record(id, now);
+        auto& times = model[id];
+        times.push_back(now);
+        if (times.size() > num_gaps) times.pop_front();
+        check(id);
+        check(ids[rng.uniform(ids.size())]);
+        if (HasFatalFailure()) return;
+      }
+      ASSERT_EQ(h.tracked_objects(), model.size());
+      std::size_t full = 0;
+      for (const auto& [id, times] : model) {
+        full += times.size() == num_gaps ? 1 : 0;
+      }
+      EXPECT_GE(full, 20u) << "the hot set never reached full depth";
+      EXPECT_GT(model.size(), 2000u) << "too few rehashes";
+      h.clear();
+      other_seed.clear();
+      EXPECT_EQ(h.tracked_objects(), 0u);
+      for (const trace::ObjectId id : {ids[0], ids[500], ids.back()}) {
+        EXPECT_EQ(h.depth(id), 0u);
+      }
+    }
+  }
 }
 
 TEST(FeatureExtractor, ExtractLaysOutFeatures) {

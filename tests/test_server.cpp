@@ -10,6 +10,9 @@
 //    heuristic fallback still engages under a rejection storm and
 //    recovers on a healthy candidate, exactly as in the single-threaded
 //    windowed pipeline.
+//  - Protocol: malformed frames close only their own connection, every
+//    64-bit object id is served, and a seeded random-frame fuzz keeps
+//    the server up with balanced accounting.
 //  - Stress (TSan target): concurrent mixed get/admit/expire traffic
 //    across shards with model swaps in flight; merged accounting must
 //    balance and byte occupancy stay within capacity.
@@ -19,13 +22,17 @@
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <sys/socket.h>
+#include <sys/time.h>
 #include <unistd.h>
 
 #include <atomic>
+#include <cerrno>
 #include <chrono>
 #include <cstdint>
+#include <cstring>
 #include <limits>
 #include <memory>
+#include <set>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -42,6 +49,7 @@
 #include "server/server.hpp"
 #include "server/sharded_cache.hpp"
 #include "trace/generator.hpp"
+#include "util/rng.hpp"
 
 namespace {
 
@@ -433,9 +441,24 @@ TEST(ServerTelemetry, ScrapeTimeSeriesEqualCacheStats) {
     EXPECT_EQ(prometheus_sample(metrics.body, name), std::to_string(value))
         << name;
   }
-  const auto used = prometheus_sample(metrics.body, "lfo_server_used_bytes");
-  ASSERT_FALSE(used.empty());
-  EXPECT_EQ(std::stod(used), static_cast<double>(cache.used_bytes()));
+  // The gauges, read at scrape time: the cache's byte occupancy, and one
+  // tracked history per distinct object the clients sent.
+  std::set<trace::ObjectId> distinct;
+  for (const auto& r : trace.window(kStart, 2 * kHalf)) {
+    distinct.insert(r.object);
+  }
+  EXPECT_EQ(cache.history_objects(), distinct.size());
+  EXPECT_GT(cache.history_bytes(), 0u);
+  const std::pair<const char*, std::uint64_t> gauges[] = {
+      {"lfo_server_used_bytes", cache.used_bytes()},
+      {"lfo_server_history_objects", cache.history_objects()},
+      {"lfo_server_history_bytes", cache.history_bytes()},
+  };
+  for (const auto& [name, value] : gauges) {
+    const auto sample = prometheus_sample(metrics.body, name);
+    ASSERT_FALSE(sample.empty()) << name;
+    EXPECT_EQ(std::stod(sample), static_cast<double>(value)) << name;
+  }
 
   // /vars reads the same snapshot.
   const auto hits = parse_http_response(obs::fetch_local(
@@ -473,11 +496,10 @@ TEST(ServerProtocol, OversizedFrameIsCountedAndConnectionClosed) {
 }
 
 // Regression (crash input): object id 2^64-1 used to make the history
-// table write out of bounds and take the whole process down. The frame
-// carrying it is now a bad frame: its connection closes, every other
-// connection keeps being served — also when the id's shard belongs to
-// another worker, which then fails the frame on its behalf.
-TEST(ServerProtocol, UnindexableObjectIdClosesOnlyItsConnection) {
+// table write out of bounds, and 2^40 to allocate a 2^40-entry table.
+// Every 64-bit id is now an ordinary id: a frame carrying both is served
+// like any other, costs one history per new id, and is no bad frame.
+TEST(ServerProtocol, ExtremeObjectIdsAreServed) {
   server::LfoServerConfig sconfig;
   sconfig.workers = 2;
   sconfig.cache.capacity = 1ULL << 20;
@@ -485,17 +507,7 @@ TEST(ServerProtocol, UnindexableObjectIdClosesOnlyItsConnection) {
   sconfig.telemetry = false;
   server::LfoServer lfo_server(sconfig);
   ASSERT_TRUE(lfo_server.start()) << lfo_server.last_error();
-
-  // 2^64-1, and an id past the history table's range whose shard the
-  // other worker owns. The healthy connection holds one worker, so both
-  // attackers land on the other: whichever it is, one of the two ids
-  // sits on a shard it does not own.
-  constexpr auto kMax = std::numeric_limits<trace::ObjectId>::max();
-  const auto owner = [&](trace::ObjectId id) {
-    return lfo_server.cache().shard_of(id) % 2;
-  };
-  trace::ObjectId other = kMax - 1;
-  while (owner(other) == owner(kMax)) --other;
+  const auto& cache = lfo_server.cache();
 
   trace::GeneratorConfig gen;
   gen.num_requests = 64;
@@ -509,26 +521,27 @@ TEST(ServerProtocol, UnindexableObjectIdClosesOnlyItsConnection) {
   const auto& bad_frames = obs::MetricsRegistry::instance().counter(
       "lfo_server_bad_frames_total");
   const auto bad_before = bad_frames.value();
-  for (const trace::ObjectId poison : {kMax, other}) {
-    SCOPED_TRACE("poisoned id " + std::to_string(poison));
-    const auto head = trace.window(0, 16);
-    std::vector<trace::Request> poisoned(head.begin(), head.end());
-    poisoned[7].object = poison;
-    server::LfoClient attacker;
-    ASSERT_TRUE(attacker.connect(lfo_server.port()));
-    EXPECT_FALSE(attacker.exchange(poisoned, decisions));
-    EXPECT_FALSE(attacker.connected());
-    // The open connection still gets decisions.
+  // Ids the healthy connection already sent, plus 2^40 and 2^64-1.
+  const auto head = trace.window(0, 16);
+  std::vector<trace::Request> frame(head.begin(), head.end());
+  frame[5].object = trace::ObjectId{1} << 40;
+  frame[11].object = std::numeric_limits<trace::ObjectId>::max();
+  server::LfoClient client;
+  ASSERT_TRUE(client.connect(lfo_server.port()));
+  for (int round = 0; round < 2; ++round) {
+    SCOPED_TRACE("round " + std::to_string(round));
+    const auto objects_before = cache.history_objects();
+    ASSERT_TRUE(client.exchange(frame, decisions));
+    EXPECT_EQ(decisions.size(), frame.size());
+    EXPECT_TRUE(client.connected());
+    // Only the first round sends new ids.
+    EXPECT_EQ(cache.history_objects(), objects_before + (round == 0 ? 2 : 0));
+    // The other connection still gets decisions.
     ASSERT_TRUE(healthy.exchange(trace.window(32, 32), decisions));
     EXPECT_EQ(decisions.size(), 32u);
   }
-  EXPECT_EQ(bad_frames.value(), bad_before + 2);
-
-  // So does a fresh one.
-  server::LfoClient fresh;
-  ASSERT_TRUE(fresh.connect(lfo_server.port()));
-  ASSERT_TRUE(fresh.exchange(trace.window(0, 32), decisions));
-  EXPECT_EQ(decisions.size(), 32u);
+  EXPECT_EQ(bad_frames.value(), bad_before);
+  EXPECT_EQ(cache.stats().requests, 32u + 2 * (16u + 32u));
   lfo_server.stop();
 }
 
@@ -577,6 +590,183 @@ TEST(ServerProtocol, InvalidRecordsAreRefusedBeforeAnyShardServesThem) {
   ASSERT_TRUE(healthy.exchange(trace.window(16, 16), decisions));
   EXPECT_EQ(decisions.size(), 16u);
   EXPECT_EQ(lfo_server.cache().stats().requests, served_before + 16);
+  lfo_server.stop();
+}
+
+/// A loopback connection that sends raw bytes, for frames LfoClient
+/// never sends. Reads time out after 5 s so a wedged server fails the
+/// test rather than hanging it.
+class RawConnection {
+ public:
+  explicit RawConnection(std::uint16_t port)
+      : fd_(::socket(AF_INET, SOCK_STREAM, 0)) {
+    timeval tv{5, 0};
+    ::setsockopt(fd_, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
+    sockaddr_in addr{};
+    addr.sin_family = AF_INET;
+    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+    addr.sin_port = htons(port);
+    connected_ = fd_ >= 0 && ::connect(fd_, reinterpret_cast<sockaddr*>(&addr),
+                                       sizeof(addr)) == 0;
+  }
+  ~RawConnection() {
+    if (fd_ >= 0) ::close(fd_);
+  }
+  RawConnection(const RawConnection&) = delete;
+  RawConnection& operator=(const RawConnection&) = delete;
+
+  bool connected() const { return connected_; }
+
+  /// Best effort: the server may close before it has read everything.
+  void send(const std::vector<std::uint8_t>& bytes) {
+    std::size_t sent = 0;
+    while (sent < bytes.size()) {
+      const ssize_t n = ::send(fd_, bytes.data() + sent, bytes.size() - sent,
+                               MSG_NOSIGNAL);
+      if (n <= 0) return;
+      sent += static_cast<std::size_t>(n);
+    }
+  }
+  void finish_sending() { ::shutdown(fd_, SHUT_WR); }
+
+  /// Up to `size` bytes, fewer once the server closes or goes quiet.
+  std::vector<std::uint8_t> receive(std::size_t size) {
+    std::vector<std::uint8_t> bytes(size);
+    std::size_t got = 0;
+    while (got < size) {
+      const ssize_t n = ::recv(fd_, bytes.data() + got, size - got, 0);
+      if (n <= 0) break;
+      got += static_cast<std::size_t>(n);
+    }
+    bytes.resize(got);
+    return bytes;
+  }
+
+  /// True once the server has closed the connection.
+  bool closed_by_peer() {
+    std::uint8_t byte = 0;
+    const ssize_t n = ::recv(fd_, &byte, 1, 0);
+    return n == 0 || (n < 0 && errno != EAGAIN && errno != EWOULDBLOCK);
+  }
+
+ private:
+  int fd_;
+  bool connected_ = false;
+};
+
+template <typename T>
+void append_bytes(std::vector<std::uint8_t>& out, const T& value) {
+  const auto* p = reinterpret_cast<const std::uint8_t*>(&value);
+  out.insert(out.end(), p, p + sizeof(T));
+}
+
+// Seeded random-frame fuzz over real sockets. Well-formed frames carry
+// random ids (a small hot set, random 64-bit ids, 0, 2^40 and 2^64-1),
+// sizes (up to beyond a shard's capacity), TTLs and costs; the rest are
+// malformed: a count of 0 or above max_batch, a frame cut short, or a
+// record with size 0 or a negative or non-finite cost. Every well-formed
+// frame gets one decision per request on its connection; every malformed
+// one is counted and closes only its connection. The server survives,
+// the merged stats count exactly the requests of the well-formed frames,
+// and byte occupancy never exceeds capacity.
+TEST(ServerProtocol, RandomFramesFuzz) {
+  server::LfoServerConfig sconfig;
+  sconfig.workers = 2;
+  sconfig.max_batch = 64;
+  sconfig.cache.capacity = 1ULL << 20;
+  sconfig.cache.num_shards = 8;
+  sconfig.telemetry = false;
+  server::LfoServer lfo_server(sconfig);
+  ASSERT_TRUE(lfo_server.start()) << lfo_server.last_error();
+  const auto& bad_frames = obs::MetricsRegistry::instance().counter(
+      "lfo_server_bad_frames_total");
+  const auto bad_before = bad_frames.value();
+
+  util::Rng rng(20240917);
+  constexpr trace::ObjectId kExtremes[] = {
+      0, trace::ObjectId{1} << 40, std::numeric_limits<trace::ObjectId>::max()};
+  auto random_request = [&] {
+    server::WireRequest r{};
+    const double pick = rng.uniform01();
+    r.object = pick < 0.6   ? rng.uniform(64)
+               : pick < 0.9 ? rng.next()
+                            : kExtremes[rng.uniform(3)];
+    r.size = 1 + rng.uniform(rng.bernoulli(0.1) ? 1ULL << 20 : 1ULL << 14);
+    r.ttl = rng.bernoulli(0.3) ? rng.uniform(200) : 0;
+    r.cost = rng.uniform_real(0.0, 1e6);
+    return r;
+  };
+  constexpr double kBadCosts[] = {-1.0,
+                                  std::numeric_limits<double>::quiet_NaN(),
+                                  std::numeric_limits<double>::infinity()};
+
+  std::uint64_t accepted = 0, malformed = 0;
+  auto connection = std::make_unique<RawConnection>(lfo_server.port());
+  for (int frame = 0; frame < 400; ++frame) {
+    SCOPED_TRACE("frame " + std::to_string(frame));
+    ASSERT_TRUE(connection->connected());
+    std::uint32_t count =
+        1 + static_cast<std::uint32_t>(rng.uniform(sconfig.max_batch));
+    std::vector<server::WireRequest> records(count);
+    for (auto& r : records) r = random_request();
+    const double kind = rng.uniform01();
+    std::vector<std::uint8_t> bytes;
+    bool bad = true;
+    bool truncated = false;
+    if (kind < 0.05) {
+      const auto excess = static_cast<std::uint32_t>(rng.uniform(1000));
+      count = rng.bernoulli(0.5) ? 0 : sconfig.max_batch + 1 + excess;
+    } else if (kind < 0.10) {
+      truncated = true;
+    } else if (kind < 0.15) {
+      auto& victim = records[rng.uniform(count)];
+      if (rng.bernoulli(0.25)) {
+        victim.size = 0;
+      } else {
+        victim.cost = kBadCosts[rng.uniform(3)];
+      }
+    } else {
+      bad = false;
+    }
+    append_bytes(bytes, count);
+    for (const auto& r : records) append_bytes(bytes, r);
+    if (truncated) bytes.resize(bytes.size() - 1 - rng.uniform(32));
+    connection->send(bytes);
+    if (truncated) connection->finish_sending();
+
+    if (bad) {
+      EXPECT_TRUE(connection->closed_by_peer());
+      connection = std::make_unique<RawConnection>(lfo_server.port());
+      ++malformed;
+      continue;
+    }
+    const auto reply = connection->receive(sizeof(count) + count);
+    ASSERT_EQ(reply.size(), sizeof(count) + count);
+    std::uint32_t reply_count = 0;
+    std::memcpy(&reply_count, reply.data(), sizeof(reply_count));
+    EXPECT_EQ(reply_count, count);
+    for (std::size_t i = sizeof(count); i < reply.size(); ++i) {
+      EXPECT_LE(reply[i], 2u) << "decision byte " << i;
+    }
+    accepted += count;
+  }
+  connection.reset();
+  EXPECT_GT(malformed, 20u);
+  EXPECT_EQ(bad_frames.value(), bad_before + malformed);
+
+  // Still serving, and the accounting balances.
+  server::LfoClient client;
+  ASSERT_TRUE(client.connect(lfo_server.port()));
+  trace::GeneratorConfig gen;
+  gen.num_requests = 32;
+  gen.classes = {trace::web_class(16)};
+  const auto trace = trace::generate_trace(gen);
+  std::vector<server::WireDecision> decisions;
+  ASSERT_TRUE(client.exchange(trace.window(0, 32), decisions));
+  accepted += 32;
+  const auto& cache = lfo_server.cache();
+  EXPECT_EQ(cache.stats().requests, accepted);
+  EXPECT_LE(cache.used_bytes(), cache.capacity());
   lfo_server.stop();
 }
 

@@ -12,9 +12,11 @@
 #   replay    — the built-in client drives the whole trace, hits > 0
 #   /metrics  — 200; the scrape-time serving counts match the replay
 #               (requests, and hits equal to the hits the client saw)
-#               and the lfo_server_* series are present
+#               and the lfo_server_* series are present, the history
+#               gauges (lfo_server_history_{objects,bytes}) included
 #   /healthz  — 200 (bootstrap serves as healthy)
-#   protocol  — a raw one-request frame gets a one-decision reply
+#   protocol  — a raw one-request frame for object id 2^64-1 gets a
+#               one-decision reply
 #   shutdown  — the process exits 0 by itself after the linger window
 # Exits nonzero on the first failed check.
 
@@ -87,6 +89,10 @@ grep -q '^lfo_server_workers ' <<<"$METRICS" \
   || fail "/metrics missing lfo_server_workers"
 grep -q '^lfo_server_shards ' <<<"$METRICS" \
   || fail "/metrics missing lfo_server_shards"
+grep -q '^lfo_server_history_objects [1-9]' <<<"$METRICS" \
+  || fail "/metrics missing a nonzero lfo_server_history_objects"
+grep -q '^lfo_server_history_bytes [1-9]' <<<"$METRICS" \
+  || fail "/metrics missing a nonzero lfo_server_history_bytes"
 echo "server_smoke: /metrics ok"
 
 HEALTH_CODE="$(curl -s --max-time 5 -o /tmp/server_smoke_health.json \
@@ -96,11 +102,12 @@ HEALTH_CODE="$(curl -s --max-time 5 -o /tmp/server_smoke_health.json \
 echo "server_smoke: /healthz ok"
 
 # One raw frame over the binary protocol: u32 count=1 + a 32-byte
-# request must come back as u32 count=1 + one decision byte.
+# request must come back as u32 count=1 + one decision byte. The id is
+# 2^64-1, the largest: every 64-bit id is an ordinary id.
 python3 - "$PORT" <<'PYEOF' || fail "wire protocol round-trip failed"
 import socket, struct, sys
 port = int(sys.argv[1])
-frame = struct.pack("<I", 1) + struct.pack("<QQQd", 42, 1000, 60, 1000.0)
+frame = struct.pack("<I", 1) + struct.pack("<QQQd", 2**64 - 1, 1000, 60, 1000.0)
 with socket.create_connection(("127.0.0.1", port), timeout=5) as s:
     s.sendall(frame)
     reply = b""
