@@ -81,11 +81,10 @@ int main(int argc, char** argv) {
   lfo_config.lfo.set_cache_size(cache_size);
   lfo_config.window_size = num_requests / 8;
 
-  sim::TelemetryOptions telemetry_options;
-  telemetry_options.port = static_cast<std::uint16_t>(obs_port);
   std::unique_ptr<sim::TelemetrySession> telemetry;
   if (obs_enabled) {
-    telemetry = std::make_unique<sim::TelemetrySession>(telemetry_options);
+    telemetry = std::make_unique<sim::TelemetrySession>(
+        static_cast<std::uint16_t>(obs_port));
     telemetry->wire(lfo_config);
     if (!telemetry->start()) {
       std::cerr << "telemetry: failed to start: "

@@ -69,7 +69,7 @@ CachePolicyPtr make_policy(const std::string& name, std::uint64_t capacity,
     return std::make_unique<TieredCache>(fast, capacity - fast);
   }
   if (name == "RLC") {
-    return std::make_unique<RlCache>(capacity, RlParams{}, seed);
+    return std::make_unique<RlCache>(capacity, seed);
   }
   if (name == "Infinite") return std::make_unique<InfiniteCache>(capacity);
   throw std::invalid_argument("make_policy: unknown policy '" + name + "'");

@@ -5,8 +5,18 @@
 
 namespace lfo::cache {
 
-RlCache::RlCache(std::uint64_t capacity, RlParams params, std::uint64_t seed)
-    : LruCache(capacity), params_(params), rng_(seed) {}
+namespace {
+constexpr double kLearningRate = 0.1;
+constexpr double kDiscount = 0.95;
+constexpr double kEpsilon = 0.1;  ///< exploration probability
+/// Reward for a bypassed re-request.
+constexpr double kBypassPenalty = 0.0;
+/// Cost of admitting an object that is not reused.
+constexpr double kOccupancyPenalty = 0.2;
+}  // namespace
+
+RlCache::RlCache(std::uint64_t capacity, std::uint64_t seed)
+    : LruCache(capacity), rng_(seed) {}
 
 std::uint32_t RlCache::state_of(const trace::Request& request) const {
   // Size bucket: log4 starting at 1 KiB.
@@ -43,15 +53,14 @@ void RlCache::reward_pending(trace::ObjectId object, bool hit,
   pending_.erase(it);
   double reward;
   if (p.action == 1) {
-    reward = hit ? 1.0 : -params_.occupancy_penalty;
+    reward = hit ? 1.0 : -kOccupancyPenalty;
   } else {
-    reward = params_.bypass_penalty;
+    reward = kBypassPenalty;
   }
   const double best_next =
       std::max(q(next_state, 0), q(next_state, 1));
   double& qv = q(p.state, p.action);
-  qv += params_.learning_rate *
-        (reward + params_.discount * best_next - qv);
+  qv += kLearningRate * (reward + kDiscount * best_next - qv);
 }
 
 void RlCache::on_hit(const trace::Request& request) {
@@ -69,7 +78,7 @@ void RlCache::on_miss(const trace::Request& request) {
   last_seen_[request.object] = clock();
 
   std::uint8_t action;
-  if (rng_.bernoulli(params_.epsilon)) {
+  if (rng_.bernoulli(kEpsilon)) {
     action = static_cast<std::uint8_t>(rng_.uniform(2));
   } else {
     action = q(state, 1) >= q(state, 0) ? 1 : 0;

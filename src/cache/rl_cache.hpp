@@ -18,18 +18,9 @@ namespace lfo::cache {
 /// problem the paper identifies as the root cause of RL's struggles in
 /// caching. Eviction is LRU. The agent is intentionally faithful to the
 /// model-free setup: no future knowledge, epsilon-greedy exploration.
-struct RlParams {
-  double learning_rate = 0.1;
-  double discount = 0.95;
-  double epsilon = 0.1;            ///< exploration probability
-  double bypass_penalty = 0.0;     ///< reward for a bypassed re-request
-  double occupancy_penalty = 0.2;  ///< cost of admitting a non-reused obj
-};
-
 class RlCache : public LruCache {
  public:
-  RlCache(std::uint64_t capacity, RlParams params = {},
-          std::uint64_t seed = 1);
+  explicit RlCache(std::uint64_t capacity, std::uint64_t seed = 1);
 
   std::string name() const override { return "RLC"; }
 
@@ -55,7 +46,6 @@ class RlCache : public LruCache {
                       std::uint32_t next_state);
   double& q(std::uint32_t state, std::uint8_t action);
 
-  RlParams params_;
   util::Rng rng_;
   std::array<double, kStates * 2> q_table_{};
   std::unordered_map<trace::ObjectId, Pending> pending_;

@@ -1,5 +1,7 @@
 #include "core/lfo_cache.hpp"
 
+#include <stdexcept>
+
 #include "obs/metrics.hpp"
 #include "util/check.hpp"
 #include "util/thread_annotations.hpp"
@@ -42,6 +44,11 @@ void LfoCache::clear() {
 }
 
 void LfoCache::swap_model(std::shared_ptr<const LfoModel> model) {
+  if (model && !(model->feature_config() == extractor_.config())) {
+    throw std::invalid_argument(
+        "LfoCache::swap_model: the model's feature schema differs from "
+        "the cache's");
+  }
   model_ = std::move(model);
 }
 

@@ -65,7 +65,8 @@ class LfoCache : public cache::CachePolicy {
   /// gave them until their next access. Passing nullptr reverts to the
   /// heuristic bootstrap mode (admit-all, likelihood 0.5) — the rollout
   /// guard's fallback path; cached entries and the feature history
-  /// survive the transition.
+  /// survive the transition. Throws std::invalid_argument, changing
+  /// nothing, when the model's FeatureConfig differs from the cache's.
   void swap_model(std::shared_ptr<const LfoModel> model);
   bool has_model() const { return model_ != nullptr; }
   /// The currently serving model (null during bootstrap).

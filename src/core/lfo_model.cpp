@@ -4,6 +4,7 @@
 #include <chrono>
 #include <fstream>
 #include <stdexcept>
+#include <string>
 
 #include "obs/trace_span.hpp"
 
@@ -106,8 +107,23 @@ LfoModel LfoModel::load(std::istream& is) {
   is >> config.num_gaps >> config.include_size >> config.include_cost >>
       config.include_free_bytes >> config.thin_gaps >>
       config.missing_gap_value;
-  if (!is) throw std::runtime_error("LfoModel::load: bad feature config");
+  if (!is || config.num_gaps == 0 ||
+      config.num_gaps > features::HistoryTable::kMaxGaps) {
+    throw std::runtime_error("LfoModel::load: bad feature config");
+  }
   auto model = gbdt::Model::load(is);
+  const auto dimension = static_cast<std::int32_t>(config.dimension());
+  for (std::size_t t = 0; t < model.num_trees(); ++t) {
+    const gbdt::Tree& tree = model.tree(t);
+    for (std::int32_t node = 0; node < tree.num_nodes(); ++node) {
+      if (!tree.is_leaf(node) && tree.split_feature(node) >= dimension) {
+        throw std::runtime_error(
+            "LfoModel::load: tree " + std::to_string(t) +
+            " splits on feature " + std::to_string(tree.split_feature(node)) +
+            " of a " + std::to_string(dimension) + "-feature schema");
+      }
+    }
+  }
   return LfoModel(std::move(model), config);
 }
 

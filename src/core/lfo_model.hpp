@@ -93,8 +93,12 @@ class LfoModel {
   };
   std::vector<FeatureImportance> feature_importance() const;
 
-  /// Persistence: the booster plus the feature schema it expects, so a
-  /// loaded model can never be fed a mismatched feature vector.
+  /// Persistence: the booster plus the feature schema it expects. A
+  /// loaded model is never fed a mismatched feature vector: load()
+  /// refuses a split on a feature outside the schema, and
+  /// LfoCache::swap_model refuses a model whose schema is not the
+  /// cache's. load() treats the file as untrusted input and throws
+  /// std::runtime_error on anything malformed.
   void save(std::ostream& os) const;
   void save_file(const std::string& path) const;
   static LfoModel load(std::istream& is);

@@ -8,6 +8,14 @@
 
 namespace lfo::core {
 
+namespace {
+/// Eviction candidates sampled per eviction.
+constexpr std::uint32_t kSampleSize = 64;
+/// Training-buffer cap; samples past it are dropped until a retrain
+/// halves the buffer.
+constexpr std::size_t kMaxTrainSamples = 200000;
+}  // namespace
+
 LrbCache::LrbCache(std::uint64_t capacity, LrbConfig config,
                    std::uint64_t seed)
     : cache::CachePolicy(capacity),
@@ -37,7 +45,7 @@ void LrbCache::record_sample(const trace::Request& request,
     // Close the previous sample with the observed reuse distance.
     const double gap =
         static_cast<double>(clock() - it->second.time);
-    if (train_rows_.size() < config_.max_train_samples) {
+    if (train_rows_.size() < kMaxTrainSamples) {
       train_rows_.push_back(std::move(it->second.row));
       train_labels_.push_back(
           static_cast<float>(std::log2(std::max(1.0, gap))));
@@ -57,7 +65,7 @@ void LrbCache::expire_pending() {
     pending_fifo_.pop_front();
     const auto it = open_.find(p.object);
     if (it == open_.end() || it->second.seq != p.seq) continue;  // stale
-    if (train_rows_.size() < config_.max_train_samples) {
+    if (train_rows_.size() < kMaxTrainSamples) {
       train_rows_.push_back(std::move(it->second.row));
       train_labels_.push_back(beyond);
     }
@@ -127,7 +135,7 @@ void LrbCache::evict_one() {
   if (!model_) {
     // Bootstrap: evict the sampled least-recently-used object.
     victim = rng_.uniform(slots_.size());
-    for (std::uint32_t s = 1; s < config_.sample_size; ++s) {
+    for (std::uint32_t s = 1; s < kSampleSize; ++s) {
       const auto cand = rng_.uniform(slots_.size());
       if (slots_[cand].last_access < slots_[victim].last_access) {
         victim = cand;
@@ -136,7 +144,7 @@ void LrbCache::evict_one() {
   } else {
     victim = rng_.uniform(slots_.size());
     double victim_next = predicted_next_use(slots_[victim]);
-    for (std::uint32_t s = 1; s < config_.sample_size; ++s) {
+    for (std::uint32_t s = 1; s < kSampleSize; ++s) {
       const auto cand = rng_.uniform(slots_.size());
       const double next = predicted_next_use(slots_[cand]);
       if (next > victim_next) {  // farthest predicted reuse

@@ -34,11 +34,9 @@ namespace lfo::core {
 struct LrbConfig {
   features::FeatureConfig features;  ///< same schema as LFO (§2.2)
   gbdt::Params gbdt;                 ///< objective forced to regression
-  std::uint32_t sample_size = 64;    ///< eviction candidates per eviction
   std::uint64_t retrain_interval = 50000;
   std::uint64_t label_horizon = 50000;
   std::size_t min_train_samples = 4096;
-  std::size_t max_train_samples = 200000;  ///< buffer cap (FIFO overwrite)
 
   LrbConfig() {
     // LRB's features do not include the cache's free bytes, and the

@@ -80,9 +80,6 @@ struct RolloutConfig {
   /// trips it.
   double drift_fallback_threshold = 0.45;
   std::uint32_t drift_fallback_windows = 3;
-  /// Bounded retry for failed training jobs: total attempts are
-  /// 1 + max_train_retries before the window's job counts as failed.
-  std::uint32_t max_train_retries = 2;
 };
 
 /// Training-side diagnostics of one candidate model, assembled by the

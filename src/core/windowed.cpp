@@ -106,9 +106,9 @@ TrainedWindow train_window_task(
   out.started = Clock::now();
   // Bounded retry: a failed attempt — an injected fault or a real
   // exception out of train_on_window — is retried up to
-  // max_train_retries times before the job counts as failed and the
+  // kMaxTrainRetries times before the job counts as failed and the
   // guard keeps the last-good model.
-  const std::uint32_t max_attempts = 1 + config.rollout.max_train_retries;
+  const std::uint32_t max_attempts = 1 + kMaxTrainRetries;
   for (std::uint32_t attempt = 1; attempt <= max_attempts; ++attempt) {
     out.train_attempts = attempt;
     if (attempt > 1) LFO_COUNTER_INC("lfo_train_retries_total");

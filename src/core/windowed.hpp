@@ -2,6 +2,7 @@
 #define LFO_CORE_WINDOWED_HPP
 
 #include <cstddef>
+#include <cstdint>
 #include <functional>
 #include <vector>
 
@@ -19,6 +20,10 @@ class FlightRecorder;
 namespace lfo::core {
 
 struct WindowReport;
+
+/// Bounded retry for failed training jobs: total attempts are
+/// 1 + kMaxTrainRetries before the window's job counts as failed.
+inline constexpr std::uint32_t kMaxTrainRetries = 2;
 
 /// Configuration of the sliding-window pipeline (paper Fig 2).
 struct WindowedConfig {
@@ -54,8 +59,8 @@ struct WindowedConfig {
   /// after its training job is collected (boundary k + swap_lag, or the
   /// drain at the end of the trace), so its training and model-health
   /// fields are filled in (a window that trains nothing under
-  /// retrain = false waits for the windows before it). Must not throw — the contract is enforced: a
-  /// throwing hook fails fast via LFO_CHECK instead of unwinding
+  /// retrain = false waits for the windows before it). Must not throw:
+  /// a throwing hook fails fast via LFO_CHECK instead of unwinding
   /// mid-pipeline. Reading the report cannot change caching decisions.
   std::function<void(const WindowReport&)> window_hook;
   /// Health-gated model rollout (core::RolloutGuard): freshly trained
@@ -70,8 +75,8 @@ struct WindowedConfig {
   /// attempt (attempt starts at 1) for the job trained on
   /// `window_index`; returning true fails that attempt as if the
   /// training job crashed or timed out. Failed attempts retry up to
-  /// RolloutConfig::max_train_retries times; a job whose every attempt
-  /// fails produces a train_failed candidate that the guard rejects.
+  /// kMaxTrainRetries times; a job whose every attempt fails produces
+  /// a train_failed candidate that the guard rejects.
   /// Must be deterministic in (window_index, attempt) for
   /// decision-determinism guarantees to hold; called from the training
   /// threads when train_threads > 0.

@@ -61,9 +61,7 @@ gbdt::Dataset build_dataset(std::span<const trace::Request> reqs,
                                                options.gap_noise_sigma)));
       }
     }
-    if (i >= options.warmup) {
-      data.add_row(row, decisions.cached[i] ? 1.0f : 0.0f);
-    }
+    data.add_row(row, decisions.cached[i] ? 1.0f : 0.0f);
     occupied += admit_at[i] - release_at[i];
   }
   return data;

@@ -15,9 +15,6 @@ namespace lfo::features {
 struct DatasetBuildOptions {
   FeatureConfig features;
   std::uint64_t cache_size = 1ULL << 30;
-  /// Skip the first `warmup` requests of the window as samples (their gap
-  /// history is still cold); they are still observed into the history.
-  std::size_t warmup = 0;
   /// Training-time robustness noise (paper §2.2: "adding small amounts
   /// of noise can actually be helpful"): each *recorded* gap feature is
   /// multiplied by exp(N(0, sigma)). 0 disables. Missing-gap sentinels

@@ -20,12 +20,11 @@ std::size_t FeatureConfig::dimension() const {
 }
 
 std::vector<std::uint32_t> FeatureConfig::gap_indices() const {
+  // A 64-bit counter: a 32-bit one wraps before passing num_gaps = 2^32-1.
   std::vector<std::uint32_t> idx;
-  if (!thin_gaps) {
-    for (std::uint32_t g = 1; g <= num_gaps; ++g) idx.push_back(g);
-    return idx;
+  for (std::uint64_t g = 1; g <= num_gaps; g = thin_gaps ? 2 * g : g + 1) {
+    idx.push_back(static_cast<std::uint32_t>(g));
   }
-  for (std::uint32_t g = 1; g <= num_gaps; g *= 2) idx.push_back(g);
   return idx;
 }
 
@@ -59,8 +58,7 @@ HistoryTable::HistoryTable(std::uint32_t num_gaps, std::uint64_t seed)
     : capacity_(num_gaps),
       top_(static_cast<std::uint32_t>(std::bit_width(num_gaps - 1u))),
       seed_(seed) {
-  if (capacity_ == 0 ||
-      capacity_ > std::numeric_limits<std::uint16_t>::max()) {
+  if (capacity_ == 0 || capacity_ > kMaxGaps) {
     throw std::invalid_argument(
         "HistoryTable: num_gaps must be in [1, 65535]");
   }

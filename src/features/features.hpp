@@ -40,6 +40,10 @@ struct FeatureConfig {
   std::vector<std::string> names() const;
   /// The gap indices (1-based) actually emitted, honoring thin_gaps.
   std::vector<std::uint32_t> gap_indices() const;
+
+  /// Same schema: a model trained under one config reads feature rows
+  /// only from an extractor with an equal config.
+  friend bool operator==(const FeatureConfig&, const FeatureConfig&) = default;
 };
 
 /// Tracks per-object request-time history, providing the gap features.
@@ -61,6 +65,9 @@ struct FeatureConfig {
 ///    one-hit object costs one slot plus one timestamp.
 class HistoryTable {
  public:
+  /// Largest num_gaps: a ring's head and count are 16-bit.
+  static constexpr std::uint32_t kMaxGaps = 65535;
+
   /// Hash seed drawn from std::random_device.
   explicit HistoryTable(std::uint32_t num_gaps = 50);
   /// A given hash seed (for tests that need known probe chains).

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <fstream>
-#include <limits>
 #include <memory>
 #include <numeric>
 #include <ostream>
@@ -106,8 +105,10 @@ Model Model::load(std::istream& is) {
   double base = 0.0;
   std::size_t count = 0;
   is >> base >> count;
+  if (!is) throw std::runtime_error("Model::load: bad base score or count");
+  // Trees are appended as they load, so a forged count cannot reserve
+  // memory; a count past the file's end fails in Tree::load.
   std::vector<Tree> trees;
-  trees.reserve(count);
   for (std::size_t i = 0; i < count; ++i) trees.push_back(Tree::load(is));
   return Model(base, std::move(trees));
 }
@@ -213,17 +214,11 @@ class Trainer {
       : data_(data),
         params_(params),
         pool_(pool),
-        binned_(data, params.max_bins),
+        binned_(data, kMaxBins),
         rng_(params.seed),
         scores_(data.num_rows(), 0.0),
         gradients_(data.num_rows(), 0.0),
         hessians_(data.num_rows(), 0.0) {
-    if (params.early_stopping_rounds > 0) {
-      is_valid_.assign(data.num_rows(), 0);
-      for (auto& flag : is_valid_) {
-        flag = rng_.bernoulli(params.validation_fraction) ? 1 : 0;
-      }
-    }
     if (params.objective == Objective::kBinaryLogistic) {
       // Base score: log-odds of the positive-label prior.
       double pos = 0.0;
@@ -248,32 +243,12 @@ class Trainer {
     LFO_TRACE_SPAN("gbdt_train");
     std::vector<Tree> trees;
     trees.reserve(params_.num_iterations);
-    double best_valid = std::numeric_limits<double>::infinity();
-    std::uint32_t best_iteration = 0;
     for (std::uint32_t iter = 0; iter < params_.num_iterations; ++iter) {
       LFO_TRACE_SPAN("boost_round");
       LFO_COUNTER_INC("lfo_gbdt_boost_rounds_total");
       compute_gradients();
       trees.push_back(grow_tree());
-      if (log) log->train_logloss.push_back(current_logloss(/*valid=*/false));
-      if (params_.early_stopping_rounds > 0) {
-        const double valid_loss = current_logloss(/*valid=*/true);
-        if (log) log->valid_logloss.push_back(valid_loss);
-        if (valid_loss < best_valid - 1e-12) {
-          best_valid = valid_loss;
-          best_iteration = iter;
-        } else if (iter - best_iteration >= params_.early_stopping_rounds) {
-          trees.resize(best_iteration + 1);
-          if (log) {
-            log->best_iteration = best_iteration;
-            log->stopped_early = true;
-          }
-          break;
-        }
-      }
-    }
-    if (log && params_.early_stopping_rounds > 0 && !log->stopped_early) {
-      log->best_iteration = best_iteration;
+      if (log) log->train_logloss.push_back(current_logloss());
     }
     return Model(base_score_, std::move(trees));
   }
@@ -299,13 +274,10 @@ class Trainer {
   }
 
   /// Mean loss (logloss or squared error, per objective) over the
-  /// training or validation partition (the whole dataset when early
-  /// stopping is off).
-  double current_logloss(bool valid) const {
+  /// dataset.
+  double current_logloss() const {
     double loss = 0.0;
-    std::size_t count = 0;
     for (std::size_t r = 0; r < data_.num_rows(); ++r) {
-      if (!is_valid_.empty() && (is_valid_[r] != 0) != valid) continue;
       if (params_.objective == Objective::kBinaryLogistic) {
         const double p =
             std::clamp(sigmoid(scores_[r]), 1e-15, 1.0 - 1e-15);
@@ -315,9 +287,9 @@ class Trainer {
         const double d = scores_[r] - static_cast<double>(data_.label(r));
         loss += 0.5 * d * d;
       }
-      ++count;
     }
-    return loss / std::max<double>(1.0, static_cast<double>(count));
+    // train() refuses an empty dataset.
+    return loss / static_cast<double>(data_.num_rows());
   }
 
   std::vector<std::int32_t> sample_features() {
@@ -343,7 +315,6 @@ class Trainer {
     const bool bag = params_.bagging_fraction < 1.0;
     rows.reserve(n);
     for (std::uint32_t r = 0; r < n; ++r) {
-      if (!is_valid_.empty() && is_valid_[r]) continue;  // held out
       // Bernoulli sampling keeps rows ordered, which the partitioning
       // does not require but keeps runs deterministic.
       if (bag && !rng_.bernoulli(params_.bagging_fraction)) continue;
@@ -426,7 +397,7 @@ class Trainer {
   SplitInfo scan_histogram(std::size_t fi, const GradSum* hist,
                            const GradSum& sum) const {
     SplitInfo best;
-    best.gain = params_.min_split_gain;
+    best.gain = kMinSplitGain;
     const double parent_obj = objective(sum);
     GradSum left;
     for (std::uint32_t b = 0; b + 1 < feature_bins(fi); ++b) {
@@ -465,7 +436,7 @@ class Trainer {
   /// included, is identical at any thread count.
   SplitInfo reduce(std::span<const SplitInfo> per_feature) const {
     SplitInfo best;
-    best.gain = params_.min_split_gain;
+    best.gain = kMinSplitGain;
     for (const auto& s : per_feature) {
       if (s.valid() && s.gain > best.gain) best = s;
     }
@@ -517,12 +488,12 @@ class Trainer {
 
   double objective(const GradSum& s) const {
     const double g = g_unit_.to_double(s.g);
-    return g * g / (h_unit_.to_double(s.h) + params_.lambda_l2);
+    return g * g / (h_unit_.to_double(s.h) + kLambdaL2);
   }
 
   double output(const GradSum& s) const {
     return -g_unit_.to_double(s.g) /
-           (h_unit_.to_double(s.h) + params_.lambda_l2) *
+           (h_unit_.to_double(s.h) + kLambdaL2) *
            params_.learning_rate;
   }
 
@@ -560,9 +531,8 @@ class Trainer {
       LeafTask task = heap.top();
       heap.pop();
       const auto& s = task.best;
-      // A split only enters the heap when its gain beats min_split_gain,
-      // so with the default non-negative threshold gains stay monotone.
-      LFO_DCHECK_GE(s.gain, params_.min_split_gain)
+      // A split only enters the heap when its gain beats kMinSplitGain.
+      LFO_DCHECK_GE(s.gain, kMinSplitGain)
           << "split with sub-threshold gain escaped pruning";
       // Gradient mass is conserved across the split, exactly.
       LFO_DCHECK_EQ(s.left.g + s.right.g, task.sum.g)
@@ -661,6 +631,12 @@ class Trainer {
   /// an elementwise loop) is worth the pool's task overhead. Purely a
   /// performance knob: results are identical either way.
   static constexpr std::size_t kParallelSplitMinWork = 8192;
+  /// LightGBM's defaults, which the paper keeps (§2.3): no L2 leaf
+  /// regularization, no minimum split gain. kMaxBins is the quantile
+  /// bin cap per feature (BinnedDataset).
+  static constexpr double kLambdaL2 = 0.0;
+  static constexpr double kMinSplitGain = 0.0;
+  static constexpr std::uint32_t kMaxBins = 64;
 
   const Dataset& data_;
   const Params& params_;
@@ -671,7 +647,6 @@ class Trainer {
   std::vector<double> scores_;
   std::vector<double> gradients_;
   std::vector<double> hessians_;
-  std::vector<std::uint8_t> is_valid_;  // early-stopping holdout mask
   // This round's fixed-point units.
   FixedPointUnit g_unit_;
   FixedPointUnit h_unit_;

@@ -32,11 +32,8 @@ struct Params {
   std::uint32_t num_leaves = 31;
   std::int32_t max_depth = -1;      ///< -1 = unlimited
   std::uint32_t min_data_in_leaf = 20;
-  double lambda_l2 = 0.0;
-  double min_split_gain = 0.0;
   double feature_fraction = 1.0;    ///< fraction of features tried per tree
   double bagging_fraction = 1.0;    ///< fraction of rows sampled per tree
-  std::uint32_t max_bins = 64;
   std::uint64_t seed = 1;
 
   /// Worker threads for histogram construction and per-feature split
@@ -46,12 +43,6 @@ struct Params {
   /// can change, and the split reduction always runs in feature order.
   /// 1 = serial; 0 = hardware concurrency.
   std::uint32_t num_threads = 1;
-
-  /// Early stopping: when > 0, a `validation_fraction` of rows is held
-  /// out; training stops after this many rounds without validation-loss
-  /// improvement and the model is truncated to its best iteration.
-  std::uint32_t early_stopping_rounds = 0;
-  double validation_fraction = 0.1;
 
   /// The paper's configuration: LightGBM defaults with 30 iterations.
   static Params paper_defaults() {
@@ -106,9 +97,6 @@ class Model {
 /// Per-iteration training diagnostics.
 struct TrainLog {
   std::vector<double> train_logloss;  ///< after each iteration
-  std::vector<double> valid_logloss;  ///< only with early stopping
-  std::uint32_t best_iteration = 0;   ///< only with early stopping
-  bool stopped_early = false;
 };
 
 /// Train a binary classifier with logistic loss. When params.num_threads

@@ -1,8 +1,10 @@
 #include "gbdt/tree.hpp"
 
 #include <istream>
+#include <limits>
 #include <ostream>
 #include <stdexcept>
+#include <string>
 
 namespace lfo::gbdt {
 
@@ -83,18 +85,59 @@ void Tree::save(std::ostream& os) const {
 Tree Tree::load(std::istream& is) {
   std::size_t n = 0;
   is >> n;
-  if (!is || n == 0) throw std::runtime_error("Tree::load: bad node count");
-  Tree t;
-  t.feature_.resize(n);
-  t.threshold_.resize(n);
-  t.left_.resize(n);
-  t.right_.resize(n);
-  t.value_.resize(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    is >> t.feature_[i] >> t.threshold_[i] >> t.left_[i] >> t.right_[i] >>
-        t.value_[i];
+  if (!is || n == 0 ||
+      n > static_cast<std::size_t>(std::numeric_limits<std::int32_t>::max())) {
+    throw std::runtime_error("Tree::load: bad node count");
   }
-  if (!is) throw std::runtime_error("Tree::load: truncated tree");
+  // The arrays grow as nodes arrive, so a forged count cannot reserve
+  // memory the file does not back.
+  Tree t;
+  t.feature_.clear();
+  t.threshold_.clear();
+  t.left_.clear();
+  t.right_.clear();
+  t.value_.clear();
+  for (std::size_t i = 0; i < n; ++i) {
+    std::int32_t feature = 0, left = 0, right = 0;
+    float threshold = 0.0f;
+    double value = 0.0;
+    is >> feature >> threshold >> left >> right >> value;
+    if (!is) throw std::runtime_error("Tree::load: truncated tree");
+    t.feature_.push_back(feature);
+    t.threshold_.push_back(threshold);
+    t.left_.push_back(left);
+    t.right_.push_back(right);
+    t.value_.push_back(value);
+  }
+  // Every node but the root is the child of exactly one split, and
+  // children follow their parent. Then every node is reachable and every
+  // walk from the root ends at a leaf.
+  const auto size = static_cast<std::int32_t>(n);
+  std::vector<std::uint8_t> has_parent(n, 0);
+  for (std::int32_t i = 0; i < size; ++i) {
+    const auto node = static_cast<std::size_t>(i);
+    const std::int32_t l = t.left_[node];
+    const std::int32_t r = t.right_[node];
+    if (l < 0 && r < 0) continue;  // leaf
+    if (l <= i || r <= i || l >= size || r >= size || t.feature_[node] < 0) {
+      throw std::runtime_error("Tree::load: bad split at node " +
+                               std::to_string(i));
+    }
+    for (const std::int32_t child : {l, r}) {
+      auto& seen = has_parent[static_cast<std::size_t>(child)];
+      if (seen != 0) {
+        throw std::runtime_error("Tree::load: node " + std::to_string(child) +
+                                 " has two parents");
+      }
+      seen = 1;
+    }
+  }
+  for (std::size_t i = 1; i < n; ++i) {
+    if (has_parent[i] == 0) {
+      throw std::runtime_error("Tree::load: node " + std::to_string(i) +
+                               " is unreachable");
+    }
+  }
   return t;
 }
 

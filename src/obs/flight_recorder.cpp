@@ -6,7 +6,6 @@
 #include <utility>
 
 #include "obs/exporters.hpp"
-#include "util/check.hpp"
 
 namespace lfo::obs {
 
@@ -35,8 +34,6 @@ double FlightFrame::gauge(std::string_view name, double missing) const {
 
 FlightRecorder::FlightRecorder(std::size_t capacity)
     : capacity_(std::max<std::size_t>(1, capacity)) {}
-
-FlightRecorder::~FlightRecorder() { stop_interval_capture(); }
 
 FlightFrame FlightRecorder::capture_locked(std::string label,
                                            std::uint64_t window_index) {
@@ -98,39 +95,6 @@ void FlightRecorder::dump_jsonl(std::ostream& os) const {
     write_frame_json(os, frame);
     os << '\n';
   }
-}
-
-void FlightRecorder::start_interval_capture(double seconds) {
-  LFO_CHECK(seconds > 0.0)
-      << "interval capture period must be positive, got " << seconds;
-  stop_interval_capture();
-  {
-    const util::MutexLock lock(interval_mu_);
-    interval_stop_ = false;
-  }
-  interval_thread_ = std::thread([this, seconds] {
-    util::MutexLock lock(interval_mu_);
-    while (!interval_stop_) {
-      if (interval_cv_.wait_for_seconds(interval_mu_, seconds)) {
-        continue;  // woken early: re-check the stop flag
-      }
-      if (interval_stop_) break;
-      record("interval");
-    }
-  });
-}
-
-void FlightRecorder::stop_interval_capture() {
-  {
-    const util::MutexLock lock(interval_mu_);
-    interval_stop_ = true;
-  }
-  interval_cv_.notify_all();
-  if (interval_thread_.joinable()) interval_thread_.join();
-}
-
-bool FlightRecorder::interval_capture_running() const {
-  return interval_thread_.joinable();
 }
 
 void write_frame_json(std::ostream& os, const FlightFrame& frame) {

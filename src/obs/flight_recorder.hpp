@@ -7,7 +7,6 @@
 #include <map>
 #include <ostream>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "obs/metrics.hpp"
@@ -28,8 +27,8 @@ struct FlightFrame {
   std::uint64_t sequence = 0;
   /// Capture time on the process monotonic clock, in seconds.
   double monotonic_seconds = 0.0;
-  /// Why the frame was captured: "window" (pipeline boundary),
-  /// "interval" (background timer), or a caller-chosen label.
+  /// Why the frame was captured: "window" (pipeline boundary) or a
+  /// caller-chosen label.
   std::string label;
   /// Window index for "window" frames; kNoWindow otherwise.
   std::uint64_t window_index = kNoWindow;
@@ -54,10 +53,9 @@ struct FlightFrame {
 /// Fixed-capacity ring of timestamped MetricsSnapshot deltas — the
 /// in-process flight recorder behind `/stats?history=N`. The windowed
 /// driver records one frame per window boundary
-/// (core::WindowedConfig::flight_recorder); an optional background
-/// thread adds wall-clock "interval" frames between boundaries. All
-/// captures are pure registry reads: recording can never change caching
-/// decisions (enforced by the same_decisions tests in
+/// (core::WindowedConfig::flight_recorder). All captures are pure
+/// registry reads: recording can never change caching decisions
+/// (enforced by the same_decisions tests in
 /// tests/test_telemetry_server.cpp).
 ///
 /// Thread safety: record()/history()/dump_jsonl() may race freely; one
@@ -68,7 +66,6 @@ class FlightRecorder {
  public:
   /// `capacity` frames are kept; the oldest is evicted on overflow.
   explicit FlightRecorder(std::size_t capacity = 256);
-  ~FlightRecorder();
 
   FlightRecorder(const FlightRecorder&) = delete;
   FlightRecorder& operator=(const FlightRecorder&) = delete;
@@ -95,13 +92,6 @@ class FlightRecorder {
   /// histograms.
   void dump_jsonl(std::ostream& os) const;
 
-  /// Start a background thread recording an "interval" frame every
-  /// `seconds` (> 0) until stop_interval_capture() or destruction.
-  /// Wall-clock only — frames observe the registry, never mutate it.
-  void start_interval_capture(double seconds);
-  void stop_interval_capture();
-  bool interval_capture_running() const;
-
  private:
   FlightFrame capture_locked(std::string label, std::uint64_t window_index)
       LFO_REQUIRES(mu_);
@@ -113,11 +103,6 @@ class FlightRecorder {
   /// Cumulative counter values at the previous capture (delta baseline).
   std::map<std::string, std::uint64_t, std::less<>> prev_counters_
       LFO_GUARDED_BY(mu_);
-
-  util::Mutex interval_mu_;
-  util::CondVar interval_cv_;
-  bool interval_stop_ LFO_GUARDED_BY(interval_mu_) = false;
-  std::thread interval_thread_;
 };
 
 /// Serialize one frame as a single-line JSON object (no trailing

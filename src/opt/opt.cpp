@@ -70,8 +70,10 @@ void solve_mcf_window(std::span<const trace::Request> reqs,
                       std::span<const std::uint8_t> keep, std::size_t base,
                       OptDecisions& out) {
   if (reqs.size() < 2 || intervals.empty()) return;
-  auto problem = build_flow_problem(reqs, config.cache_size,
-                                    config.cost_scale, intervals, keep);
+  // Integer scaling of per-byte costs (see build_flow_problem).
+  constexpr std::int64_t kCostScale = 1 << 16;
+  auto problem = build_flow_problem(reqs, config.cache_size, kCostScale,
+                                    intervals, keep);
   const auto result =
       mcmf::solve_min_cost_flow(problem.graph, problem.supplies);
   if (!result.feasible) {

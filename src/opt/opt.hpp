@@ -36,8 +36,6 @@ enum class OptMode {
 struct OptConfig {
   std::uint64_t cache_size = 1ULL << 30;
   OptMode mode = OptMode::kExactMcf;
-  /// Integer scaling of per-byte costs for the MCF (see build_flow_problem).
-  std::int64_t cost_scale = 1 << 16;
   /// kRankSplitMcf: fraction of intervals solved exactly (by rank).
   double rank_keep_fraction = 0.2;
   /// kIntervalSplitMcf: segment length in requests.

@@ -1,5 +1,6 @@
 #include "server/sharded_cache.hpp"
 
+#include <stdexcept>
 #include <utility>
 
 #include "util/check.hpp"
@@ -95,6 +96,13 @@ void ShardedLfoCache::swap_model(
 core::RolloutVerdict ShardedLfoCache::install_candidate(
     const core::RolloutCandidate& candidate,
     std::shared_ptr<const core::LfoModel> model) {
+  // Refused before the guard sees the candidate, so a mismatched model
+  // leaves the guard's state and every shard untouched.
+  if (model && !(model->feature_config() == config_.features)) {
+    throw std::invalid_argument(
+        "ShardedLfoCache::install_candidate: the model's feature schema "
+        "differs from the cache's");
+  }
   util::MutexLock lock(guard_mu_);
   const auto verdict = guard_.evaluate(candidate);
   if (verdict.activate && model != nullptr) {

@@ -66,11 +66,11 @@ struct AccessResult {
 ///    can briefly serve different models — same situation as two CDN
 ///    front-end processes mid-deploy, and harmless because decisions
 ///    are per-request).
-///  - stats()/bypassed()/demoted_hits()/used_bytes()/history_objects()/
-///    history_bytes() merge shard-locals
-///    on read, taking each shard lock in turn. They are the single
-///    source of the serving counts: nothing on the access path mirrors
-///    them, and the server exports them at scrape time.
+///  - stats(), bypassed(), demoted_hits(), used_bytes(),
+///    history_objects() and history_bytes() merge shard-locals on read,
+///    taking each shard lock in turn. They are the single source of the
+///    serving counts: nothing on the access path mirrors them, and the
+///    server exports them at scrape time.
 class ShardedLfoCache {
  public:
   explicit ShardedLfoCache(ShardedCacheConfig config);
@@ -101,7 +101,9 @@ class ShardedLfoCache {
 
   /// Install `model` on every shard (nullptr reverts all shards to the
   /// heuristic bootstrap mode). Callers that want health gating should
-  /// go through install_candidate() instead.
+  /// go through install_candidate() instead. Throws
+  /// std::invalid_argument, changing no shard, when the model's
+  /// FeatureConfig is not config.features.
   void swap_model(std::shared_ptr<const core::LfoModel> model);
   bool has_model() const {
     return has_model_.load(std::memory_order_acquire);
@@ -111,7 +113,9 @@ class ShardedLfoCache {
   /// (Cold-RL-style fallback, DESIGN.md): activation swaps the model in
   /// on every shard, rejection keeps the last-good model serving, and
   /// an exhausted rejection/drift budget clears the model — heuristic
-  /// fallback — until a candidate re-qualifies.
+  /// fallback — until a candidate re-qualifies. A model whose
+  /// FeatureConfig is not config.features throws std::invalid_argument
+  /// before the guard evaluates the candidate.
   core::RolloutVerdict install_candidate(
       const core::RolloutCandidate& candidate,
       std::shared_ptr<const core::LfoModel> model);

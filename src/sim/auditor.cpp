@@ -7,6 +7,12 @@
 
 namespace lfo::sim {
 
+namespace {
+/// Shadow entries reconciled against contains() per access (bounds the
+/// audit overhead per request).
+constexpr std::size_t kProbeBudget = 8;
+}  // namespace
+
 AuditedPolicy::AuditedPolicy(cache::CachePolicyPtr inner, AuditConfig config)
     : cache::CachePolicy(inner->capacity()),
       inner_(std::move(inner)),
@@ -35,7 +41,7 @@ void AuditedPolicy::clear() {
 }
 
 void AuditedPolicy::audit_full() {
-  // Sweep the whole shadow at once instead of probe_budget entries per
+  // Sweep the whole shadow at once instead of kProbeBudget entries per
   // access. An object the shadow saw admitted may have been evicted since
   // (that is reconciled, not a violation), but one the inner policy still
   // reports resident must match the size bound we recorded.
@@ -156,8 +162,7 @@ void AuditedPolicy::reconcile_probes() {
     probe_cycle_.reserve(shadow_.size());
     for (const auto& [object, size] : shadow_) probe_cycle_.push_back(object);
   }
-  for (std::size_t i = 0;
-       i < config_.probe_budget && !probe_cycle_.empty(); ++i) {
+  for (std::size_t i = 0; i < kProbeBudget && !probe_cycle_.empty(); ++i) {
     const auto object = probe_cycle_.back();
     probe_cycle_.pop_back();
     const auto it = shadow_.find(object);

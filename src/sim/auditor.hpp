@@ -20,9 +20,6 @@ struct AuditConfig {
   /// InfiniteCache deliberately skips add_used/sub_used accounting; set
   /// false there so the byte-accounting cross-checks are skipped.
   bool check_byte_accounting = true;
-  /// How many shadow entries to reconcile against contains() per access
-  /// (bounds the audit overhead per request).
-  std::size_t probe_budget = 8;
 };
 
 /// Contract-audit decorator: wraps any CachePolicy from the factory and
@@ -50,7 +47,8 @@ class AuditedPolicy final : public cache::CachePolicy {
 
   const cache::CachePolicy& inner() const { return *inner_; }
   /// Full shadow reconciliation: probes EVERY shadow entry against
-  /// contains() (ignoring probe_budget) and re-checks the byte bounds.
+  /// contains() (not a per-access budget's worth) and re-checks the
+  /// byte bounds.
   /// Intended for lifecycle boundaries — model swap, fallback to the
   /// heuristic, recovery — where an incremental per-request audit could
   /// let a transition bug hide behind the round-robin probe lag.

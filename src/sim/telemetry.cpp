@@ -7,10 +7,15 @@
 
 namespace lfo::sim {
 
-TelemetrySession::TelemetrySession(TelemetryOptions options)
-    : options_(options), recorder_(options.history_capacity) {
+namespace {
+/// Flight-recorder frames retained (one per window boundary).
+constexpr std::size_t kHistoryFrames = 256;
+}  // namespace
+
+TelemetrySession::TelemetrySession(std::uint16_t port)
+    : recorder_(kHistoryFrames) {
   obs::TelemetryServerConfig server_config;
-  server_config.port = options_.port;
+  server_config.port = port;
   server_config.flight_recorder = &recorder_;
   server_config.health = [this] { return health(); };
   server_ = std::make_unique<obs::TelemetryServer>(std::move(server_config));
@@ -31,24 +36,13 @@ void TelemetrySession::wire(core::WindowedConfig& config) {
   };
 }
 
-bool TelemetrySession::start() {
-  if (options_.interval_seconds > 0.0 &&
-      !recorder_.interval_capture_running()) {
-    recorder_.start_interval_capture(options_.interval_seconds);
-  }
-  return server_->start();
-}
+bool TelemetrySession::start() { return server_->start(); }
 
-void TelemetrySession::stop() {
-  server_->stop();
-  recorder_.stop_interval_capture();
-}
+void TelemetrySession::stop() { server_->stop(); }
 
 obs::HealthStatus TelemetrySession::health() const {
   const int state = rollout_state_.load(std::memory_order_relaxed);
-  const bool drifting =
-      options_.unhealthy_on_drift_warning &&
-      drift_warning_.load(std::memory_order_relaxed);
+  const bool drifting = drift_warning_.load(std::memory_order_relaxed);
   obs::HealthStatus status;
   if (state == static_cast<int>(core::RolloutState::kFallback)) {
     status.serving = false;

@@ -11,25 +11,10 @@
 
 namespace lfo::sim {
 
-struct TelemetryOptions {
-  /// Port for the loopback HTTP server; 0 picks an ephemeral port.
-  std::uint16_t port = 0;
-  /// Flight-recorder ring capacity (frames retained).
-  std::size_t history_capacity = 256;
-  /// Wall-clock "interval" frames between window boundaries; <= 0
-  /// disables the background capture thread.
-  double interval_seconds = 0.0;
-  /// /healthz reports 503 while a window's feature-drift score is at or
-  /// above this many times WindowedConfig::drift_warn_threshold'd
-  /// warning (i.e. while report.health.drift_warning is set). Rollout
-  /// fallback always reports 503.
-  bool unhealthy_on_drift_warning = true;
-};
-
 /// Owns the flight recorder + telemetry server for one windowed run and
 /// wires both into a core::WindowedConfig:
 ///
-///   sim::TelemetrySession telemetry(options);
+///   sim::TelemetrySession telemetry(port);
 ///   telemetry.wire(config);          // before run_windowed_lfo
 ///   telemetry.start();               // serve /metrics, /stats, ...
 ///
@@ -39,9 +24,14 @@ struct TelemetryOptions {
 /// state and drift warning into atomics the /healthz callback reads.
 /// Everything here observes the pipeline; nothing feeds back into
 /// decisions (same_decisions holds with the session live and scraped).
+///
+/// /healthz reports 503 during rollout fallback and while the latest
+/// window's report.health.drift_warning is set
+/// (WindowedConfig::drift_warn_threshold).
 class TelemetrySession {
  public:
-  explicit TelemetrySession(TelemetryOptions options = {});
+  /// `port` for the loopback HTTP server; 0 picks an ephemeral port.
+  explicit TelemetrySession(std::uint16_t port = 0);
   ~TelemetrySession();
 
   TelemetrySession(const TelemetrySession&) = delete;
@@ -51,8 +41,8 @@ class TelemetrySession {
   /// safe to call on multiple configs (they share this session's state).
   void wire(core::WindowedConfig& config);
 
-  /// Start the HTTP server (and the interval capture thread when
-  /// configured). Returns false with the reason in server().last_error().
+  /// Start the HTTP server. Returns false with the reason in
+  /// server().last_error().
   bool start();
   void stop();
 
@@ -64,7 +54,6 @@ class TelemetrySession {
   obs::HealthStatus health() const;
 
  private:
-  TelemetryOptions options_;
   obs::FlightRecorder recorder_;
   std::unique_ptr<obs::TelemetryServer> server_;
   /// static_cast<int>(core::RolloutState) of the latest emitted window,

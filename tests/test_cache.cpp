@@ -357,7 +357,7 @@ TEST(FrequencySketchTest, CountsAndAges) {
 
 TEST(Rl, LearnsSomethingButStaysModest) {
   const auto t = trace::generate_zipf_trace(30000, 400, 0.9, 41);
-  RlCache rl(1 << 14, RlParams{}, 1);
+  RlCache rl(1 << 14, 1);
   LruCache lru(1 << 14);
   for (const auto& r : t.requests()) {
     rl.access(r);

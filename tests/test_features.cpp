@@ -301,25 +301,6 @@ TEST(DatasetBuilder, FreeBytesTracksOptOccupancy) {
   EXPECT_FLOAT_EQ(data.feature(2, free_col), 900.0f);
 }
 
-TEST(DatasetBuilder, WarmupSkipsSamplesButKeepsHistory) {
-  std::vector<Request> reqs{
-      {0, 10, 10.0}, {0, 10, 10.0}, {0, 10, 10.0}, {0, 10, 10.0}};
-  opt::OptDecisions d;
-  d.cached = {1, 1, 1, 0};
-  d.cache_fraction = {1, 1, 1, 0};
-  DatasetBuildOptions options;
-  options.warmup = 2;
-  options.features.num_gaps = 2;
-  options.features.missing_gap_value = -1.0f;
-  const auto data = build_dataset(reqs, d, options);
-  ASSERT_EQ(data.num_rows(), 2u);
-  // First emitted sample is request index 2 and must see 2 recorded gaps.
-  const auto gap1 = data.feature(0, 3);
-  const auto gap2 = data.feature(0, 4);
-  EXPECT_FLOAT_EQ(gap1, 1.0f);
-  EXPECT_FLOAT_EQ(gap2, 1.0f);
-}
-
 TEST(DatasetBuilder, RejectsMismatchedDecisions) {
   std::vector<Request> reqs{{0, 1, 1.0}};
   opt::OptDecisions d;  // empty

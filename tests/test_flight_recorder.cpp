@@ -1,16 +1,14 @@
 // obs::FlightRecorder suite: ring semantics, snapshot-delta consistency,
-// JSONL dumps, background interval capture, and the acceptance-level
-// timeline test — one frame per window on the 20-window rollout torture
-// trace, with the activation/rejection/fallback/recovery schedule
-// readable off the per-frame counter deltas and the rollout-state gauge.
+// JSONL dumps, and the acceptance-level timeline test — one frame per
+// window on the 20-window rollout torture trace, with the
+// activation/rejection/fallback/recovery schedule readable off the
+// per-frame counter deltas and the rollout-state gauge.
 
 #include <gtest/gtest.h>
 
-#include <chrono>
 #include <cstddef>
 #include <sstream>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "core/rollout.hpp"
@@ -130,25 +128,6 @@ TEST(FlightRecorder, DumpJsonlEveryLineParses) {
   const auto second_line = text.find("\"label\":\"second\"");
   ASSERT_NE(second_line, std::string::npos);
   EXPECT_NE(text.find("\"window_index\":17"), std::string::npos);
-}
-
-TEST(FlightRecorder, IntervalCaptureRecordsAndStops) {
-  obs::FlightRecorder recorder(64);
-  EXPECT_FALSE(recorder.interval_capture_running());
-  recorder.start_interval_capture(0.02);
-  EXPECT_TRUE(recorder.interval_capture_running());
-  std::this_thread::sleep_for(std::chrono::milliseconds(150));
-  recorder.stop_interval_capture();
-  EXPECT_FALSE(recorder.interval_capture_running());
-  const auto captured = recorder.total_recorded();
-  EXPECT_GE(captured, 2u) << "interval thread recorded too few frames";
-  for (const auto& frame : recorder.history(64)) {
-    EXPECT_EQ(frame.label, "interval");
-    EXPECT_EQ(frame.window_index, obs::FlightFrame::kNoWindow);
-  }
-  // Fully stopped: no frames trickle in afterwards.
-  std::this_thread::sleep_for(std::chrono::milliseconds(60));
-  EXPECT_EQ(recorder.total_recorded(), captured);
 }
 
 // ------------------------------------------------- windowed-pipeline wiring

@@ -307,7 +307,8 @@ TEST(Train, LoglossDecreasesMonotonically) {
   Params params;
   params.num_iterations = 20;
   TrainLog log;
-  (void)train(data, params, &log);
+  const auto model = train(data, params, &log);
+  EXPECT_EQ(model.num_trees(), 20u);  // every iteration adds a tree
   ASSERT_EQ(log.train_logloss.size(), 20u);
   for (std::size_t i = 1; i < log.train_logloss.size(); ++i) {
     EXPECT_LE(log.train_logloss[i], log.train_logloss[i - 1] + 1e-9)

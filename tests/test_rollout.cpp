@@ -302,7 +302,7 @@ TEST(RolloutPipeline, FlashCrowdWithInjectedFailuresFallsBackAndRecovers) {
   for (std::size_t i = 5; i < 10; ++i) {
     EXPECT_TRUE(guarded.windows[i].rollout.train_failed) << "window " << i;
     EXPECT_EQ(guarded.windows[i].rollout.train_attempts,
-              1 + config.rollout.max_train_retries)
+              1 + core::kMaxTrainRetries)
         << "window " << i;
   }
   EXPECT_FALSE(guarded.windows[4].rollout.train_failed);

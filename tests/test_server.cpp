@@ -9,7 +9,8 @@
 //  - Rollout: install_candidate routes through the RolloutGuard, so the
 //    heuristic fallback still engages under a rejection storm and
 //    recovers on a healthy candidate, exactly as in the single-threaded
-//    windowed pipeline.
+//    windowed pipeline. A model of another feature schema is refused
+//    before the guard sees it.
 //  - Protocol: malformed frames close only their own connection, every
 //    64-bit object id is served, and a seeded random-frame fuzz keeps
 //    the server up with balanced accounting.
@@ -34,6 +35,7 @@
 #include <memory>
 #include <set>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <utility>
@@ -204,6 +206,66 @@ TEST(ShardedRollout, FallbackEngagesOnRejectionStormAndRecovers) {
   EXPECT_TRUE(verdict.activate);
   EXPECT_TRUE(cache.has_model());
   EXPECT_EQ(cache.rollout_state(), core::RolloutState::kServing);
+}
+
+TEST(ShardedRollout, MismatchedSchemaIsRefusedAndChangesNothing) {
+  const auto trace = golden_trace("web");
+  const auto config = golden_config();
+  const auto model = golden_model(trace, config);
+  auto wide_config = config;
+  wide_config.features.num_gaps = 50;
+  const auto wide = golden_model(trace, wide_config);
+  ASSERT_GT(wide->dimension(), model->dimension());
+
+  server::ShardedCacheConfig sconfig;
+  sconfig.capacity = config.cache_size;
+  sconfig.features = config.features;
+  sconfig.num_shards = 4;
+  server::ShardedLfoCache refused(sconfig);
+  server::ShardedLfoCache control(sconfig);
+
+  core::RolloutCandidate good;
+  good.train_accuracy = 0.9;
+  good.model_admit_share = 0.5;
+  good.opt_admit_share = 0.5;
+  good.feature_drift = 0.01;
+  auto bad = good;
+  bad.train_accuracy = 0.3;
+
+  ASSERT_TRUE(refused.install_candidate(good, model).activate);
+  ASSERT_TRUE(control.install_candidate(good, model).activate);
+  const std::size_t half = trace.size() / 2;
+  for (std::size_t i = 5000; i < half; ++i) {
+    ASSERT_EQ(refused.access(trace[i]).hit, control.access(trace[i]).hit)
+        << "request " << i;
+  }
+
+  // A wider model would read past the cache's feature rows. It is
+  // refused before the guard scores it: a counted rejection would bring
+  // `refused` to fallback one candidate before `control`.
+  EXPECT_THROW(refused.install_candidate(bad, wide), std::invalid_argument);
+  EXPECT_THROW(refused.install_candidate(good, wide), std::invalid_argument);
+  EXPECT_THROW(refused.swap_model(wide), std::invalid_argument);
+  EXPECT_EQ(refused.rollout_state(), core::RolloutState::kServing);
+  for (std::uint32_t i = 0; i < sconfig.rollout.max_consecutive_rejections;
+       ++i) {
+    const auto got = refused.install_candidate(bad, model);
+    const auto want = control.install_candidate(bad, model);
+    EXPECT_EQ(got.decision, want.decision) << "candidate " << i;
+    EXPECT_EQ(refused.rollout_state(), control.rollout_state())
+        << "candidate " << i;
+  }
+  EXPECT_EQ(refused.rollout_state(), core::RolloutState::kFallback);
+  ASSERT_TRUE(refused.install_candidate(good, model).activate);
+  ASSERT_TRUE(control.install_candidate(good, model).activate);
+
+  for (std::size_t i = half; i < trace.size(); ++i) {
+    ASSERT_EQ(refused.access(trace[i]).hit, control.access(trace[i]).hit)
+        << "request " << i;
+  }
+  EXPECT_EQ(refused.stats().hits, control.stats().hits);
+  EXPECT_EQ(refused.bypassed(), control.bypassed());
+  EXPECT_EQ(refused.used_bytes(), control.used_bytes());
 }
 
 // ------------------------------------------------ socket-level replay

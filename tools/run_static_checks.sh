@@ -117,13 +117,13 @@ if [[ "$SKIP_TSAN" -eq 0 ]]; then
         --target test_async_pipeline --target test_obs_stress \
         --target test_server -j "$JOBS"
   banner "tsan: ctest -L stress"
-  ctest --test-dir build-tsan -L stress --output-on-failure -j "$JOBS"
+  ctest --test-dir build-tsan -L stress --no-tests=error --output-on-failure -j "$JOBS"
 fi
 
 if [[ "$SKIP_OBS" -eq 0 ]]; then
   banner "obs: Release build + tier1"
   release_build lfo_tests cdn_server_simulation
-  ctest --test-dir "$RELEASE_DIR" -L tier1 --output-on-failure -j "$JOBS"
+  ctest --test-dir "$RELEASE_DIR" -L tier1 --no-tests=error --output-on-failure -j "$JOBS"
   banner "obs: live telemetry endpoint smoke (tools/obs_smoke.sh)"
   tools/obs_smoke.sh "./$RELEASE_DIR/examples/cdn_server_simulation"
 fi
@@ -137,7 +137,7 @@ if [[ "$SKIP_FAULTS" -eq 0 ]]; then
   # the rollout guard through fallback and recovery deterministically,
   # keep BHR at or above the heuristic-only baseline, and — with no
   # faults — leave decisions bitwise-identical to an unguarded run.
-  ctest --test-dir "$RELEASE_DIR" -L faults --output-on-failure -j "$JOBS"
+  ctest --test-dir "$RELEASE_DIR" -L faults --no-tests=error --output-on-failure -j "$JOBS"
 fi
 
 if [[ "$SKIP_PERF" -eq 0 ]]; then
@@ -146,7 +146,7 @@ if [[ "$SKIP_PERF" -eq 0 ]]; then
   # Strict gates: the flat engine must be decision-identical to the tree
   # walk and the warm serving path must perform zero heap allocations
   # (NDEBUG + no sanitizer arms the EXPECT_EQ(delta, 0) assertions).
-  ctest --test-dir "$RELEASE_DIR" -L perfsmoke --output-on-failure -j "$JOBS"
+  ctest --test-dir "$RELEASE_DIR" -L perfsmoke --no-tests=error --output-on-failure -j "$JOBS"
 fi
 
 if [[ "$SKIP_TIDY" -eq 0 ]]; then
