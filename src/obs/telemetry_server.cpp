@@ -1,24 +1,20 @@
 #include "obs/telemetry_server.hpp"
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <netinet/tcp.h>
 #include <poll.h>
 #include <sys/socket.h>
-#include <sys/time.h>
 #include <unistd.h>
 
 #include <algorithm>
 #include <cerrno>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <sstream>
 #include <utility>
 
 #include "obs/build_info.hpp"
 #include "obs/exporters.hpp"
 #include "obs/trace_span.hpp"
+#include "util/socket.hpp"
 
 namespace lfo::obs {
 
@@ -62,31 +58,6 @@ void count_bad_request() {
   MetricsRegistry::instance()
       .counter("lfo_telemetry_bad_requests_total")
       .inc();
-}
-
-struct timeval to_timeval(double seconds) {
-  if (seconds < 0.0) seconds = 0.0;
-  struct timeval tv;
-  tv.tv_sec = static_cast<time_t>(seconds);
-  tv.tv_usec = static_cast<suseconds_t>((seconds - tv.tv_sec) * 1e6);
-  return tv;
-}
-
-void set_io_timeouts(int fd, double seconds) {
-  const struct timeval tv = to_timeval(seconds);
-  ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
-  ::setsockopt(fd, SOL_SOCKET, SO_SNDTIMEO, &tv, sizeof(tv));
-}
-
-bool send_all(int fd, std::string_view data) {
-  std::size_t sent = 0;
-  while (sent < data.size()) {
-    const ssize_t n =
-        ::send(fd, data.data() + sent, data.size() - sent, MSG_NOSIGNAL);
-    if (n <= 0) return false;
-    sent += static_cast<std::size_t>(n);
-  }
-  return true;
 }
 
 const char* status_reason(int status) {
@@ -152,37 +123,10 @@ TelemetryServer::~TelemetryServer() { stop(); }
 bool TelemetryServer::start() {
   if (listen_fd_ >= 0) return true;
   last_error_.clear();
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (fd < 0) {
-    last_error_ = std::string("socket: ") + std::strerror(errno);
-    return false;
-  }
-  const int one = 1;
-  ::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  addr.sin_port = htons(config_.port);
-  if (::bind(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)) !=
-      0) {
-    last_error_ = std::string("bind: ") + std::strerror(errno);
-    ::close(fd);
-    return false;
-  }
-  if (::listen(fd, 16) != 0) {
-    last_error_ = std::string("listen: ") + std::strerror(errno);
-    ::close(fd);
-    return false;
-  }
-  sockaddr_in bound{};
-  socklen_t bound_len = sizeof(bound);
-  if (::getsockname(fd, reinterpret_cast<sockaddr*>(&bound), &bound_len) !=
-      0) {
-    last_error_ = std::string("getsockname: ") + std::strerror(errno);
-    ::close(fd);
-    return false;
-  }
-  port_ = ntohs(bound.sin_port);
+  std::uint16_t port = config_.port;
+  const int fd = util::listen_loopback(port, 16, last_error_);
+  if (fd < 0) return false;
+  port_ = port;
   listen_fd_ = fd;
   stop_.store(false, std::memory_order_release);
   handler_threads_.reserve(kHandlerThreads);
@@ -260,7 +204,7 @@ void TelemetryServer::handler_loop() {
 }
 
 void TelemetryServer::serve_connection(int fd) const {
-  set_io_timeouts(fd, config_.io_timeout_seconds);
+  util::set_io_timeouts(fd, config_.io_timeout_seconds);
   // One deadline for the whole head: SO_RCVTIMEO alone restarts on
   // every byte, so a peer trickling one byte per second could hold this
   // handler for hours.
@@ -308,12 +252,14 @@ void TelemetryServer::serve_connection(int fd) const {
   } else {
     resp = handle_request(request);
   }
-  std::ostringstream head;
-  head << "HTTP/1.1 " << resp.status << ' ' << status_reason(resp.status)
-       << "\r\nContent-Type: " << resp.content_type
-       << "\r\nContent-Length: " << resp.body.size()
-       << "\r\nConnection: close\r\n\r\n";
-  if (send_all(fd, head.str())) send_all(fd, resp.body);
+  std::ostringstream out;
+  out << "HTTP/1.1 " << resp.status << ' ' << status_reason(resp.status)
+      << "\r\nContent-Type: " << resp.content_type
+      << "\r\nContent-Length: " << resp.body.size()
+      << "\r\nConnection: close\r\n\r\n"
+      << resp.body;
+  const std::string response = out.str();
+  util::send_all(fd, response.data(), response.size());
 }
 
 MetricsSnapshot TelemetryServer::snapshot() const {
@@ -461,22 +407,12 @@ HttpResponse TelemetryServer::handle_request(
 
 std::string fetch_local(std::uint16_t port, std::string_view target,
                         double timeout_seconds) {
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  const int fd = util::connect_loopback(port, timeout_seconds);
   if (fd < 0) return {};
-  set_io_timeouts(fd, timeout_seconds);
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  addr.sin_port = htons(port);
-  if (::connect(fd, reinterpret_cast<const sockaddr*>(&addr),
-                sizeof(addr)) != 0) {
-    ::close(fd);
-    return {};
-  }
   std::string request = "GET ";
   request += target;
   request += " HTTP/1.1\r\nHost: 127.0.0.1\r\nConnection: close\r\n\r\n";
-  if (!send_all(fd, request)) {
+  if (!util::send_all(fd, request.data(), request.size())) {
     ::close(fd);
     return {};
   }

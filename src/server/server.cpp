@@ -1,13 +1,11 @@
 #include "server/server.hpp"
 
-#include <arpa/inet.h>
-#include <fcntl.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
 #include <poll.h>
+#include <sys/epoll.h>
 #include <sys/eventfd.h>
 #include <sys/socket.h>
-#include <sys/time.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -19,49 +17,13 @@
 
 #include "core/rollout.hpp"
 #include "obs/metrics.hpp"
+#include "util/socket.hpp"
 
 namespace lfo::server {
 
 namespace {
 
-void set_io_timeouts(int fd, double seconds) {
-  if (seconds < 0.0) seconds = 0.0;
-  struct timeval tv;
-  tv.tv_sec = static_cast<time_t>(seconds);
-  tv.tv_usec = static_cast<suseconds_t>((seconds - tv.tv_sec) * 1e6);
-  ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
-  ::setsockopt(fd, SOL_SOCKET, SO_SNDTIMEO, &tv, sizeof(tv));
-}
-
-bool send_all(int fd, const void* data, std::size_t size) {
-  const char* p = static_cast<const char*>(data);
-  std::size_t sent = 0;
-  while (sent < size) {
-    const ssize_t n = ::send(fd, p + sent, size - sent, MSG_NOSIGNAL);
-    if (n <= 0) return false;
-    sent += static_cast<std::size_t>(n);
-  }
-  return true;
-}
-
-/// Read exactly `size` bytes from a blocking client socket. SO_RCVTIMEO
-/// (set by LfoClient::connect) is a hard deadline: its first expiry fails
-/// the read, which is what makes connect(timeout_seconds) an actual
-/// timeout.
-bool read_exact(int fd, void* data, std::size_t size) {
-  char* p = static_cast<char*>(data);
-  std::size_t got = 0;
-  while (got < size) {
-    const ssize_t n = ::recv(fd, p + got, size - got, 0);
-    if (n > 0) {
-      got += static_cast<std::size_t>(n);
-      continue;
-    }
-    if (n < 0 && errno == EINTR) continue;
-    return false;
-  }
-  return true;
-}
+using Clock = std::chrono::steady_clock;
 
 void wake(int event_fd) {
   const std::uint64_t one = 1;
@@ -74,11 +36,20 @@ void clear_wake(int event_fd) {
   (void)!::read(event_fd, &count, sizeof(count));
 }
 
-int to_poll_ms(double seconds) {
-  return static_cast<int>(std::clamp(seconds * 1e3, 1.0, 1e9));
+/// Add `fd` to, or modify it in, an epoll set; `tag` comes back with its
+/// events.
+bool watch(int epoll_fd, int op, int fd, std::uint32_t events, void* tag) {
+  epoll_event event{};
+  event.events = events;
+  event.data.ptr = tag;
+  return ::epoll_ctl(epoll_fd, op, fd, &event) == 0;
 }
 
-constexpr int kIdlePollMs = 100;
+/// True when a nonblocking recv/send should wait for the next event (it
+/// never sleeps, so it cannot be interrupted either).
+bool would_block(ssize_t n) {
+  return n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK);
+}
 
 /// TelemetryServerConfig::collect: the serving counts, read from the
 /// shard-local cache stats at scrape time (the request path keeps no
@@ -108,9 +79,9 @@ void append_serving_series(const ShardedLfoCache& cache,
 
 }  // namespace
 
-/// One decoded request frame of a connection, grouped by shard. The
-/// connection's worker fills it, then posts it to each other owner with a
-/// group in it; it is refilled only after every group has been served.
+/// One decoded request frame, grouped by shard. Its owner fills it from
+/// a connection, then posts it to each other owner with a group in it;
+/// it is refilled only after every group has been served.
 struct LfoServer::Frame {
   std::vector<trace::Request> requests;
   std::vector<std::uint32_t> shard;  ///< shard of each request
@@ -122,7 +93,7 @@ struct LfoServer::Frame {
   /// Groups posted to other owners and not yet served.
   std::atomic<std::uint32_t> pending{0};
   std::atomic<bool> failed{false};  ///< a group threw (a bad frame)
-  std::uint32_t origin = 0;         ///< the worker the frame belongs to
+  std::uint32_t origin = 0;         ///< the owner the frame belongs to
 
   std::span<const std::uint32_t> group(std::uint32_t s) const {
     const std::uint32_t begin = s == 0 ? 0 : group_end[s - 1];
@@ -130,31 +101,56 @@ struct LfoServer::Frame {
   }
 };
 
-/// A worker's shard-owner state.
+/// One client connection, driven by its owner's event loop: read a
+/// header, read a body, write the reply, start over.
+struct LfoServer::Connection {
+  explicit Connection(int fd) : fd(fd) {}
+  ~Connection() { ::close(fd); }
+  Connection(const Connection&) = delete;
+  Connection& operator=(const Connection&) = delete;
+
+  const int fd;
+  std::uint64_t last_active = 0;  ///< owner tick of its latest event
+  /// When the frame being read, or a stalled reply, fails.
+  Clock::time_point deadline = Clock::time_point::max();
+  std::uint32_t count = 0;  ///< header of the frame being read
+  std::size_t got = 0;      ///< bytes of that frame read so far
+  std::size_t sent = 0;     ///< bytes of `reply` written so far
+  /// Grow-once buffers reused across the connection's frames: the warm
+  /// per-request serving path performs no allocations.
+  std::vector<WireRequest> wire;
+  std::vector<std::uint8_t> reply;
+};
+
+/// A shard owner's thread state.
 struct LfoServer::Owner {
   Owner(std::uint32_t index, std::uint32_t workers)
       : index(index),
         wake_fd(::eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC)),
+        epoll_fd(::epoll_create1(EPOLL_CLOEXEC)),
         inbox(workers) {
     frame.origin = index;
   }
   ~Owner() {
     if (wake_fd >= 0) ::close(wake_fd);
+    if (epoll_fd >= 0) ::close(epoll_fd);
   }
   Owner(const Owner&) = delete;
   Owner& operator=(const Owner&) = delete;
 
   const std::uint32_t index;
-  /// eventfd, written when a frame lands in the inbox and when the last
-  /// posted group of this worker's own frame is served.
+  /// eventfd, written when a frame lands in the inbox, when the last
+  /// posted group of this owner's frame is served, and on shutdown.
   const int wake_fd;
-  /// Frames posted by other workers, one slot per posting worker: each
+  /// Watches wake_fd, the listening socket and the connections.
+  const int epoll_fd;
+  /// Frames posted by other owners, one slot per posting owner: each
   /// has at most one frame in flight, so the inbox never holds more than
   /// workers - 1 frames and never allocates.
   std::vector<std::atomic<Frame*>> inbox;
-  Frame frame;  ///< this worker's connection's frame
-  std::vector<WireRequest> wire;
-  std::vector<std::uint8_t> reply;
+  Frame frame;  ///< the frame this owner is serving
+  std::vector<std::unique_ptr<Connection>> connections;
+  std::uint64_t tick = 0;  ///< event count behind Connection::last_active
 };
 
 LfoServer::LfoServer(LfoServerConfig config)
@@ -166,60 +162,31 @@ bool LfoServer::start() {
   if (listen_fd_ >= 0) return true;
   last_error_.clear();
   telemetry_error_.clear();
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (fd < 0) {
-    last_error_ = std::string("socket: ") + std::strerror(errno);
-    return false;
-  }
-  const int one = 1;
-  ::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  addr.sin_port = htons(config_.port);
-  if (::bind(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)) !=
-      0) {
-    last_error_ = std::string("bind: ") + std::strerror(errno);
-    ::close(fd);
-    return false;
-  }
-  if (::listen(fd, 64) != 0) {
-    last_error_ = std::string("listen: ") + std::strerror(errno);
-    ::close(fd);
-    return false;
-  }
-  // Every worker polls this fd (level-triggered), so one connection
-  // wakes them all; accept must be non-blocking so the losers get
-  // EAGAIN and fall back to polling instead of parking inside a
-  // blocking ::accept() where stop_ is invisible — stop() joins the
-  // workers before it closes the fd, so a parked worker is a deadlock.
-  const int flags = ::fcntl(fd, F_GETFL, 0);
-  if (flags < 0 || ::fcntl(fd, F_SETFL, flags | O_NONBLOCK) != 0) {
-    last_error_ = std::string("fcntl: ") + std::strerror(errno);
-    ::close(fd);
-    return false;
-  }
-  sockaddr_in bound{};
-  socklen_t bound_len = sizeof(bound);
-  if (::getsockname(fd, reinterpret_cast<sockaddr*>(&bound), &bound_len) !=
-      0) {
-    last_error_ = std::string("getsockname: ") + std::strerror(errno);
-    ::close(fd);
-    return false;
-  }
-  const std::uint32_t workers = config_.workers > 0 ? config_.workers : 1;
-  owners_.clear();
+  std::uint16_t port = config_.port;
+  const int fd = util::listen_loopback(port, SOMAXCONN, last_error_);
+  if (fd < 0) return false;
+  const std::uint32_t workers = std::max(config_.workers, 1u);
   for (std::uint32_t i = 0; i < workers; ++i) {
     owners_.push_back(std::make_unique<Owner>(i, workers));
-    if (owners_.back()->wake_fd < 0) {
-      last_error_ = std::string("eventfd: ") + std::strerror(errno);
+    const Owner& owner = *owners_.back();
+    // Only owner 0 starts with the listening socket armed.
+    std::uint32_t listen = EPOLLONESHOT;
+    if (i == 0) listen |= EPOLLIN;
+    if (owner.wake_fd < 0 || owner.epoll_fd < 0 ||
+        !watch(owner.epoll_fd, EPOLL_CTL_ADD, owner.wake_fd, EPOLLIN,
+               nullptr) ||
+        !watch(owner.epoll_fd, EPOLL_CTL_ADD, fd, listen, &listen_fd_)) {
+      last_error_ = std::string("epoll: ") + std::strerror(errno);
       owners_.clear();
       ::close(fd);
       return false;
     }
   }
-  port_ = ntohs(bound.sin_port);
+  port_ = port;
   listen_fd_ = fd;
+  io_timeout_ = std::chrono::duration_cast<Clock::duration>(
+      std::chrono::duration<double>(
+          std::clamp(config_.io_timeout_seconds, 0.0, 1e6)));
   stop_.store(false);
 
   if (config_.telemetry) {
@@ -251,7 +218,7 @@ bool LfoServer::start() {
   LFO_GAUGE_SET("lfo_server_shards", static_cast<double>(cache_.num_shards()));
   workers_.reserve(workers);
   for (const auto& owner : owners_) {
-    workers_.emplace_back([this, self = owner.get()] { worker_loop(*self); });
+    workers_.emplace_back([this, self = owner.get()] { run(*self); });
   }
   return true;
 }
@@ -260,9 +227,7 @@ void LfoServer::stop() {
   if (listen_fd_ < 0) return;
   stop_.store(true);
   for (const auto& owner : owners_) wake(owner->wake_fd);
-  for (auto& worker : workers_) {
-    if (worker.joinable()) worker.join();
-  }
+  for (auto& worker : workers_) worker.join();
   workers_.clear();
   owners_.clear();
   if (telemetry_ != nullptr) telemetry_->stop();
@@ -276,49 +241,87 @@ std::uint16_t LfoServer::telemetry_port() const {
   return telemetry_ != nullptr ? telemetry_->port() : 0;
 }
 
-void LfoServer::worker_loop(Owner& self) {
-  // Every worker polls the shared listening socket (same poll/stop
-  // idiom as the telemetry accept loop); a pending connection may wake
-  // several idle workers, one wins the non-blocking accept and the rest
-  // see EAGAIN. A worker keeps its accepted connection until the peer
-  // closes, so concurrency = workers. Every wait also watches the wake
-  // fd, so an idle worker still serves the groups other workers post.
-  while (true) {
-    if (stop_.load()) {
-      // Another worker may still be inside a connection, waiting on a
-      // group it posted here: keep serving until every one is out.
-      if (in_connection_.load() == 0) return;
-      await(self, -1, 0, kIdlePollMs);
-      continue;
+void LfoServer::run(Owner& self) {
+  constexpr int kMaxEvents = 64;
+  epoll_event events[kMaxEvents]{};
+  int timeout_ms = -1;
+  while (!stop_.load() || in_flight_.load() != 0) {
+    const int ready =
+        ::epoll_wait(self.epoll_fd, events, kMaxEvents, timeout_ms);
+    bool listening = false;
+    for (int i = 0; i < ready; ++i) {
+      void* const tag = events[i].data.ptr;
+      if (tag == nullptr) {
+        clear_wake(self.wake_fd);  // before draining: a later post re-arms it
+        drain_inbox(self);
+      } else if (tag == &listen_fd_) {
+        listening = true;
+      } else {
+        // Only a connection's own event closes it during the batch, so
+        // no later event in it points at a closed connection.
+        auto* conn = static_cast<Connection*>(tag);
+        conn->last_active = ++self.tick;
+        if (!advance(self, *conn)) {
+          std::erase_if(self.connections,
+                        [conn](const auto& c) { return c.get() == conn; });
+        }
+      }
     }
-    if (!await(self, listen_fd_, POLLIN, kIdlePollMs)) continue;
-    const int client = ::accept(listen_fd_, nullptr, nullptr);
-    // EAGAIN: another worker won the race (the listen fd is
-    // non-blocking); also covers a connection aborted between poll
-    // and accept. Either way, go back to polling.
-    if (client < 0) continue;
-    // Counted before stop_ is re-read (both sequentially consistent): a
-    // worker that saw stop_ and then in_connection_ == 0 cannot miss a
-    // connection that is about to post to it.
-    in_connection_.fetch_add(1);
-    if (!stop_.load()) {
-      LFO_COUNTER_INC("lfo_server_connections_total");
-      serve_connection(self, client);
-    }
-    ::close(client);
-    in_connection_.fetch_sub(1);
+    // After the batch: shedding may close a connection with an event in it.
+    if (listening) accept_connection(self);
+    timeout_ms = expire(self);
   }
 }
 
-bool LfoServer::await(Owner& self, int fd, short events, int timeout_ms) {
-  // poll() skips entries with a negative fd.
-  pollfd fds[2] = {{self.wake_fd, POLLIN, 0}, {fd, events, 0}};
-  if (::poll(fds, 2, timeout_ms) <= 0) return false;
-  if (fds[0].revents != 0) {
-    clear_wake(self.wake_fd);  // before draining: a later post re-arms it
-    drain_inbox(self);
+void LfoServer::accept_connection(Owner& self) {
+  // Round-robin rather than SO_REUSEPORT's hash, so W closed-loop
+  // connections to W owners land one per owner: the listening socket is
+  // armed (one-shot) in one owner's epoll set at a time, and each accept
+  // arms it in the next owner's.
+  const int fd =
+      ::accept4(listen_fd_, nullptr, nullptr, SOCK_NONBLOCK | SOCK_CLOEXEC);
+  const Owner& next =
+      fd < 0 ? self : *owners_[(self.index + 1) % owners_.size()];
+  watch(next.epoll_fd, EPOLL_CTL_MOD, listen_fd_, EPOLLIN | EPOLLONESHOT,
+        &listen_fd_);
+  if (fd < 0) return;
+  auto& connections = self.connections;
+  if (connections.size() >= kMaxConnectionsPerOwner) {
+    connections.erase(std::min_element(
+        connections.begin(), connections.end(),
+        [](const auto& a, const auto& b) {
+          return a->last_active < b->last_active;
+        }));
+    LFO_COUNTER_INC("lfo_server_shed_connections_total");
   }
-  return fds[1].revents != 0;
+  const int one = 1;
+  ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
+  auto conn = std::make_unique<Connection>(fd);
+  conn->last_active = ++self.tick;
+  // Edge-triggered: advance() runs a connection until it would block, so
+  // its interest never has to change.
+  if (watch(self.epoll_fd, EPOLL_CTL_ADD, fd, EPOLLIN | EPOLLOUT | EPOLLET,
+            conn.get())) {
+    connections.push_back(std::move(conn));
+    LFO_COUNTER_INC("lfo_server_connections_total");
+  }
+}
+
+int LfoServer::expire(Owner& self) {
+  const auto now = Clock::now();
+  auto next = Clock::time_point::max();
+  std::erase_if(self.connections, [&](const auto& conn) {
+    if (conn->deadline > now) {
+      next = std::min(next, conn->deadline);
+      return false;
+    }
+    // A frame cut off mid-read is a bad frame; a stalled reply is not.
+    if (conn->got > 0) LFO_COUNTER_INC("lfo_server_bad_frames_total");
+    return true;
+  });
+  if (next == Clock::time_point::max()) return -1;
+  return static_cast<int>(
+      std::chrono::ceil<std::chrono::milliseconds>(next - now).count());
 }
 
 void LfoServer::drain_inbox(Owner& self) {
@@ -339,7 +342,7 @@ void LfoServer::serve_part(std::uint32_t owner, Frame& frame) {
   const auto stride = static_cast<std::uint32_t>(owners_.size());
   // A request the cache cannot take throws (std::bad_alloc when memory
   // runs out, std::length_error when a history slab runs out of
-  // offsets); it makes the whole frame bad, and never ends the worker
+  // offsets); it makes the whole frame bad, and never ends the owner
   // that happens to own its shard.
   try {
     for (std::uint32_t s = owner; s < cache_.num_shards(); s += stride) {
@@ -397,127 +400,115 @@ bool LfoServer::serve_frame(Owner& self) {
   }
   serve_part(self.index, frame);
   // Posted groups read the frame until they are served, so wait for them
-  // even when stopping; the owners keep serving until this worker leaves
-  // its connection.
+  // even when stopping; the other owners keep serving until in_flight_
+  // is 0.
   while (frame.pending.load(std::memory_order_acquire) != 0) {
-    await(self, -1, 0, kIdlePollMs);
+    pollfd woken{self.wake_fd, POLLIN, 0};
+    ::poll(&woken, 1, -1);
+    clear_wake(self.wake_fd);
+    drain_inbox(self);
   }
   return !frame.failed.load(std::memory_order_relaxed);
 }
 
-bool LfoServer::receive(Owner& self, int fd, void* data, std::size_t size) {
-  // A connection may sit idle between frames for arbitrarily long, but
-  // shutdown must not hang, so the wait re-checks stop_ (stop() also
-  // wakes it through the owner's eventfd). End of stream, clean or
-  // mid-frame, and socket errors all end the connection.
-  char* p = static_cast<char*>(data);
-  std::size_t got = 0;
-  while (got < size) {
-    const ssize_t n = ::recv(fd, p + got, size - got, MSG_DONTWAIT);
-    if (n > 0) {
-      got += static_cast<std::size_t>(n);
+LFO_ENDPOINT_HANDLER
+bool LfoServer::advance(Owner& self, Connection& conn) {
+  constexpr std::size_t kHeader = sizeof(conn.count);
+  while (true) {
+    if (conn.sent < conn.reply.size()) {
+      const ssize_t n = ::send(conn.fd, conn.reply.data() + conn.sent,
+                               conn.reply.size() - conn.sent, MSG_NOSIGNAL);
+      if (would_block(n)) {
+        // Finish on EPOLLOUT; fail once the peer takes nothing for
+        // io_timeout_seconds.
+        conn.deadline = Clock::now() + io_timeout_;
+        return true;
+      }
+      if (n <= 0) return false;
+      conn.sent += static_cast<std::size_t>(n);
+      conn.deadline = Clock::time_point::max();
       continue;
     }
-    if (n < 0 && errno == EINTR) continue;
-    if (n == 0 || (errno != EAGAIN && errno != EWOULDBLOCK)) return false;
-    if (stop_.load(std::memory_order_acquire)) return false;
-    await(self, fd, POLLIN, kIdlePollMs);
-  }
-  return true;
-}
-
-bool LfoServer::transmit(Owner& self, int fd, const void* data,
-                         std::size_t size) {
-  using Clock = std::chrono::steady_clock;
-  const auto timeout = std::chrono::duration_cast<Clock::duration>(
-      std::chrono::duration<double>(config_.io_timeout_seconds));
-  const char* p = static_cast<const char*>(data);
-  std::size_t sent = 0;
-  auto deadline = Clock::now() + timeout;
-  while (sent < size) {
-    const ssize_t n =
-        ::send(fd, p + sent, size - sent, MSG_NOSIGNAL | MSG_DONTWAIT);
-    if (n > 0) {
-      sent += static_cast<std::size_t>(n);
-      deadline = Clock::now() + timeout;
-      continue;
+    const bool header = conn.got < kHeader;
+    char* const into =
+        header ? reinterpret_cast<char*>(&conn.count) + conn.got
+               : reinterpret_cast<char*>(conn.wire.data()) + conn.got - kHeader;
+    const std::size_t want =
+        (header ? kHeader : kHeader + conn.count * sizeof(WireRequest)) -
+        conn.got;
+    const ssize_t n = ::recv(conn.fd, into, want, 0);
+    if (would_block(n)) return true;
+    if (n <= 0) {
+      // End of stream or a socket error: mid-frame, the frame is cut short.
+      if (conn.got > 0) LFO_COUNTER_INC("lfo_server_bad_frames_total");
+      return false;
     }
-    if (n < 0 && errno == EINTR) continue;
-    if (n == 0 || (errno != EAGAIN && errno != EWOULDBLOCK)) return false;
-    const auto left = std::chrono::duration<double>(deadline - Clock::now());
-    if (left.count() <= 0.0) return false;
-    await(self, fd, POLLOUT, to_poll_ms(left.count()));
+    if (conn.got == 0) conn.deadline = Clock::now() + io_timeout_;
+    conn.got += static_cast<std::size_t>(n);
+    if (conn.got == kHeader) {
+      // Malformed frames come from outside the process: count and close,
+      // never abort (lfo_lint `endpoint` rule).
+      if (conn.count == 0 || conn.count > kMaxBatch) {
+        LFO_COUNTER_INC("lfo_server_bad_frames_total");
+        return false;
+      }
+      conn.wire.resize(conn.count);
+    } else if (conn.got == kHeader + conn.count * sizeof(WireRequest) &&
+               !serve_request(self, conn)) {
+      return false;
+    }
   }
-  return true;
 }
 
 LFO_ENDPOINT_HANDLER
-void LfoServer::serve_connection(Owner& self, int fd) {
-  const int one = 1;
-  ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-  // Grow-once buffers reused across the connection's frames: the warm
-  // per-request serving path performs no allocations.
+bool LfoServer::serve_request(Owner& self, Connection& conn) {
+  const std::uint32_t count = conn.count;
+  conn.got = 0;
+  conn.deadline = Clock::time_point::max();
+  // A record the trace readers would reject fails the whole frame
+  // before any of it reaches a shard.
   Frame& frame = self.frame;
-  while (!stop_.load(std::memory_order_acquire)) {
-    std::uint32_t count = 0;
-    if (!receive(self, fd, &count, sizeof(count))) return;
-    // Malformed frames come from outside the process: count and close,
-    // never abort (lfo_lint `endpoint` rule).
-    if (count == 0 || count > config_.max_batch) {
-      LFO_COUNTER_INC("lfo_server_bad_frames_total");
-      return;
-    }
-    self.wire.resize(count);
-    if (!receive(self, fd, self.wire.data(), count * sizeof(WireRequest))) {
-      LFO_COUNTER_INC("lfo_server_bad_frames_total");
-      return;
-    }
-    // A record the trace readers would reject fails the whole frame
-    // before any of it reaches a shard.
-    frame.requests.resize(count);
-    bool valid = true;
-    for (std::uint32_t i = 0; i < count; ++i) {
-      const WireRequest& wire = self.wire[i];
-      frame.requests[i] = {wire.object, wire.size, wire.cost, wire.ttl};
-      valid &= trace::valid_record(frame.requests[i]);
-    }
-    if (!valid || !serve_frame(self)) {
-      LFO_COUNTER_INC("lfo_server_bad_frames_total");
-      return;
-    }
-    LFO_COUNTER_INC("lfo_server_batches_total");
-    self.reply.resize(sizeof(count) + count);
-    std::memcpy(self.reply.data(), &count, sizeof(count));
-    for (std::uint32_t i = 0; i < count; ++i) {
-      const AccessResult result = frame.results[i];
-      self.reply[sizeof(count) + i] = static_cast<std::uint8_t>(
-          result.expired ? WireDecision::kExpired
-                         : (result.hit ? WireDecision::kHit
-                                       : WireDecision::kMiss));
-    }
-    if (!transmit(self, fd, self.reply.data(), self.reply.size())) return;
+  frame.requests.resize(count);
+  bool valid = true;
+  for (std::uint32_t i = 0; i < count; ++i) {
+    const WireRequest& wire = conn.wire[i];
+    frame.requests[i] = {wire.object, wire.size, wire.cost, wire.ttl};
+    valid &= trace::valid_record(frame.requests[i]);
   }
+  // Counted before stop_ is read (both sequentially consistent): an owner
+  // that saw stop_ and then in_flight_ == 0 cannot miss a frame that is
+  // about to post to it.
+  in_flight_.fetch_add(1);
+  const bool stopping = stop_.load();
+  const bool served = stopping || (valid && serve_frame(self));
+  if (in_flight_.fetch_sub(1) == 1 && stop_.load()) {
+    // The last frame out lets every owner leave its loop.
+    for (const auto& owner : owners_) wake(owner->wake_fd);
+  }
+  if (!served) LFO_COUNTER_INC("lfo_server_bad_frames_total");
+  if (stopping || !served) return false;
+  LFO_COUNTER_INC("lfo_server_batches_total");
+  conn.reply.resize(sizeof(count) + count);
+  std::memcpy(conn.reply.data(), &count, sizeof(count));
+  for (std::uint32_t i = 0; i < count; ++i) {
+    const AccessResult result = frame.results[i];
+    conn.reply[sizeof(count) + i] = static_cast<std::uint8_t>(
+        result.expired ? WireDecision::kExpired
+                       : (result.hit ? WireDecision::kHit
+                                     : WireDecision::kMiss));
+  }
+  conn.sent = 0;
+  return true;
 }
 
 LfoClient::~LfoClient() { close(); }
 
 bool LfoClient::connect(std::uint16_t port, double timeout_seconds) {
   close();
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (fd < 0) return false;
-  set_io_timeouts(fd, timeout_seconds);
+  fd_ = util::connect_loopback(port, timeout_seconds);
+  if (fd_ < 0) return false;
   const int one = 1;
-  ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  addr.sin_port = htons(port);
-  if (::connect(fd, reinterpret_cast<const sockaddr*>(&addr),
-                sizeof(addr)) != 0) {
-    ::close(fd);
-    return false;
-  }
-  fd_ = fd;
+  ::setsockopt(fd_, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
   return true;
 }
 
@@ -526,30 +517,20 @@ bool LfoClient::exchange(std::span<const trace::Request> batch,
   if (fd_ < 0 || batch.empty()) return false;
   send_buffer_.resize(batch.size());
   for (std::size_t i = 0; i < batch.size(); ++i) {
-    send_buffer_[i].object = batch[i].object;
-    send_buffer_[i].size = batch[i].size;
-    send_buffer_[i].ttl = batch[i].ttl;
-    send_buffer_[i].cost = batch[i].cost;
+    send_buffer_[i] = {batch[i].object, batch[i].size, batch[i].ttl,
+                       batch[i].cost};
   }
   const auto count = static_cast<std::uint32_t>(batch.size());
-  if (!send_all(fd_, &count, sizeof(count)) ||
-      !send_all(fd_, send_buffer_.data(),
-                send_buffer_.size() * sizeof(WireRequest))) {
-    close();
-    return false;
-  }
   std::uint32_t reply_count = 0;
-  if (!read_exact(fd_, &reply_count, sizeof(reply_count)) ||
-      reply_count != count) {
-    close();
-    return false;
-  }
-  decisions.resize(reply_count);
-  if (!read_exact(fd_, decisions.data(), reply_count)) {
-    close();
-    return false;
-  }
-  return true;
+  decisions.resize(count);
+  const bool ok =
+      util::send_all(fd_, &count, sizeof(count)) &&
+      util::send_all(fd_, send_buffer_.data(),
+                     send_buffer_.size() * sizeof(WireRequest)) &&
+      util::recv_all(fd_, &reply_count, sizeof(reply_count)) &&
+      reply_count == count && util::recv_all(fd_, decisions.data(), count);
+  if (!ok) close();
+  return ok;
 }
 
 void LfoClient::close() {

@@ -2,6 +2,7 @@
 #define LFO_SERVER_SERVER_HPP
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <memory>
 #include <span>
@@ -22,15 +23,25 @@ namespace lfo::server {
 ///   request frame:  u32 count, then count x WireRequest (32 bytes each)
 ///   response frame: u32 count, then count x u8 WireDecision
 ///
-/// A frame with count == 0 or count > LfoServerConfig::max_batch is
-/// malformed, and so is one carrying a record trace::valid_record()
-/// rejects (size 0, or a negative or non-finite cost) — that frame is
-/// refused before any of it is served — or a request the cache cannot
-/// take (it threw, e.g. std::bad_alloc). Every 64-bit object id is an
-/// ordinary id. The server counts
-/// it (lfo_server_bad_frames_total) and closes the connection. Clients
-/// pipeline at batch granularity — one frame in flight per connection
-/// (closed loop).
+/// A frame with count == 0 or count > kMaxBatch is malformed, and so is
+/// one carrying a record trace::valid_record() rejects (size 0, or a
+/// negative or non-finite cost) — that frame is refused before any of it
+/// is served — or a request the cache cannot take (it threw, e.g.
+/// std::bad_alloc), or one cut short (end of stream, or not complete
+/// within LfoServerConfig::io_timeout_seconds of its first byte). Every
+/// 64-bit object id is an ordinary id. The server counts a malformed
+/// frame (lfo_server_bad_frames_total) and closes its connection.
+/// Clients pipeline at batch granularity — one frame in flight per
+/// connection (closed loop).
+inline constexpr std::uint32_t kMaxBatch = 1 << 16;
+
+/// Open connections per shard owner. A new connection past the cap
+/// closes the owner's longest-idle one, counted in
+/// lfo_server_shed_connections_total.
+/// Each connection keeps grow-once wire and reply buffers, so an owner's
+/// buffers peak at kMaxConnectionsPerOwner x kMaxBatch x 33 B (132 MiB).
+inline constexpr std::uint32_t kMaxConnectionsPerOwner = 64;
+
 struct WireRequest {
   std::uint64_t object;
   std::uint64_t size;
@@ -48,20 +59,20 @@ enum class WireDecision : std::uint8_t {
 struct LfoServerConfig {
   /// TCP port to bind on 127.0.0.1; 0 picks an ephemeral port.
   std::uint16_t port = 0;
-  /// Worker threads. Each runs its own accept+serve loop on the shared
-  /// listening socket; a worker serves one connection at a time, so
-  /// `workers` is also the concurrent-connection capacity. Worker w also
-  /// owns shards {s : s mod workers == w} and is the only thread that
-  /// serves their requests: a frame's groups for other owners' shards go
-  /// to those owners. Choose `workers` to divide cache.num_shards evenly,
-  /// or some owners carry more shards than others.
+  /// Shard-owner threads. Owner w owns shards {s : s mod workers == w}
+  /// and is the only thread that serves their requests: a frame's groups
+  /// for other owners' shards go to those owners. Each owner also runs
+  /// the event loop of the connections it is given (connection k goes to
+  /// owner k mod workers), any number up to kMaxConnectionsPerOwner.
+  /// Choose `workers` to divide cache.num_shards evenly, or some owners
+  /// carry more shards than others.
   std::uint32_t workers = 4;
   ShardedCacheConfig cache;
-  /// A reply that makes no progress for this long fails and closes its
-  /// connection.
+  /// Once a frame's first byte arrives, its header and body must arrive
+  /// within this long, and a reply that makes no progress for this long
+  /// fails; either closes the connection. Idle time between frames is
+  /// not limited.
   double io_timeout_seconds = 0.5;
-  /// Largest accepted request-frame count.
-  std::uint32_t max_batch = 1 << 16;
   /// Mount the obs::TelemetryServer (/metrics, /stats, /healthz, ...)
   /// next to the serving port. Scrapes read the serving counts
   /// (lfo_server_{requests,hits,expired_hits,bypassed,demoted_hits}_total,
@@ -73,17 +84,21 @@ struct LfoServerConfig {
   obs::FlightRecorder* flight_recorder = nullptr;
 };
 
-/// The multithreaded cache service: a ShardedLfoCache behind a
-/// thread-per-worker TCP front end speaking the batch protocol above,
-/// with the telemetry endpoints mounted on a second loopback port.
+/// The multithreaded cache service: a ShardedLfoCache behind an
+/// event-loop TCP front end speaking the batch protocol above, with the
+/// telemetry endpoints mounted on a second loopback port.
 ///
-/// Shard ownership (DESIGN.md decision 9): each worker owns the shards
-/// {s : s mod workers == w}. A worker decodes its connection's frame,
-/// groups the requests by shard, serves its own shards' groups and hands
-/// the frame to every other owner with a group in it, through that
-/// owner's inbox; it replies once every group is served. While it waits
-/// — on its socket or on the other owners — it serves its own inbox, so
-/// two workers that wait on each other both progress. A connection has
+/// Shard ownership (DESIGN.md decision 9): each of the `workers` owner
+/// threads owns the shards {s : s mod workers == w} and runs one epoll
+/// loop over its inbox eventfd and its connections. A connection is a
+/// small state machine — reading a header, reading a body, writing a
+/// reply — so no connection waits on another. A held socket costs its
+/// owner a file descriptor: a silent one until the cap sheds it, a
+/// half-sent frame until its deadline. Once a frame is read the owner
+/// groups it by shard, serves its own groups and hands the frame to
+/// every other owner with a group in it, through that owner's inbox; it
+/// replies once every group is served, serving its own inbox meanwhile,
+/// so two owners that wait on each other both progress. A connection has
 /// one frame in flight, so a shard sees one connection's requests in
 /// arrival order.
 ///
@@ -100,10 +115,10 @@ class LfoServer {
   LfoServer(const LfoServer&) = delete;
   LfoServer& operator=(const LfoServer&) = delete;
 
-  /// Bind + listen + start the worker pool (and telemetry, if enabled).
+  /// Bind + listen + start the owner threads (and telemetry, if enabled).
   /// False (with the reason in last_error()) on socket failure.
   bool start();
-  /// Stop accepting, join every worker, close sockets. Idempotent.
+  /// Stop serving, join every owner, close sockets. Idempotent.
   void stop();
   bool running() const { return listen_fd_ >= 0; }
 
@@ -124,22 +139,24 @@ class LfoServer {
 
  private:
   struct Frame;
+  struct Connection;
   struct Owner;
 
-  void worker_loop(Owner& self);
-  void serve_connection(Owner& self, int fd);
+  /// Owner `self`'s event loop, until stop() and no frame is in flight.
+  void run(Owner& self);
+  /// Accept one connection, shedding at the cap; arm the next owner.
+  void accept_connection(Owner& self);
+  /// Close connections past their deadline; ms to the next one (-1: none).
+  int expire(Owner& self);
+  /// Run a connection until its socket would block; false closes it.
+  bool advance(Owner& self, Connection& conn);
+  /// Decode, serve and answer the frame `conn` has read.
+  bool serve_request(Owner& self, Connection& conn);
   /// Serve `self.frame` across its owners; false when a group threw.
   bool serve_frame(Owner& self);
   /// Serve the groups of `frame` whose shards `owner` owns.
   void serve_part(std::uint32_t owner, Frame& frame);
   void drain_inbox(Owner& self);
-  /// Wait up to `timeout_ms` for `fd` (none when negative) to be ready
-  /// for `events`, serving the inbox whenever woken. True if fd is ready.
-  bool await(Owner& self, int fd, short events, int timeout_ms);
-  /// Read or write exactly `size` bytes on a connection, serving the
-  /// inbox while the socket is not ready. False ends the connection.
-  bool receive(Owner& self, int fd, void* data, std::size_t size);
-  bool transmit(Owner& self, int fd, const void* data, std::size_t size);
 
   LfoServerConfig config_;
   ShardedLfoCache cache_;
@@ -148,10 +165,11 @@ class LfoServer {
   std::string last_error_;
   std::string telemetry_error_;
   std::atomic<bool> stop_{false};
-  /// Workers inside a connection. A worker leaves its loop only once
-  /// stop_ is set and this is 0, serving its inbox until then, so no
-  /// frame is left waiting on an owner that has gone.
-  std::atomic<std::uint32_t> in_connection_{0};
+  /// Frames being served. An owner leaves its loop only once stop_ is
+  /// set and this is 0, serving its inbox until then, so no frame is
+  /// left waiting on an owner that has gone.
+  std::atomic<std::uint32_t> in_flight_{0};
+  std::chrono::steady_clock::duration io_timeout_{};
   std::vector<std::unique_ptr<Owner>> owners_;
   std::vector<std::thread> workers_;
   std::unique_ptr<obs::TelemetryServer> telemetry_;

@@ -14,16 +14,17 @@
 //  - Protocol: malformed frames close only their own connection, every
 //    64-bit object id is served, and a seeded random-frame fuzz keeps
 //    the server up with balanced accounting.
+//  - Held sockets: silent and half-sent connections never delay another
+//    client, a started frame is cut off at its deadline, idle time
+//    between frames is free, and connections past the per-owner cap
+//    shed the longest-idle one.
 //  - Stress (TSan target): concurrent mixed get/admit/expire traffic
 //    across shards with model swaps in flight; merged accounting must
 //    balance and byte occupancy stay within capacity.
 
 #include <gtest/gtest.h>
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
 #include <sys/socket.h>
-#include <sys/time.h>
 #include <unistd.h>
 
 #include <atomic>
@@ -52,6 +53,7 @@
 #include "server/sharded_cache.hpp"
 #include "trace/generator.hpp"
 #include "util/rng.hpp"
+#include "util/socket.hpp"
 
 namespace {
 
@@ -530,27 +532,92 @@ TEST(ServerTelemetry, ScrapeTimeSeriesEqualCacheStats) {
   lfo_server.stop();
 }
 
+/// A loopback connection that sends raw bytes, for frames LfoClient
+/// never sends. Reads and writes time out after 5 s so a wedged server
+/// fails the test rather than hanging it.
+class RawConnection {
+ public:
+  explicit RawConnection(std::uint16_t port)
+      : fd_(util::connect_loopback(port, 5.0)) {}
+  ~RawConnection() {
+    if (fd_ >= 0) ::close(fd_);
+  }
+  RawConnection(const RawConnection&) = delete;
+  RawConnection& operator=(const RawConnection&) = delete;
+
+  bool connected() const { return fd_ >= 0; }
+
+  /// Best effort: the server may close before it has read everything.
+  void send(const std::vector<std::uint8_t>& bytes) {
+    std::size_t sent = 0;
+    while (sent < bytes.size()) {
+      const ssize_t n = ::send(fd_, bytes.data() + sent, bytes.size() - sent,
+                               MSG_NOSIGNAL);
+      if (n <= 0) return;
+      sent += static_cast<std::size_t>(n);
+    }
+  }
+  void finish_sending() { ::shutdown(fd_, SHUT_WR); }
+
+  /// Up to `size` bytes, fewer once the server closes or goes quiet.
+  std::vector<std::uint8_t> receive(std::size_t size) {
+    std::vector<std::uint8_t> bytes(size);
+    std::size_t got = 0;
+    while (got < size) {
+      const ssize_t n = ::recv(fd_, bytes.data() + got, size - got, 0);
+      if (n <= 0) break;
+      got += static_cast<std::size_t>(n);
+    }
+    bytes.resize(got);
+    return bytes;
+  }
+
+  /// True once the server has closed the connection.
+  bool closed_by_peer() {
+    std::uint8_t byte = 0;
+    const ssize_t n = ::recv(fd_, &byte, 1, 0);
+    return n == 0 || (n < 0 && errno != EAGAIN && errno != EWOULDBLOCK);
+  }
+
+ private:
+  int fd_;
+};
+
+template <typename T>
+void append_bytes(std::vector<std::uint8_t>& out, const T& value) {
+  const auto* p = reinterpret_cast<const std::uint8_t*>(&value);
+  out.insert(out.end(), p, p + sizeof(T));
+}
+
 TEST(ServerProtocol, OversizedFrameIsCountedAndConnectionClosed) {
   server::LfoServerConfig sconfig;
   sconfig.workers = 1;
-  sconfig.max_batch = 16;
   sconfig.cache.capacity = 1ULL << 20;
   sconfig.cache.num_shards = 1;
   sconfig.telemetry = false;
   server::LfoServer lfo_server(sconfig);
   ASSERT_TRUE(lfo_server.start()) << lfo_server.last_error();
+  const auto& bad_frames = obs::MetricsRegistry::instance().counter(
+      "lfo_server_bad_frames_total");
+  const auto bad_before = bad_frames.value();
 
+  // The count alone condemns the frame: the server closes before any
+  // body arrives.
+  RawConnection raw(lfo_server.port());
+  ASSERT_TRUE(raw.connected());
+  std::vector<std::uint8_t> header;
+  append_bytes(header, server::kMaxBatch + 1);
+  raw.send(header);
+  EXPECT_TRUE(raw.closed_by_peer());
+  EXPECT_EQ(bad_frames.value(), bad_before + 1);
+
+  // The server survives the bad frame and serves a fresh connection.
   trace::GeneratorConfig gen;
-  gen.num_requests = 64;  // > max_batch: the server must refuse the frame
+  gen.num_requests = 8;
   gen.classes = {trace::web_class(32)};
   const auto trace = trace::generate_trace(gen);
   server::LfoClient client;
-  ASSERT_TRUE(client.connect(lfo_server.port()));
   std::vector<server::WireDecision> decisions;
-  EXPECT_FALSE(client.exchange(trace.window(0, trace.size()), decisions));
-  EXPECT_FALSE(client.connected());
-
-  // The server survives the bad frame and serves a fresh connection.
   ASSERT_TRUE(client.connect(lfo_server.port()));
   ASSERT_TRUE(client.exchange(trace.window(0, 8), decisions));
   ASSERT_EQ(decisions.size(), 8u);
@@ -655,77 +722,10 @@ TEST(ServerProtocol, InvalidRecordsAreRefusedBeforeAnyShardServesThem) {
   lfo_server.stop();
 }
 
-/// A loopback connection that sends raw bytes, for frames LfoClient
-/// never sends. Reads time out after 5 s so a wedged server fails the
-/// test rather than hanging it.
-class RawConnection {
- public:
-  explicit RawConnection(std::uint16_t port)
-      : fd_(::socket(AF_INET, SOCK_STREAM, 0)) {
-    timeval tv{5, 0};
-    ::setsockopt(fd_, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
-    sockaddr_in addr{};
-    addr.sin_family = AF_INET;
-    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-    addr.sin_port = htons(port);
-    connected_ = fd_ >= 0 && ::connect(fd_, reinterpret_cast<sockaddr*>(&addr),
-                                       sizeof(addr)) == 0;
-  }
-  ~RawConnection() {
-    if (fd_ >= 0) ::close(fd_);
-  }
-  RawConnection(const RawConnection&) = delete;
-  RawConnection& operator=(const RawConnection&) = delete;
-
-  bool connected() const { return connected_; }
-
-  /// Best effort: the server may close before it has read everything.
-  void send(const std::vector<std::uint8_t>& bytes) {
-    std::size_t sent = 0;
-    while (sent < bytes.size()) {
-      const ssize_t n = ::send(fd_, bytes.data() + sent, bytes.size() - sent,
-                               MSG_NOSIGNAL);
-      if (n <= 0) return;
-      sent += static_cast<std::size_t>(n);
-    }
-  }
-  void finish_sending() { ::shutdown(fd_, SHUT_WR); }
-
-  /// Up to `size` bytes, fewer once the server closes or goes quiet.
-  std::vector<std::uint8_t> receive(std::size_t size) {
-    std::vector<std::uint8_t> bytes(size);
-    std::size_t got = 0;
-    while (got < size) {
-      const ssize_t n = ::recv(fd_, bytes.data() + got, size - got, 0);
-      if (n <= 0) break;
-      got += static_cast<std::size_t>(n);
-    }
-    bytes.resize(got);
-    return bytes;
-  }
-
-  /// True once the server has closed the connection.
-  bool closed_by_peer() {
-    std::uint8_t byte = 0;
-    const ssize_t n = ::recv(fd_, &byte, 1, 0);
-    return n == 0 || (n < 0 && errno != EAGAIN && errno != EWOULDBLOCK);
-  }
-
- private:
-  int fd_;
-  bool connected_ = false;
-};
-
-template <typename T>
-void append_bytes(std::vector<std::uint8_t>& out, const T& value) {
-  const auto* p = reinterpret_cast<const std::uint8_t*>(&value);
-  out.insert(out.end(), p, p + sizeof(T));
-}
-
 // Seeded random-frame fuzz over real sockets. Well-formed frames carry
 // random ids (a small hot set, random 64-bit ids, 0, 2^40 and 2^64-1),
 // sizes (up to beyond a shard's capacity), TTLs and costs; the rest are
-// malformed: a count of 0 or above max_batch, a frame cut short, or a
+// malformed: a count of 0 or above kMaxBatch, a frame cut short, or a
 // record with size 0 or a negative or non-finite cost. Every well-formed
 // frame gets one decision per request on its connection; every malformed
 // one is counted and closes only its connection. The server survives,
@@ -734,7 +734,6 @@ void append_bytes(std::vector<std::uint8_t>& out, const T& value) {
 TEST(ServerProtocol, RandomFramesFuzz) {
   server::LfoServerConfig sconfig;
   sconfig.workers = 2;
-  sconfig.max_batch = 64;
   sconfig.cache.capacity = 1ULL << 20;
   sconfig.cache.num_shards = 8;
   sconfig.telemetry = false;
@@ -762,13 +761,14 @@ TEST(ServerProtocol, RandomFramesFuzz) {
                                   std::numeric_limits<double>::quiet_NaN(),
                                   std::numeric_limits<double>::infinity()};
 
+  constexpr std::uint32_t kLargestFrame = 64;
   std::uint64_t accepted = 0, malformed = 0;
   auto connection = std::make_unique<RawConnection>(lfo_server.port());
   for (int frame = 0; frame < 400; ++frame) {
     SCOPED_TRACE("frame " + std::to_string(frame));
     ASSERT_TRUE(connection->connected());
     std::uint32_t count =
-        1 + static_cast<std::uint32_t>(rng.uniform(sconfig.max_batch));
+        1 + static_cast<std::uint32_t>(rng.uniform(kLargestFrame));
     std::vector<server::WireRequest> records(count);
     for (auto& r : records) r = random_request();
     const double kind = rng.uniform01();
@@ -777,7 +777,7 @@ TEST(ServerProtocol, RandomFramesFuzz) {
     bool truncated = false;
     if (kind < 0.05) {
       const auto excess = static_cast<std::uint32_t>(rng.uniform(1000));
-      count = rng.bernoulli(0.5) ? 0 : sconfig.max_batch + 1 + excess;
+      count = rng.bernoulli(0.5) ? 0 : server::kMaxBatch + 1 + excess;
     } else if (kind < 0.10) {
       truncated = true;
     } else if (kind < 0.15) {
@@ -832,13 +832,11 @@ TEST(ServerProtocol, RandomFramesFuzz) {
   lfo_server.stop();
 }
 
-// Regression (accept-race deadlock): a pending connection wakes every
-// idle worker off the level-triggered poll; only one wins accept. The
-// losers must get EAGAIN from the non-blocking listen fd and fall back
-// to polling — if accept were blocking they would park where stop_ is
-// invisible, and stop() (which joins workers before closing the fd)
-// would hang forever.
-TEST(ServerShutdown, StopJoinsAllWorkersAfterAcceptRaces) {
+// stop() joins promptly with an idle connection parked: the owner
+// holding it waits in epoll on that connection and on its eventfd, and
+// stop() wakes it through the eventfd instead of waiting for the peer.
+// Short-lived connections go round the owners first.
+TEST(ServerShutdown, StopJoinsPromptlyWithAnIdleConnectionParked) {
   server::LfoServerConfig sconfig;
   sconfig.workers = 4;
   sconfig.cache.capacity = 1ULL << 20;
@@ -852,14 +850,14 @@ TEST(ServerShutdown, StopJoinsAllWorkersAfterAcceptRaces) {
   gen.classes = {trace::web_class(16)};
   const auto trace = trace::generate_trace(gen);
   std::vector<server::WireDecision> decisions;
-  // Several short-lived connections: each one races all idle workers.
+  // Several short-lived connections, one to each owner in turn.
   for (int round = 0; round < 4; ++round) {
     server::LfoClient client;
     ASSERT_TRUE(client.connect(lfo_server.port()));
     ASSERT_TRUE(client.exchange(trace.window(0, trace.size()), decisions));
   }
-  // One more connection left open across stop(): its worker must bail
-  // out of the idle read via the stop flag, not wait for the peer.
+  // One more connection left open across stop(): its owner must leave
+  // its loop on the stop flag, not wait for the peer.
   server::LfoClient parked;
   ASSERT_TRUE(parked.connect(lfo_server.port()));
   const auto t0 = std::chrono::steady_clock::now();
@@ -913,6 +911,152 @@ TEST(ServerShutdown, StopMidTrafficJoinsWithinTheIoTimeout) {
       << "stop() stalled on a worker";
 }
 
+// ------------------------------------------------ held sockets
+
+server::LfoServerConfig held_config(std::uint32_t workers,
+                                    double io_timeout_seconds) {
+  server::LfoServerConfig sconfig;
+  sconfig.workers = workers;
+  sconfig.cache.capacity = 1ULL << 20;
+  sconfig.cache.num_shards = 8;
+  sconfig.io_timeout_seconds = io_timeout_seconds;
+  sconfig.telemetry = false;
+  return sconfig;
+}
+
+trace::Trace held_trace() {
+  trace::GeneratorConfig gen;
+  gen.num_requests = 64;
+  gen.classes = {trace::web_class(32)};
+  return trace::generate_trace(gen);
+}
+
+/// The first `bytes` bytes of a well-formed frame of `count` requests.
+std::vector<std::uint8_t> partial_frame(std::uint32_t count,
+                                        std::size_t bytes) {
+  std::vector<std::uint8_t> frame;
+  append_bytes(frame, count);
+  frame.resize(sizeof(count) + count * sizeof(server::WireRequest), 1);
+  frame.resize(bytes);
+  return frame;
+}
+
+double seconds_since(std::chrono::steady_clock::time_point t0) {
+  return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
+      .count();
+}
+
+// Regression (W held sockets took the port down): a worker used to be
+// its one connection and waited on an idle or half-sent frame with no
+// deadline, so W sockets that sent nothing, or 2 bytes of a header, left
+// no worker for anyone else. Each owner now runs one event loop over all
+// its connections, so the exchange does not wait for any frame deadline.
+TEST(ServerHeldSockets, WellBehavedClientIsServedPastSilentAndPartialSockets) {
+  const auto trace = held_trace();
+  for (const std::uint32_t workers : {1u, 2u}) {
+    SCOPED_TRACE("workers " + std::to_string(workers));
+    const auto sconfig = held_config(workers, 1.0);
+    server::LfoServer lfo_server(sconfig);
+    ASSERT_TRUE(lfo_server.start()) << lfo_server.last_error();
+    std::vector<std::unique_ptr<RawConnection>> held;
+    for (std::uint32_t i = 0; i < 8 * workers; ++i) {
+      held.push_back(std::make_unique<RawConnection>(lfo_server.port()));
+      ASSERT_TRUE(held.back()->connected());
+      if (i % 2 == 1) held.back()->send(partial_frame(4, 2));
+    }
+    const auto t0 = std::chrono::steady_clock::now();
+    server::LfoClient client;
+    std::vector<server::WireDecision> decisions;
+    ASSERT_TRUE(client.connect(lfo_server.port()));
+    ASSERT_TRUE(client.exchange(trace.window(0, 32), decisions));
+    EXPECT_LT(seconds_since(t0), sconfig.io_timeout_seconds);
+    EXPECT_EQ(decisions.size(), 32u);
+    lfo_server.stop();
+  }
+}
+
+// Once a frame's first byte arrives, its header and body must arrive
+// within io_timeout_seconds: a partial header and a partial body are
+// each cut off then, and each is a bad frame.
+TEST(ServerHeldSockets, PartialFramesAreClosedAtTheFrameDeadline) {
+  const auto& bad_frames = obs::MetricsRegistry::instance().counter(
+      "lfo_server_bad_frames_total");
+  for (const std::uint32_t workers : {1u, 2u}) {
+    SCOPED_TRACE("workers " + std::to_string(workers));
+    const auto sconfig = held_config(workers, 0.5);
+    server::LfoServer lfo_server(sconfig);
+    ASSERT_TRUE(lfo_server.start()) << lfo_server.last_error();
+    const auto bad_before = bad_frames.value();
+    RawConnection partial_header(lfo_server.port());
+    RawConnection partial_body(lfo_server.port());
+    ASSERT_TRUE(partial_header.connected() && partial_body.connected());
+    const auto t0 = std::chrono::steady_clock::now();
+    partial_header.send(partial_frame(4, 2));
+    partial_body.send(partial_frame(4, 4 + 40));
+    for (RawConnection* conn : {&partial_header, &partial_body}) {
+      EXPECT_TRUE(conn->closed_by_peer());
+      const double elapsed = seconds_since(t0);
+      EXPECT_GE(elapsed, 0.9 * sconfig.io_timeout_seconds);
+      EXPECT_LT(elapsed, sconfig.io_timeout_seconds + 1.0);
+    }
+    EXPECT_EQ(bad_frames.value(), bad_before + 2);
+    lfo_server.stop();
+  }
+}
+
+// The deadline starts with a frame's first byte: a connection may sit
+// idle between frames for longer than io_timeout_seconds.
+TEST(ServerHeldSockets, IdleTimeBetweenFramesIsAllowed) {
+  const auto trace = held_trace();
+  const auto& bad_frames = obs::MetricsRegistry::instance().counter(
+      "lfo_server_bad_frames_total");
+  for (const std::uint32_t workers : {1u, 2u}) {
+    SCOPED_TRACE("workers " + std::to_string(workers));
+    const auto sconfig = held_config(workers, 0.2);
+    server::LfoServer lfo_server(sconfig);
+    ASSERT_TRUE(lfo_server.start()) << lfo_server.last_error();
+    const auto bad_before = bad_frames.value();
+    server::LfoClient client;
+    std::vector<server::WireDecision> decisions;
+    ASSERT_TRUE(client.connect(lfo_server.port()));
+    ASSERT_TRUE(client.exchange(trace.window(0, 32), decisions));
+    std::this_thread::sleep_for(std::chrono::duration<double>(
+        2.5 * sconfig.io_timeout_seconds));
+    ASSERT_TRUE(client.exchange(trace.window(32, 32), decisions));
+    EXPECT_EQ(decisions.size(), 32u);
+    EXPECT_EQ(bad_frames.value(), bad_before);
+    lfo_server.stop();
+  }
+}
+
+// Past kMaxConnectionsPerOwner, each new connection closes its owner's
+// longest-idle one, so silent sockets cannot lock a fresh client out.
+TEST(ServerHeldSockets, ConnectionsPastTheCapShedTheLongestIdle) {
+  const auto& shed = obs::MetricsRegistry::instance().counter(
+      "lfo_server_shed_connections_total");
+  const auto shed_before = shed.value();
+  server::LfoServer lfo_server(held_config(1, 0.5));
+  ASSERT_TRUE(lfo_server.start()) << lfo_server.last_error();
+  constexpr std::uint32_t kExtra = 4;
+  std::vector<std::unique_ptr<RawConnection>> silent;
+  for (std::uint32_t i = 0; i < server::kMaxConnectionsPerOwner + kExtra;
+       ++i) {
+    silent.push_back(std::make_unique<RawConnection>(lfo_server.port()));
+    ASSERT_TRUE(silent.back()->connected());
+  }
+  const auto trace = held_trace();
+  server::LfoClient client;
+  std::vector<server::WireDecision> decisions;
+  ASSERT_TRUE(client.connect(lfo_server.port()));
+  ASSERT_TRUE(client.exchange(trace.window(0, 32), decisions));
+  // The extra silent sockets and the client each shed one, oldest first.
+  EXPECT_EQ(shed.value(), shed_before + kExtra + 1);
+  for (std::uint32_t i = 0; i <= kExtra; ++i) {
+    EXPECT_TRUE(silent[i]->closed_by_peer()) << "silent socket " << i;
+  }
+  lfo_server.stop();
+}
+
 // Regression (unbounded client read): a server that accepts the TCP
 // handshake but never replies must not hang exchange() — SO_RCVTIMEO
 // from connect(timeout_seconds) is a hard deadline on the client side,
@@ -920,19 +1064,10 @@ TEST(ServerShutdown, StopMidTrafficJoinsWithinTheIoTimeout) {
 TEST(ClientTimeout, ExchangeFailsWhenServerNeverReplies) {
   // A bare listening socket: the kernel completes the handshake and
   // buffers the request frame, but nothing ever accepts or responds.
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  ASSERT_GE(fd, 0);
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  addr.sin_port = 0;
-  ASSERT_EQ(
-      ::bind(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)), 0);
-  ASSERT_EQ(::listen(fd, 4), 0);
-  sockaddr_in bound{};
-  socklen_t bound_len = sizeof(bound);
-  ASSERT_EQ(::getsockname(fd, reinterpret_cast<sockaddr*>(&bound), &bound_len),
-            0);
+  std::uint16_t port = 0;
+  std::string error;
+  const int fd = util::listen_loopback(port, 4, error);
+  ASSERT_GE(fd, 0) << error;
 
   trace::GeneratorConfig gen;
   gen.num_requests = 4;
@@ -940,7 +1075,7 @@ TEST(ClientTimeout, ExchangeFailsWhenServerNeverReplies) {
   const auto trace = trace::generate_trace(gen);
 
   server::LfoClient client;
-  ASSERT_TRUE(client.connect(ntohs(bound.sin_port), /*timeout_seconds=*/0.25));
+  ASSERT_TRUE(client.connect(port, /*timeout_seconds=*/0.25));
   std::vector<server::WireDecision> decisions;
   const auto t0 = std::chrono::steady_clock::now();
   EXPECT_FALSE(client.exchange(trace.window(0, trace.size()), decisions));

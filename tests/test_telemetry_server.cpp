@@ -7,8 +7,6 @@
 
 #include <gtest/gtest.h>
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
 #include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
@@ -28,6 +26,7 @@
 #include "obs_test_util.hpp"
 #include "sim/telemetry.hpp"
 #include "trace/generator.hpp"
+#include "util/socket.hpp"
 
 namespace {
 
@@ -160,22 +159,6 @@ TEST(TelemetryRouting, StatsHistoryServesRecorderFrames) {
 
 // --------------------------------------------------- live socket round-trip
 
-/// Blocking loopback connection to `port`; -1 on failure.
-int connect_loopback(std::uint16_t port) {
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (fd < 0) return -1;
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  addr.sin_port = htons(port);
-  if (::connect(fd, reinterpret_cast<const sockaddr*>(&addr),
-                sizeof(addr)) != 0) {
-    ::close(fd);
-    return -1;
-  }
-  return fd;
-}
-
 /// True once the server has answered on `fd` or closed it: readable
 /// with data, EOF, or reset.
 bool answered_or_closed(int fd, int wait_ms) {
@@ -250,7 +233,7 @@ TEST(TelemetryServer, SlowClientDoesNotBlockHealthz) {
   ASSERT_TRUE(server.start()) << server.last_error();
 
   // A client that sends half a request head and then goes silent.
-  const int slow = connect_loopback(server.port());
+  const int slow = util::connect_loopback(server.port(), 0.0);
   ASSERT_GE(slow, 0);
   const std::string partial = "GET /metrics HTTP/1.1\r\n";  // no blank line
   ASSERT_EQ(::send(slow, partial.data(), partial.size(), 0),
@@ -280,7 +263,7 @@ TEST(TelemetryServer, TricklingClientIsCutOffAtTheHeadDeadline) {
   obs::TelemetryServer server(std::move(config));
   ASSERT_TRUE(server.start()) << server.last_error();
 
-  const int slow = connect_loopback(server.port());
+  const int slow = util::connect_loopback(server.port(), 0.0);
   ASSERT_GE(slow, 0);
   // A head that never ends, one byte every 0.2 s, for up to 4 s.
   const std::string head = "GET /metrics HTTP/1.1\r\nX-Slow: aaaaaaaaaa";
@@ -328,7 +311,7 @@ TEST(TelemetryServer, ConnectionPastAFullBacklogIsShedAndCounted) {
   } stalled;
   const auto open_stalled = [&](std::size_t count) {
     for (std::size_t i = 0; i < count; ++i) {
-      const int fd = connect_loopback(server.port());
+      const int fd = util::connect_loopback(server.port(), 0.0);
       ASSERT_GE(fd, 0);
       stalled.fds.push_back(fd);
     }
@@ -341,7 +324,7 @@ TEST(TelemetryServer, ConnectionPastAFullBacklogIsShedAndCounted) {
   std::this_thread::sleep_for(std::chrono::milliseconds(300));
   EXPECT_EQ(shed.value(), shed_before) << "shed before the backlog filled";
 
-  const int extra = connect_loopback(server.port());
+  const int extra = util::connect_loopback(server.port(), 0.0);
   ASSERT_GE(extra, 0);
   stalled.fds.push_back(extra);
   const auto start = std::chrono::steady_clock::now();

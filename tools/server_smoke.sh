@@ -16,7 +16,12 @@
 #               gauges (lfo_server_history_{objects,bytes}) included
 #   /healthz  — 200 (bootstrap serves as healthy)
 #   protocol  — a raw one-request frame for object id 2^64-1 gets a
-#               one-decision reply
+#               one-decision reply within 2 s while 2xW silent sockets
+#               and W sockets that sent 2 header bytes are held open
+#               (W = lfo_server_workers)
+#   held      — the half-sent headers are closed at the frame deadline
+#               (io_timeout_seconds, 0.5 s) and counted: /metrics shows
+#               lfo_server_bad_frames_total >= W
 #   shutdown  — the process exits 0 by itself after the linger window
 # Exits nonzero on the first failed check.
 
@@ -103,12 +108,23 @@ echo "server_smoke: /healthz ok"
 
 # One raw frame over the binary protocol: u32 count=1 + a 32-byte
 # request must come back as u32 count=1 + one decision byte. The id is
-# 2^64-1, the largest: every 64-bit id is an ordinary id.
-python3 - "$PORT" <<'PYEOF' || fail "wire protocol round-trip failed"
-import socket, struct, sys
-port = int(sys.argv[1])
+# 2^64-1, the largest: every 64-bit id is an ordinary id. The frame goes
+# out while 2xW silent sockets and W sockets that sent 2 bytes of a
+# header are held open: held sockets must not delay it. The half-sent
+# ones must then be closed by the server at the 0.5 s frame deadline.
+WORKERS="$(sed -n 's/^lfo_server_workers \([0-9]*\)$/\1/p' <<<"$METRICS")"
+[[ -n "$WORKERS" && "$WORKERS" -gt 0 ]] || fail "no lfo_server_workers gauge"
+python3 - "$PORT" "$WORKERS" <<'PYEOF' || fail "wire protocol round-trip failed"
+import socket, struct, sys, time
+port, workers = int(sys.argv[1]), int(sys.argv[2])
+silent = [socket.create_connection(("127.0.0.1", port), timeout=5)
+          for _ in range(2 * workers)]
+partial = [socket.create_connection(("127.0.0.1", port), timeout=5)
+           for _ in range(workers)]
+for s in partial:
+    s.sendall(struct.pack("<I", 1)[:2])
 frame = struct.pack("<I", 1) + struct.pack("<QQQd", 2**64 - 1, 1000, 60, 1000.0)
-with socket.create_connection(("127.0.0.1", port), timeout=5) as s:
+with socket.create_connection(("127.0.0.1", port), timeout=2) as s:
     s.sendall(frame)
     reply = b""
     while len(reply) < 5:
@@ -120,8 +136,21 @@ assert len(reply) == 5, reply
 count, decision = struct.unpack("<IB", reply)
 assert count == 1, count
 assert decision in (0, 1, 2), decision
+time.sleep(1.0)
+for s in partial:
+    try:
+        assert s.recv(1) == b"", "half-sent header not closed"
+    except ConnectionResetError:
+        pass
 PYEOF
-echo "server_smoke: wire protocol ok"
+echo "server_smoke: wire protocol ok (past $((3 * WORKERS)) held sockets)"
+
+METRICS="$(curl -fsS --max-time 5 "$BASE/metrics")" \
+  || fail "/metrics did not return 200 after the held sockets"
+BAD="$(sed -n 's/^lfo_server_bad_frames_total \([0-9]*\)$/\1/p' <<<"$METRICS")"
+[[ -n "$BAD" && "$BAD" -ge "$WORKERS" ]] \
+  || fail "lfo_server_bad_frames_total is '${BAD}', want >= $WORKERS"
+echo "server_smoke: held sockets ok ($BAD bad frames)"
 
 # The server must shut down cleanly on its own when the linger window
 # closes (clean shutdown is part of the acceptance contract).
