@@ -70,7 +70,9 @@ trace::Trace standard_trace(
     trace::CostModel cost_model = trace::CostModel::kByteHitRatio);
 
 /// Default LFO configuration for the benches: greedy-packing OPT labels,
-/// 50 gap features, paper GBDT settings (30 iterations).
+/// gaps up to 50 in the default log-spaced schema (16 features; the Fig 5
+/// and Fig 8 benches set thin_gaps = false for the paper's dense 53),
+/// paper GBDT settings (30 iterations).
 core::LfoConfig standard_lfo_config(std::uint64_t cache_size);
 
 /// Cache size as a fraction of the trace's unique bytes — the benches

@@ -33,7 +33,8 @@ int main(int argc, char** argv) {
                                            args.get_u64("seed"));
   const auto cache_size =
       bench::scaled_cache_size(trace, args.get_double("cache-fraction"));
-  const auto config = bench::standard_lfo_config(cache_size);
+  auto config = bench::standard_lfo_config(cache_size);
+  config.features.thin_gaps = false;  // the paper's dense 53 features
 
   // Train on W[t], evaluate on W[t+1] (paper Fig 2).
   const auto train_window = trace.window(0, train_n);

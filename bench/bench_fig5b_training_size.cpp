@@ -44,6 +44,7 @@ int main(int argc, char** argv) {
       const auto cache_size = bench::scaled_cache_size(
           trace, args.get_double("cache-fraction"));
       auto config = bench::standard_lfo_config(cache_size);
+      config.features.thin_gaps = false;  // the paper's dense 53 features
       config.gbdt.seed = subset + 1;
 
       const auto trained =

@@ -26,7 +26,9 @@ int main(int argc, char** argv) {
                             args.get_u64("seed"));
   const auto cache_size =
       bench::scaled_cache_size(trace, args.get_double("cache-fraction"));
-  const auto config = bench::standard_lfo_config(cache_size);
+  // The paper's dense 53 features: Fig 8 asks which gaps carry splits.
+  auto config = bench::standard_lfo_config(cache_size);
+  config.features.thin_gaps = false;
 
   const auto trained = core::train_on_window(
       trace.window(0, trace.size()), config);

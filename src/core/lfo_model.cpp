@@ -82,7 +82,7 @@ std::vector<LfoModel::FeatureImportance> LfoModel::feature_importance()
 
 void LfoModel::save(std::ostream& os) const {
   os.precision(17);
-  os << "lfo-model v1\n";
+  os << "lfo-model v2\n";
   os << config_.num_gaps << ' ' << config_.include_size << ' '
      << config_.include_cost << ' ' << config_.include_free_bytes << ' '
      << config_.thin_gaps << ' ' << config_.missing_gap_value << '\n';
@@ -100,8 +100,8 @@ void LfoModel::save_file(const std::string& path) const {
 LfoModel LfoModel::load(std::istream& is) {
   std::string tag, version;
   is >> tag >> version;
-  if (!is || tag != "lfo-model" || version != "v1") {
-    throw std::runtime_error("LfoModel::load: bad header");
+  if (!is || tag != "lfo-model" || version != "v2") {
+    throw std::runtime_error("LfoModel::load: bad header (want lfo-model v2)");
   }
   features::FeatureConfig config;
   is >> config.num_gaps >> config.include_size >> config.include_cost >>

@@ -98,7 +98,8 @@ class LfoModel {
   /// refuses a split on a feature outside the schema, and
   /// LfoCache::swap_model refuses a model whose schema is not the
   /// cache's. load() treats the file as untrusted input and throws
-  /// std::runtime_error on anything malformed.
+  /// std::runtime_error on anything malformed, and on any header but
+  /// `lfo-model v2` (a v1 file's thin_gaps named another gap set).
   void save(std::ostream& os) const;
   void save_file(const std::string& path) const;
   static LfoModel load(std::istream& is);

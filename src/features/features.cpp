@@ -20,9 +20,11 @@ std::size_t FeatureConfig::dimension() const {
 }
 
 std::vector<std::uint32_t> FeatureConfig::gap_indices() const {
-  // A 64-bit counter: a 32-bit one wraps before passing num_gaps = 2^32-1.
+  // Thin: 8 -> 12 -> 16 -> 24 -> ..., adding half of a power of two and
+  // a third of 3*2^k. A 64-bit counter cannot wrap past num_gaps.
   std::vector<std::uint32_t> idx;
-  for (std::uint64_t g = 1; g <= num_gaps; g = thin_gaps ? 2 * g : g + 1) {
+  for (std::uint64_t g = 1; g <= num_gaps;
+       g += !thin_gaps || g < 8 ? 1 : g / (std::has_single_bit(g) ? 2 : 3)) {
     idx.push_back(static_cast<std::uint32_t>(g));
   }
   return idx;
@@ -51,16 +53,15 @@ std::uint64_t draw_seed() {
 
 }  // namespace
 
-HistoryTable::HistoryTable(std::uint32_t num_gaps)
-    : HistoryTable(num_gaps, draw_seed()) {}
+HistoryTable::HistoryTable(std::uint32_t depth)
+    : HistoryTable(depth, draw_seed()) {}
 
-HistoryTable::HistoryTable(std::uint32_t num_gaps, std::uint64_t seed)
-    : capacity_(num_gaps),
-      top_(static_cast<std::uint32_t>(std::bit_width(num_gaps - 1u))),
+HistoryTable::HistoryTable(std::uint32_t depth, std::uint64_t seed)
+    : capacity_(depth),
+      top_(static_cast<std::uint32_t>(std::bit_width(depth - 1u))),
       seed_(seed) {
   if (capacity_ == 0 || capacity_ > kMaxGaps) {
-    throw std::invalid_argument(
-        "HistoryTable: num_gaps must be in [1, 65535]");
+    throw std::invalid_argument("HistoryTable: depth must be in [1, 65535]");
   }
   clear();
 }
@@ -139,13 +140,13 @@ void HistoryTable::record(trace::ObjectId object, std::uint64_t time) {
   Slot& slot = slots_[i];
   const std::uint32_t count = slot.count;
   if (count == capacity_) {
-    // Full at num_gaps: overwrite the oldest timestamp.
+    // Full at depth: overwrite the oldest timestamp.
     slabs_[top_][slot.offset + slot.head] = time;
     const std::uint32_t head = slot.head + 1u;
     slot.head = static_cast<std::uint16_t>(head == capacity_ ? 0 : head);
     return;
   }
-  // Below num_gaps the ring has never wrapped: head is 0 and the
+  // Below depth the ring has never wrapped: head is 0 and the
   // timestamps sit oldest to newest.
   std::uint32_t cls = class_of(count);
   if (count == class_size(cls)) {
@@ -209,8 +210,8 @@ std::size_t HistoryTable::bytes_per_object() const {
 
 FeatureExtractor::FeatureExtractor(FeatureConfig config)
     : config_(config),
-      history_(config.num_gaps),
       gap_indices_(config.gap_indices()),
+      history_(gap_indices_.empty() ? 0 : gap_indices_.back()),
       dimension_(config.dimension()) {}
 
 LFO_HOT_PATH void FeatureExtractor::extract(const trace::Request& request,
@@ -220,9 +221,9 @@ LFO_HOT_PATH void FeatureExtractor::extract(const trace::Request& request,
   if (out.size() != dimension()) {
     throw std::invalid_argument("FeatureExtractor::extract: bad out size");
   }
-  if (scratch.gaps.size() != config_.num_gaps) {
+  if (scratch.gaps.size() != gap_indices_.back()) {
     // lfo-lint: allow(hotpath): one-time scratch growth on first call
-    scratch.gaps.resize(config_.num_gaps);  // first use only
+    scratch.gaps.resize(gap_indices_.back());  // first use only
   }
   std::size_t i = 0;
   if (config_.include_size) out[i++] = static_cast<float>(request.size);

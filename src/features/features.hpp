@@ -12,20 +12,22 @@ namespace lfo::features {
 
 /// Configuration of LFO's online feature vector (paper §2.2):
 ///   [object size, most recent retrieval cost, free cache bytes,
-///    gap_1 ... gap_num_gaps]
+///    the gaps of gap_indices()]
 /// where gap_1 is the time since the previous request to the object and
 /// gap_k (k >= 2) is the time between the (k-1)-th and k-th most recent
 /// requests. Gaps (except gap_1) are shift invariant, which the paper
 /// highlights as important for robustness.
 struct FeatureConfig {
-  std::uint32_t num_gaps = 50;
+  std::uint32_t num_gaps = 32;
   bool include_size = true;
   bool include_cost = true;
   bool include_free_bytes = true;
-  /// Ablation (paper §3, Fig 8 discussion): keep only gaps 1, 2, 4, 8, ...
-  /// when true, thinning the feature space.
-  bool thin_gaps = false;
-  /// Value used when an object has fewer recorded gaps than num_gaps.
+  /// Log-spaced gaps (paper §2.2 and Fig 8: the low gaps carry the
+  /// splits): every gap up to 8, then 2^k and 3*2^k (12, 16, 24, 32, 48,
+  /// ...) up to num_gaps, so the default is 15 features. False emits
+  /// every gap 1..num_gaps, the paper's dense 53-feature schema at 50.
+  bool thin_gaps = true;
+  /// Value used when an object has fewer recorded gaps than a gap index.
   float missing_gap_value = 1e8f;
 
   /// Number of features in the emitted vector.
@@ -38,7 +40,8 @@ struct FeatureConfig {
   /// Human-readable name per feature index ("size", "cost", "free",
   /// "gap1", ...), for the Fig 8 importance report.
   std::vector<std::string> names() const;
-  /// The gap indices (1-based) actually emitted, honoring thin_gaps.
+  /// The gap indices (1-based, increasing) actually emitted, honoring
+  /// thin_gaps. The largest is the history depth an extractor keeps.
   std::vector<std::uint32_t> gap_indices() const;
 
   /// Same schema: a model trained under one config reads feature rows
@@ -59,19 +62,20 @@ struct FeatureConfig {
 ///    construction, so a client cannot pick ids that share one probe
 ///    chain; where an id lands never affects its gaps.
 ///  - Rings: timestamps live in per-class slabs whose blocks hold 1, 2,
-///    4, ... timestamps, capped at num_gaps; a ring's class follows
-///    from its count. A full ring below num_gaps moves up one class,
-///    and its old block goes on that class's free list for reuse. A
-///    one-hit object costs one slot plus one timestamp.
+///    4, ... timestamps, capped at the table's depth; a ring's class
+///    follows from its count. A full ring below the depth moves up one
+///    class, and its old block goes on that class's free list for reuse.
+///    A one-hit object costs one slot plus one timestamp.
 class HistoryTable {
  public:
-  /// Largest num_gaps: a ring's head and count are 16-bit.
+  /// Largest depth (and num_gaps): a ring's head and count are 16-bit.
   static constexpr std::uint32_t kMaxGaps = 65535;
 
-  /// Hash seed drawn from std::random_device.
-  explicit HistoryTable(std::uint32_t num_gaps = 50);
+  /// Keeps each object's last `depth` request times (gap_1..gap_depth);
+  /// hash seed drawn from std::random_device.
+  explicit HistoryTable(std::uint32_t depth);
   /// A given hash seed (for tests that need known probe chains).
-  HistoryTable(std::uint32_t num_gaps, std::uint64_t seed);
+  HistoryTable(std::uint32_t depth, std::uint64_t seed);
 
   /// Record that `object` was requested at logical time `time` (a request
   /// counter). Call after extracting features for the request.
@@ -80,8 +84,8 @@ class HistoryTable {
   /// Number of recorded past requests for this object (capped).
   std::uint32_t depth(trace::ObjectId object) const;
 
-  /// Fill `out` (size num_gaps) with gap_1..gap_num_gaps relative to
-  /// `now`; missing entries get `missing_value`.
+  /// Fill `out` (at most depth entries) with gap_1..gap_out.size()
+  /// relative to `now`; missing entries get `missing_value`.
   void gaps(trace::ObjectId object, std::uint64_t now,
             std::span<float> out, float missing_value) const;
 
@@ -119,8 +123,8 @@ class HistoryTable {
   std::uint32_t allocate(std::uint32_t cls);
   void release(std::uint32_t cls, std::uint32_t offset);
 
-  std::uint32_t capacity_;  // num_gaps
-  std::uint32_t top_;       // class of the full num_gaps ring
+  std::uint32_t capacity_;  // depth
+  std::uint32_t top_;       // class of the full-depth ring
   std::uint64_t seed_;
   std::vector<Slot> slots_;
   std::size_t tracked_ = 0;
@@ -138,7 +142,8 @@ struct FeatureScratch {
 };
 
 /// Stateful feature extractor combining the history table with the
-/// request's own attributes and the cache's free-byte count.
+/// request's own attributes and the cache's free-byte count. Its history
+/// is only as deep as the largest emitted gap.
 ///
 /// Thread safety: extract() is const and touches no extractor state
 /// besides the (read-only) history table, so any number of threads may
@@ -171,8 +176,8 @@ class FeatureExtractor {
 
  private:
   FeatureConfig config_;
-  HistoryTable history_;
   std::vector<std::uint32_t> gap_indices_;
+  HistoryTable history_;
   std::size_t dimension_;
 };
 

@@ -151,6 +151,8 @@ struct LfoServer::Owner {
   Frame frame;  ///< the frame this owner is serving
   std::vector<std::unique_ptr<Connection>> connections;
   std::uint64_t tick = 0;  ///< event count behind Connection::last_active
+  /// When expire() re-arms an accept that ran out of descriptors.
+  Clock::time_point accept_retry = Clock::time_point::max();
 };
 
 LfoServer::LfoServer(LfoServerConfig config)
@@ -278,22 +280,36 @@ void LfoServer::accept_connection(Owner& self) {
   // connections to W owners land one per owner: the listening socket is
   // armed (one-shot) in one owner's epoll set at a time, and each accept
   // arms it in the next owner's.
-  const int fd =
-      ::accept4(listen_fd_, nullptr, nullptr, SOCK_NONBLOCK | SOCK_CLOEXEC);
-  const Owner& next =
-      fd < 0 ? self : *owners_[(self.index + 1) % owners_.size()];
-  watch(next.epoll_fd, EPOLL_CTL_MOD, listen_fd_, EPOLLIN | EPOLLONESHOT,
-        &listen_fd_);
-  if (fd < 0) return;
   auto& connections = self.connections;
-  if (connections.size() >= kMaxConnectionsPerOwner) {
+  const auto shed_longest_idle = [&connections] {
     connections.erase(std::min_element(
         connections.begin(), connections.end(),
         [](const auto& a, const auto& b) {
           return a->last_active < b->last_active;
         }));
     LFO_COUNTER_INC("lfo_server_shed_connections_total");
+  };
+  const auto out_of_fds = [] { return errno == EMFILE || errno == ENFILE; };
+  int fd =
+      ::accept4(listen_fd_, nullptr, nullptr, SOCK_NONBLOCK | SOCK_CLOEXEC);
+  if (fd < 0 && out_of_fds() && !connections.empty()) {
+    LFO_COUNTER_INC("lfo_server_accept_errors_total");
+    shed_longest_idle();  // frees a descriptor for one retry
+    fd = ::accept4(listen_fd_, nullptr, nullptr, SOCK_NONBLOCK | SOCK_CLOEXEC);
   }
+  if (fd < 0 && out_of_fds()) {
+    // The connection stays queued, so re-arming now would spin until a
+    // descriptor frees: expire() re-arms after a 50 ms back-off instead.
+    LFO_COUNTER_INC("lfo_server_accept_errors_total");
+    self.accept_retry = Clock::now() + std::chrono::milliseconds(50);
+    return;
+  }
+  const Owner& next =
+      fd < 0 ? self : *owners_[(self.index + 1) % owners_.size()];
+  watch(next.epoll_fd, EPOLL_CTL_MOD, listen_fd_, EPOLLIN | EPOLLONESHOT,
+        &listen_fd_);
+  if (fd < 0) return;
+  if (connections.size() >= kMaxConnectionsPerOwner) shed_longest_idle();
   const int one = 1;
   ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
   auto conn = std::make_unique<Connection>(fd);
@@ -309,7 +325,12 @@ void LfoServer::accept_connection(Owner& self) {
 
 int LfoServer::expire(Owner& self) {
   const auto now = Clock::now();
-  auto next = Clock::time_point::max();
+  if (self.accept_retry <= now) {
+    self.accept_retry = Clock::time_point::max();
+    watch(self.epoll_fd, EPOLL_CTL_MOD, listen_fd_, EPOLLIN | EPOLLONESHOT,
+          &listen_fd_);
+  }
+  auto next = self.accept_retry;
   std::erase_if(self.connections, [&](const auto& conn) {
     if (conn->deadline > now) {
       next = std::min(next, conn->deadline);

@@ -145,8 +145,12 @@ class LfoServer {
   /// Owner `self`'s event loop, until stop() and no frame is in flight.
   void run(Owner& self);
   /// Accept one connection, shedding at the cap; arm the next owner.
+  /// Out of descriptors (EMFILE/ENFILE, counted in
+  /// lfo_server_accept_errors_total), shed the longest-idle connection
+  /// and retry once, else re-arm only after a short back-off.
   void accept_connection(Owner& self);
-  /// Close connections past their deadline; ms to the next one (-1: none).
+  /// Close connections past their deadline and re-arm a backed-off
+  /// accept; ms to the next deadline (-1: none).
   int expire(Owner& self);
   /// Run a connection until its socket would block; false closes it.
   bool advance(Owner& self, Connection& conn);

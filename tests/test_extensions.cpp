@@ -243,6 +243,7 @@ TEST(LfoModelPersistence, RoundTripPreservesPredictions) {
 
   std::stringstream ss;
   trained.model->save(ss);
+  ASSERT_EQ(ss.str().rfind("lfo-model v2\n", 0), 0u);
   const auto back = core::LfoModel::load(ss);
   EXPECT_EQ(back.dimension(), trained.model->dimension());
   EXPECT_EQ(back.feature_config().num_gaps, 10u);
@@ -260,20 +261,32 @@ TEST(LfoModelPersistence, LoadRejectsGarbage) {
   EXPECT_THROW(core::LfoModel::load(ss), std::runtime_error);
 }
 
-// A hand-written lfo-model v1 file: a 2-gap schema (5 features) and a
-// forest of one stump on feature 0. Each part can be replaced.
+// A hand-written lfo-model v2 file: a dense 2-gap schema (5 features)
+// and a forest of one stump on feature 0. Each part can be replaced.
 std::string model_file(
     const std::string& schema = "2 1 1 1 0 100000000",
     const std::string& forest = "0 1",
     const std::string& tree =
         "3\n0 0.5 1 2 0\n-1 0 -1 -1 -1\n-1 0 -1 -1 1\n") {
-  return "lfo-model v1\n" + schema + "\nlfo-gbdt-model v1\n" + forest +
+  return "lfo-model v2\n" + schema + "\nlfo-gbdt-model v1\n" + forest +
          "\n" + tree;
 }
 
 core::LfoModel load_text(const std::string& text) {
   std::stringstream ss(text);
   return core::LfoModel::load(ss);
+}
+
+// A v1 file's thin_gaps flag named the one-gap-per-octave schema (1, 2,
+// 4, ...), not v2's log-spaced one, so its rows would be misread: v1 is
+// refused, thin or dense.
+TEST(LfoModelFile, RefusesVersionOneFiles) {
+  for (const char* schema : {"2 1 1 1 0 100000000", "16 1 1 1 1 100000000"}) {
+    auto text = model_file(schema);
+    EXPECT_NO_THROW(load_text(text)) << schema;
+    text.replace(text.find("v2"), 2, "v1");
+    EXPECT_THROW(load_text(text), std::runtime_error) << schema;
+  }
 }
 
 TEST(LfoModelFile, RejectsSplitsThatDoNotFormATree) {
@@ -339,7 +352,7 @@ TEST(LfoModelFile, HeaderCountsReserveNothing) {
 }
 
 TEST(LfoModelFile, RandomMutationsFuzz) {
-  // A saved paper-default model: 53 features, 30 trees.
+  // A saved default model: 15 log-spaced features, 30 trees.
   const auto t = trace::generate_zipf_trace(6000, 400, 0.9, 31);
   core::LfoConfig config;
   config.set_cache_size(t.unique_bytes() / 5);

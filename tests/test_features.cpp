@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstring>
 #include <deque>
 #include <limits>
 #include <map>
@@ -21,6 +23,7 @@ using trace::Request;
 TEST(FeatureConfig, DimensionAndNames) {
   FeatureConfig config;
   config.num_gaps = 50;
+  config.thin_gaps = false;            // the paper's dense schema
   EXPECT_EQ(config.dimension(), 53u);  // size + cost + free + 50 gaps
   const auto names = config.names();
   ASSERT_EQ(names.size(), 53u);
@@ -31,19 +34,60 @@ TEST(FeatureConfig, DimensionAndNames) {
   EXPECT_EQ(names[52], "gap50");
 }
 
-TEST(FeatureConfig, ThinnedGapsArePowersOfTwo) {
-  FeatureConfig config;
-  config.num_gaps = 50;
-  config.thin_gaps = true;
-  const auto gaps = config.gap_indices();
-  const std::vector<std::uint32_t> expect{1, 2, 4, 8, 16, 32};
-  EXPECT_EQ(gaps, expect);
-  EXPECT_EQ(config.dimension(), 3u + 6u);
+// The default schema: every gap to 8, then two per octave (2^k, 3*2^k).
+TEST(FeatureConfig, ThinGapsAreLogSpaced) {
+  const FeatureConfig config;
+  EXPECT_TRUE(config.thin_gaps);
+  const std::vector<std::uint32_t> expect{1, 2, 3, 4, 5, 6, 7, 8,
+                                          12, 16, 24, 32};
+  EXPECT_EQ(config.gap_indices(), expect);
+  EXPECT_EQ(config.dimension(), 15u);
+  EXPECT_EQ(config.names().back(), "gap32");
+
+  FeatureConfig wide;  // lfo_bench's schema
+  wide.num_gaps = 50;
+  auto with_48 = expect;
+  with_48.push_back(48);
+  EXPECT_EQ(wide.gap_indices(), with_48);
+  EXPECT_EQ(wide.dimension(), 16u);
+}
+
+// Both schemas start at gap 1, strictly increase and stay within
+// num_gaps without wrapping; a dense list has num_gaps entries, so it is
+// exactly 1..num_gaps.
+TEST(FeatureConfig, GapListsIncreaseWithinNumGaps) {
+  for (const bool thin : {true, false}) {
+    for (const std::uint32_t num_gaps : {1u, 8u, 9u, 12u, 65535u}) {
+      SCOPED_TRACE(std::string(thin ? "thin " : "dense ") +
+                   std::to_string(num_gaps));
+      FeatureConfig config;
+      config.thin_gaps = thin;
+      config.num_gaps = num_gaps;
+      const auto gaps = config.gap_indices();
+      ASSERT_FALSE(gaps.empty());
+      EXPECT_EQ(gaps.front(), 1u);
+      EXPECT_LE(gaps.back(), num_gaps);
+      for (std::size_t k = 1; k < gaps.size(); ++k) {
+        ASSERT_LT(gaps[k - 1], gaps[k]);
+      }
+      if (!thin) {
+        EXPECT_EQ(gaps.size(), num_gaps);
+      }
+    }
+  }
+  FeatureConfig nine;
+  nine.num_gaps = 9;  // 9 is neither <= 8 nor 2^k nor 3*2^k
+  EXPECT_EQ(nine.gap_indices().back(), 8u);
+  FeatureConfig widest;
+  widest.num_gaps = 65535;  // 2^16 would pass it; 3*2^14 is the last
+  EXPECT_EQ(widest.gap_indices().back(), 49152u);
+  EXPECT_EQ(widest.gap_indices().size(), 8u + 2u * 12u + 1u);
 }
 
 TEST(FeatureConfig, TogglesAffectDimension) {
   FeatureConfig config;
   config.num_gaps = 10;
+  config.thin_gaps = false;
   config.include_cost = false;
   config.include_free_bytes = false;
   EXPECT_EQ(config.dimension(), 11u);
@@ -253,6 +297,44 @@ TEST(FeatureExtractor, ExtractLaysOutFeatures) {
   ex.extract(r, 25, 4000, row, scratch);
   EXPECT_FLOAT_EQ(row[3], 15.0f);  // gap1
   EXPECT_FLOAT_EQ(row[4], -1.0f);
+}
+
+// The extractor keeps only as much history as its largest emitted gap
+// (48 of 50 here) and emits, bit for bit, the rows a full-depth history
+// would give, seeded trace and all.
+TEST(FeatureExtractor, DepthSizedHistoryMatchesFullDepth) {
+  FeatureConfig config;
+  config.num_gaps = 50;
+  const auto indices = config.gap_indices();
+  ASSERT_EQ(indices.back(), 48u);
+  FeatureExtractor ex(config);
+  HistoryTable full(config.num_gaps);
+  const auto t = trace::generate_zipf_trace(30000, 400, 1.0, 5);
+  std::vector<float> row(ex.dimension()), want(ex.dimension());
+  std::vector<float> all(config.num_gaps);
+  FeatureScratch scratch;
+  std::uint64_t time = 0;
+  std::uint32_t deepest = 0;
+  for (const Request& r : t.requests()) {
+    const std::uint64_t free_bytes = time * 7919 % 100000;
+    ex.extract(r, time, free_bytes, row, scratch);
+    full.gaps(r.object, time, all, config.missing_gap_value);
+    want[0] = static_cast<float>(r.size);
+    want[1] = static_cast<float>(r.cost);
+    want[2] = static_cast<float>(free_bytes);
+    for (std::size_t k = 0; k < indices.size(); ++k) {
+      want[config.gap_offset() + k] = all[indices[k] - 1];
+    }
+    ASSERT_EQ(std::memcmp(row.data(), want.data(), row.size() * sizeof(float)),
+              0)
+        << "request " << time;
+    ex.observe(r, time);
+    full.record(r.object, time);
+    deepest = std::max(deepest, ex.history().depth(r.object));
+    ++time;
+  }
+  EXPECT_EQ(deepest, 48u);
+  EXPECT_EQ(scratch.gaps.size(), 48u);
 }
 
 TEST(FeatureExtractor, RejectsWrongOutputSize) {

@@ -73,21 +73,21 @@ constexpr Scenario kGolden[] = {
         "web",
         /*lru=*/{20000, 12453, 1737017707, 1283535068},
         /*adaptsize=*/{20000, 13372, 1737017707, 1233811629},
-        /*lfo=*/{{20000, 13043, 1737017707, 1319914462}, 2200, 182},
+        /*lfo=*/{{20000, 13032, 1737017707, 1319329329}, 2244, 193, 0},
         /*opt=*/{15381, 1459818875, 20000, 1737017707},
     },
     {
         "video",
         /*lru=*/{20000, 12462, 41431278663, 23685936788},
         /*adaptsize=*/{20000, 13367, 41431278663, 24794325918},
-        /*lfo=*/{{20000, 13340, 41431278663, 25639504543}, 1890, 54},
+        /*lfo=*/{{20000, 13345, 41431278663, 25650697107}, 1897, 50, 0},
         /*opt=*/{15656, 31111879543, 20000, 41431278663},
     },
     {
         "flash-crowd",
         /*lru=*/{20000, 14218, 1080191046, 725737606},
         /*adaptsize=*/{20000, 14888, 1080191046, 721748806},
-        /*lfo=*/{{20000, 14271, 1080191046, 728702390}, 1960, 184, 0},
+        /*lfo=*/{{20000, 14284, 1080191046, 729095863}, 1757, 193, 0},
         /*opt=*/{16484, 857908563, 20000, 1080191046},
     },
     // Adversarial/freshness presets (trace/scenario.hpp): the robustness
@@ -98,28 +98,28 @@ constexpr Scenario kGolden[] = {
         "flood",
         /*lru=*/{20000, 9948, 2249051048, 888243541},
         /*adaptsize=*/{20000, 10722, 2249051048, 824744967},
-        /*lfo=*/{{20000, 10616, 2249051048, 935475791}, 4195, 215, 0},
+        /*lfo=*/{{20000, 10568, 2249051048, 931318642}, 4213, 201, 0},
         /*opt=*/{13019, 1090080344, 20000, 2249051048},
     },
     {
         "scan",
         /*lru=*/{20000, 6841, 2457916856, 291635327},
         /*adaptsize=*/{20000, 7573, 2457916856, 316195368},
-        /*lfo=*/{{20000, 8273, 2457916856, 424751263}, 3662, 601, 0},
+        /*lfo=*/{{20000, 8233, 2457916856, 429752600}, 3696, 602, 0},
         /*opt=*/{9862, 663533050, 20000, 2457916856},
     },
     {
         "inversion",
         /*lru=*/{20000, 13690, 910749076, 554424295},
         /*adaptsize=*/{20000, 14444, 910749076, 556605128},
-        /*lfo=*/{{20000, 14024, 910749076, 561919486}, 2094, 420, 0},
+        /*lfo=*/{{20000, 14035, 910749076, 562414555}, 2100, 418, 0},
         /*opt=*/{16119, 689887423, 20000, 910749076},
     },
     {
         "freshness",
         /*lru=*/{20000, 13391, 1065134887, 661964596},
         /*adaptsize=*/{20000, 14302, 1065134887, 657881521},
-        /*lfo=*/{{20000, 12936, 1065134887, 636383239}, 2142, 123, 804},
+        /*lfo=*/{{20000, 12940, 1065134887, 637624815}, 2160, 136, 800},
         /*opt=*/{15996, 824799047, 20000, 1065134887},
     },
 };
@@ -174,10 +174,11 @@ GoldenCache run_policy(const std::string& policy, const trace::Trace& trace,
 }
 
 core::WindowedResult run_lfo(const trace::Trace& trace,
-                             std::uint64_t cache_size) {
+                             std::uint64_t cache_size, bool thin_gaps = true) {
   core::WindowedConfig config;
   config.lfo.set_cache_size(cache_size);
   config.lfo.features.num_gaps = 20;
+  config.lfo.features.thin_gaps = thin_gaps;
   config.lfo.gbdt.num_iterations = 15;
   config.window_size = 5000;
   config.swap_lag = 1;
@@ -324,6 +325,22 @@ TEST(GoldenTraces, EnginesMatchGoldenDecisionsOnAllScenarios) {
     diff.check("expired_hits", expected.lfo.expired_hits,
                lfo.overall.expired_hits);
     diff.report();
+  }
+}
+
+// The gap-schema gate: on every golden scenario at 4 MiB and 32 MiB,
+// the default log-spaced gaps (1-8, 12, 16 here) keep the guarded
+// pipeline's BHR within 0.5 pt of the paper's dense gaps 1..20.
+TEST(GoldenTraces, LogSpacedGapsHoldGuardedBhrAgainstDense) {
+  for (const auto& s : kGolden) {
+    const auto trace = make_trace(s.name);
+    for (const std::uint64_t mib : {4u, 32u}) {
+      const double thin = run_lfo(trace, mib << 20).overall.bhr();
+      const double dense = run_lfo(trace, mib << 20, false).overall.bhr();
+      EXPECT_GE(thin, dense - 0.005)
+          << s.name << " at " << mib << " MiB: log-spaced " << thin
+          << " vs dense " << dense;
+    }
   }
 }
 

@@ -17,16 +17,20 @@
 //  - Held sockets: silent and half-sent connections never delay another
 //    client, a started frame is cut off at its deadline, idle time
 //    between frames is free, and connections past the per-owner cap
-//    shed the longest-idle one.
+//    shed the longest-idle one. Out of file descriptors, accept sheds
+//    the longest-idle connection or backs off; it never spins.
 //  - Stress (TSan target): concurrent mixed get/admit/expire traffic
 //    across shards with model swaps in flight; merged accounting must
 //    balance and byte occupancy stay within capacity.
 
 #include <gtest/gtest.h>
 
+#include <sys/eventfd.h>
+#include <sys/resource.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cerrno>
 #include <chrono>
@@ -1054,6 +1058,102 @@ TEST(ServerHeldSockets, ConnectionsPastTheCapShedTheLongestIdle) {
   for (std::uint32_t i = 0; i <= kExtra; ++i) {
     EXPECT_TRUE(silent[i]->closed_by_peer()) << "silent socket " << i;
   }
+  lfo_server.stop();
+}
+
+/// Lowers this process's RLIMIT_NOFILE soft limit and takes every free
+/// descriptor below it; the destructor gives them back and restores the
+/// limit. The server shares the process, so its accept4 gets EMFILE.
+class DescriptorExhaustion {
+ public:
+  explicit DescriptorExhaustion(rlim_t limit) {
+    ::getrlimit(RLIMIT_NOFILE, &saved_);
+    rlimit lowered = saved_;
+    lowered.rlim_cur = std::min(limit, saved_.rlim_cur);
+    ::setrlimit(RLIMIT_NOFILE, &lowered);
+    for (int fd; (fd = ::eventfd(0, EFD_CLOEXEC)) >= 0;) held_.push_back(fd);
+  }
+  ~DescriptorExhaustion() {
+    for (const int fd : held_) ::close(fd);
+    ::setrlimit(RLIMIT_NOFILE, &saved_);
+  }
+  DescriptorExhaustion(const DescriptorExhaustion&) = delete;
+  DescriptorExhaustion& operator=(const DescriptorExhaustion&) = delete;
+
+  std::size_t held() const { return held_.size(); }
+  /// Give one descriptor back.
+  void release_one() {
+    ::close(held_.back());
+    held_.pop_back();
+  }
+
+ private:
+  rlimit saved_{};
+  std::vector<int> held_;
+};
+
+// Regression (accept spin): out of descriptors, accept4 fails and leaves
+// the connection queued, and the owner used to re-arm the listening
+// socket for itself at once and spin. With no connection to shed it now
+// backs off, so the failures stay few, and the client is served once a
+// descriptor frees.
+TEST(ServerHeldSockets, AcceptBacksOffWhileOutOfDescriptors) {
+  const auto& errors = obs::MetricsRegistry::instance().counter(
+      "lfo_server_accept_errors_total");
+  server::LfoServer lfo_server(held_config(1, 0.5));
+  ASSERT_TRUE(lfo_server.start()) << lfo_server.last_error();
+  const auto trace = held_trace();
+  server::LfoClient client;
+  std::vector<server::WireDecision> decisions;
+  {
+    DescriptorExhaustion exhausted(256);
+    ASSERT_GE(exhausted.held(), 2u);
+    exhausted.release_one();  // for the client's own socket
+    const auto errors_before = errors.value();
+    ASSERT_TRUE(client.connect(lfo_server.port()));
+    std::this_thread::sleep_for(std::chrono::milliseconds(500));
+    const auto failed = errors.value() - errors_before;
+    EXPECT_GE(failed, 1u);
+    EXPECT_LE(failed, 25u) << "the owner spun on accept";
+    exhausted.release_one();  // for the server's end
+    const auto t0 = std::chrono::steady_clock::now();
+    ASSERT_TRUE(client.exchange(trace.window(0, 32), decisions));
+    EXPECT_LT(seconds_since(t0), 0.5);
+  }
+  EXPECT_EQ(decisions.size(), 32u);
+  lfo_server.stop();
+}
+
+// Out of descriptors with a connection to spare, the owner sheds its
+// longest-idle connection and accepts into the freed descriptor at once.
+TEST(ServerHeldSockets, AcceptShedsTheLongestIdleWhenOutOfDescriptors) {
+  auto& registry = obs::MetricsRegistry::instance();
+  const auto& errors = registry.counter("lfo_server_accept_errors_total");
+  const auto& shed = registry.counter("lfo_server_shed_connections_total");
+  server::LfoServer lfo_server(held_config(1, 0.5));
+  ASSERT_TRUE(lfo_server.start()) << lfo_server.last_error();
+  const auto trace = held_trace();
+  RawConnection idle(lfo_server.port());
+  server::LfoClient warm;
+  std::vector<server::WireDecision> decisions;
+  ASSERT_TRUE(warm.connect(lfo_server.port()));
+  ASSERT_TRUE(warm.exchange(trace.window(0, 32), decisions));  // both held
+  {
+    DescriptorExhaustion exhausted(256);
+    ASSERT_GE(exhausted.held(), 1u);
+    exhausted.release_one();
+    const auto errors_before = errors.value();
+    const auto shed_before = shed.value();
+    server::LfoClient client;
+    ASSERT_TRUE(client.connect(lfo_server.port()));
+    const auto t0 = std::chrono::steady_clock::now();
+    ASSERT_TRUE(client.exchange(trace.window(32, 32), decisions));
+    EXPECT_LT(seconds_since(t0), 0.5);
+    EXPECT_EQ(errors.value(), errors_before + 1);
+    EXPECT_EQ(shed.value(), shed_before + 1);
+    EXPECT_TRUE(idle.closed_by_peer());
+  }
+  ASSERT_TRUE(warm.exchange(trace.window(0, 32), decisions));
   lfo_server.stop();
 }
 
