@@ -1,12 +1,10 @@
 // "Policy design" ablation — the paper's §5 open question: how should a
-// predicted likelihood ranking be translated into a caching policy? We
-// ablate the design axes of the LFO policy:
-//   - eviction ranking: min likelihood (paper §2.4), min likelihood/byte,
-//     or plain LRU (admission-only use of the model);
-//   - re-scoring on hits (hit-can-evict-the-hit-object) on/off;
-//   - admission cutoff: default .5 vs the auto-tuned equal-error cutoff.
+// predicted likelihood ranking be translated into a caching policy? The
+// eviction rule is fixed (core::LfoCache: sampled eviction over LRU
+// order by each entry's latest likelihood); this bench ablates the admission
+// cutoff: default .5 vs the auto-tuned equal-error cutoff.
 //
-// Output: CSV "variant,cutoff,bhr,ohr,bypassed,demoted_hits".
+// Output: CSV "variant,cutoff,bhr,ohr,bypassed".
 
 #include <iostream>
 
@@ -16,16 +14,6 @@
 #include "util/csv.hpp"
 
 using namespace lfo;
-
-namespace {
-
-struct Variant {
-  std::string name;
-  core::LfoPolicyOptions options;
-  bool tuned_cutoff;
-};
-
-}  // namespace
 
 int main(int argc, char** argv) {
   bench::Args args(argc, argv, {{"requests", "160000"},
@@ -51,48 +39,28 @@ int main(int argc, char** argv) {
   std::cout << "# tuned equal-error cutoff = " << tuning.equal_error_cutoff
             << ", min-error cutoff = " << tuning.min_error_cutoff << '\n';
 
-  using Rank = core::LfoPolicyOptions::EvictionRank;
-  std::vector<Variant> variants;
-  variants.push_back({"paper-default (evict min p, rescore)", {}, false});
-  variants.push_back(
-      {"tuned-cutoff", {}, true});
-  {
-    core::LfoPolicyOptions o;
-    o.eviction = Rank::kLikelihoodPerByte;
-    variants.push_back({"evict min p-per-byte", o, false});
-  }
-  {
-    core::LfoPolicyOptions o;
-    o.eviction = Rank::kLru;
-    variants.push_back({"admission-only (LRU eviction)", o, false});
-  }
-  {
-    core::LfoPolicyOptions o;
-    o.rescore_on_hit = false;
-    variants.push_back({"no-rescore-on-hit", o, false});
-  }
+  struct Variant {
+    const char* name;
+    double cutoff;
+  };
+  const Variant variants[] = {{"default-cutoff", config.cutoff},
+                              {"tuned-cutoff", tuning.equal_error_cutoff}};
 
   util::CsvWriter csv(std::cout);
-  csv.header({"variant", "cutoff", "bhr", "ohr", "bypassed",
-              "demoted_hits"});
+  csv.header({"variant", "cutoff", "bhr", "ohr", "bypassed"});
   for (const auto& v : variants) {
-    const double cutoff =
-        v.tuned_cutoff ? tuning.equal_error_cutoff : config.cutoff;
-    core::LfoCache cache(cache_size, config.features, cutoff, v.options);
+    core::LfoCache cache(cache_size, config.features, v.cutoff);
     cache.swap_model(trained.model);
     for (const auto& r : trace.window(train_n, trace.size())) {
       cache.access(r);
     }
     csv.field(v.name)
-        .field(cutoff)
+        .field(v.cutoff)
         .field(cache.stats().bhr())
         .field(cache.stats().ohr())
         .field(cache.bypassed())
-        .field(cache.demoted_hits())
         .end_row();
   }
-  std::cout << "# expected shape: the likelihood-ranked eviction variants "
-               "beat admission-only; re-scoring on hits matters under "
-               "drift; cutoff tuning trades FP for FN\n";
+  std::cout << "# expected shape: cutoff tuning trades FP for FN\n";
   return 0;
 }

@@ -141,8 +141,7 @@ int main(int argc, char** argv) {
 
   std::cout << "\noverall: LFO bhr=" << result.overall.bhr()
             << " ohr=" << result.overall.ohr() << " (bypassed "
-            << result.bypassed << " requests, " << result.demoted_hits
-            << " hits re-scored below the cutoff)\n";
+            << result.bypassed << " requests)\n";
   std::cout << "         S4LRU bhr=" << s4lru->stats().bhr()
             << "  AdaptSize bhr=" << adaptsize->stats().bhr() << '\n';
 

@@ -78,8 +78,8 @@ class CachePolicy {
   std::uint64_t clock() const { return clock_; }
 
  protected:
-  /// The object of `request` is cached; update metadata. May evict (LFO
-  /// can evict the object that was just hit, paper §2.4).
+  /// The object of `request` is cached; update metadata. Must keep the
+  /// hit object resident (sim::AuditedPolicy checks this).
   virtual void on_hit(const trace::Request& request) = 0;
   /// The object is absent; optionally admit (evicting to make room first).
   virtual void on_miss(const trace::Request& request) = 0;

@@ -10,11 +10,10 @@ namespace lfo::core {
 
 LfoCache::LfoCache(std::uint64_t capacity,
                    features::FeatureConfig feature_config, double cutoff,
-                   LfoPolicyOptions options)
+                   LfoPolicyOptions)
     : cache::CachePolicy(capacity),
       extractor_(feature_config),
       cutoff_(cutoff),
-      options_(options),
       row_buffer_(feature_config.dimension(), 0.0f) {}
 
 bool LfoCache::contains(trace::ObjectId object) const {
@@ -31,14 +30,12 @@ bool LfoCache::expired(const trace::Request& request) const {
 void LfoCache::on_expired(const trace::Request& request) {
   const auto it = entries_.find(request.object);
   LFO_CHECK(it != entries_.end()) << "on_expired for an uncached object";
-  sub_used(it->second.size);
-  order_.erase(it->second.order_it);
-  entries_.erase(it);
+  erase(it->second);
 }
 
 void LfoCache::clear() {
   entries_.clear();
-  order_.clear();
+  newest_ = oldest_ = nullptr;
   extractor_.reset();
   sub_used(used_bytes());
 }
@@ -55,48 +52,40 @@ void LfoCache::swap_model(std::shared_ptr<const LfoModel> model) {
 LFO_HOT_PATH double LfoCache::predict(const trace::Request& request) {
   if (!model_) return 0.5;  // bootstrap: behave like admit-all
   extractor_.extract(request, clock(), free_bytes(), row_buffer_, scratch_);
-  return model_->predict(row_buffer_, scratch_);
+  return model_->predict(row_buffer_);
 }
 
-LFO_HOT_PATH double LfoCache::rank_of(const trace::Request& request,
-                         double likelihood) const {
-  switch (options_.eviction) {
-    case LfoPolicyOptions::EvictionRank::kLikelihood:
-      return likelihood;
-    case LfoPolicyOptions::EvictionRank::kLikelihoodPerByte:
-      return likelihood / static_cast<double>(request.size);
-    case LfoPolicyOptions::EvictionRank::kLru:
-      return static_cast<double>(clock());  // larger = more recent
-  }
-  return likelihood;
+void LfoCache::link_newest(Entry& entry) {
+  entry.newer = nullptr;
+  entry.older = newest_;
+  (newest_ ? newest_->newer : oldest_) = &entry;
+  newest_ = &entry;
 }
 
-LFO_HOT_PATH void LfoCache::update_rank(trace::ObjectId object, double rank) {
-  auto& e = entries_[object];
-  // Extract + reinsert reuses the multimap node, keeping the per-request
-  // re-rank free of heap traffic (part of the zero-allocation hot path).
-  auto node = order_.extract(e.order_it);
-  node.key() = rank;
-  e.likelihood = rank;
-  // lfo-lint: allow(hotpath): node-handle reinsert, no heap traffic
-  e.order_it = order_.insert(std::move(node));
+void LfoCache::unlink(Entry& entry) {
+  (entry.newer ? entry.newer->older : newest_) = entry.older;
+  (entry.older ? entry.older->newer : oldest_) = entry.newer;
+}
+
+void LfoCache::erase(Entry& entry) {
+  sub_used(entry.size);
+  unlink(entry);
+  const trace::ObjectId object = entry.object;  // the key dies with it
+  entries_.erase(object);
 }
 
 LFO_HOT_PATH void LfoCache::on_hit(const trace::Request& request) {
+  auto& entry = entries_.at(request.object);
   // Stale-serve contract: the access() template method must have routed
   // expired entries through on_expired/on_miss; reaching on_hit with a
   // dead deadline means stale bytes are about to be served as fresh.
-  LFO_CHECK(clock() <= entries_.at(request.object).expires_at)
+  LFO_CHECK(clock() <= entry.expires_at)
       << "LFO: serving expired object " << request.object;
-  const bool lru_mode =
-      options_.eviction == LfoPolicyOptions::EvictionRank::kLru;
-  if (options_.rescore_on_hit || lru_mode) {
-    const double p = lru_mode ? 0.0 : predict(request);
-    if (!lru_mode && p < cutoff_) ++demoted_hits_;
-    // Re-rank; the hit object may now be the eviction candidate (paper:
-    // a hit can lead to the eviction of the hit object).
-    update_rank(request.object, rank_of(request, p));
-  }
+  // Re-score on every hit (paper §2.4); the new likelihood ranks the
+  // entry when it next reaches the eviction sample.
+  entry.likelihood = predict(request);
+  unlink(entry);
+  link_newest(entry);
   extractor_.observe(request, clock());
 }
 
@@ -110,7 +99,6 @@ void LfoCache::on_miss(const trace::Request& request) {
   }
   LFO_COUNTER_INC("lfo_cache_admitted_total");
   while (free_bytes() < request.size) evict_one();
-  const double rank = rank_of(request, p);
   // Freshness deadline fixed at admission: clock() is this request's
   // logical time, so a ttl of t keeps the copy fresh for the next t
   // requests. Re-admission after expiry lands here again and resets it.
@@ -120,19 +108,28 @@ void LfoCache::on_miss(const trace::Request& request) {
       !request.has_ttl() || request.ttl > kNeverExpires - clock()
           ? kNeverExpires
           : clock() + request.ttl;
-  auto [it, inserted] = entries_.emplace(
-      request.object, Entry{request.size, rank, order_.end(), expires_at});
-  it->second.order_it = order_.emplace(rank, request.object);
+  const auto it =
+      entries_
+          .emplace(request.object,
+                   Entry{request.size, p, expires_at, request.object})
+          .first;
+  link_newest(it->second);
   add_used(request.size);
 }
 
 void LfoCache::evict_one() {
   LFO_COUNTER_INC("lfo_cache_evictions_total");
-  const auto victim = order_.begin();
-  const auto object = victim->second;
-  sub_used(entries_[object].size);
-  entries_.erase(object);
-  order_.erase(victim);
+  LFO_DCHECK(oldest_ != nullptr) << "eviction from an empty cache";
+  // The lowest stored likelihood among the kEvictionSample least
+  // recent entries; strict < keeps ties with the less recent one, so
+  // bootstrap (every entry at 0.5) evicts exactly in LRU order.
+  Entry* victim = oldest_;
+  Entry* candidate = oldest_->newer;
+  for (std::size_t seen = 1; seen < kEvictionSample && candidate;
+       ++seen, candidate = candidate->newer) {
+    if (candidate->likelihood < victim->likelihood) victim = candidate;
+  }
+  erase(*victim);
 }
 
 }  // namespace lfo::core

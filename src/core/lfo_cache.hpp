@@ -3,7 +3,6 @@
 
 #include <cstdint>
 #include <limits>
-#include <map>
 #include <memory>
 #include <unordered_map>
 #include <vector>
@@ -14,40 +13,32 @@
 
 namespace lfo::core {
 
-/// The LFO caching policy (paper §2.4):
-///  - on every request, the predictor estimates the likelihood that OPT
-///    would cache the object;
-///  - on a miss, the object is admitted iff likelihood >= cutoff;
-///  - cached objects are ranked by their latest predicted likelihood, and
-///    eviction removes the lowest-ranked one;
-///  - the likelihood is re-evaluated on every access, so a cache hit can
-///    demote — and later evict — the very object that was hit (which
-///    matches OPT's behaviour, as the paper notes).
+/// The LFO caching policy (paper §2.4, with sampled eviction):
+///  - on a miss, the predictor estimates the likelihood that OPT would
+///    cache the object, and the object is admitted iff likelihood >=
+///    cutoff;
+///  - a hit re-predicts the likelihood, stores it in the entry and moves
+///    the entry to the head of an LRU order;
+///  - eviction scans the kEvictionSample least-recent entries and removes
+///    the one with the lowest stored likelihood, ties going to the least
+///    recent. This is "ML over a heuristic" (HALP, arXiv 2301.11886): the
+///    model re-ranks the few candidates LRU offers. The paper evicts the
+///    global minimum; DESIGN.md records why this policy replaced that
+///    one.
 ///
-/// Until a model is installed (swap_model), the policy runs in a
-/// configurable bootstrap mode: admit-all LRU-by-likelihood=0.5, so the
-/// windowed pipeline has sane behaviour during its first window.
-///
-/// The paper's §5 calls the translation of a ranking into a caching
-/// policy "policy design" and flags it as the key open question;
-/// LfoPolicyOptions exposes the design axes so they can be ablated
-/// (bench_ablation_policy_design).
-struct LfoPolicyOptions {
-  enum class EvictionRank {
-    kLikelihood,         ///< evict min predicted likelihood (paper §2.4)
-    kLikelihoodPerByte,  ///< evict min likelihood/size (byte-aware ranking)
-    kLru,                ///< ignore the ranking for eviction; admission-only
-  };
-  EvictionRank eviction = EvictionRank::kLikelihood;
-  /// Re-predict on every hit, allowing a hit to demote the hit object
-  /// (paper §2.4). When false the admission-time score is kept.
-  bool rescore_on_hit = true;
-};
+/// Until a model is installed (swap_model), every object is admitted with
+/// likelihood 0.5, so eviction is exactly LRU during the first window.
+struct LfoPolicyOptions {};  // kept only for lfo_bench; no policy options
 
 class LfoCache : public cache::CachePolicy {
  public:
+  /// Entries scanned per eviction, least recent first.
+  static constexpr std::size_t kEvictionSample = 64;
+
+  /// The LfoPolicyOptions parameter is ignored; it is kept only for
+  /// lfo_bench.
   LfoCache(std::uint64_t capacity, features::FeatureConfig feature_config,
-           double cutoff = 0.5, LfoPolicyOptions options = {});
+           double cutoff = 0.5, LfoPolicyOptions = {});
 
   std::string name() const override { return "LFO"; }
   bool contains(trace::ObjectId object) const override;
@@ -61,8 +52,9 @@ class LfoCache : public cache::CachePolicy {
   /// Install a newly trained model (paper Fig 2: the policy trained on
   /// window t serves window t+1). The history table is retained. Must be
   /// called from the serving thread (the windowed pipelines do, at
-  /// window boundaries). Cached entries keep the rank the previous model
-  /// gave them until their next access. Passing nullptr reverts to the
+  /// window boundaries). Cached entries keep the likelihood they were
+  /// last scored with (at admission or their latest hit) until they are
+  /// hit again or evicted. Passing nullptr reverts to the
   /// heuristic bootstrap mode (admit-all, likelihood 0.5) — the rollout
   /// guard's fallback path; cached entries and the feature history
   /// survive the transition. Throws std::invalid_argument, changing
@@ -82,9 +74,6 @@ class LfoCache : public cache::CachePolicy {
 
   /// Number of admissions declined by the predictor (diagnostics).
   std::uint64_t bypassed() const { return bypassed_; }
-  /// Number of hits whose re-evaluation dropped the object below the
-  /// cutoff (candidates for the hit-then-evict behaviour).
-  std::uint64_t demoted_hits() const { return demoted_hits_; }
 
  protected:
   void on_hit(const trace::Request& request) override;
@@ -99,30 +88,34 @@ class LfoCache : public cache::CachePolicy {
 
   struct Entry {
     std::uint64_t size;
+    /// The likelihood from admission or the latest hit (0.5 in
+    /// bootstrap).
     double likelihood;
-    std::multimap<double, trace::ObjectId>::iterator order_it;
     /// Logical clock after which the cached copy is stale; kNeverExpires
     /// for ttl-free objects. Set at admission, never refreshed by hits.
     std::uint64_t expires_at;
+    trace::ObjectId object;
+    /// Intrusive LRU links (unordered_map nodes never move).
+    Entry* newer = nullptr;
+    Entry* older = nullptr;
   };
 
   /// Predict the caching likelihood for this request given current state.
   double predict(const trace::Request& request);
-  /// Eviction key under the configured ranking.
-  double rank_of(const trace::Request& request, double likelihood) const;
-  void update_rank(trace::ObjectId object, double rank);
+  void link_newest(Entry& entry);
+  void unlink(Entry& entry);
+  void erase(Entry& entry);
   void evict_one();
 
   std::shared_ptr<const LfoModel> model_;
   features::FeatureExtractor extractor_;
   double cutoff_;
-  LfoPolicyOptions options_;
   std::vector<float> row_buffer_;
   features::FeatureScratch scratch_;
   std::unordered_map<trace::ObjectId, Entry> entries_;
-  std::multimap<double, trace::ObjectId> order_;  // likelihood ascending
+  Entry* newest_ = nullptr;
+  Entry* oldest_ = nullptr;
   std::uint64_t bypassed_ = 0;
-  std::uint64_t demoted_hits_ = 0;
 };
 
 }  // namespace lfo::core

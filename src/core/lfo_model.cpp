@@ -45,11 +45,6 @@ double LfoModel::predict(std::span<const float> feature_row) const {
   return model_.predict_proba(feature_row);
 }
 
-double LfoModel::predict(std::span<const float> feature_row,
-                         features::FeatureScratch& /*scratch*/) const {
-  return predict(feature_row);
-}
-
 std::vector<double> LfoModel::predict_batch(
     std::span<const float> matrix) const {
   const std::size_t dim = dimension();

@@ -62,11 +62,11 @@ class LfoModel {
 
   /// Probability that OPT would cache this feature vector.
   double predict(std::span<const float> feature_row) const;
-  /// Serving-path overload taking the caller's per-instance scratch.
-  /// Both engines are allocation-free and ignore it; it stays so the
-  /// call sites need not change with the engine.
+  /// Kept only for lfo_bench, which still passes a scratch; ignores it.
   double predict(std::span<const float> feature_row,
-                 features::FeatureScratch& scratch) const;
+                 features::FeatureScratch&) const {
+    return predict(feature_row);
+  }
 
   /// Batched prediction over a row-major matrix whose rows have
   /// dimension() columns. Bitwise identical to row-by-row predict();

@@ -475,7 +475,6 @@ WindowedResult run_windowed_lfo(const trace::Trace& trace,
 
   result.overall = cache.stats();
   result.bypassed = cache.bypassed();
-  result.demoted_hits = cache.demoted_hits();
   return result;
 }
 
@@ -485,8 +484,7 @@ bool same_decisions(const WindowedResult& a, const WindowedResult& b) {
       a.overall.bytes_requested != b.overall.bytes_requested ||
       a.overall.bytes_hit != b.overall.bytes_hit ||
       a.overall.expired_hits != b.overall.expired_hits ||
-      a.bypassed != b.bypassed || a.demoted_hits != b.demoted_hits ||
-      a.windows.size() != b.windows.size()) {
+      a.bypassed != b.bypassed || a.windows.size() != b.windows.size()) {
     return false;
   }
   for (std::size_t i = 0; i < a.windows.size(); ++i) {

@@ -152,7 +152,6 @@ struct WindowedResult {
   std::vector<WindowReport> windows;
   cache::CacheStats overall;
   std::uint64_t bypassed = 0;
-  std::uint64_t demoted_hits = 0;
 };
 
 /// The rollout guard's view of one training run: train accuracy and the

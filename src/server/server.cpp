@@ -59,8 +59,6 @@ void append_serving_series(const ShardedLfoCache& cache,
   const auto stats = cache.stats();
   snap.counters.push_back({"lfo_server_bypassed_total", cache.bypassed()});
   snap.counters.push_back(
-      {"lfo_server_demoted_hits_total", cache.demoted_hits()});
-  snap.counters.push_back(
       {"lfo_server_expired_hits_total", stats.expired_hits});
   snap.counters.push_back({"lfo_server_hits_total", stats.hits});
   snap.counters.push_back({"lfo_server_requests_total", stats.requests});

@@ -75,7 +75,7 @@ struct LfoServerConfig {
   double io_timeout_seconds = 0.5;
   /// Mount the obs::TelemetryServer (/metrics, /stats, /healthz, ...)
   /// next to the serving port. Scrapes read the serving counts
-  /// (lfo_server_{requests,hits,expired_hits,bypassed,demoted_hits}_total,
+  /// (lfo_server_{requests,hits,expired_hits,bypassed}_total,
   /// lfo_server_used_bytes) and the history gauges
   /// (lfo_server_history_{objects,bytes}) from the cache at scrape time.
   /// /healthz reports 503 while the rollout guard is in fallback.

@@ -45,7 +45,7 @@ ShardedLfoCache::ShardedLfoCache(ShardedCacheConfig config)
   shards_.reserve(config_.num_shards);
   for (std::uint32_t i = 0; i < config_.num_shards; ++i) {
     shards_.push_back(std::make_unique<Shard>(
-        per_shard, config_.features, config_.cutoff, config_.options));
+        per_shard, config_.features, config_.cutoff));
   }
 }
 
@@ -132,11 +132,6 @@ cache::CacheStats ShardedLfoCache::stats() const {
 std::uint64_t ShardedLfoCache::bypassed() const {
   return sum_shards(shards_,
                     [](const core::LfoCache& c) { return c.bypassed(); });
-}
-
-std::uint64_t ShardedLfoCache::demoted_hits() const {
-  return sum_shards(shards_,
-                    [](const core::LfoCache& c) { return c.demoted_hits(); });
 }
 
 std::uint64_t ShardedLfoCache::used_bytes() const {

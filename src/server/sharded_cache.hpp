@@ -29,7 +29,7 @@ struct ShardedCacheConfig {
   std::uint32_t num_shards = 8;
   features::FeatureConfig features;
   double cutoff = 0.5;
-  core::LfoPolicyOptions options;
+  core::LfoPolicyOptions options;  // kept only for lfo_bench; empty
   /// Gate thresholds for install_candidate()'s RolloutGuard.
   core::RolloutConfig rollout;
 };
@@ -46,7 +46,7 @@ struct AccessResult {
 /// One `core::LfoCache` partitioned N ways by object-id hash, one
 /// `util::Mutex` per shard (striped locking). Requests for an object
 /// always land on the same shard, so per-object feature history, TTL
-/// deadlines and eviction ranks stay exactly as coherent as in the
+/// deadlines and eviction order stay exactly as coherent as in the
 /// single-threaded cache; cross-shard state (capacity, stats) is the sum
 /// of the shard-local values, merged on read.
 ///
@@ -66,7 +66,7 @@ struct AccessResult {
 ///    can briefly serve different models — same situation as two CDN
 ///    front-end processes mid-deploy, and harmless because decisions
 ///    are per-request).
-///  - stats(), bypassed(), demoted_hits(), used_bytes(),
+///  - stats(), bypassed(), used_bytes(),
 ///    history_objects() and history_bytes() merge shard-locals on read,
 ///    taking each shard lock in turn. They are the single source of the
 ///    serving counts: nothing on the access path mirrors them, and the
@@ -127,7 +127,6 @@ class ShardedLfoCache {
   /// Shard-local stats merged on read (locks shards one at a time).
   cache::CacheStats stats() const;
   std::uint64_t bypassed() const;
-  std::uint64_t demoted_hits() const;
   std::uint64_t used_bytes() const;
   std::uint64_t capacity() const { return config_.capacity; }
   /// Tracked feature histories and the bytes their stores hold
@@ -141,9 +140,8 @@ class ShardedLfoCache {
  private:
   struct Shard {
     explicit Shard(std::uint64_t capacity,
-                   const features::FeatureConfig& features, double cutoff,
-                   const core::LfoPolicyOptions& options)
-        : cache(capacity, features, cutoff, options) {}
+                   const features::FeatureConfig& features, double cutoff)
+        : cache(capacity, features, cutoff) {}
     mutable util::Mutex mu;
     core::LfoCache cache LFO_GUARDED_BY(mu);
   };

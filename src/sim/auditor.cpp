@@ -117,15 +117,10 @@ void AuditedPolicy::run_audited(const trace::Request& request,
       LFO_CHECK_LE(post_used, pre_used)
           << inner_->name() << ": hit path grew used bytes";
     }
-    if (post_resident) {
-      shadow_[request.object] = request.size;
-    } else {
-      LFO_CHECK(config_.allow_evict_on_hit)
-          << inner_->name() << ": evicted object " << request.object
-          << " on its own hit path";
-      shadow_.erase(request.object);
-      ++observed_evictions_;
-    }
+    LFO_CHECK(post_resident)
+        << inner_->name() << ": evicted object " << request.object
+        << " on its own hit path";
+    shadow_[request.object] = request.size;
   } else if (post_resident) {
     // Admission: only the requested object may enter, so used bytes grow
     // by at most its size (concurrent evictions may shrink the delta).
@@ -191,11 +186,8 @@ std::unique_ptr<AuditedPolicy> make_audited_policy(const std::string& name,
                                                    std::uint64_t capacity,
                                                    std::uint64_t seed) {
   AuditConfig config;
-  // Every factory policy keeps the hit object resident (LFO-style
-  // hit-path self-eviction lives outside the factory zoo)...
-  config.allow_evict_on_hit = false;
-  // ...and all of them do byte accounting except the infinite reference,
-  // which deliberately reports zero used bytes.
+  // Every factory policy does byte accounting except the infinite
+  // reference, which deliberately reports zero used bytes.
   config.check_byte_accounting = name != "Infinite";
   return std::make_unique<AuditedPolicy>(
       cache::make_policy(name, capacity, seed), config);

@@ -13,10 +13,6 @@ namespace lfo::sim {
 
 /// What the auditor is allowed to assume about the wrapped policy.
 struct AuditConfig {
-  /// LFO-style policies may evict the object they just hit (paper §2.4);
-  /// set false for classic policies where a hit must never shrink the
-  /// cache below the hit object.
-  bool allow_evict_on_hit = true;
   /// InfiniteCache deliberately skips add_used/sub_used accounting; set
   /// false there so the byte-accounting cross-checks are skipped.
   bool check_byte_accounting = true;
@@ -36,7 +32,8 @@ struct AuditConfig {
 ///  - a hit can only happen on an object the shadow saw admitted
 ///  - admissions happen only on the miss path and grow used_bytes() by at
 ///    most the admitted object's size (evictions may shrink it)
-///  - the hit path never grows used_bytes()
+///  - the hit path never grows used_bytes() and never evicts the hit
+///    object
 class AuditedPolicy final : public cache::CachePolicy {
  public:
   explicit AuditedPolicy(cache::CachePolicyPtr inner, AuditConfig config = {});

@@ -121,7 +121,7 @@ TEST(AuditedPolicy, ClearResetsResidencyEverywhere) {
 TEST(AuditedPolicy, FullAuditSurvivesModelSwapAndFallbackTransitions) {
   // The rollout guard's lifecycle on the serving cache: bootstrap ->
   // model swap -> fallback (swap_model(nullptr)) -> recovery. Each
-  // transition re-ranks or re-routes admissions, which is exactly where
+  // transition re-routes admissions, which is exactly where
   // an incremental audit could lag behind; audit_full() sweeps the whole
   // shadow at each boundary.
   const auto trace = lfo::trace::generate_zipf_trace(4000, 400, 0.9, 21);
@@ -133,9 +133,7 @@ TEST(AuditedPolicy, FullAuditSurvivesModelSwapAndFallbackTransitions) {
   auto inner = std::make_unique<lfo::core::LfoCache>(
       lfo_config.cache_size, lfo_config.features, lfo_config.cutoff);
   auto* lfo = inner.get();
-  AuditConfig audit_config;
-  audit_config.allow_evict_on_hit = true;  // LFO may demote-then-evict
-  AuditedPolicy audited(std::move(inner), audit_config);
+  AuditedPolicy audited(std::move(inner));
 
   const std::size_t window = trace.size() / 4;
   const auto replay_window = [&](std::size_t index) {
@@ -234,6 +232,31 @@ class OverAdmitPolicy final : public CachePolicy {
   std::unordered_set<lfo::trace::ObjectId> resident_;
 };
 
+/// Drops the object it just hit: a hit must leave its object resident.
+class SelfEvictOnHitPolicy final : public CachePolicy {
+ public:
+  explicit SelfEvictOnHitPolicy(std::uint64_t capacity)
+      : CachePolicy(capacity) {}
+  std::string name() const override { return "SelfEvictOnHit"; }
+  bool contains(lfo::trace::ObjectId object) const override {
+    return resident_.count(object) != 0;
+  }
+  void clear() override { resident_.clear(); }
+
+ protected:
+  void on_hit(const Request& request) override {
+    resident_.erase(request.object);
+    sub_used(request.size);
+  }
+  void on_miss(const Request& request) override {
+    resident_.insert(request.object);
+    add_used(request.size);
+  }
+
+ private:
+  std::unordered_set<lfo::trace::ObjectId> resident_;
+};
+
 using AuditorDeathTest = ::testing::Test;
 
 TEST(AuditorDeathTest, CatchesUnaccountedAdmissions) {
@@ -271,6 +294,17 @@ TEST(AuditorDeathTest, CatchesCapacityOverflow) {
     }
   };
   EXPECT_DEATH(run(), "admission over capacity");
+}
+
+TEST(AuditorDeathTest, CatchesEvictionOnItsOwnHit) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  auto run = [] {
+    AuditedPolicy audited(std::make_unique<SelfEvictOnHitPolicy>(1000));
+    const Request r{/*object=*/42, /*size=*/10, /*cost=*/10.0};
+    audited.access(r);  // miss: admitted
+    audited.access(r);  // hit: the policy drops the hit object
+  };
+  EXPECT_DEATH(run(), "on its own hit path");
 }
 
 TEST(AuditorDeathTest, RejectsUsedPolicies) {

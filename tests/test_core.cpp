@@ -102,11 +102,76 @@ TEST(LfoCacheTest, EvictsLowestLikelihoodFirst) {
   EXPECT_TRUE(cache.contains(4));
 }
 
+/// Admits every size: size <= 20 scores sigmoid(4), larger sigmoid(1).
+std::shared_ptr<const LfoModel> two_score_model(
+    const features::FeatureConfig& config) {
+  gbdt::Tree tree(0.0);
+  tree.split_leaf(0, 0, 20.0f, 4.0, 1.0);
+  return std::make_shared<const LfoModel>(gbdt::Model(0.0, {tree}), config);
+}
+
+/// Fills a 1020-byte cache with objects 0..99 in that recency order (0
+/// least recent): 10-byte objects, except the one at `low` (30 bytes,
+/// the lower score). Then admits a 10-byte object, which evicts once.
+void fill_then_evict_once(LfoCache& cache, trace::ObjectId low) {
+  cache.swap_model(two_score_model(small_config()));
+  for (trace::ObjectId id = 0; id < 100; ++id) {
+    const std::uint64_t size = id == low ? 30 : 10;
+    cache.access({id, size, static_cast<double>(size)});
+  }
+  ASSERT_EQ(cache.used_bytes(), 1020u);
+  cache.access({1000, 10, 10.0});
+  ASSERT_TRUE(cache.contains(1000));
+}
+
+TEST(SampledEviction, LowestScoreAmongTheLeastRecentIsEvicted) {
+  // The low-score object is the kEvictionSample-th least recent: the
+  // last one the eviction scan looks at.
+  LfoCache cache(1020, small_config());
+  const trace::ObjectId low = LfoCache::kEvictionSample - 1;
+  fill_then_evict_once(cache, low);
+  EXPECT_FALSE(cache.contains(low));
+  EXPECT_TRUE(cache.contains(0));  // least recent, but scored higher
+}
+
+TEST(SampledEviction, LowerScoreOutsideTheSampleIsNotEvicted) {
+  // One entry more recent than the sample: the scan never sees it, and
+  // the tie among the sampled entries goes to the least recent.
+  LfoCache cache(1020, small_config());
+  const trace::ObjectId low = LfoCache::kEvictionSample;
+  fill_then_evict_once(cache, low);
+  EXPECT_TRUE(cache.contains(low));
+  EXPECT_FALSE(cache.contains(0));
+  EXPECT_TRUE(cache.contains(1));
+}
+
+TEST(SampledEviction, TiesAndBootstrapEvictTheLeastRecent) {
+  // Bootstrap scores every admission 0.5; the model scores these
+  // same-size objects alike. Either way eviction is LRU: the hit on 1
+  // makes 2 the least recent.
+  for (const bool with_model : {false, true}) {
+    SCOPED_TRACE(with_model ? "model" : "bootstrap");
+    LfoCache cache(3, small_config());
+    if (with_model) cache.swap_model(small_object_model(small_config(), 10));
+    cache.access({1, 1, 1.0});
+    cache.access({2, 1, 1.0});
+    cache.access({3, 1, 1.0});
+    EXPECT_TRUE(cache.access({1, 1, 1.0}));
+    cache.access({4, 1, 1.0});
+    EXPECT_TRUE(cache.contains(1));
+    EXPECT_FALSE(cache.contains(2));
+    EXPECT_TRUE(cache.contains(3));
+    EXPECT_TRUE(cache.contains(4));
+  }
+}
+
 TEST(LfoCacheTest, HitCanDemoteTheHitObject) {
-  // gap1-sensitive model: big gap1 -> low likelihood. After a long idle
-  // span, the re-requested object is re-scored low and becomes the next
-  // eviction victim, the paper's hit-then-evict behaviour.
-  features::FeatureConfig config = small_config();
+  // gap1-sensitive model: gap1 <= 10 scores sigmoid(4), larger (or
+  // missing) sigmoid(-4), below the cutoff. Object 1 is hit after a
+  // 20-request gap: the hit re-scores it below the cutoff but keeps it
+  // cached, and the next eviction takes it although it is the most
+  // recent entry (the paper's hit-then-evict behaviour).
+  const auto config = small_config();
   LfoCache cache(100, config);
   const auto gap1_index = 3;  // size, cost, free, gap1...
   gbdt::Tree tree(0.0);
@@ -114,21 +179,22 @@ TEST(LfoCacheTest, HitCanDemoteTheHitObject) {
   cache.swap_model(std::make_shared<const LfoModel>(
       gbdt::Model(0.0, {tree}), config));
 
-  cache.access({1, 40, 40.0});  // t=1, gap1 missing (1e8) -> p low... but
-  // admission needs p >= .5; missing gap -> p=0.02: bypassed! So prime the
-  // history first: second access within the gap window is admitted.
-  cache.access({1, 40, 40.0});  // t=2, gap1=1 -> p high, admitted
-  EXPECT_TRUE(cache.contains(1));
-  // Idle requests to other objects (bypassed: huge gap1) to advance time.
+  // A first request has no gap1 and is bypassed; the second is admitted.
+  for (const trace::ObjectId id : {1, 1, 3, 3}) cache.access({id, 40, 40.0});
+  ASSERT_TRUE(cache.contains(1));
+  ASSERT_TRUE(cache.contains(3));
+  // Object 99 (1 byte) is admitted on its second request, then hits.
   for (int i = 0; i < 20; ++i) cache.access({99, 1, 1.0});
-  const auto demoted_before = cache.demoted_hits();
-  cache.access({1, 40, 40.0});  // hit, but gap1 = 21 -> re-scored low
-  EXPECT_GT(cache.demoted_hits(), demoted_before);
-  // Next admission that needs room evicts object 1 despite its recent hit.
-  cache.access({2, 80, 80.0});
-  cache.access({2, 80, 80.0});  // gap1=1 -> admitted; evicts 1
-  EXPECT_FALSE(cache.contains(1));
+  EXPECT_TRUE(cache.access({1, 40, 40.0}));  // gap1 = 21
+  EXPECT_TRUE(cache.contains(1));
+  // Recency is now 3, 99, 1 (least recent first). Object 2 needs 40
+  // bytes of the 19 free: one eviction.
+  cache.access({2, 40, 40.0});
+  cache.access({2, 40, 40.0});
   EXPECT_TRUE(cache.contains(2));
+  EXPECT_FALSE(cache.contains(1));
+  EXPECT_TRUE(cache.contains(3));
+  EXPECT_TRUE(cache.contains(99));
 }
 
 TEST(LfoCacheTest, CutoffIsAdjustable) {

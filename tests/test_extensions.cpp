@@ -1,7 +1,6 @@
 // Tests for the extension features: Bloom second-hit admission, the
 // two-tier hierarchy (paper §5), cutoff auto-tuning (§3), training-time
-// gap noise (§2.2), LFO policy-design options (§5), LfoModel
-// persistence, and the loader's refusal of malformed model files.
+// gap noise (§2.2), LfoModel persistence, and the loader's refusal of malformed model files.
 
 #include <gtest/gtest.h>
 
@@ -17,7 +16,7 @@
 #include "cache/bloom_admission.hpp"
 #include "cache/lru.hpp"
 #include "cache/tiered.hpp"
-#include "core/lfo_cache.hpp"
+#include "core/lfo_model.hpp"
 #include "core/tuning.hpp"
 #include "features/dataset_builder.hpp"
 #include "trace/generator.hpp"
@@ -203,34 +202,6 @@ TEST(GapNoise, SmallNoiseKeepsModelAccurate) {
   const auto data = features::build_dataset(reqs, opt, noisy);
   const auto model = gbdt::train(data, config.gbdt);
   EXPECT_GT(gbdt::accuracy(model, data), 0.8);
-}
-
-TEST(PolicyDesign, LruEvictionModeIgnoresRanking) {
-  features::FeatureConfig fc;
-  fc.num_gaps = 2;
-  core::LfoPolicyOptions options;
-  options.eviction = core::LfoPolicyOptions::EvictionRank::kLru;
-  core::LfoCache cache(3, fc, 0.5, options);
-  // Bootstrap (no model): everything admitted, eviction is pure LRU.
-  cache.access(req(1));
-  cache.access(req(2));
-  cache.access(req(3));
-  cache.access(req(1));  // refresh 1
-  cache.access(req(4));  // evicts 2 (LRU), not by likelihood
-  EXPECT_TRUE(cache.contains(1));
-  EXPECT_FALSE(cache.contains(2));
-}
-
-TEST(PolicyDesign, NoRescoreKeepsAdmissionScore) {
-  features::FeatureConfig fc;
-  fc.num_gaps = 2;
-  core::LfoPolicyOptions options;
-  options.rescore_on_hit = false;
-  core::LfoCache cache(100, fc, 0.5, options);
-  cache.access(req(1, 10));
-  const auto demoted_before = cache.demoted_hits();
-  for (int i = 0; i < 30; ++i) cache.access(req(1, 10));  // hits
-  EXPECT_EQ(cache.demoted_hits(), demoted_before);  // never re-scored
 }
 
 TEST(LfoModelPersistence, RoundTripPreservesPredictions) {

@@ -247,13 +247,11 @@ TEST(FlatForest, LfoModelEngineToggleIsBitwiseNeutral) {
   lfo.set_engine(core::LfoModel::Engine::kTreeWalk);
   const auto walk = lfo.predict_batch(matrix);
   ASSERT_EQ(flat.size(), walk.size());
-  features::FeatureScratch scratch;
   for (std::size_t r = 0; r < flat.size(); ++r) {
     EXPECT_EQ(flat[r], walk[r]) << "row " << r;
     const std::span<const float> row{matrix.data() + r * fc.dimension(),
                                      fc.dimension()};
     EXPECT_EQ(walk[r], lfo.predict(row));
-    EXPECT_EQ(walk[r], lfo.predict(row, scratch));
   }
 }
 

@@ -44,7 +44,6 @@ struct GoldenCache {
 struct GoldenLfo {
   GoldenCache overall;
   std::uint64_t bypassed = 0;
-  std::uint64_t demoted_hits = 0;
   /// Stale hits re-routed through admission (nonzero only on traces that
   /// carry Request::ttl — the freshness scenario).
   std::uint64_t expired_hits = 0;
@@ -73,21 +72,21 @@ constexpr Scenario kGolden[] = {
         "web",
         /*lru=*/{20000, 12453, 1737017707, 1283535068},
         /*adaptsize=*/{20000, 13372, 1737017707, 1233811629},
-        /*lfo=*/{{20000, 13032, 1737017707, 1319329329}, 2244, 193, 0},
+        /*lfo=*/{{20000, 13020, 1737017707, 1319571465}, 2328, 0},
         /*opt=*/{15381, 1459818875, 20000, 1737017707},
     },
     {
         "video",
         /*lru=*/{20000, 12462, 41431278663, 23685936788},
         /*adaptsize=*/{20000, 13367, 41431278663, 24794325918},
-        /*lfo=*/{{20000, 13345, 41431278663, 25650697107}, 1897, 50, 0},
+        /*lfo=*/{{20000, 13342, 41431278663, 25651097813}, 1896, 0},
         /*opt=*/{15656, 31111879543, 20000, 41431278663},
     },
     {
         "flash-crowd",
         /*lru=*/{20000, 14218, 1080191046, 725737606},
         /*adaptsize=*/{20000, 14888, 1080191046, 721748806},
-        /*lfo=*/{{20000, 14284, 1080191046, 729095863}, 1757, 193, 0},
+        /*lfo=*/{{20000, 14314, 1080191046, 727932448}, 1739, 0},
         /*opt=*/{16484, 857908563, 20000, 1080191046},
     },
     // Adversarial/freshness presets (trace/scenario.hpp): the robustness
@@ -98,28 +97,28 @@ constexpr Scenario kGolden[] = {
         "flood",
         /*lru=*/{20000, 9948, 2249051048, 888243541},
         /*adaptsize=*/{20000, 10722, 2249051048, 824744967},
-        /*lfo=*/{{20000, 10568, 2249051048, 931318642}, 4213, 201, 0},
+        /*lfo=*/{{20000, 10647, 2249051048, 940570758}, 4195, 0},
         /*opt=*/{13019, 1090080344, 20000, 2249051048},
     },
     {
         "scan",
         /*lru=*/{20000, 6841, 2457916856, 291635327},
         /*adaptsize=*/{20000, 7573, 2457916856, 316195368},
-        /*lfo=*/{{20000, 8233, 2457916856, 429752600}, 3696, 602, 0},
+        /*lfo=*/{{20000, 7999, 2457916856, 433097833}, 3765, 0},
         /*opt=*/{9862, 663533050, 20000, 2457916856},
     },
     {
         "inversion",
         /*lru=*/{20000, 13690, 910749076, 554424295},
         /*adaptsize=*/{20000, 14444, 910749076, 556605128},
-        /*lfo=*/{{20000, 14035, 910749076, 562414555}, 2100, 418, 0},
+        /*lfo=*/{{20000, 14082, 910749076, 568151070}, 2144, 0},
         /*opt=*/{16119, 689887423, 20000, 910749076},
     },
     {
         "freshness",
         /*lru=*/{20000, 13391, 1065134887, 661964596},
         /*adaptsize=*/{20000, 14302, 1065134887, 657881521},
-        /*lfo=*/{{20000, 12940, 1065134887, 637624815}, 2160, 136, 800},
+        /*lfo=*/{{20000, 12977, 1065134887, 641821480}, 2185, 768},
         /*opt=*/{15996, 824799047, 20000, 1065134887},
     },
 };
@@ -197,7 +196,6 @@ Scenario compute_actual(const char* name) {
   actual.lfo.overall = {lfo.overall.requests, lfo.overall.hits,
                         lfo.overall.bytes_requested, lfo.overall.bytes_hit};
   actual.lfo.bypassed = lfo.bypassed;
-  actual.lfo.demoted_hits = lfo.demoted_hits;
   actual.lfo.expired_hits = lfo.overall.expired_hits;
 
   opt::OptConfig opt_config;
@@ -260,8 +258,6 @@ void expect_matches_golden(const Scenario& expected) {
   diff.check_cache("adaptsize", expected.adaptsize, actual.adaptsize);
   diff.check_cache("lfo", expected.lfo.overall, actual.lfo.overall);
   diff.check("lfo.bypassed", expected.lfo.bypassed, actual.lfo.bypassed);
-  diff.check("lfo.demoted_hits", expected.lfo.demoted_hits,
-             actual.lfo.demoted_hits);
   diff.check("lfo.expired_hits", expected.lfo.expired_hits,
              actual.lfo.expired_hits);
   diff.check("opt.hit_requests", expected.opt.hit_requests,
@@ -285,8 +281,7 @@ void print_scenario(std::ostream& os, const Scenario& s) {
   cache(s.adaptsize);
   os << ",\n        /*lfo=*/{";
   cache(s.lfo.overall);
-  os << ", " << s.lfo.bypassed << ", " << s.lfo.demoted_hits << ", "
-     << s.lfo.expired_hits << "},\n";
+  os << ", " << s.lfo.bypassed << ", " << s.lfo.expired_hits << "},\n";
   os << "        /*opt=*/{" << s.opt.hit_requests << ", " << s.opt.hit_bytes
      << ", " << s.opt.total_requests << ", " << s.opt.total_bytes << "},\n";
   os << "    },\n";
@@ -321,7 +316,6 @@ TEST(GoldenTraces, EnginesMatchGoldenDecisionsOnAllScenarios) {
                      {lfo.overall.requests, lfo.overall.hits,
                       lfo.overall.bytes_requested, lfo.overall.bytes_hit});
     diff.check("bypassed", expected.lfo.bypassed, lfo.bypassed);
-    diff.check("demoted_hits", expected.lfo.demoted_hits, lfo.demoted_hits);
     diff.check("expired_hits", expected.lfo.expired_hits,
                lfo.overall.expired_hits);
     diff.report();
@@ -341,6 +335,40 @@ TEST(GoldenTraces, LogSpacedGapsHoldGuardedBhrAgainstDense) {
           << s.name << " at " << mib << " MiB: log-spaced " << thin
           << " vs dense " << dense;
     }
+  }
+}
+
+// The eviction gate. LfoCache used to re-score every hit and evict the
+// global minimum of the latest scores (the paper's §2.4 policy); it now
+// evicts the lowest latest score among its 64 least-recent entries.
+// These are the ranked policy's guarded bytes_hit from run_lfo, frozen
+// when it was replaced: every golden scenario at 4 and 32 MiB, plus
+// video at its golden 192 MiB.
+struct RankedCell {
+  const char* scenario;
+  std::uint64_t mib;
+  std::uint64_t bytes_hit;
+};
+constexpr RankedCell kRankedPolicy[] = {
+    {"web", 4, 943902591},          {"web", 32, 1319329329},
+    {"video", 4, 4394923139},       {"video", 32, 14280856541},
+    {"video", 192, 25650697107},    {"flash-crowd", 4, 467053096},
+    {"flash-crowd", 32, 729095863}, {"flood", 4, 609543701},
+    {"flood", 32, 931318642},       {"scan", 4, 216866892},
+    {"scan", 32, 429752600},        {"inversion", 4, 326024823},
+    {"inversion", 32, 562414555},   {"freshness", 4, 374183982},
+    {"freshness", 32, 637624815},
+};
+
+TEST(GoldenTraces, SampledEvictionHoldsGuardedBhrAgainstRankedPolicy) {
+  for (const auto& cell : kRankedPolicy) {
+    const auto trace = make_trace(cell.scenario);
+    const auto overall = run_lfo(trace, cell.mib << 20).overall;
+    const double ranked = static_cast<double>(cell.bytes_hit) /
+                          static_cast<double>(overall.bytes_requested);
+    EXPECT_GE(overall.bhr(), ranked - 0.005)
+        << cell.scenario << " at " << cell.mib << " MiB: sampled "
+        << overall.bhr() << " vs ranked " << ranked;
   }
 }
 

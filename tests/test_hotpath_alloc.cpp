@@ -11,7 +11,8 @@
 // elsewhere the flows still execute but the counts are informational.
 // The history store's growth is bounded too: (e) bringing many new
 // objects to full depth allocates a few times per size class, not once
-// per object, and a one-hit object costs at most 64 bytes.
+// per object, and a one-hit object costs at most 64 bytes. (f) Under
+// admission churn an admission allocates at most its entry's map node.
 
 #include <gtest/gtest.h>
 
@@ -212,6 +213,45 @@ TEST(HotPathAlloc, LfoCacheSteadyStateAllocatesNothing) {
   // The replay really exercised both hot paths: hits and bypassed misses.
   EXPECT_EQ(cache.stats().hits, 10u * (kWarmPasses - 1 + 100));
   EXPECT_EQ(cache.bypassed(), 5u * (kWarmPasses + 100));
+}
+
+TEST(HotPathAlloc, AdmissionChurnAllocatesOneNodePerAdmission) {
+  // A cyclic scan over 100 small objects when 80 fit: once warm, every
+  // request misses, is admitted and evicts the least recent entry (the
+  // model scores them all alike). An admission may allocate its entry's
+  // map node and nothing else: the LRU links live in the entry.
+  features::FeatureConfig config;
+  config.num_gaps = 16;
+  core::LfoCache cache(/*capacity=*/80 * 50, config);
+  cache.swap_model(std::make_shared<core::LfoModel>(
+      size_split_model(), config));
+  std::vector<trace::Request> requests;
+  for (std::uint64_t i = 0; i < 100; ++i) {
+    requests.push_back(trace::Request{i, 50, 50.0});
+  }
+  for (std::uint64_t pass = 0; pass < kWarmPasses; ++pass) {
+    for (const auto& r : requests) cache.access(r);
+  }
+  ASSERT_EQ(cache.stats().hits, 0u);
+  ASSERT_EQ(cache.bypassed(), 0u);
+
+  constexpr std::uint64_t kRounds = 100;
+  const auto before = allocations();
+  for (std::uint64_t round = 0; round < kRounds; ++round) {
+    for (const auto& r : requests) cache.access(r);
+  }
+  const auto delta = allocations() - before;
+  // Every request was a miss that admitted.
+  EXPECT_EQ(cache.stats().hits, 0u);
+  EXPECT_EQ(cache.bypassed(), 0u);
+  const std::uint64_t admissions = kRounds * requests.size();
+  if (kStrict) {
+    EXPECT_LE(delta, admissions) << "allocations per admission above one";
+  } else if (delta > admissions) {
+    GTEST_SKIP() << delta << " allocations for " << admissions
+                 << " admissions, but the bound needs an optimized "
+                    "unsanitized build";
+  }
 }
 
 /// Ten small objects (admitted, then permanent hits) and five large ones

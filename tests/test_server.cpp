@@ -113,7 +113,6 @@ TEST(ShardedEquivalence, OneShardBootstrapMatchesPlainCache) {
   EXPECT_EQ(merged.bytes_hit, reference.bytes_hit);
   EXPECT_EQ(merged.expired_hits, reference.expired_hits);
   EXPECT_EQ(sharded.bypassed(), plain.bypassed());
-  EXPECT_EQ(sharded.demoted_hits(), plain.demoted_hits());
   EXPECT_EQ(sharded.used_bytes(), plain.used_bytes());
 }
 
@@ -138,7 +137,6 @@ TEST(ShardedEquivalence, OneShardWithModelMatchesPlainCache) {
   }
   EXPECT_EQ(sharded.stats().hits, plain.stats().hits);
   EXPECT_EQ(sharded.bypassed(), plain.bypassed());
-  EXPECT_EQ(sharded.demoted_hits(), plain.demoted_hits());
 }
 
 TEST(ShardedCache, ShardingIsDeterministicAndCoversAllShards) {
@@ -503,7 +501,6 @@ TEST(ServerTelemetry, ScrapeTimeSeriesEqualCacheStats) {
       {"lfo_server_hits_total", stats.hits},
       {"lfo_server_expired_hits_total", stats.expired_hits},
       {"lfo_server_bypassed_total", cache.bypassed()},
-      {"lfo_server_demoted_hits_total", cache.demoted_hits()},
   };
   for (const auto& [name, value] : counters) {
     EXPECT_EQ(prometheus_sample(metrics.body, name), std::to_string(value))
@@ -1058,6 +1055,44 @@ TEST(ServerHeldSockets, ConnectionsPastTheCapShedTheLongestIdle) {
   for (std::uint32_t i = 0; i <= kExtra; ++i) {
     EXPECT_TRUE(silent[i]->closed_by_peer()) << "silent socket " << i;
   }
+  lfo_server.stop();
+}
+
+// Round-robin accept: connection k goes to owner k mod W, so W owners
+// hold W x kMaxConnectionsPerOwner connections before any is shed. Were
+// every accept to go to one owner, connection kMaxConnectionsPerOwner + 1
+// would already shed one.
+TEST(ServerHeldSockets, AcceptsAreSpreadRoundRobinOverTheOwners) {
+  auto& registry = obs::MetricsRegistry::instance();
+  const auto& shed = registry.counter("lfo_server_shed_connections_total");
+  const auto& accepted = registry.counter("lfo_server_connections_total");
+  constexpr std::uint32_t kWorkers = 2;
+  server::LfoServer lfo_server(held_config(kWorkers, 0.5));
+  ASSERT_TRUE(lfo_server.start()) << lfo_server.last_error();
+  const auto shed_before = shed.value();
+  const auto accepted_before = accepted.value();
+  // Accepts run on the owner threads: wait until they have counted n.
+  const auto await_accepted = [&](std::uint64_t n) {
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (accepted.value() < accepted_before + n &&
+           std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    return accepted.value() == accepted_before + n;
+  };
+  constexpr std::uint32_t kRoom = kWorkers * server::kMaxConnectionsPerOwner;
+  std::vector<std::unique_ptr<RawConnection>> silent;
+  for (std::uint32_t i = 0; i <= kRoom; ++i) {
+    silent.push_back(std::make_unique<RawConnection>(lfo_server.port()));
+    ASSERT_TRUE(silent.back()->connected()) << "socket " << i;
+    if (i + 1 == kRoom) {
+      ASSERT_TRUE(await_accepted(kRoom));
+      EXPECT_EQ(shed.value(), shed_before) << "a full owner shed early";
+    }
+  }
+  ASSERT_TRUE(await_accepted(kRoom + 1));
+  EXPECT_EQ(shed.value(), shed_before + 1);
   lfo_server.stop();
 }
 
