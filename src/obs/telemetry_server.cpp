@@ -1,13 +1,14 @@
 #include "obs/telemetry_server.hpp"
 
-#include <poll.h>
+#include <sys/epoll.h>
+#include <sys/eventfd.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
 #include <algorithm>
 #include <cerrno>
 #include <cstdio>
-#include <cstdlib>
+#include <cstring>
 #include <sstream>
 #include <utility>
 
@@ -20,12 +21,8 @@ namespace lfo::obs {
 
 namespace {
 
-/// Connection handler threads. Accepted sockets go to this pool, so a
-/// stalled scraper pins one handler, never the accept thread.
-constexpr std::size_t kHandlerThreads = 2;
-/// Accepted-but-unserved backlog cap; connections beyond it are shed
-/// (closed at once) rather than queued behind stalled peers.
-constexpr std::size_t kMaxPendingConnections = 16;
+/// Open connections; a new one past the cap closes the longest-idle one.
+constexpr std::size_t kMaxConnections = 16;
 /// Cap on a request head (start line + headers); longer gets 431.
 constexpr std::size_t kMaxRequestBytes = 8192;
 
@@ -54,11 +51,6 @@ void count_request(std::string_view path) {
   }
 }
 
-void count_bad_request() {
-  MetricsRegistry::instance()
-      .counter("lfo_telemetry_bad_requests_total")
-      .inc();
-}
 
 const char* status_reason(int status) {
   switch (status) {
@@ -78,6 +70,14 @@ HttpResponse error_response(int status, std::string_view detail) {
   resp.body = std::string(detail);
   resp.body += '\n';
   return resp;
+}
+
+/// error_response() for a request this server refuses, counted.
+HttpResponse bad_request(int status, std::string_view detail) {
+  MetricsRegistry::instance()
+      .counter("lfo_telemetry_bad_requests_total")
+      .inc();
+  return error_response(status, detail);
 }
 
 /// Value of `key` in an application/x-www-form-urlencoded query string
@@ -115,8 +115,29 @@ std::pair<bool, std::size_t> parse_size(std::string_view text) {
 
 }  // namespace
 
+/// One scrape connection: read the request head, write the reply, close.
+struct TelemetryServer::Connection {
+  Connection(int fd, Clock::time_point deadline)
+      : fd(fd), deadline(deadline) {}
+  ~Connection() { ::close(fd); }
+  Connection(const Connection&) = delete;
+  Connection& operator=(const Connection&) = delete;
+
+  const int fd;
+  std::uint64_t last_active = 0;  ///< loop tick of its latest event
+  /// Reading: the head deadline, counted from accept. Writing: when the
+  /// reply fails unless the peer takes more of it.
+  Clock::time_point deadline;
+  std::string head;      ///< request bytes read so far
+  std::string reply;     ///< the response; empty while reading the head
+  std::size_t sent = 0;  ///< bytes of `reply` written so far
+};
+
 TelemetryServer::TelemetryServer(TelemetryServerConfig config)
-    : config_(std::move(config)) {}
+    : config_(std::move(config)),
+      io_timeout_(std::chrono::duration_cast<Clock::duration>(
+          std::chrono::duration<double>(
+              std::clamp(config_.io_timeout_seconds, 0.0, 1e6)))) {}
 
 TelemetryServer::~TelemetryServer() { stop(); }
 
@@ -124,142 +145,149 @@ bool TelemetryServer::start() {
   if (listen_fd_ >= 0) return true;
   last_error_.clear();
   std::uint16_t port = config_.port;
-  const int fd = util::listen_loopback(port, 16, last_error_);
-  if (fd < 0) return false;
-  port_ = port;
-  listen_fd_ = fd;
-  stop_.store(false, std::memory_order_release);
-  handler_threads_.reserve(kHandlerThreads);
-  for (std::size_t i = 0; i < kHandlerThreads; ++i) {
-    handler_threads_.emplace_back([this] { handler_loop(); });
+  listen_fd_ = util::listen_loopback(port, SOMAXCONN, last_error_);
+  if (listen_fd_ < 0) return false;
+  wake_fd_ = ::eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC);
+  epoll_fd_ = ::epoll_create1(EPOLL_CLOEXEC);
+  if (wake_fd_ < 0 || epoll_fd_ < 0 ||
+      !util::watch(epoll_fd_, EPOLL_CTL_ADD, wake_fd_, EPOLLIN, nullptr) ||
+      !util::watch(epoll_fd_, EPOLL_CTL_ADD, listen_fd_, EPOLLIN,
+                   &listen_fd_)) {
+    last_error_ = std::string("epoll: ") + std::strerror(errno);
+    stop();
+    return false;
   }
-  accept_thread_ = std::thread([this] { accept_loop(); });
+  port_ = port;
+  thread_ = std::thread([this] { run(); });
   return true;
 }
 
 void TelemetryServer::stop() {
   if (listen_fd_ < 0) return;
-  stop_.store(true, std::memory_order_release);
-  queue_cv_.notify_all();
-  if (accept_thread_.joinable()) accept_thread_.join();
-  for (auto& handler : handler_threads_) {
-    if (handler.joinable()) handler.join();
+  if (thread_.joinable()) {
+    util::wake(wake_fd_);
+    thread_.join();
   }
-  handler_threads_.clear();
-  {
-    // Connections accepted but never picked up: close without serving.
-    util::MutexLock lock(queue_mu_);
-    while (!pending_.empty()) {
-      ::close(pending_.front());
-      pending_.pop_front();
-    }
+  connections_.clear();
+  accept_retry_ = Clock::time_point::max();
+  for (int* fd : {&listen_fd_, &wake_fd_, &epoll_fd_}) {
+    if (*fd >= 0) ::close(*fd);
+    *fd = -1;
   }
-  ::close(listen_fd_);
-  listen_fd_ = -1;
   port_ = 0;
 }
 
-void TelemetryServer::accept_loop() {
-  while (!stop_.load(std::memory_order_acquire)) {
-    pollfd pfd{};
-    pfd.fd = listen_fd_;
-    pfd.events = POLLIN;
-    const int ready = ::poll(&pfd, 1, /*timeout_ms=*/100);
-    if (ready <= 0) continue;  // timeout or EINTR: re-check stop flag
-    const int client = ::accept(listen_fd_, nullptr, nullptr);
-    if (client < 0) continue;
-    bool shed = false;
-    {
-      util::MutexLock lock(queue_mu_);
-      if (pending_.size() >= kMaxPendingConnections) {
-        shed = true;  // every handler busy and the backlog full
-      } else {
-        pending_.push_back(client);
-      }
-    }
-    if (shed) {
-      LFO_COUNTER_INC("lfo_telemetry_shed_connections_total");
-      ::close(client);
-    } else {
-      queue_cv_.notify_one();
-    }
-  }
-}
-
-void TelemetryServer::handler_loop() {
+void TelemetryServer::run() {
+  constexpr int kMaxEvents = 16;
+  epoll_event events[kMaxEvents]{};
+  int timeout_ms = -1;
   while (true) {
-    int client = -1;
-    {
-      util::MutexLock lock(queue_mu_);
-      while (pending_.empty()) {
-        if (stop_.load(std::memory_order_acquire)) return;
-        queue_cv_.wait_for_seconds(queue_mu_, 0.1);
+    const int ready = ::epoll_wait(epoll_fd_, events, kMaxEvents, timeout_ms);
+    bool listening = false;
+    for (int i = 0; i < ready; ++i) {
+      void* const tag = events[i].data.ptr;
+      if (tag == nullptr) return;  // stop()
+      if (tag == &listen_fd_) {
+        listening = true;
+        continue;
       }
-      client = pending_.front();
-      pending_.pop_front();
+      // Only a connection's own event closes it during the batch, so no
+      // later event in it points at a closed connection.
+      auto* conn = static_cast<Connection*>(tag);
+      conn->last_active = ++tick_;
+      if (!advance(*conn)) {
+        std::erase_if(connections_,
+                      [conn](const auto& c) { return c.get() == conn; });
+      }
     }
-    serve_connection(client);
-    ::close(client);
+    // After the batch: shedding may close a connection with an event in it.
+    if (listening) accept_connection();
+    timeout_ms = expire();
   }
 }
 
-void TelemetryServer::serve_connection(int fd) const {
-  util::set_io_timeouts(fd, config_.io_timeout_seconds);
-  // One deadline for the whole head: SO_RCVTIMEO alone restarts on
-  // every byte, so a peer trickling one byte per second could hold this
-  // handler for hours.
-  const std::uint64_t deadline_ns =
-      detail::monotonic_ns() +
-      static_cast<std::uint64_t>(
-          std::max(config_.io_timeout_seconds, 0.0) * 1e9);
-  std::string request;
-  char buf[1024];
-  bool complete = false;
-  bool oversize = false;
-  while (request.size() <= kMaxRequestBytes) {
-    const std::uint64_t now_ns = detail::monotonic_ns();
-    if (now_ns >= deadline_ns) break;  // serve what we have
-    pollfd pfd{};
-    pfd.fd = fd;
-    pfd.events = POLLIN;
-    const auto wait_ms =
-        static_cast<int>((deadline_ns - now_ns + 999'999) / 1'000'000);
-    const int ready = ::poll(&pfd, 1, wait_ms);
-    if (ready < 0 && errno == EINTR) continue;
-    if (ready <= 0) break;  // deadline or error
-    const ssize_t n = ::recv(fd, buf, sizeof(buf), MSG_DONTWAIT);
-    if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK || errno == EINTR)) {
-      continue;
+void TelemetryServer::accept_connection() {
+  const auto accepted =
+      util::accept_or_shed(listen_fd_, connections_, kMaxConnections);
+  LFO_COUNTER_ADD("lfo_telemetry_accept_errors_total", accepted.errors);
+  LFO_COUNTER_ADD("lfo_telemetry_shed_connections_total", accepted.shed);
+  if (accepted.back_off) {
+    // The listener is level-triggered and its connection still queued:
+    // mute it until expire() re-arms it.
+    util::watch(epoll_fd_, EPOLL_CTL_MOD, listen_fd_, 0, &listen_fd_);
+    accept_retry_ = Clock::now() + util::kAcceptBackoff;
+    return;
+  }
+  if (accepted.fd < 0) return;
+  auto conn =
+      std::make_unique<Connection>(accepted.fd, Clock::now() + io_timeout_);
+  conn->last_active = ++tick_;
+  // Edge-triggered: advance() runs a connection until it would block, so
+  // its interest never has to change.
+  if (util::watch(epoll_fd_, EPOLL_CTL_ADD, conn->fd,
+                  EPOLLIN | EPOLLOUT | EPOLLET, conn.get())) {
+    connections_.push_back(std::move(conn));
+  }
+}
+
+int TelemetryServer::expire() {
+  const auto now = Clock::now();
+  if (accept_retry_ <= now) {
+    accept_retry_ = Clock::time_point::max();
+    util::watch(epoll_fd_, EPOLL_CTL_MOD, listen_fd_, EPOLLIN, &listen_fd_);
+  }
+  auto next = accept_retry_;
+  std::erase_if(connections_, [&](const auto& conn) {
+    // Past its deadline a reply is closed, and a head answered.
+    if (conn->deadline <= now && (!conn->reply.empty() || !advance(*conn))) {
+      return true;
     }
-    if (n <= 0) break;  // EOF or error: serve what we have
-    request.append(buf, static_cast<std::size_t>(n));
-    if (request.find("\r\n\r\n") != std::string::npos) {
-      complete = true;
+    next = std::min(next, conn->deadline);
+    return false;
+  });
+  if (next == Clock::time_point::max()) return -1;
+  return static_cast<int>(
+      std::chrono::ceil<std::chrono::milliseconds>(next - now).count());
+}
+
+LFO_ENDPOINT_HANDLER
+bool TelemetryServer::advance(Connection& conn) const {
+  const auto respond = [&](const HttpResponse& resp) {
+    std::ostringstream out;
+    out << "HTTP/1.1 " << resp.status << ' ' << status_reason(resp.status)
+        << "\r\nContent-Type: " << resp.content_type
+        << "\r\nContent-Length: " << resp.body.size()
+        << "\r\nConnection: close\r\n\r\n"
+        << resp.body;
+    conn.reply = out.str();
+    conn.deadline = Clock::now() + io_timeout_;
+  };
+  while (conn.reply.empty()) {
+    char buf[1024];
+    const ssize_t n = Clock::now() < conn.deadline
+                          ? ::recv(conn.fd, buf, sizeof(buf), 0)
+                          : 0;
+    if (util::would_block(n)) return true;
+    if (n <= 0) {  // the head deadline, EOF or an error: answer what we have
+      respond(bad_request(400, "incomplete request"));
       break;
     }
-    if (request.size() > kMaxRequestBytes) {
-      oversize = true;
-      break;
+    conn.head.append(buf, static_cast<std::size_t>(n));
+    if (conn.head.find("\r\n\r\n") != std::string::npos) {
+      respond(handle_request(conn.head));
+    } else if (conn.head.size() > kMaxRequestBytes) {
+      respond(bad_request(431, "request head too large"));
     }
   }
-  HttpResponse resp;
-  if (oversize) {
-    count_bad_request();
-    resp = error_response(431, "request head too large");
-  } else if (!complete) {
-    count_bad_request();
-    resp = error_response(400, "incomplete request");
-  } else {
-    resp = handle_request(request);
+  while (conn.sent < conn.reply.size()) {
+    const ssize_t n = ::send(conn.fd, conn.reply.data() + conn.sent,
+                             conn.reply.size() - conn.sent, MSG_NOSIGNAL);
+    if (util::would_block(n)) return true;
+    if (n <= 0) return false;
+    conn.sent += static_cast<std::size_t>(n);
+    conn.deadline = Clock::now() + io_timeout_;
   }
-  std::ostringstream out;
-  out << "HTTP/1.1 " << resp.status << ' ' << status_reason(resp.status)
-      << "\r\nContent-Type: " << resp.content_type
-      << "\r\nContent-Length: " << resp.body.size()
-      << "\r\nConnection: close\r\n\r\n"
-      << resp.body;
-  const std::string response = out.str();
-  util::send_all(fd, response.data(), response.size());
+  return false;  // replied in full; every response is Connection: close
 }
 
 MetricsSnapshot TelemetryServer::snapshot() const {
@@ -276,8 +304,7 @@ HttpResponse TelemetryServer::handle_request(
   // come from outside the process (lfo_lint `endpoint` rule).
   const std::size_t line_end = request.find("\r\n");
   if (line_end == std::string_view::npos) {
-    count_bad_request();
-    return error_response(400, "malformed request line");
+    return bad_request(400, "malformed request line");
   }
   const std::string_view line = request.substr(0, line_end);
   const std::size_t sp1 = line.find(' ');
@@ -286,28 +313,22 @@ HttpResponse TelemetryServer::handle_request(
                                     : line.find(' ', sp1 + 1);
   if (sp1 == std::string_view::npos || sp2 == std::string_view::npos ||
       sp2 == sp1 + 1) {
-    count_bad_request();
-    return error_response(400, "malformed request line");
+    return bad_request(400, "malformed request line");
   }
   const std::string_view method = line.substr(0, sp1);
   const std::string_view target = line.substr(sp1 + 1, sp2 - sp1 - 1);
   const std::string_view version = line.substr(sp2 + 1);
   if (version.substr(0, 5) != "HTTP/") {
-    count_bad_request();
-    return error_response(400, "malformed request line");
+    return bad_request(400, "malformed request line");
   }
-  if (method != "GET") {
-    count_bad_request();
-    return error_response(405, "only GET is supported");
-  }
+  if (method != "GET") return bad_request(405, "only GET is supported");
   const std::size_t qmark = target.find('?');
   const std::string_view path = target.substr(0, qmark);
   const std::string_view query =
       qmark == std::string_view::npos ? std::string_view{}
                                       : target.substr(qmark + 1);
   if (path.empty() || path.front() != '/') {
-    count_bad_request();
-    return error_response(400, "target must be an absolute path");
+    return bad_request(400, "target must be an absolute path");
   }
   count_request(path);
 
@@ -324,10 +345,7 @@ HttpResponse TelemetryServer::handle_request(
     const auto [has_history, history_text] = query_param(query, "history");
     if (has_history) {
       const auto [ok, n] = parse_size(history_text);
-      if (!ok) {
-        count_bad_request();
-        return error_response(400, "history must be a small integer");
-      }
+      if (!ok) return bad_request(400, "history must be a small integer");
       history = n;
     }
     std::ostringstream body;
@@ -364,8 +382,7 @@ HttpResponse TelemetryServer::handle_request(
   if (path == "/vars") {
     const auto [has_name, name] = query_param(query, "name");
     if (!has_name || name.empty()) {
-      count_bad_request();
-      return error_response(400, "missing ?name=<metric>");
+      return bad_request(400, "missing ?name=<metric>");
     }
     const auto snap = snapshot();
     for (const auto& c : snap.counters) {

@@ -1,10 +1,10 @@
 #ifndef LFO_OBS_TELEMETRY_SERVER_HPP
 #define LFO_OBS_TELEMETRY_SERVER_HPP
 
-#include <atomic>
+#include <chrono>
 #include <cstdint>
-#include <deque>
 #include <functional>
+#include <memory>
 #include <string>
 #include <string_view>
 #include <thread>
@@ -12,7 +12,6 @@
 
 #include "obs/flight_recorder.hpp"
 #include "obs/metrics.hpp"
-#include "util/thread_annotations.hpp"
 
 /// Marker consumed by tools/lfo_lint.py: the tagged function DEFINITION
 /// handles externally supplied HTTP input. lfo_lint rejects LFO_CHECK /
@@ -52,23 +51,24 @@ struct TelemetryServerConfig {
   /// /stats and /vars serve. It must keep each kind's names sorted. Null
   /// serves the registry alone.
   std::function<void(MetricsSnapshot&)> collect = nullptr;
-  /// Deadline for reading a whole request head, counted from the moment
-  /// a handler picks the connection up (a peer that trickles bytes
-  /// cannot extend it), and the socket timeout for each write of the
-  /// response.
+  /// Deadline for reading a whole request head, counted from accept (a
+  /// peer that trickles bytes cannot extend it), and how long a reply
+  /// may wait for the peer to take any of it.
   double io_timeout_seconds = 2.0;
 };
 
 /// Dependency-free HTTP/1.1 telemetry responder over plain POSIX
-/// sockets: one accept thread feeding a pool of two handler threads
-/// through a backlog of at most 16 accepted connections (beyond it a
-/// connection is closed at once and counted in
-/// lfo_telemetry_shed_connections_total), `Connection: close` on every
-/// response. A request head is capped at 8 KiB (longer ones get 431). A
-/// peer that connects and then stalls or trickles occupies one handler
-/// until the io deadline; it cannot delay other scrapes — /healthz in
-/// particular stays prompt (tests/test_telemetry_server.cpp locks this
-/// down with deliberately slow clients). Endpoints:
+/// sockets: one thread running one epoll loop over the listener, a stop
+/// eventfd and every connection, `Connection: close` on every response.
+/// A connection must send its request head (at most 8 KiB, else 431)
+/// within `io_timeout_seconds` of accept (else 400). At 16 connections a
+/// new one closes the longest-idle one, counted in
+/// lfo_telemetry_shed_connections_total; accepts follow the serving
+/// port's rule (util::accept_or_shed), failures counted in
+/// lfo_telemetry_accept_errors_total. A stalled or trickling peer holds
+/// one descriptor until its deadline and cannot delay other scrapes —
+/// /healthz in particular stays prompt (tests/test_telemetry_server.cpp
+/// locks this down with deliberately slow clients). Endpoints:
 ///
 ///   GET /metrics            Prometheus text exposition (exporters.cpp)
 ///   GET /stats[?history=N]  JSON snapshot + last N flight frames
@@ -89,10 +89,10 @@ class TelemetryServer {
   TelemetryServer(const TelemetryServer&) = delete;
   TelemetryServer& operator=(const TelemetryServer&) = delete;
 
-  /// Bind + listen + start the accept thread. Returns false (with the
+  /// Bind + listen + start the loop thread. Returns false (with the
   /// reason in last_error()) if the port is taken or sockets fail.
   bool start();
-  /// Stop accepting, join the thread, close the listener. Idempotent.
+  /// Stop the loop, join its thread, close every socket. Idempotent.
   void stop();
   bool running() const { return listen_fd_ >= 0; }
 
@@ -111,24 +111,31 @@ class TelemetryServer {
   HttpResponse handle_request(std::string_view request) const;
   /// Registry snapshot with the `collect` series appended.
   MetricsSnapshot snapshot() const;
-  void accept_loop();
-  void handler_loop();
-  void serve_connection(int fd) const;
+  struct Connection;
+  using Clock = std::chrono::steady_clock;
+
+  /// The event loop, until stop() wakes it.
+  void run();
+  /// Accept under util::accept_or_shed, shedding at the cap.
+  void accept_connection();
+  /// Run a connection until its socket would block; false closes it.
+  bool advance(Connection& conn) const;
+  /// Answer or close connections past their deadline, re-arm a backed-off
+  /// accept; ms to the next deadline (-1: none).
+  int expire();
 
   TelemetryServerConfig config_;
+  Clock::duration io_timeout_{};
   int listen_fd_ = -1;
+  int wake_fd_ = -1;   ///< eventfd that stop() writes
+  int epoll_fd_ = -1;  ///< watches the listener, wake_fd_, connections
   std::uint16_t port_ = 0;
   std::string last_error_;
-  std::atomic<bool> stop_{false};
-  std::thread accept_thread_;
-  std::vector<std::thread> handler_threads_;
-
-  /// Accepted sockets awaiting a handler. The accept thread only ever
-  /// enqueues (or sheds over the cap), so a peer that connects and then
-  /// stalls ties up at most one handler, never the accept path.
-  util::Mutex queue_mu_;
-  util::CondVar queue_cv_;
-  std::deque<int> pending_ LFO_GUARDED_BY(queue_mu_);
+  std::vector<std::unique_ptr<Connection>> connections_;  ///< loop-owned
+  std::uint64_t tick_ = 0;  ///< event count behind last_active
+  /// When expire() re-arms a backed-off accept.
+  Clock::time_point accept_retry_ = Clock::time_point::max();
+  std::thread thread_;  ///< runs run(), which uses the members above
 };
 
 /// Minimal loopback HTTP GET for tests and the bench scraper thread:

@@ -25,32 +25,6 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
-void wake(int event_fd) {
-  const std::uint64_t one = 1;
-  // Only fails when the counter would overflow, i.e. it is already set.
-  (void)!::write(event_fd, &one, sizeof(one));
-}
-
-void clear_wake(int event_fd) {
-  std::uint64_t count = 0;
-  (void)!::read(event_fd, &count, sizeof(count));
-}
-
-/// Add `fd` to, or modify it in, an epoll set; `tag` comes back with its
-/// events.
-bool watch(int epoll_fd, int op, int fd, std::uint32_t events, void* tag) {
-  epoll_event event{};
-  event.events = events;
-  event.data.ptr = tag;
-  return ::epoll_ctl(epoll_fd, op, fd, &event) == 0;
-}
-
-/// True when a nonblocking recv/send should wait for the next event (it
-/// never sleeps, so it cannot be interrupted either).
-bool would_block(ssize_t n) {
-  return n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK);
-}
-
 /// TelemetryServerConfig::collect: the serving counts, read from the
 /// shard-local cache stats at scrape time (the request path keeps no
 /// second copy of them).
@@ -173,9 +147,10 @@ bool LfoServer::start() {
     std::uint32_t listen = EPOLLONESHOT;
     if (i == 0) listen |= EPOLLIN;
     if (owner.wake_fd < 0 || owner.epoll_fd < 0 ||
-        !watch(owner.epoll_fd, EPOLL_CTL_ADD, owner.wake_fd, EPOLLIN,
-               nullptr) ||
-        !watch(owner.epoll_fd, EPOLL_CTL_ADD, fd, listen, &listen_fd_)) {
+        !util::watch(owner.epoll_fd, EPOLL_CTL_ADD, owner.wake_fd, EPOLLIN,
+                     nullptr) ||
+        !util::watch(owner.epoll_fd, EPOLL_CTL_ADD, fd, listen,
+                     &listen_fd_)) {
       last_error_ = std::string("epoll: ") + std::strerror(errno);
       owners_.clear();
       ::close(fd);
@@ -226,7 +201,7 @@ bool LfoServer::start() {
 void LfoServer::stop() {
   if (listen_fd_ < 0) return;
   stop_.store(true);
-  for (const auto& owner : owners_) wake(owner->wake_fd);
+  for (const auto& owner : owners_) util::wake(owner->wake_fd);
   for (auto& worker : workers_) worker.join();
   workers_.clear();
   owners_.clear();
@@ -252,7 +227,8 @@ void LfoServer::run(Owner& self) {
     for (int i = 0; i < ready; ++i) {
       void* const tag = events[i].data.ptr;
       if (tag == nullptr) {
-        clear_wake(self.wake_fd);  // before draining: a later post re-arms it
+        // Before draining: a later post re-arms it.
+        util::clear_wake(self.wake_fd);
         drain_inbox(self);
       } else if (tag == &listen_fd_) {
         listening = true;
@@ -278,45 +254,30 @@ void LfoServer::accept_connection(Owner& self) {
   // connections to W owners land one per owner: the listening socket is
   // armed (one-shot) in one owner's epoll set at a time, and each accept
   // arms it in the next owner's.
-  auto& connections = self.connections;
-  const auto shed_longest_idle = [&connections] {
-    connections.erase(std::min_element(
-        connections.begin(), connections.end(),
-        [](const auto& a, const auto& b) {
-          return a->last_active < b->last_active;
-        }));
-    LFO_COUNTER_INC("lfo_server_shed_connections_total");
-  };
-  const auto out_of_fds = [] { return errno == EMFILE || errno == ENFILE; };
-  int fd =
-      ::accept4(listen_fd_, nullptr, nullptr, SOCK_NONBLOCK | SOCK_CLOEXEC);
-  if (fd < 0 && out_of_fds() && !connections.empty()) {
-    LFO_COUNTER_INC("lfo_server_accept_errors_total");
-    shed_longest_idle();  // frees a descriptor for one retry
-    fd = ::accept4(listen_fd_, nullptr, nullptr, SOCK_NONBLOCK | SOCK_CLOEXEC);
-  }
-  if (fd < 0 && out_of_fds()) {
-    // The connection stays queued, so re-arming now would spin until a
-    // descriptor frees: expire() re-arms after a 50 ms back-off instead.
-    LFO_COUNTER_INC("lfo_server_accept_errors_total");
-    self.accept_retry = Clock::now() + std::chrono::milliseconds(50);
+  const auto accepted = util::accept_or_shed(listen_fd_, self.connections,
+                                             kMaxConnectionsPerOwner);
+  LFO_COUNTER_ADD("lfo_server_accept_errors_total", accepted.errors);
+  LFO_COUNTER_ADD("lfo_server_shed_connections_total", accepted.shed);
+  if (accepted.back_off) {
+    // expire() re-arms the listener once the back-off has passed.
+    self.accept_retry = Clock::now() + util::kAcceptBackoff;
     return;
   }
+  const int fd = accepted.fd;
   const Owner& next =
       fd < 0 ? self : *owners_[(self.index + 1) % owners_.size()];
-  watch(next.epoll_fd, EPOLL_CTL_MOD, listen_fd_, EPOLLIN | EPOLLONESHOT,
-        &listen_fd_);
+  util::watch(next.epoll_fd, EPOLL_CTL_MOD, listen_fd_,
+              EPOLLIN | EPOLLONESHOT, &listen_fd_);
   if (fd < 0) return;
-  if (connections.size() >= kMaxConnectionsPerOwner) shed_longest_idle();
   const int one = 1;
   ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
   auto conn = std::make_unique<Connection>(fd);
   conn->last_active = ++self.tick;
   // Edge-triggered: advance() runs a connection until it would block, so
   // its interest never has to change.
-  if (watch(self.epoll_fd, EPOLL_CTL_ADD, fd, EPOLLIN | EPOLLOUT | EPOLLET,
-            conn.get())) {
-    connections.push_back(std::move(conn));
+  if (util::watch(self.epoll_fd, EPOLL_CTL_ADD, fd,
+                  EPOLLIN | EPOLLOUT | EPOLLET, conn.get())) {
+    self.connections.push_back(std::move(conn));
     LFO_COUNTER_INC("lfo_server_connections_total");
   }
 }
@@ -325,8 +286,8 @@ int LfoServer::expire(Owner& self) {
   const auto now = Clock::now();
   if (self.accept_retry <= now) {
     self.accept_retry = Clock::time_point::max();
-    watch(self.epoll_fd, EPOLL_CTL_MOD, listen_fd_, EPOLLIN | EPOLLONESHOT,
-          &listen_fd_);
+    util::watch(self.epoll_fd, EPOLL_CTL_MOD, listen_fd_,
+                EPOLLIN | EPOLLONESHOT, &listen_fd_);
   }
   auto next = self.accept_retry;
   std::erase_if(self.connections, [&](const auto& conn) {
@@ -352,7 +313,7 @@ void LfoServer::drain_inbox(Owner& self) {
     // read what the wake needs first.
     const int origin_wake = owners_[frame->origin]->wake_fd;
     if (frame->pending.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-      wake(origin_wake);
+      util::wake(origin_wake);
     }
   }
 }
@@ -413,7 +374,7 @@ bool LfoServer::serve_frame(Owner& self) {
       if (o == self.index || !has_part(o)) continue;
       Owner& owner = *owners_[o];
       owner.inbox[self.index].store(&frame, std::memory_order_release);
-      wake(owner.wake_fd);
+      util::wake(owner.wake_fd);
     }
     LFO_COUNTER_ADD("lfo_server_handoffs_total", posted);
   }
@@ -424,7 +385,7 @@ bool LfoServer::serve_frame(Owner& self) {
   while (frame.pending.load(std::memory_order_acquire) != 0) {
     pollfd woken{self.wake_fd, POLLIN, 0};
     ::poll(&woken, 1, -1);
-    clear_wake(self.wake_fd);
+    util::clear_wake(self.wake_fd);
     drain_inbox(self);
   }
   return !frame.failed.load(std::memory_order_relaxed);
@@ -437,7 +398,7 @@ bool LfoServer::advance(Owner& self, Connection& conn) {
     if (conn.sent < conn.reply.size()) {
       const ssize_t n = ::send(conn.fd, conn.reply.data() + conn.sent,
                                conn.reply.size() - conn.sent, MSG_NOSIGNAL);
-      if (would_block(n)) {
+      if (util::would_block(n)) {
         // Finish on EPOLLOUT; fail once the peer takes nothing for
         // io_timeout_seconds.
         conn.deadline = Clock::now() + io_timeout_;
@@ -456,7 +417,7 @@ bool LfoServer::advance(Owner& self, Connection& conn) {
         (header ? kHeader : kHeader + conn.count * sizeof(WireRequest)) -
         conn.got;
     const ssize_t n = ::recv(conn.fd, into, want, 0);
-    if (would_block(n)) return true;
+    if (util::would_block(n)) return true;
     if (n <= 0) {
       // End of stream or a socket error: mid-frame, the frame is cut short.
       if (conn.got > 0) LFO_COUNTER_INC("lfo_server_bad_frames_total");
@@ -502,7 +463,7 @@ bool LfoServer::serve_request(Owner& self, Connection& conn) {
   const bool served = stopping || (valid && serve_frame(self));
   if (in_flight_.fetch_sub(1) == 1 && stop_.load()) {
     // The last frame out lets every owner leave its loop.
-    for (const auto& owner : owners_) wake(owner->wake_fd);
+    for (const auto& owner : owners_) util::wake(owner->wake_fd);
   }
   if (!served) LFO_COUNTER_INC("lfo_server_bad_frames_total");
   if (stopping || !served) return false;

@@ -144,10 +144,9 @@ class LfoServer {
 
   /// Owner `self`'s event loop, until stop() and no frame is in flight.
   void run(Owner& self);
-  /// Accept one connection, shedding at the cap; arm the next owner.
-  /// Out of descriptors (EMFILE/ENFILE, counted in
-  /// lfo_server_accept_errors_total), shed the longest-idle connection
-  /// and retry once, else re-arm only after a short back-off.
+  /// Accept one connection under util::accept_or_shed (its errors are
+  /// counted in lfo_server_accept_errors_total), shedding at the cap;
+  /// arm the next owner.
   void accept_connection(Owner& self);
   /// Close connections past their deadline and re-arm a backed-off
   /// accept; ms to the next deadline (-1: none).

@@ -1,7 +1,6 @@
 #ifndef LFO_UTIL_THREAD_ANNOTATIONS_HPP
 #define LFO_UTIL_THREAD_ANNOTATIONS_HPP
 
-#include <chrono>
 #include <condition_variable>
 #include <mutex>
 
@@ -164,17 +163,6 @@ class CondVar {
     std::unique_lock<std::mutex> native(mu.mu_, std::adopt_lock);
     cv_.wait(native);
     native.release();
-  }
-
-  /// As wait(), but wakes after `seconds` at the latest. Returns false
-  /// on timeout, true when notified (or spuriously woken) earlier;
-  /// either way the caller holds `mu` again — keep the predicate loop.
-  bool wait_for_seconds(Mutex& mu, double seconds) LFO_REQUIRES(mu) {
-    std::unique_lock<std::mutex> native(mu.mu_, std::adopt_lock);
-    const auto status =
-        cv_.wait_for(native, std::chrono::duration<double>(seconds));
-    native.release();
-    return status == std::cv_status::no_timeout;
   }
 
   void notify_one() { cv_.notify_one(); }

@@ -25,8 +25,6 @@
 
 #include <gtest/gtest.h>
 
-#include <sys/eventfd.h>
-#include <sys/resource.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -49,6 +47,7 @@
 #include "core/lfo_cache.hpp"
 #include "core/lfo_model.hpp"
 #include "core/rollout.hpp"
+#include "fd_test_util.hpp"
 #include "gbdt/gbdt.hpp"
 #include "obs/metrics.hpp"
 #include "obs/telemetry_server.hpp"
@@ -1096,37 +1095,6 @@ TEST(ServerHeldSockets, AcceptsAreSpreadRoundRobinOverTheOwners) {
   lfo_server.stop();
 }
 
-/// Lowers this process's RLIMIT_NOFILE soft limit and takes every free
-/// descriptor below it; the destructor gives them back and restores the
-/// limit. The server shares the process, so its accept4 gets EMFILE.
-class DescriptorExhaustion {
- public:
-  explicit DescriptorExhaustion(rlim_t limit) {
-    ::getrlimit(RLIMIT_NOFILE, &saved_);
-    rlimit lowered = saved_;
-    lowered.rlim_cur = std::min(limit, saved_.rlim_cur);
-    ::setrlimit(RLIMIT_NOFILE, &lowered);
-    for (int fd; (fd = ::eventfd(0, EFD_CLOEXEC)) >= 0;) held_.push_back(fd);
-  }
-  ~DescriptorExhaustion() {
-    for (const int fd : held_) ::close(fd);
-    ::setrlimit(RLIMIT_NOFILE, &saved_);
-  }
-  DescriptorExhaustion(const DescriptorExhaustion&) = delete;
-  DescriptorExhaustion& operator=(const DescriptorExhaustion&) = delete;
-
-  std::size_t held() const { return held_.size(); }
-  /// Give one descriptor back.
-  void release_one() {
-    ::close(held_.back());
-    held_.pop_back();
-  }
-
- private:
-  rlimit saved_{};
-  std::vector<int> held_;
-};
-
 // Regression (accept spin): out of descriptors, accept4 fails and leaves
 // the connection queued, and the owner used to re-arm the listening
 // socket for itself at once and spin. With no connection to shed it now
@@ -1141,7 +1109,7 @@ TEST(ServerHeldSockets, AcceptBacksOffWhileOutOfDescriptors) {
   server::LfoClient client;
   std::vector<server::WireDecision> decisions;
   {
-    DescriptorExhaustion exhausted(256);
+    testutil::DescriptorExhaustion exhausted(256);
     ASSERT_GE(exhausted.held(), 2u);
     exhausted.release_one();  // for the client's own socket
     const auto errors_before = errors.value();
@@ -1174,7 +1142,7 @@ TEST(ServerHeldSockets, AcceptShedsTheLongestIdleWhenOutOfDescriptors) {
   ASSERT_TRUE(warm.connect(lfo_server.port()));
   ASSERT_TRUE(warm.exchange(trace.window(0, 32), decisions));  // both held
   {
-    DescriptorExhaustion exhausted(256);
+    testutil::DescriptorExhaustion exhausted(256);
     ASSERT_GE(exhausted.held(), 1u);
     exhausted.release_one();
     const auto errors_before = errors.value();

@@ -1,9 +1,10 @@
 // obs::TelemetryServer + sim::TelemetrySession suite: request routing
 // and malformed-input handling (driven in-process through
 // handle_request_for_test), live socket round-trips over 127.0.0.1,
-// decision-neutrality of serving scrapes during a windowed run, and the
-// acceptance test that /stats?history=20 reproduces the rollout torture
-// timeline over HTTP.
+// stalled, trickling and surplus peers and accepts out of descriptors
+// against the one-thread event loop, decision-neutrality of serving
+// scrapes during a windowed run, and the acceptance test that
+// /stats?history=20 reproduces the rollout torture timeline over HTTP.
 
 #include <gtest/gtest.h>
 
@@ -14,12 +15,16 @@
 #include <atomic>
 #include <chrono>
 #include <cstddef>
+#include <filesystem>
+#include <future>
+#include <iterator>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "core/rollout.hpp"
 #include "core/windowed.hpp"
+#include "fd_test_util.hpp"
 #include "obs/build_info.hpp"
 #include "obs/metrics.hpp"
 #include "obs/telemetry_server.hpp"
@@ -174,6 +179,42 @@ double seconds_since(std::chrono::steady_clock::time_point start) {
       .count();
 }
 
+/// Raw client sockets, closed when the test ends. Declared after the
+/// server, they close before it stops.
+struct Sockets {
+  std::vector<int> fds;
+  ~Sockets() {
+    for (const int fd : fds) ::close(fd);
+  }
+  /// A connection to `port` that has sent nothing; -1 on failure.
+  int open(std::uint16_t port) {
+    const int fd = util::connect_loopback(port, 2.0);
+    if (fd >= 0) fds.push_back(fd);
+    return fd;
+  }
+};
+
+std::size_t thread_count() {
+  const std::filesystem::directory_iterator tasks("/proc/self/task");
+  return static_cast<std::size_t>(std::distance(
+      std::filesystem::begin(tasks), std::filesystem::end(tasks)));
+}
+
+// The port is one thread running one event loop.
+TEST(TelemetryServer, StartAddsOneThread) {
+  // A parked thread first: a sanitizer runtime may start its own helper
+  // thread with a process's first thread.
+  std::promise<void> release;
+  std::thread parked([done = release.get_future()] { done.wait(); });
+  const auto before = thread_count();
+  obs::TelemetryServer server({});
+  ASSERT_TRUE(server.start()) << server.last_error();
+  EXPECT_EQ(thread_count(), before + 1);
+  server.stop();
+  release.set_value();
+  parked.join();
+}
+
 TEST(TelemetryServer, ServesOverLoopbackAndStopsCleanly) {
   obs::TelemetryServer server({});
   ASSERT_TRUE(server.start()) << server.last_error();
@@ -221,36 +262,40 @@ TEST(TelemetryServer, ServesOverLoopbackAndStopsCleanly) {
   server.stop();
 }
 
-// Regression: accept_loop used to serve each connection inline, so one
-// stalled client held the single accept thread hostage and every later
-// scrape — /healthz included — waited out the full io timeout behind
-// it. With the bounded handler pool a stalled peer pins one handler at
-// most and a concurrent /healthz answers promptly.
+// Regression: the port used to hand connections to two handler threads,
+// so two stalled peers pinned both and a third request waited in the
+// backlog until one timed out (here: no answer within the client's 2 s).
+// In one event loop a stalled peer holds only its descriptor, and
+// /healthz answers at once behind any number of them.
 TEST(TelemetryServer, SlowClientDoesNotBlockHealthz) {
+  constexpr std::size_t kStalled = 3;
   obs::TelemetryServerConfig config;
-  config.io_timeout_seconds = 5.0;  // stalled client pins a handler 5s
+  config.io_timeout_seconds = 5.0;  // a stalled peer is held up to 5 s
   obs::TelemetryServer server(std::move(config));
   ASSERT_TRUE(server.start()) << server.last_error();
 
-  // A client that sends half a request head and then goes silent.
-  const int slow = util::connect_loopback(server.port(), 0.0);
-  ASSERT_GE(slow, 0);
+  // Clients that send half a request head and then go silent.
+  Sockets stalled;
   const std::string partial = "GET /metrics HTTP/1.1\r\n";  // no blank line
-  ASSERT_EQ(::send(slow, partial.data(), partial.size(), 0),
-            static_cast<ssize_t>(partial.size()));
-  // Give the pool a moment to hand the stalled connection to a handler.
+  for (std::size_t i = 0; i < kStalled; ++i) {
+    const int fd = stalled.open(server.port());
+    ASSERT_GE(fd, 0);
+    ASSERT_EQ(::send(fd, partial.data(), partial.size(), 0),
+              static_cast<ssize_t>(partial.size()));
+  }
+  // Give the loop a moment to accept and read the stalled peers.
   std::this_thread::sleep_for(std::chrono::milliseconds(100));
 
   const auto before = std::chrono::steady_clock::now();
   const auto health =
       parse_http_response(obs::fetch_local(server.port(), "/healthz"));
   const double elapsed = seconds_since(before);
-  ASSERT_TRUE(health.ok) << "healthz did not answer behind a slow client";
+  ASSERT_TRUE(health.ok) << "healthz did not answer behind slow clients";
   EXPECT_EQ(health.status, 200);
-  EXPECT_LT(elapsed, 2.0) << "/healthz waited behind the stalled client";
-
-  ::close(slow);
-  server.stop();
+  EXPECT_LT(elapsed, 0.5) << "/healthz waited behind the stalled clients";
+  for (const int fd : stalled.fds) {
+    EXPECT_FALSE(answered_or_closed(fd, 0)) << "a stalled peer was dropped";
+  }
 }
 
 // Regression: the io timeout used to be SO_RCVTIMEO, which restarts on
@@ -288,51 +333,87 @@ TEST(TelemetryServer, TricklingClientIsCutOffAtTheHeadDeadline) {
   server.stop();
 }
 
-// The accept thread hands connections to 2 handlers through a backlog of
-// at most 16; a connection past both is closed at once and counted.
-TEST(TelemetryServer, ConnectionPastAFullBacklogIsShedAndCounted) {
-  constexpr std::size_t kHandlers = 2;
-  constexpr std::size_t kBacklog = 16;
-  auto& shed = obs::MetricsRegistry::instance().counter(
+// At 16 open connections a new one closes the longest-idle one and
+// counts it, the serving port's rule: silent peers cannot lock a scraper
+// out.
+TEST(TelemetryServer, ConnectionsPastTheCapShedTheLongestIdle) {
+  constexpr std::size_t kCap = 16;
+  constexpr std::size_t kExtra = 4;
+  const auto& shed = obs::MetricsRegistry::instance().counter(
       "lfo_telemetry_shed_connections_total");
   obs::TelemetryServerConfig config;
-  config.io_timeout_seconds = 5.0;  // stalled peers hold handlers 5 s
+  config.io_timeout_seconds = 5.0;  // silent peers are held 5 s
   obs::TelemetryServer server(std::move(config));
   ASSERT_TRUE(server.start()) << server.last_error();
   const auto shed_before = shed.value();
-
-  // Closed before the server stops (declared after it), which frees the
-  // handlers, so stop() is prompt on every exit path.
-  struct Sockets {
-    std::vector<int> fds;
-    ~Sockets() {
-      for (const int fd : fds) ::close(fd);
-    }
-  } stalled;
-  const auto open_stalled = [&](std::size_t count) {
-    for (std::size_t i = 0; i < count; ++i) {
-      const int fd = util::connect_loopback(server.port(), 0.0);
-      ASSERT_GE(fd, 0);
-      stalled.fds.push_back(fd);
-    }
+  const auto healthz = [&] {
+    return parse_http_response(obs::fetch_local(server.port(), "/healthz"))
+        .status;
   };
-  open_stalled(kHandlers);
-  // Let both handlers pick their stalled connection up.
-  std::this_thread::sleep_for(std::chrono::milliseconds(300));
-  open_stalled(kBacklog);
-  // Let the accept thread queue the backlog.
-  std::this_thread::sleep_for(std::chrono::milliseconds(300));
-  EXPECT_EQ(shed.value(), shed_before) << "shed before the backlog filled";
 
-  const int extra = util::connect_loopback(server.port(), 0.0);
-  ASSERT_GE(extra, 0);
-  stalled.fds.push_back(extra);
+  Sockets silent;
+  for (std::size_t i = 0; i + 1 < kCap; ++i) {
+    ASSERT_GE(silent.open(server.port()), 0);
+  }
+  EXPECT_EQ(healthz(), 200);  // the 16th connection
+  EXPECT_EQ(shed.value(), shed_before) << "shed below the cap";
+
+  for (std::size_t i = 0; i <= kExtra; ++i) {
+    ASSERT_GE(silent.open(server.port()), 0);
+  }
   const auto start = std::chrono::steady_clock::now();
-  ASSERT_TRUE(answered_or_closed(extra, 2000));
-  char byte = 0;
-  EXPECT_LE(::recv(extra, &byte, 1, 0), 0) << "shed connection got data";
-  EXPECT_LT(seconds_since(start), 1.0) << "shed connection was not closed";
-  EXPECT_EQ(shed.value(), shed_before + 1);
+  EXPECT_EQ(healthz(), 200);
+  EXPECT_LT(seconds_since(start), 0.5);
+  // The extra silent sockets and the scrape each shed one, oldest first.
+  EXPECT_EQ(shed.value(), shed_before + kExtra + 1);
+  for (std::size_t i = 0; i < silent.fds.size(); ++i) {
+    const int fd = silent.fds[i];
+    if (i <= kExtra) {
+      ASSERT_TRUE(answered_or_closed(fd, 1000)) << "socket " << i;
+      char byte = 0;
+      EXPECT_EQ(::recv(fd, &byte, 1, 0), 0) << "shed socket " << i;
+    } else {
+      EXPECT_FALSE(answered_or_closed(fd, 0)) << "socket " << i;
+    }
+  }
+}
+
+// Regression (accept spin): out of descriptors, accept fails and leaves
+// the connection queued, and the port's accept thread used to poll it
+// again at once and spin. With no connection to shed the loop now backs
+// off, so the failures stay few, and the request is served once a
+// descriptor frees.
+TEST(TelemetryServer, AcceptBacksOffWhileOutOfDescriptors) {
+  const auto& errors = obs::MetricsRegistry::instance().counter(
+      "lfo_telemetry_accept_errors_total");
+  obs::TelemetryServer server({});
+  ASSERT_TRUE(server.start()) << server.last_error();
+  Sockets client;
+  std::string response;
+  {
+    testutil::DescriptorExhaustion exhausted(256);
+    ASSERT_GE(exhausted.held(), 2u);
+    exhausted.release_one();  // for the client's own socket
+    const auto errors_before = errors.value();
+    const int fd = client.open(server.port());
+    ASSERT_GE(fd, 0);
+    const std::string request = "GET /healthz HTTP/1.1\r\n\r\n";
+    ASSERT_TRUE(util::send_all(fd, request.data(), request.size()));
+    std::this_thread::sleep_for(std::chrono::milliseconds(500));
+    const auto failed = errors.value() - errors_before;
+    EXPECT_GE(failed, 1u);
+    EXPECT_LE(failed, 25u) << "the loop spun on accept";
+    exhausted.release_one();  // for the server's end
+    const auto t0 = std::chrono::steady_clock::now();
+    char buf[512];
+    for (ssize_t n; (n = ::recv(fd, buf, sizeof(buf), 0)) > 0;) {
+      response.append(buf, static_cast<std::size_t>(n));
+    }
+    EXPECT_LT(seconds_since(t0), 0.5);
+  }
+  const auto parts = parse_http_response(response);
+  ASSERT_TRUE(parts.ok) << "no answer once a descriptor freed";
+  EXPECT_EQ(parts.status, 200);
 }
 
 TEST(TelemetryServer, OversizedRequestHeadGets431) {

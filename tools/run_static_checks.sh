@@ -12,8 +12,8 @@
 #   2. tsan preset: configure, build, run the "stress" ctest label
 #      (ThreadPool, parallel sweep, the retraining pipeline's training
 #      pool, concurrent const feature extraction, telemetry scrapes under
-#      writer load, and the cache server's cross-worker frame dispatch)
-#      under ThreadSanitizer.
+#      writer load, the telemetry port's event loop, and the cache
+#      server's cross-worker frame dispatch) under ThreadSanitizer.
 #   3. obs gate: Release build of every test, tier1 on it, then
 #      tools/obs_smoke.sh drives the live telemetry endpoints (/metrics,
 #      /stats, /healthz, /vars, malformed requests) against the example
@@ -115,7 +115,7 @@ if [[ "$SKIP_TSAN" -eq 0 ]]; then
   # target registers no tests, so ctest would skip it without a word.
   cmake --build build-tsan --target test_stress_threads \
         --target test_async_pipeline --target test_obs_stress \
-        --target test_server -j "$JOBS"
+        --target test_server --target test_telemetry_server -j "$JOBS"
   banner "tsan: ctest -L stress"
   ctest --test-dir build-tsan -L stress --no-tests=error --output-on-failure -j "$JOBS"
 fi
