@@ -35,9 +35,8 @@ using namespace lfo;
 namespace {
 
 /// Run `rows` predictions split across `threads` workers; returns
-/// seconds. Each worker owns a contiguous block of rows and drives it
-/// through the allocation-free predict_batch of the model's engine (the
-/// flat forest's blocked kernel by default).
+/// seconds. Each worker owns a contiguous block of rows and scores it
+/// one row at a time through LfoModel::predict, as requests are served.
 double timed_predict(const core::LfoModel& model,
                      std::span<const float> matrix, std::size_t dim,
                      std::size_t rows, unsigned threads,
@@ -51,13 +50,11 @@ double timed_predict(const core::LfoModel& model,
     workers.emplace_back([&, w] {
       const std::size_t begin = std::min(rows, w * per_worker);
       const std::size_t end = std::min(rows, begin + per_worker);
-      if (begin == end) return;
-      const auto block = matrix.subspan(begin * dim, (end - begin) * dim);
-      std::vector<double> out(end - begin);
       double local = 0.0;
       for (std::uint64_t rep = 0; rep < repeats; ++rep) {
-        model.predict_batch(block, out);
-        for (const double p : out) local += p;
+        for (std::size_t i = begin; i < end; ++i) {
+          local += model.predict(matrix.subspan(i * dim, dim));
+        }
       }
       sink.fetch_add(local);
     });
@@ -135,7 +132,7 @@ int main(int argc, char** argv) {
               matrix.begin() + static_cast<std::ptrdiff_t>(i * dim));
   }
 
-  // Thread sweep through the default engine's batch kernel. The server-level
+  // Thread sweep through the serving walk. The server-level
   // equivalent of this curve — full request path, sockets and shard
   // locks included — is bench_server's BENCH_server.json.
   util::CsvWriter csv(std::cout);
@@ -153,12 +150,11 @@ int main(int argc, char** argv) {
   }
 
   // --- Inference engines: the reference per-tree walk vs the compiled
-  // flat forest (single-row, as served, and blocked-batch) on one thread.
+  // flat forest that serves requests, one row at a time on one thread.
   // Both must produce bitwise-identical probabilities.
   const auto& booster = trained.model->booster();
   const auto& forest = trained.model->forest();
-  std::vector<double> walk_out(rows), flat_single_out(rows),
-      flat_batch_out(rows);
+  std::vector<double> walk_out(rows), flat_single_out(rows);
 
   // Best-of-repeats, like the overhead sections below: the minimum per-
   // repeat wall time estimates the kernel's throughput rather than the
@@ -188,13 +184,10 @@ int main(int argc, char** argv) {
       flat_single_out[i] = forest.predict_proba(row_at(i));
     }
   });
-  const double flat_batch_pps = preds_per_sec(
-      [&] { forest.predict_proba_batch(matrix, dim, flat_batch_out); });
 
   bool bitwise_identical = true;
   for (std::size_t i = 0; i < rows; ++i) {
-    bitwise_identical &= walk_out[i] == flat_single_out[i] &&
-                         walk_out[i] == flat_batch_out[i];
+    bitwise_identical &= walk_out[i] == flat_single_out[i];
   }
 
   std::cout << "\n# Inference-engine comparison (single thread)\n";
@@ -207,7 +200,6 @@ int main(int argc, char** argv) {
   };
   engine_row("tree_walk", walk_pps);
   engine_row("flat_single", flat_single_pps);
-  engine_row("flat_batch", flat_batch_pps);
   std::cout << "# float engines bitwise identical: "
             << (bitwise_identical ? "yes" : "NO (bug)")
             << "; flat_single speedup " << flat_single_pps / walk_pps
@@ -273,19 +265,6 @@ int main(int argc, char** argv) {
                                                                 : "NO (bug)")
             << "; expected >=2x speedup on >=4 cores (training hidden "
                "behind serving)\n";
-
-  // Engine A/B through the full pipeline: the same serial run with the
-  // reference tree-walk engine must reproduce every caching decision the
-  // flat-forest default made above.
-  const auto saved_engine = core::LfoModel::default_engine();
-  core::LfoModel::set_default_engine(core::LfoModel::Engine::kTreeWalk);
-  const auto [tree_secs, tree_result] =
-      timed_pipeline(pipe_trace, wconfig, /*train_threads=*/0);
-  core::LfoModel::set_default_engine(saved_engine);
-  const bool engines_same_decisions =
-      core::same_decisions(sync_result, tree_result);
-  std::cout << "# identical decisions (flat vs tree-walk engine): "
-            << (engines_same_decisions ? "yes" : "NO (bug)") << '\n';
 
   // Rollout guard A/B: the serial runs above use the default
   // health-gated activation (core::RolloutGuard); rerun with the guard
@@ -445,12 +424,8 @@ int main(int argc, char** argv) {
         .set("tree_walk_ns_per_request", 1e9 / walk_pps)
         .set("flat_single_preds_per_sec", flat_single_pps)
         .set("flat_single_ns_per_request", 1e9 / flat_single_pps)
-        .set("flat_batch_preds_per_sec", flat_batch_pps)
-        .set("flat_batch_ns_per_request", 1e9 / flat_batch_pps)
         .set("flat_single_speedup", flat_single_pps / walk_pps)
-        .set("flat_batch_speedup", flat_batch_pps / walk_pps)
         .set("engines_bitwise_identical", bitwise_identical)
-        .set("engines_same_decisions", engines_same_decisions)
         .set("async_pipeline_speedup", sync_secs / async_secs)
         .set("rollout_guard_same_decisions", guard_same_decisions)
         .set("rollout_guard_overhead_pct", guard_overhead_pct)
@@ -473,8 +448,6 @@ int main(int argc, char** argv) {
     }
   };
   gate(bitwise_identical, "float engines bitwise identical");
-  gate(engines_same_decisions,
-       "pipeline decisions identical across flat and tree-walk engines");
   gate(flat_single_pps / walk_pps >= 1.0,
        "flat_single_speedup >= 1.0 (scalar flat path lost to tree walk)");
   return gates_ok ? 0 : 1;

@@ -13,23 +13,9 @@
 #include "trace/zipf.hpp"
 #include "util/rng.hpp"
 
-#if defined(__x86_64__) || defined(_M_X64)
-#include <x86intrin.h>
-#endif
-
 namespace {
 
 using namespace lfo;
-
-/// TSC read for the rows/cycle roofline counter (0 off x86: the counter
-/// is then omitted rather than reported wrong).
-std::uint64_t cycle_counter() {
-#if defined(__x86_64__) || defined(_M_X64)
-  return __rdtsc();
-#else
-  return 0;
-#endif
-}
 
 const trace::Trace& micro_trace() {
   static const trace::Trace t = [] {
@@ -116,7 +102,7 @@ void BM_Predict(benchmark::State& state) {
 }
 BENCHMARK(BM_Predict);
 
-/// A matrix of `rows` realistic feature rows for the batch kernels.
+/// A matrix of `rows` realistic feature rows for the predict benches.
 std::vector<float> micro_feature_matrix(std::size_t rows) {
   const std::size_t dim = micro_model().model->dimension();
   std::vector<float> matrix(rows * dim);
@@ -142,8 +128,7 @@ enum class EngineKind { kTreeWalk, kFlat };
 /// Analytic bytes touched per fully-traversed row: feature-row reads,
 /// the per-visit node bytes, one leaf value per tree, and the output
 /// double. Deliberately a cold-cache upper bound — together with the
-/// measured ns/row and rows/cycle it locates each kernel against the
-/// memory roofline.
+/// measured ns/row it locates each walk against the memory roofline.
 double engine_bytes_per_row(EngineKind kind) {
   const auto& model = *micro_model().model;
   const double dim = static_cast<double>(model.dimension());
@@ -185,41 +170,6 @@ void BM_ForestPredictSingle(benchmark::State& state, EngineKind kind) {
 BENCHMARK_CAPTURE(BM_ForestPredictSingle, flat, EngineKind::kFlat);
 BENCHMARK_CAPTURE(BM_ForestPredictSingle, tree_walk,
                   EngineKind::kTreeWalk);
-
-/// Batched predict at B in {1, 8, 64, 512}: the tree-outer reference
-/// walk and the blocked level-synchronous flat kernel. Reports
-/// roofline-style counters: analytic bytes touched/row, measured ns/row
-/// (inverse of items_per_second) and rows/cycle from the TSC.
-void BM_ForestPredictBatch(benchmark::State& state, EngineKind kind) {
-  const auto& trained = micro_model();
-  const auto rows = static_cast<std::size_t>(state.range(0));
-  const std::size_t dim = trained.model->dimension();
-  const auto matrix = micro_feature_matrix(rows);
-  std::vector<double> out(rows);
-  std::uint64_t cycles = 0;
-  for (auto _ : state) {
-    const std::uint64_t c0 = cycle_counter();
-    if (kind == EngineKind::kFlat) {
-      trained.model->forest().predict_proba_batch(matrix, dim, out);
-    } else {
-      trained.model->booster().predict_proba_batch(matrix, dim, out);
-    }
-    cycles += cycle_counter() - c0;
-    benchmark::DoNotOptimize(out.data());
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<int64_t>(rows));
-  state.counters["bytes_per_row"] = engine_bytes_per_row(kind);
-  if (cycles > 0) {
-    state.counters["rows_per_cycle"] =
-        static_cast<double>(state.iterations()) *
-        static_cast<double>(rows) / static_cast<double>(cycles);
-  }
-}
-BENCHMARK_CAPTURE(BM_ForestPredictBatch, flat, EngineKind::kFlat)
-    ->Arg(1)->Arg(8)->Arg(64)->Arg(512);
-BENCHMARK_CAPTURE(BM_ForestPredictBatch, tree_walk, EngineKind::kTreeWalk)
-    ->Arg(1)->Arg(8)->Arg(64)->Arg(512);
 
 void BM_FeatureExtraction(benchmark::State& state) {
   features::FeatureExtractor extractor{features::FeatureConfig{}};

@@ -1,6 +1,5 @@
 #include "core/lfo_model.hpp"
 
-#include <atomic>
 #include <chrono>
 #include <fstream>
 #include <stdexcept>
@@ -16,50 +15,15 @@ using Clock = std::chrono::steady_clock;
 double seconds_since(Clock::time_point start) {
   return std::chrono::duration<double>(Clock::now() - start).count();
 }
-
-std::atomic<LfoModel::Engine>& default_engine_slot() {
-  static std::atomic<LfoModel::Engine> engine{
-      LfoModel::Engine::kFlatForest};
-  return engine;
-}
 }  // namespace
-
-void LfoModel::set_default_engine(Engine engine) {
-  default_engine_slot().store(engine, std::memory_order_relaxed);
-}
-
-LfoModel::Engine LfoModel::default_engine() {
-  return default_engine_slot().load(std::memory_order_relaxed);
-}
 
 LfoModel::LfoModel(gbdt::Model model, features::FeatureConfig config)
     : model_(std::move(model)),
       forest_(gbdt::FlatForest::compile(model_)),
-      config_(config),
-      engine_(default_engine()) {}
+      config_(config) {}
 
 double LfoModel::predict(std::span<const float> feature_row) const {
-  if (engine_ == Engine::kFlatForest) {
-    return forest_.predict_proba(feature_row);
-  }
-  return model_.predict_proba(feature_row);
-}
-
-std::vector<double> LfoModel::predict_batch(
-    std::span<const float> matrix) const {
-  const std::size_t dim = dimension();
-  std::vector<double> out(dim ? matrix.size() / dim : 0);
-  predict_batch(matrix, out);
-  return out;
-}
-
-void LfoModel::predict_batch(std::span<const float> matrix,
-                             std::span<double> out) const {
-  if (engine_ == Engine::kFlatForest) {
-    forest_.predict_proba_batch(matrix, dimension(), out);
-    return;
-  }
-  model_.predict_proba_batch(matrix, dimension(), out);
+  return forest_.predict_proba(feature_row);
 }
 
 std::vector<LfoModel::FeatureImportance> LfoModel::feature_importance()
@@ -175,12 +139,10 @@ util::BinaryConfusion evaluate_predictions(
   build.cache_size = cache_size;
   const auto dataset = features::build_dataset(window, opt, build);
 
-  const auto proba = model.predict_batch(dataset.features_matrix());
   util::BinaryConfusion confusion;
   for (std::size_t i = 0; i < dataset.num_rows(); ++i) {
-    const bool predicted = proba[i] >= cutoff;
-    const bool actual = dataset.label(i) > 0.5f;
-    confusion.add(predicted, actual);
+    confusion.add(model.predict(dataset.row(i)) >= cutoff,
+                  dataset.label(i) > 0.5f);
   }
   return confusion;
 }

@@ -43,24 +43,10 @@ struct LfoConfig {
 /// after construction).
 class LfoModel {
  public:
-  /// Which inference kernel serves predictions. kFlatForest (default) is
-  /// the compiled contiguous engine that serves requests; kTreeWalk is
-  /// the reference per-tree walk over gbdt::Model, kept as the oracle the
-  /// flat engine is checked against. The two are bitwise identical by
-  /// construction. The toggle exists so tests and bench_fig7_throughput
-  /// can diff/compare the engines.
-  enum class Engine { kFlatForest, kTreeWalk };
-
   LfoModel(gbdt::Model model, features::FeatureConfig config);
 
-  /// Engine newly constructed models start with (process-wide, defaults
-  /// to kFlatForest). Set before a run to A/B the engines end to end.
-  static void set_default_engine(Engine engine);
-  static Engine default_engine();
-  void set_engine(Engine engine) { engine_ = engine; }
-  Engine engine() const { return engine_; }
-
-  /// Probability that OPT would cache this feature vector.
+  /// Probability that OPT would cache this feature vector, from the
+  /// compiled flat forest (bitwise equal to booster().predict_proba).
   double predict(std::span<const float> feature_row) const;
   /// Kept only for lfo_bench, which still passes a scratch; ignores it.
   double predict(std::span<const float> feature_row,
@@ -68,16 +54,8 @@ class LfoModel {
     return predict(feature_row);
   }
 
-  /// Batched prediction over a row-major matrix whose rows have
-  /// dimension() columns. Bitwise identical to row-by-row predict();
-  /// much friendlier to the cache (blocked level-synchronous traversal
-  /// on the flat engine, tree-outer on the reference walk). Used by the
-  /// prediction-error evaluation.
-  std::vector<double> predict_batch(std::span<const float> matrix) const;
-  /// Allocation-free variant writing into caller-owned storage.
-  void predict_batch(std::span<const float> matrix,
-                     std::span<double> out) const;
-
+  /// The reference per-tree walk: the oracle the flat forest is checked
+  /// against.
   const gbdt::Model& booster() const { return model_; }
   /// The compiled serving engine (built once at construction, i.e. at
   /// model-swap time in the windowed pipeline).
@@ -109,7 +87,6 @@ class LfoModel {
   gbdt::Model model_;
   gbdt::FlatForest forest_;
   features::FeatureConfig config_;
-  Engine engine_;
 };
 
 /// Diagnostics of one training run.

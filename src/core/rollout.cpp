@@ -3,6 +3,8 @@
 #include <cmath>
 #include <sstream>
 
+#include "obs/metrics.hpp"
+
 namespace lfo::core {
 
 const char* to_string(RolloutState state) {
@@ -73,6 +75,7 @@ RolloutVerdict RolloutGuard::evaluate(const RolloutCandidate& candidate) {
     // last-good model keeps serving, exactly like a rejection but with
     // no budget accounting.
     if (candidate.train_failed) {
+      LFO_COUNTER_INC("lfo_rollout_rejected_total");
       verdict.decision = RolloutDecision::kRejected;
       verdict.reason = "training job failed (guard disabled)";
       return verdict;
@@ -80,7 +83,7 @@ RolloutVerdict RolloutGuard::evaluate(const RolloutCandidate& candidate) {
     verdict.decision = RolloutDecision::kActivated;
     verdict.activate = true;
     state_ = RolloutState::kServing;
-    ++activations_;
+    LFO_COUNTER_INC("lfo_rollout_activated_total");
     return verdict;
   }
 
@@ -100,13 +103,13 @@ RolloutVerdict RolloutGuard::evaluate(const RolloutCandidate& candidate) {
     state_ = RolloutState::kServing;
     rejections_ = 0;
     drift_.reset();
-    ++activations_;
-    if (was_fallback) ++recoveries_;
+    LFO_COUNTER_INC("lfo_rollout_activated_total");
+    if (was_fallback) LFO_COUNTER_INC("lfo_rollout_recovered_total");
     return verdict;
   }
 
   ++rejections_;
-  ++rejections_total_;
+  LFO_COUNTER_INC("lfo_rollout_rejected_total");
   const bool budget_exhausted =
       rejections_ >= config_.max_consecutive_rejections;
   const bool drift_exhausted = drift_.triggered();
@@ -120,7 +123,7 @@ RolloutVerdict RolloutGuard::evaluate(const RolloutCandidate& candidate) {
                                     : " [rejection budget exhausted]");
     state_ = RolloutState::kFallback;
     drift_.reset();
-    ++fallbacks_;
+    LFO_COUNTER_INC("lfo_rollout_fallback_total");
     return verdict;
   }
   // Plain rejection: in kServing the last-good model keeps serving

@@ -134,14 +134,14 @@ struct RolloutStatus {
   std::string reason;
 };
 
-/// Deterministic state machine gating model activation (ISSUE 5
-/// tentpole; Cold-RL-style inference/health gates with heuristic
-/// fallback). The windowed driver feeds it one RolloutCandidate at every
-/// swap point; the guard answers activate / reject / fallback / recover
-/// and tracks the rejection and drift budgets. It deliberately has no
-/// dependency on the metrics registry — the driver translates verdicts
-/// into lfo::obs counters — so its behaviour is a pure function of the
-/// candidate sequence.
+/// Deterministic state machine gating model activation (Cold-RL-style
+/// inference/health gates with heuristic fallback). run_windowed_lfo
+/// and ShardedLfoCache::install_candidate feed it one RolloutCandidate
+/// at every swap point; the guard answers activate / reject / fallback /
+/// recover, tracks the rejection and drift budgets, and counts each
+/// transition in the lfo_rollout_*_total metrics, so both callers'
+/// transitions are counted once. The counters are write-only: its
+/// behaviour is a pure function of the candidate sequence.
 class RolloutGuard {
  public:
   explicit RolloutGuard(RolloutConfig config);
@@ -155,13 +155,6 @@ class RolloutGuard {
   std::uint32_t drift_streak() const { return drift_.streak(); }
   const RolloutConfig& config() const { return config_; }
 
-  /// Lifetime transition counters (also exported as lfo_rollout_*
-  /// metrics by the windowed driver).
-  std::uint64_t activations() const { return activations_; }
-  std::uint64_t rejections_total() const { return rejections_total_; }
-  std::uint64_t fallbacks() const { return fallbacks_; }
-  std::uint64_t recoveries() const { return recoveries_; }
-
  private:
   /// Gate check only (no state update). Returns empty string on pass,
   /// else the failure reason.
@@ -171,10 +164,6 @@ class RolloutGuard {
   RolloutState state_ = RolloutState::kBootstrap;
   std::uint32_t rejections_ = 0;  ///< consecutive, reset on activation
   obs::DriftTracker drift_;
-  std::uint64_t activations_ = 0;
-  std::uint64_t rejections_total_ = 0;
-  std::uint64_t fallbacks_ = 0;
-  std::uint64_t recoveries_ = 0;
 };
 
 }  // namespace lfo::core

@@ -275,8 +275,8 @@ void swap_model_into(LfoCache& cache,
 /// Run the candidate due at the end of `window_index` through the
 /// rollout guard and apply its verdict: swap on activate, clear the
 /// model on fallback, keep the last-good model on reject. Records the
-/// decision on the current window's report and counts every transition
-/// in the metrics registry.
+/// decision on the current window's report (the guard itself counts the
+/// transition in the metrics registry).
 void apply_rollout(RolloutGuard& guard, LfoCache& cache,
                    WindowedResult& result, std::size_t window_index,
                    std::size_t trained_on,
@@ -290,28 +290,21 @@ void apply_rollout(RolloutGuard& guard, LfoCache& cache,
   current.decision = verdict.decision;
   current.reason = verdict.reason;
   switch (verdict.decision) {
-    case RolloutDecision::kActivated:
-      LFO_COUNTER_INC("lfo_rollout_activated_total");
-      break;
     case RolloutDecision::kRejected:
-      LFO_COUNTER_INC("lfo_rollout_rejected_total");
       util::log_warn("rollout: window ", window_index,
                      " rejected the model trained on window ", trained_on,
                      ": ", verdict.reason);
       break;
     case RolloutDecision::kFallback:
-      LFO_COUNTER_INC("lfo_rollout_rejected_total");
-      LFO_COUNTER_INC("lfo_rollout_fallback_total");
       util::log_warn("rollout: window ", window_index,
                      " entered heuristic fallback: ", verdict.reason);
       break;
     case RolloutDecision::kRecovered:
-      LFO_COUNTER_INC("lfo_rollout_activated_total");
-      LFO_COUNTER_INC("lfo_rollout_recovered_total");
       util::log_info("rollout: window ", window_index,
                      " recovered from fallback (model trained on window ",
                      trained_on, ")");
       break;
+    case RolloutDecision::kActivated:
     case RolloutDecision::kNone:
       break;
   }

@@ -6,12 +6,6 @@
 #include "util/check.hpp"
 #include "util/thread_annotations.hpp"
 
-#if defined(__GNUC__) || defined(__clang__)
-#define LFO_PREFETCH(addr) __builtin_prefetch(addr)
-#else
-#define LFO_PREFETCH(addr) ((void)0)
-#endif
-
 namespace lfo::gbdt {
 
 FlatForest FlatForest::compile(const Model& model) {
@@ -164,53 +158,6 @@ LFO_HOT_PATH double FlatForest::predict_raw(std::span<const float> features) con
 
 LFO_HOT_PATH double FlatForest::predict_proba(std::span<const float> features) const {
   return sigmoid(predict_raw(features));
-}
-
-LFO_HOT_PATH void FlatForest::predict_raw_batch(std::span<const float> matrix,
-                                   std::size_t num_features,
-                                   std::span<double> out) const {
-  LFO_CHECK_GT(num_features, 0u) << "predict_raw_batch: zero-width rows";
-  LFO_CHECK_EQ(matrix.size(), out.size() * num_features)
-      << "predict_raw_batch: matrix/output shape mismatch";
-  std::fill(out.begin(), out.end(), base_score_);
-  const Node* const nodes = nodes_.data();
-  std::int32_t cursor[kBlockRows];
-  for (std::size_t r0 = 0; r0 < out.size(); r0 += kBlockRows) {
-    const std::size_t block = std::min(kBlockRows, out.size() - r0);
-    const float* const rows = matrix.data() + r0 * num_features;
-    // Per-row accumulation stays in tree order (base + t0 + t1 + ...):
-    // bitwise identical to the scalar walk.
-    for (std::size_t t = 0; t < roots_.size(); ++t) {
-      const std::int32_t root = roots_[t];
-      for (std::size_t i = 0; i < block; ++i) cursor[i] = root;
-      for (std::int32_t d = depths_[t]; d > 0; --d) {
-        std::int32_t moved = 0;
-        for (std::size_t i = 0; i < block; ++i) {
-          const Node n = nodes[cursor[i]];
-          const std::int32_t next =
-              n.left +
-              static_cast<std::int32_t>(
-                  !(rows[i * num_features +
-                         static_cast<std::size_t>(n.feature)] <=
-                    n.threshold));
-          moved |= next ^ cursor[i];
-          cursor[i] = next;
-          LFO_PREFETCH(&nodes[next]);
-        }
-        if (moved == 0) break;  // every sample of the block is at a leaf
-      }
-      for (std::size_t i = 0; i < block; ++i) {
-        out[r0 + i] += values_[static_cast<std::size_t>(cursor[i])];
-      }
-    }
-  }
-}
-
-LFO_HOT_PATH void FlatForest::predict_proba_batch(std::span<const float> matrix,
-                                     std::size_t num_features,
-                                     std::span<double> out) const {
-  predict_raw_batch(matrix, num_features, out);
-  for (auto& v : out) v = sigmoid(v);
 }
 
 }  // namespace lfo::gbdt

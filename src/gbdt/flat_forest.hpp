@@ -29,14 +29,9 @@ namespace lfo::gbdt {
 /// walk (enforced by tests/test_flat_forest.cpp and the golden suite).
 /// Feature values must not be NaN (LFO features never are).
 ///
-/// predict() and the batch kernels perform no heap allocation.
+/// Prediction performs no heap allocation.
 class FlatForest {
  public:
-  /// Rows advanced together by the blocked batch kernel: enough
-  /// independent traversal chains to hide load latency, small enough
-  /// that the per-block cursors live in registers/L1.
-  static constexpr std::size_t kBlockRows = 64;
-
   FlatForest() = default;
 
   /// Compile a trained model. The model can be discarded afterwards.
@@ -55,18 +50,6 @@ class FlatForest {
   double predict_raw(std::span<const float> features) const;
   /// Probability of the positive class (sigmoid of the raw score).
   double predict_proba(std::span<const float> features) const;
-
-  /// Blocked batch traversal over a row-major matrix of `out.size()`
-  /// rows with `num_features` columns: advances a block of kBlockRows
-  /// samples through one tree level at a time (cache/ILP friendly,
-  /// software-prefetching child nodes). Scores are bitwise identical to
-  /// calling predict_raw row by row.
-  void predict_raw_batch(std::span<const float> matrix,
-                         std::size_t num_features,
-                         std::span<double> out) const;
-  void predict_proba_batch(std::span<const float> matrix,
-                           std::size_t num_features,
-                           std::span<double> out) const;
 
  private:
   struct Node {

@@ -41,28 +41,6 @@ double Model::predict_proba(std::span<const float> features) const {
   return sigmoid(predict_raw(features));
 }
 
-void Model::predict_raw_batch(std::span<const float> matrix,
-                              std::size_t num_features,
-                              std::span<double> out) const {
-  LFO_CHECK_GT(num_features, 0u) << "predict_raw_batch: zero-width rows";
-  LFO_CHECK_EQ(matrix.size(), out.size() * num_features)
-      << "predict_raw_batch: matrix/output shape mismatch";
-  std::fill(out.begin(), out.end(), base_score_);
-  for (const auto& t : trees_) {
-    const float* row = matrix.data();
-    for (std::size_t r = 0; r < out.size(); ++r, row += num_features) {
-      out[r] += t.predict({row, num_features});
-    }
-  }
-}
-
-void Model::predict_proba_batch(std::span<const float> matrix,
-                                std::size_t num_features,
-                                std::span<double> out) const {
-  predict_raw_batch(matrix, num_features, out);
-  for (auto& v : out) v = sigmoid(v);
-}
-
 std::vector<std::uint64_t> Model::split_counts(
     std::size_t num_features) const {
   std::vector<std::uint64_t> counts(num_features, 0);
@@ -689,12 +667,10 @@ Model train(const Dataset& data, const Params& params, TrainLog* log,
 
 double logloss(const Model& model, const Dataset& data) {
   if (data.num_rows() == 0) return 0.0;
-  std::vector<double> proba(data.num_rows());
-  model.predict_proba_batch(data.features_matrix(), data.num_features(),
-                            proba);
   double loss = 0.0;
   for (std::size_t r = 0; r < data.num_rows(); ++r) {
-    const double p = std::clamp(proba[r], 1e-15, 1.0 - 1e-15);
+    const double p =
+        std::clamp(model.predict_proba(data.row(r)), 1e-15, 1.0 - 1e-15);
     const double y = data.label(r) > 0.5f ? 1.0 : 0.0;
     loss -= y * std::log(p) + (1.0 - y) * std::log(1.0 - p);
   }
@@ -709,12 +685,9 @@ double accuracy(const Model& model, const Dataset& data, double cutoff) {
 util::BinaryConfusion confusion(const Model& model, const Dataset& data,
                                 double cutoff) {
   util::BinaryConfusion out;
-  if (data.num_rows() == 0) return out;
-  std::vector<double> proba(data.num_rows());
-  model.predict_proba_batch(data.features_matrix(), data.num_features(),
-                            proba);
   for (std::size_t r = 0; r < data.num_rows(); ++r) {
-    out.add(proba[r] >= cutoff, data.label(r) > 0.5f);
+    out.add(model.predict_proba(data.row(r)) >= cutoff,
+            data.label(r) > 0.5f);
   }
   return out;
 }

@@ -67,17 +67,6 @@ class Model {
   /// Probability of the positive class (sigmoid of the raw score).
   double predict_proba(std::span<const float> features) const;
 
-  /// Batched prediction over a row-major matrix of `out.size()` rows with
-  /// `num_features` columns. Iterates tree-outer / row-inner so each
-  /// tree's node arrays stay hot in cache; scores are bitwise identical
-  /// to calling the scalar predictors row by row (same addition order).
-  void predict_raw_batch(std::span<const float> matrix,
-                         std::size_t num_features,
-                         std::span<double> out) const;
-  void predict_proba_batch(std::span<const float> matrix,
-                           std::size_t num_features,
-                           std::span<double> out) const;
-
   /// Per-feature count of internal-node splits across all trees — the
   /// feature-importance measure the paper plots in Fig 8.
   std::vector<std::uint64_t> split_counts(std::size_t num_features) const;
@@ -118,7 +107,7 @@ double accuracy(const Model& model, const Dataset& data, double cutoff = 0.5);
 /// Full confusion matrix at the given probability cutoff. accuracy() is
 /// confusion().accuracy(); the rollout gate additionally derives the
 /// model's and OPT's admit shares ((tp+fp)/total vs (tp+fn)/total) from
-/// it, so one batched prediction pass serves both.
+/// it, so one predict_proba pass over the rows serves both.
 util::BinaryConfusion confusion(const Model& model, const Dataset& data,
                                 double cutoff = 0.5);
 

@@ -167,7 +167,6 @@ bool LfoServer::start() {
   if (config_.telemetry) {
     obs::TelemetryServerConfig tconfig;
     tconfig.port = config_.telemetry_port;
-    tconfig.flight_recorder = config_.flight_recorder;
     tconfig.health = [this] {
       obs::HealthStatus health;
       const auto state = cache_.rollout_state();

@@ -81,7 +81,6 @@ struct LfoServerConfig {
   /// /healthz reports 503 while the rollout guard is in fallback.
   bool telemetry = true;
   std::uint16_t telemetry_port = 0;
-  obs::FlightRecorder* flight_recorder = nullptr;
 };
 
 /// The multithreaded cache service: a ShardedLfoCache behind an

@@ -2,11 +2,12 @@
 #define LFO_TESTS_OBS_TEST_UTIL_HPP
 
 // Shared obs-suite test helpers: a strict mini JSON parser, a Prometheus
-// text-exposition validator, an HTTP response splitter and the golden
-// trace/pipeline fixtures — used by test_obs.cpp,
-// test_flight_recorder.cpp, test_telemetry_server.cpp and
-// test_obs_stress.cpp so every suite parses formats with the same
-// (deliberately unforgiving) code instead of ad-hoc string matching.
+// text-exposition validator, an HTTP response splitter, the golden
+// trace/pipeline fixtures and registry counter deltas — used by
+// test_obs.cpp, test_flight_recorder.cpp, test_telemetry_server.cpp,
+// test_obs_stress.cpp, test_rollout.cpp and test_server.cpp so every
+// suite parses formats with the same (deliberately unforgiving) code
+// instead of ad-hoc string matching.
 
 #include <gtest/gtest.h>
 
@@ -23,6 +24,7 @@
 #include <vector>
 
 #include "core/windowed.hpp"
+#include "obs/metrics.hpp"
 #include "trace/generator.hpp"
 
 namespace lfo::testutil {
@@ -371,6 +373,22 @@ inline core::WindowedConfig golden_lfo_config() {
   config.swap_lag = 1;
   return config;
 }
+
+// ------------------------------------------------------ registry deltas
+
+/// How far one registry counter has moved since construction.
+class CounterDelta {
+ public:
+  explicit CounterDelta(const char* name) : name_(name), start_(value()) {}
+  std::uint64_t operator()() const { return value() - start_; }
+
+ private:
+  std::uint64_t value() const {
+    return obs::MetricsRegistry::instance().counter(name_).value();
+  }
+  const char* name_;
+  std::uint64_t start_;
+};
 
 }  // namespace lfo::testutil
 

@@ -27,7 +27,7 @@ def run_diff(*argv, cwd):
 
 def history_entry(revision, per_sec, extra=None):
     result = {"bench": "fig7_throughput",
-              "flat_batch_preds_per_sec": per_sec,
+              "flat_single_preds_per_sec": per_sec,
               "ns_per_pred": 1e9 / per_sec}
     if extra:
         result.update(extra)
@@ -78,7 +78,7 @@ class BenchDiffTest(unittest.TestCase):
         proc = run_diff(cwd=self.dir)
         self.assertEqual(proc.returncode, 1, proc.stdout)
         self.assertIn("REGRESSION", proc.stdout)
-        self.assertIn("flat_batch_preds_per_sec", proc.stderr)
+        self.assertIn("flat_single_preds_per_sec", proc.stderr)
 
     def test_threshold_is_configurable(self):
         self.write_history([history_entry("aaa", 1.0e6),

@@ -106,19 +106,6 @@ TEST(GbdtDeterminism, SameModelOnRowPermutedData) {
             model_dump(gbdt::train(permuted, params)));
 }
 
-TEST(GbdtDeterminism, BatchPredictMatchesScalar) {
-  const auto data = make_dataset(500, 8, 3);
-  gbdt::Params params;
-  params.num_iterations = 10;
-  const auto model = gbdt::train(data, params);
-  std::vector<double> batch(data.num_rows());
-  model.predict_proba_batch(data.features_matrix(), data.num_features(),
-                            batch);
-  for (std::size_t r = 0; r < data.num_rows(); ++r) {
-    EXPECT_EQ(batch[r], model.predict_proba(data.row(r))) << "row " << r;
-  }
-}
-
 core::WindowedConfig pipeline_config(std::uint64_t cache_size) {
   core::WindowedConfig config;
   config.lfo.set_cache_size(cache_size);

@@ -1,9 +1,9 @@
 // Property tests of the flat-forest inference engine: on randomized
 // forests (varying depth, leaf counts, feature counts, missing-gap
 // sentinels, ±inf values) FlatForest must be *bitwise* identical to the
-// per-tree reference walk — single-sample, batched, and after a
-// save/load → compile round trip — and the serving pipeline must make
-// identical decisions whichever engine is installed, sync or async.
+// per-tree reference walk — row by row and after a save/load → compile
+// round trip — and the serving pipeline must make identical decisions
+// sync or async.
 
 #include <gtest/gtest.h>
 
@@ -122,30 +122,6 @@ TEST(FlatForest, SinglePredictBitwiseIdenticalToTreeWalk) {
   }
 }
 
-TEST(FlatForest, BatchEqualsSingleSampleTimesN) {
-  util::Rng rng(23);
-  for (const std::size_t rows : {1u, 7u, 63u, 64u, 65u, 200u, 513u}) {
-    const std::size_t num_features = 6;
-    const auto model = random_model(900 + rows, 10, num_features, 40);
-    const auto forest = gbdt::FlatForest::compile(model);
-    const auto matrix = random_matrix(rng, rows, num_features);
-
-    std::vector<double> raw(rows), proba(rows);
-    forest.predict_raw_batch(matrix, num_features, raw);
-    forest.predict_proba_batch(matrix, num_features, proba);
-    for (std::size_t r = 0; r < rows; ++r) {
-      const std::span<const float> row{matrix.data() + r * num_features,
-                                       num_features};
-      EXPECT_EQ(raw[r], forest.predict_raw(row)) << "rows=" << rows
-                                                 << " r=" << r;
-      EXPECT_EQ(proba[r], forest.predict_proba(row)) << "rows=" << rows
-                                                     << " r=" << r;
-      // And against the reference batch implementation.
-      EXPECT_EQ(raw[r], tree_walk_raw(model, row));
-    }
-  }
-}
-
 TEST(FlatForest, SaveLoadCompileRoundTrips) {
   util::Rng rng(31);
   const std::size_t num_features = 8;
@@ -196,14 +172,24 @@ TEST(FlatForest, InterleavedLayoutPutsRootsFirst) {
   EXPECT_EQ(forest.num_nodes(), total);
 }
 
-/// RAII restore of the process-wide default engine.
-struct EngineGuard {
-  core::LfoModel::Engine saved = core::LfoModel::default_engine();
-  ~EngineGuard() { core::LfoModel::set_default_engine(saved); }
-};
+TEST(FlatForest, LfoModelPredictServesTheFlatWalk) {
+  features::FeatureConfig fc;
+  fc.num_gaps = 5;
+  const core::LfoModel lfo(random_model(77, 10, fc.dimension(), 30), fc);
+  features::FeatureScratch scratch;
+  util::Rng rng(3);
+  const auto matrix = random_matrix(rng, 100, fc.dimension());
+  for (std::size_t r = 0; r < 100; ++r) {
+    const std::span<const float> row{matrix.data() + r * fc.dimension(),
+                                     fc.dimension()};
+    const double served = lfo.predict(row);
+    EXPECT_EQ(served, lfo.forest().predict_proba(row)) << "row " << r;
+    EXPECT_EQ(served, lfo.booster().predict_proba(row)) << "row " << r;
+    EXPECT_EQ(served, lfo.predict(row, scratch)) << "row " << r;
+  }
+}
 
-TEST(FlatForest, PipelineDecisionsIdenticalAcrossEnginesAndSyncAsync) {
-  EngineGuard guard;
+TEST(FlatForest, PipelineDecisionsIdenticalSyncAndAsync) {
   const auto trace = trace::generate_zipf_trace(6000, 600, 0.9, 21);
   core::WindowedConfig config;
   config.lfo.set_cache_size(1 << 22);
@@ -212,47 +198,11 @@ TEST(FlatForest, PipelineDecisionsIdenticalAcrossEnginesAndSyncAsync) {
   config.window_size = 1000;
   config.swap_lag = 1;
 
-  core::LfoModel::set_default_engine(core::LfoModel::Engine::kFlatForest);
   config.train_threads = 0;
-  const auto flat_sync = core::run_windowed_lfo(trace, config);
+  const auto sync = core::run_windowed_lfo(trace, config);
   config.train_threads = 2;
-  const auto flat_async = core::run_windowed_lfo(trace, config);
-
-  core::LfoModel::set_default_engine(core::LfoModel::Engine::kTreeWalk);
-  config.train_threads = 0;
-  const auto tree_sync = core::run_windowed_lfo(trace, config);
-  config.train_threads = 2;
-  const auto tree_async = core::run_windowed_lfo(trace, config);
-
-  EXPECT_TRUE(core::same_decisions(flat_sync, tree_sync))
-      << "flat engine drifted from the tree walk (sync)";
-  EXPECT_TRUE(core::same_decisions(flat_sync, flat_async));
-  EXPECT_TRUE(core::same_decisions(tree_sync, tree_async));
-  EXPECT_TRUE(core::same_decisions(flat_async, tree_async))
-      << "flat engine drifted from the tree walk (async)";
-}
-
-TEST(FlatForest, LfoModelEngineToggleIsBitwiseNeutral) {
-  EngineGuard guard;
-  core::LfoModel::set_default_engine(core::LfoModel::Engine::kFlatForest);
-  features::FeatureConfig fc;
-  fc.num_gaps = 5;
-  auto model = random_model(77, 10, fc.dimension(), 30);
-  core::LfoModel lfo(std::move(model), fc);
-  EXPECT_EQ(lfo.engine(), core::LfoModel::Engine::kFlatForest);
-
-  util::Rng rng(3);
-  const auto matrix = random_matrix(rng, 100, fc.dimension());
-  const auto flat = lfo.predict_batch(matrix);
-  lfo.set_engine(core::LfoModel::Engine::kTreeWalk);
-  const auto walk = lfo.predict_batch(matrix);
-  ASSERT_EQ(flat.size(), walk.size());
-  for (std::size_t r = 0; r < flat.size(); ++r) {
-    EXPECT_EQ(flat[r], walk[r]) << "row " << r;
-    const std::span<const float> row{matrix.data() + r * fc.dimension(),
-                                     fc.dimension()};
-    EXPECT_EQ(walk[r], lfo.predict(row));
-  }
+  const auto async = core::run_windowed_lfo(trace, config);
+  EXPECT_TRUE(core::same_decisions(sync, async));
 }
 
 }  // namespace

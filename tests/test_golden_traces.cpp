@@ -20,9 +20,11 @@
 #include <iostream>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "cache/factory.hpp"
 #include "core/windowed.hpp"
+#include "features/dataset_builder.hpp"
 #include "opt/opt.hpp"
 #include "sim/simulator.hpp"
 #include "trace/generator.hpp"
@@ -172,8 +174,9 @@ GoldenCache run_policy(const std::string& policy, const trace::Trace& trace,
   return {s.requests, s.hits, s.bytes_requested, s.bytes_hit};
 }
 
-core::WindowedResult run_lfo(const trace::Trace& trace,
-                             std::uint64_t cache_size, bool thin_gaps = true) {
+/// The LFO configuration every golden LFO figure is recorded with.
+core::WindowedConfig golden_config(std::uint64_t cache_size,
+                                   bool thin_gaps = true) {
   core::WindowedConfig config;
   config.lfo.set_cache_size(cache_size);
   config.lfo.features.num_gaps = 20;
@@ -181,7 +184,12 @@ core::WindowedResult run_lfo(const trace::Trace& trace,
   config.lfo.gbdt.num_iterations = 15;
   config.window_size = 5000;
   config.swap_lag = 1;
-  return core::run_windowed_lfo(trace, config);
+  return config;
+}
+
+core::WindowedResult run_lfo(const trace::Trace& trace,
+                             std::uint64_t cache_size, bool thin_gaps = true) {
+  return core::run_windowed_lfo(trace, golden_config(cache_size, thin_gaps));
 }
 
 Scenario compute_actual(const char* name) {
@@ -297,28 +305,41 @@ TEST(GoldenTraces, Scan) { expect_matches_golden(kGolden[4]); }
 TEST(GoldenTraces, Inversion) { expect_matches_golden(kGolden[5]); }
 TEST(GoldenTraces, Freshness) { expect_matches_golden(kGolden[6]); }
 
-TEST(GoldenTraces, EnginesMatchGoldenDecisionsOnAllScenarios) {
-  // The golden LFO counts above were recorded with the default
-  // kFlatForest engine. Serving every scenario with the reference tree
-  // walk must reproduce the same integers exactly: the two-engine
-  // `same_decisions` gate on all 7 golden workloads.
-  struct EngineGuard {
-    core::LfoModel::Engine saved = core::LfoModel::default_engine();
-    ~EngineGuard() { core::LfoModel::set_default_engine(saved); }
-  } guard;
-  core::LfoModel::set_default_engine(core::LfoModel::Engine::kTreeWalk);
-  for (const auto& expected : kGolden) {
-    const auto trace = make_trace(expected.name);
-    const auto cache_size = scenario_cache_size(expected.name);
-    const auto lfo = run_lfo(trace, cache_size);
-    GoldenDiff diff(expected.name);
-    diff.check_cache("tree_walk", expected.lfo.overall,
-                     {lfo.overall.requests, lfo.overall.hits,
-                      lfo.overall.bytes_requested, lfo.overall.bytes_hit});
-    diff.check("bypassed", expected.lfo.bypassed, lfo.bypassed);
-    diff.check("expired_hits", expected.lfo.expired_hits,
-               lfo.overall.expired_hits);
-    diff.report();
+TEST(GoldenTraces, FlatForestMatchesTreeWalkOnEveryGoldenRow) {
+  // The serving walk (the compiled flat forest) against its oracle (the
+  // per-tree walk): on all 7 golden workloads, the model trained on each
+  // window must score every row of that window and of the next one
+  // bitwise identically through both.
+  for (const auto& s : kGolden) {
+    const auto trace = make_trace(s.name);
+    const auto config = golden_config(scenario_cache_size(s.name));
+    features::DatasetBuildOptions build;
+    build.features = config.lfo.features;
+    build.cache_size = config.lfo.cache_size;
+    std::vector<core::TrainResult> trained;
+    std::vector<gbdt::Dataset> datasets;
+    for (std::size_t begin = 0; begin < trace.size();
+         begin += config.window_size) {
+      const auto window = trace.window(
+          begin, std::min(config.window_size, trace.size() - begin));
+      trained.push_back(core::train_on_window(window, config.lfo));
+      datasets.push_back(
+          features::build_dataset(window, trained.back().opt, build));
+    }
+    for (std::size_t w = 0; w < trained.size(); ++w) {
+      const auto& model = *trained[w].model;
+      for (std::size_t d = w; d < std::min(w + 2, datasets.size()); ++d) {
+        std::size_t mismatches = 0;
+        for (std::size_t i = 0; i < datasets[d].num_rows(); ++i) {
+          const auto row = datasets[d].row(i);
+          mismatches += model.forest().predict_proba(row) !=
+                        model.booster().predict_proba(row);
+        }
+        EXPECT_GT(datasets[d].num_rows(), 0u);
+        EXPECT_EQ(mismatches, 0u) << s.name << ": model of window " << w
+                                  << " on rows of window " << d;
+      }
+    }
   }
 }
 

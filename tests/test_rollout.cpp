@@ -16,6 +16,7 @@
 #include "core/windowed.hpp"
 #include "obs/metrics.hpp"
 #include "obs/model_health.hpp"
+#include "obs_test_util.hpp"
 #include "trace/generator.hpp"
 
 namespace {
@@ -26,6 +27,7 @@ using core::RolloutConfig;
 using core::RolloutDecision;
 using core::RolloutGuard;
 using core::RolloutState;
+using testutil::CounterDelta;
 
 RolloutCandidate good_candidate() {
   RolloutCandidate c;
@@ -82,13 +84,14 @@ TEST(DriftTracker, DisabledThresholdNeverTriggers) {
 // ------------------------------------------------------------ RolloutGuard
 
 TEST(RolloutGuard, ActivatesPassingCandidateFromBootstrap) {
+  const CounterDelta activated("lfo_rollout_activated_total");
   RolloutGuard guard(RolloutConfig{});
   const auto verdict = guard.evaluate(good_candidate());
   EXPECT_EQ(verdict.decision, RolloutDecision::kActivated);
   EXPECT_TRUE(verdict.activate);
   EXPECT_FALSE(verdict.clear_model);
   EXPECT_EQ(guard.state(), RolloutState::kServing);
-  EXPECT_EQ(guard.activations(), 1u);
+  EXPECT_EQ(activated(), 1u);
 }
 
 TEST(RolloutGuard, RejectsLowAccuracyWithReason) {
@@ -116,6 +119,8 @@ TEST(RolloutGuard, RejectsAdmissionShareCollapse) {
 }
 
 TEST(RolloutGuard, RejectionBudgetExhaustionFallsBackThenRecovers) {
+  const CounterDelta fallbacks("lfo_rollout_fallback_total");
+  const CounterDelta recoveries("lfo_rollout_recovered_total");
   RolloutConfig config;
   config.max_consecutive_rejections = 3;
   RolloutGuard guard(config);
@@ -132,25 +137,26 @@ TEST(RolloutGuard, RejectionBudgetExhaustionFallsBackThenRecovers) {
             std::string::npos)
       << fallback.reason;
   EXPECT_EQ(guard.state(), RolloutState::kFallback);
-  EXPECT_EQ(guard.fallbacks(), 1u);
+  EXPECT_EQ(fallbacks(), 1u);
 
   // Further failures in fallback stay plain rejections (no re-fallback).
   EXPECT_EQ(guard.evaluate(bad_candidate()).decision,
             RolloutDecision::kRejected);
-  EXPECT_EQ(guard.fallbacks(), 1u);
+  EXPECT_EQ(fallbacks(), 1u);
 
   // A qualifying candidate ends the episode.
   const auto recovered = guard.evaluate(good_candidate());
   EXPECT_EQ(recovered.decision, RolloutDecision::kRecovered);
   EXPECT_TRUE(recovered.activate);
   EXPECT_EQ(guard.state(), RolloutState::kServing);
-  EXPECT_EQ(guard.recoveries(), 1u);
+  EXPECT_EQ(recoveries(), 1u);
   EXPECT_EQ(guard.consecutive_rejections(), 0u);
 }
 
 TEST(RolloutGuard, BootstrapNeverFallsBack) {
   // There is no model to abandon before the first activation: rejection
   // storms in bootstrap stay rejections (the heuristic already serves).
+  const CounterDelta fallbacks("lfo_rollout_fallback_total");
   RolloutConfig config;
   config.max_consecutive_rejections = 2;
   RolloutGuard guard(config);
@@ -159,7 +165,7 @@ TEST(RolloutGuard, BootstrapNeverFallsBack) {
               RolloutDecision::kRejected);
     EXPECT_EQ(guard.state(), RolloutState::kBootstrap);
   }
-  EXPECT_EQ(guard.fallbacks(), 0u);
+  EXPECT_EQ(fallbacks(), 0u);
 }
 
 TEST(RolloutGuard, SustainedDriftTripsFallbackBeforeRejectionBudget) {
@@ -182,6 +188,7 @@ TEST(RolloutGuard, SustainedDriftTripsFallbackBeforeRejectionBudget) {
 }
 
 TEST(RolloutGuard, ActivationResetsDriftStreak) {
+  const CounterDelta fallbacks("lfo_rollout_fallback_total");
   RolloutConfig config;
   config.drift_fallback_threshold = 0.5;
   config.drift_fallback_windows = 3;
@@ -196,10 +203,12 @@ TEST(RolloutGuard, ActivationResetsDriftStreak) {
   guard.evaluate(drifting_good);
   EXPECT_EQ(guard.state(), RolloutState::kServing);
   EXPECT_EQ(guard.drift_streak(), 0u);
-  EXPECT_EQ(guard.fallbacks(), 0u);
+  EXPECT_EQ(fallbacks(), 0u);
 }
 
 TEST(RolloutGuard, DisabledGuardActivatesEverythingButNeverNullModels) {
+  const CounterDelta activated("lfo_rollout_activated_total");
+  const CounterDelta rejected("lfo_rollout_rejected_total");
   RolloutConfig config;
   config.enabled = false;
   RolloutGuard guard(config);
@@ -211,6 +220,9 @@ TEST(RolloutGuard, DisabledGuardActivatesEverythingButNeverNullModels) {
   EXPECT_EQ(verdict.decision, RolloutDecision::kRejected);
   EXPECT_FALSE(verdict.activate);
   EXPECT_FALSE(verdict.clear_model);
+  // Unguarded transitions are counted like guarded ones.
+  EXPECT_EQ(activated(), 1u);
+  EXPECT_EQ(rejected(), 1u);
 }
 
 // ----------------------------------------------------- pipeline scenarios

@@ -9,8 +9,9 @@
 //  - Rollout: install_candidate routes through the RolloutGuard, so the
 //    heuristic fallback still engages under a rejection storm and
 //    recovers on a healthy candidate, exactly as in the single-threaded
-//    windowed pipeline. A model of another feature schema is refused
-//    before the guard sees it.
+//    windowed pipeline, and every transition is counted in the
+//    lfo_rollout_*_total metrics. A model of another feature schema is
+//    refused before the guard sees it.
 //  - Protocol: malformed frames close only their own connection, every
 //    64-bit object id is served, and a seeded random-frame fuzz keeps
 //    the server up with balanced accounting.
@@ -179,6 +180,13 @@ TEST(ShardedRollout, FallbackEngagesOnRejectionStormAndRecovers) {
   auto bad = good;
   bad.train_accuracy = 0.3;  // under every sensible gate
 
+  // Every transition is counted on the registry the server's /metrics
+  // exports, as the windowed pipeline counts its own.
+  const testutil::CounterDelta activated("lfo_rollout_activated_total");
+  const testutil::CounterDelta rejected("lfo_rollout_rejected_total");
+  const testutil::CounterDelta fallbacks("lfo_rollout_fallback_total");
+  const testutil::CounterDelta recovered("lfo_rollout_recovered_total");
+
   auto verdict = cache.install_candidate(good, model);
   EXPECT_TRUE(verdict.activate);
   EXPECT_TRUE(cache.has_model());
@@ -198,6 +206,8 @@ TEST(ShardedRollout, FallbackEngagesOnRejectionStormAndRecovers) {
   EXPECT_TRUE(verdict.clear_model);
   EXPECT_FALSE(cache.has_model());
   EXPECT_EQ(cache.rollout_state(), core::RolloutState::kFallback);
+  EXPECT_EQ(rejected(), budget);  // the fallback is a rejection too
+  EXPECT_EQ(fallbacks(), 1u);
 
   // The heuristic keeps serving during fallback...
   const auto before = cache.stats().requests;
@@ -209,6 +219,10 @@ TEST(ShardedRollout, FallbackEngagesOnRejectionStormAndRecovers) {
   EXPECT_TRUE(verdict.activate);
   EXPECT_TRUE(cache.has_model());
   EXPECT_EQ(cache.rollout_state(), core::RolloutState::kServing);
+  EXPECT_EQ(activated(), 2u);  // the first install and the recovery
+  EXPECT_EQ(recovered(), 1u);
+  EXPECT_EQ(rejected(), budget);
+  EXPECT_EQ(fallbacks(), 1u);
 }
 
 TEST(ShardedRollout, MismatchedSchemaIsRefusedAndChangesNothing) {

@@ -20,11 +20,10 @@ Usage:
 
 --require-keys names metrics the CANDIDATE must carry (comma-separated,
 matched against the flattened dotted paths' leaf names). A schema
-extension — e.g. fig7's flat_single_preds_per_sec and
-flat_batch_preds_per_sec engine columns — can thereby be made mandatory
-going forward: the diff fails loudly when a new run silently stops
-emitting one instead of the key just vanishing from the shared-metric
-intersection.
+extension — e.g. fig7's flat_single_preds_per_sec serving-engine
+column — can thereby be made mandatory going forward: the diff fails
+loudly when a new run silently stops emitting one instead of the key
+just vanishing from the shared-metric intersection.
 
 Throughput metrics are keys ending in `_per_sec` / `_qps` or containing
 `throughput` (higher is better). Latency-style keys (`_ns`, `_seconds`,

@@ -33,10 +33,10 @@ JOBS="$(nproc 2>/dev/null || echo 2)"
 TARGET="bench_fig7_throughput"
 JSON_OUT="BENCH_fig7.json"
 BENCH_NAME="fig7 throughput"
-# Engine columns every fig7 run must emit: bench_diff fails loudly if a
+# Engine column every fig7 run must emit: bench_diff fails loudly if a
 # run silently stops reporting one instead of the key just vanishing from
 # the diff.
-REQUIRE_KEYS="flat_batch_preds_per_sec,flat_single_preds_per_sec"
+REQUIRE_KEYS="flat_single_preds_per_sec"
 EXTRA_ARGS=()
 for arg in "$@"; do
   case "$arg" in
@@ -80,8 +80,7 @@ for key in sorted(k for k in d if k.endswith("_preds_per_sec")):
     name = key[: -len("_preds_per_sec")]
     rel = f"{pps / walk:.2f}x" if walk else "n/a"
     print(f"{name:<28} {pps / 1e6:>10.2f} {1e9 / pps:>9.0f} {rel:>8}")
-print(f"bitwise_identical={d.get('engines_bitwise_identical')}  "
-      f"same_decisions={d.get('engines_same_decisions')}")
+print(f"bitwise_identical={d.get('engines_bitwise_identical')}")
 PYEOF
 fi
 

@@ -23,9 +23,9 @@
 #      generator (fallback + recovery, BHR >= heuristic-only baseline,
 #      inline-vs-pooled training determinism with faults, and
 #      guarded-vs-unguarded decision identity when no fault fires).
-#   5. perf smoke: `ctest -L perfsmoke` on the Release tree — the
-#      flat-forest-vs-tree-walk golden decision diff and the
-#      instrumented-operator-new zero-allocation hot-path test, whose
+#   5. perf smoke: `ctest -L perfsmoke` on the Release tree — the flat
+#      forest's row-by-row bitwise score check against the tree walk and
+#      the instrumented-operator-new zero-allocation hot-path test, whose
 #      strict assertions only arm in optimized unsanitized builds.
 #   6. clang-tidy over src/ (including src/obs) via the asan build's
 #      compile_commands.json with the repo .clang-tidy config (skipped
@@ -143,8 +143,8 @@ fi
 if [[ "$SKIP_PERF" -eq 0 ]]; then
   banner "perf smoke: Release build + ctest -L perfsmoke"
   release_build test_flat_forest test_hotpath_alloc
-  # Strict gates: the flat engine must be decision-identical to the tree
-  # walk and the warm serving path must perform zero heap allocations
+  # Strict gates: the flat forest must score every row bitwise like the
+  # tree walk and the warm serving path must perform zero heap allocations
   # (NDEBUG + no sanitizer arms the EXPECT_EQ(delta, 0) assertions).
   ctest --test-dir "$RELEASE_DIR" -L perfsmoke --no-tests=error --output-on-failure -j "$JOBS"
 fi
