@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <limits>
+#include <numeric>
 
 #include "util/check.hpp"
 #include "util/thread_annotations.hpp"
@@ -12,7 +13,6 @@ FlatForest FlatForest::compile(const Model& model) {
   FlatForest forest;
   forest.base_score_ = model.base_score();
   const std::size_t num_trees = model.num_trees();
-  forest.roots_.resize(num_trees);
   forest.depths_.resize(num_trees);
 
   // Pass A: per-tree level lists (children appended in parent visitation
@@ -61,7 +61,6 @@ FlatForest FlatForest::compile(const Model& model) {
   constexpr float kInf = std::numeric_limits<float>::infinity();
   for (std::size_t t = 0; t < num_trees; ++t) {
     const Tree& tree = model.tree(t);
-    forest.roots_[t] = slot[t][0];
     for (std::int32_t node = 0; node < tree.num_nodes(); ++node) {
       const auto s = static_cast<std::size_t>(
           slot[t][static_cast<std::size_t>(node)]);
@@ -82,6 +81,29 @@ FlatForest FlatForest::compile(const Model& model) {
       }
     }
   }
+
+  // Walk order: blocks of kBlockTrees in tree order, deepest tree first
+  // inside each (stable, so equal depths keep tree order).
+  const auto& depths = forest.depths_;
+  forest.walk_roots_.resize(num_trees);
+  forest.walk_pos_.resize(num_trees);
+  for (std::size_t first = 0; first < num_trees; first += kBlockTrees) {
+    const std::size_t count = std::min(kBlockTrees, num_trees - first);
+    std::vector<std::size_t> order(count);
+    std::iota(order.begin(), order.end(), first);
+    std::stable_sort(order.begin(), order.end(), [&](auto a, auto b) {
+      return depths[a] > depths[b];
+    });
+    for (std::size_t i = 0; i < count; ++i) {
+      forest.walk_roots_[first + i] = slot[order[i]][0];
+      forest.walk_pos_[order[i]] = static_cast<std::uint8_t>(i);
+    }
+    for (std::int32_t d = 0; d < depths[order[0]]; ++d) {
+      forest.active_.push_back(static_cast<std::uint8_t>(std::count_if(
+          order.begin(), order.end(), [&](auto t) { return depths[t] > d; })));
+    }
+    forest.active_.push_back(0);
+  }
   return forest;
 }
 
@@ -100,58 +122,28 @@ std::size_t FlatForest::total_levels() const {
 LFO_HOT_PATH double FlatForest::predict_raw(std::span<const float> features) const {
   double score = base_score_;
   const Node* const nodes = nodes_.data();
-  const std::int32_t* const depths = depths_.data();
   const float* const row = features.data();
-  const std::size_t num_trees = roots_.size();
-  std::size_t t = 0;
-  // Four independent tree chains per iteration: a single chain serializes
-  // every step behind the previous node load (and a converged-yet check
-  // costs one extra trip round the self-loop), which is how the flat walk
-  // once lost to the pointer-chasing tree walk. Four chains overlap those
-  // load latencies; depth-bounded stepping needs no convergence test, and
-  // leaf self-loops make the extra iterations of shallower trees
-  // harmless. Values still accumulate in tree order (base + t0 + t1 +
-  // ...), so scores stay bitwise identical to Model::predict_raw.
-  for (; t + 4 <= num_trees; t += 4) {
-    std::int32_t u0 = roots_[t];
-    std::int32_t u1 = roots_[t + 1];
-    std::int32_t u2 = roots_[t + 2];
-    std::int32_t u3 = roots_[t + 3];
-    const std::int32_t dmax =
-        std::max(std::max(depths[t], depths[t + 1]),
-                 std::max(depths[t + 2], depths[t + 3]));
-    for (std::int32_t d = dmax; d > 0; --d) {
-      const Node n0 = nodes[u0];
-      const Node n1 = nodes[u1];
-      const Node n2 = nodes[u2];
-      const Node n3 = nodes[u3];
-      u0 = n0.left + static_cast<std::int32_t>(
-                         !(row[static_cast<std::size_t>(n0.feature)] <=
-                           n0.threshold));
-      u1 = n1.left + static_cast<std::int32_t>(
-                         !(row[static_cast<std::size_t>(n1.feature)] <=
-                           n1.threshold));
-      u2 = n2.left + static_cast<std::int32_t>(
-                         !(row[static_cast<std::size_t>(n2.feature)] <=
-                           n2.threshold));
-      u3 = n3.left + static_cast<std::int32_t>(
-                         !(row[static_cast<std::size_t>(n3.feature)] <=
-                           n3.threshold));
+  const std::uint8_t* active = active_.data();
+  const std::size_t num_trees = walk_roots_.size();
+  std::int32_t at[kBlockTrees];
+  for (std::size_t first = 0; first < num_trees; first += kBlockTrees) {
+    const std::size_t count = std::min(kBlockTrees, num_trees - first);
+    std::copy_n(walk_roots_.data() + first, count, at);
+    // One level per pass over the trees still walking: their node loads
+    // do not wait on each other, only on the same tree's previous level.
+    for (; *active != 0; ++active) {
+      const std::size_t live = *active;
+      for (std::size_t i = 0; i < live; ++i) {
+        const Node n = nodes[at[i]];
+        at[i] = n.left + static_cast<std::int32_t>(
+                             !(row[static_cast<std::size_t>(n.feature)] <=
+                               n.threshold));
+      }
     }
-    score += values_[static_cast<std::size_t>(u0)];
-    score += values_[static_cast<std::size_t>(u1)];
-    score += values_[static_cast<std::size_t>(u2)];
-    score += values_[static_cast<std::size_t>(u3)];
-  }
-  for (; t < num_trees; ++t) {
-    std::int32_t u = roots_[t];
-    for (std::int32_t d = depths[t]; d > 0; --d) {
-      const Node n = nodes[u];
-      u = n.left + static_cast<std::int32_t>(
-                       !(row[static_cast<std::size_t>(n.feature)] <=
-                         n.threshold));
+    ++active;  // the block's closing 0
+    for (std::size_t t = first; t < first + count; ++t) {
+      score += values_[static_cast<std::size_t>(at[walk_pos_[t]])];
     }
-    score += values_[static_cast<std::size_t>(u)];
   }
   return score;
 }

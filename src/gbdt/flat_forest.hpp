@@ -22,14 +22,25 @@ namespace lfo::gbdt {
 /// `values_` array — traversal needs no is-leaf branch and summation
 /// needs no per-tree indirection.
 ///
-/// Determinism. Traversal uses the same `feature <= threshold` test and
-/// the raw score accumulates base_score + tree_0 + tree_1 + ... in double
-/// precision, exactly like Model::predict_raw, so predictions — and
-/// therefore caching decisions — are bitwise identical to the per-tree
-/// walk (enforced by tests/test_flat_forest.cpp and the golden suite).
-/// Feature values must not be NaN (LFO features never are).
+/// Walk. Trees are cut, in tree order, into blocks of at most
+/// kBlockTrees; inside a block they are walked deepest first. The walk
+/// steps every tree of a block one level at a time: at level d it
+/// advances the first active[d] walk positions (the trees deeper than
+/// d), so each tree takes exactly its own depth in steps and the
+/// block's node loads are independent chains in flight together, rather
+/// than a few chains walked to the bottom in turn.
 ///
-/// Prediction performs no heap allocation.
+/// Determinism. Traversal uses the same `feature <= threshold` test, and
+/// after the walk the block's leaf values are added in tree order, not
+/// walk order, so the raw score accumulates base_score + tree_0 +
+/// tree_1 + ... in double precision exactly like Model::predict_raw.
+/// Predictions — and therefore caching decisions — are bitwise identical
+/// to the per-tree walk (enforced by tests/test_flat_forest.cpp and the
+/// golden suite). Feature values must not be NaN (LFO features never
+/// are).
+///
+/// Prediction performs no heap allocation: a block's walk state is a
+/// fixed-size stack array.
 class FlatForest {
  public:
   FlatForest() = default;
@@ -37,7 +48,10 @@ class FlatForest {
   /// Compile a trained model. The model can be discarded afterwards.
   static FlatForest compile(const Model& model);
 
-  std::size_t num_trees() const { return roots_.size(); }
+  /// Trees per walk block (the walk's stack array length).
+  static constexpr std::size_t kBlockTrees = 64;
+
+  std::size_t num_trees() const { return walk_roots_.size(); }
   std::size_t num_nodes() const { return nodes_.size(); }
   double base_score() const { return base_score_; }
   /// Deepest level of any tree (0 for stump-only forests).
@@ -60,8 +74,14 @@ class FlatForest {
 
   std::vector<Node> nodes_;     // level-interleaved across all trees
   std::vector<double> values_;  // leaf value per node (0 on split nodes)
-  std::vector<std::int32_t> roots_;   // per-tree root index
   std::vector<std::int32_t> depths_;  // per-tree deepest level
+  // Per block, concatenated: the root slots in walk order (deepest tree
+  // first), each tree's walk position (indexed in tree order), and the
+  // trees still walking at each level, followed by a 0 that ends the
+  // block.
+  std::vector<std::int32_t> walk_roots_;
+  std::vector<std::uint8_t> walk_pos_;
+  std::vector<std::uint8_t> active_;
   double base_score_ = 0.0;
 };
 

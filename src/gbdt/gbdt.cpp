@@ -11,6 +11,7 @@
 #include <thread>
 #include <utility>
 
+#include "gbdt/flat_forest.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace_span.hpp"
 #include "util/check.hpp"
@@ -667,10 +668,11 @@ Model train(const Dataset& data, const Params& params, TrainLog* log,
 
 double logloss(const Model& model, const Dataset& data) {
   if (data.num_rows() == 0) return 0.0;
+  const auto forest = FlatForest::compile(model);
   double loss = 0.0;
   for (std::size_t r = 0; r < data.num_rows(); ++r) {
     const double p =
-        std::clamp(model.predict_proba(data.row(r)), 1e-15, 1.0 - 1e-15);
+        std::clamp(forest.predict_proba(data.row(r)), 1e-15, 1.0 - 1e-15);
     const double y = data.label(r) > 0.5f ? 1.0 : 0.0;
     loss -= y * std::log(p) + (1.0 - y) * std::log(1.0 - p);
   }
@@ -685,8 +687,9 @@ double accuracy(const Model& model, const Dataset& data, double cutoff) {
 util::BinaryConfusion confusion(const Model& model, const Dataset& data,
                                 double cutoff) {
   util::BinaryConfusion out;
+  const auto forest = FlatForest::compile(model);
   for (std::size_t r = 0; r < data.num_rows(); ++r) {
-    out.add(model.predict_proba(data.row(r)) >= cutoff,
+    out.add(forest.predict_proba(data.row(r)) >= cutoff,
             data.label(r) > 0.5f);
   }
   return out;

@@ -98,7 +98,9 @@ Model train(const Dataset& data, const Params& params,
 /// Numerically stable sigmoid.
 double sigmoid(double x);
 
-/// Mean logistic loss of the model on a dataset.
+/// Mean logistic loss of the model on a dataset. This and confusion()
+/// compile the model into a FlatForest once per call and score through
+/// the serving walk (bitwise equal to Model::predict_proba).
 double logloss(const Model& model, const Dataset& data);
 
 /// Accuracy at the given probability cutoff.
@@ -107,7 +109,7 @@ double accuracy(const Model& model, const Dataset& data, double cutoff = 0.5);
 /// Full confusion matrix at the given probability cutoff. accuracy() is
 /// confusion().accuracy(); the rollout gate additionally derives the
 /// model's and OPT's admit shares ((tp+fp)/total vs (tp+fn)/total) from
-/// it, so one predict_proba pass over the rows serves both.
+/// it, so one pass over the rows serves both.
 util::BinaryConfusion confusion(const Model& model, const Dataset& data,
                                 double cutoff = 0.5);
 

@@ -1,9 +1,8 @@
 // Property tests of the flat-forest inference engine: on randomized
 // forests (varying depth, leaf counts, feature counts, missing-gap
-// sentinels, ±inf values) FlatForest must be *bitwise* identical to the
-// per-tree reference walk — row by row and after a save/load → compile
-// round trip — and the serving pipeline must make identical decisions
-// sync or async.
+// sentinels, ±inf values, walk-block edges) FlatForest must be *bitwise*
+// identical to the per-tree reference walk — row by row and after a
+// save/load → compile round trip.
 
 #include <gtest/gtest.h>
 
@@ -12,10 +11,9 @@
 #include <sstream>
 #include <vector>
 
-#include "core/windowed.hpp"
+#include "core/lfo_model.hpp"
 #include "gbdt/flat_forest.hpp"
 #include "gbdt/gbdt.hpp"
-#include "trace/generator.hpp"
 #include "util/rng.hpp"
 
 namespace {
@@ -122,6 +120,75 @@ TEST(FlatForest, SinglePredictBitwiseIdenticalToTreeWalk) {
   }
 }
 
+/// A tree of one of three shapes: a single leaf, a balanced tree 1–6
+/// levels deep, or a one-sided chain 20–25 deep that always extends its
+/// right child (rows of large values reach its bottom). Leaf values are
+/// near ±1e16 or near 1, so adding them in any order but tree order
+/// changes the low bits of the sum.
+gbdt::Tree shaped_tree(util::Rng& rng, std::size_t num_features) {
+  const auto leaf_value = [&] {
+    const double unit = rng.normal(0.0, 1.0);
+    return rng.uniform(2) == 0 ? unit * 1e16 : 1.0 + unit;
+  };
+  const auto split = [&](gbdt::Tree& tree, std::int32_t leaf) {
+    return tree.split_leaf(
+        leaf, static_cast<std::int32_t>(rng.uniform(num_features)),
+        static_cast<float>(rng.uniform(16)), leaf_value(), leaf_value());
+  };
+  gbdt::Tree tree(leaf_value());
+  switch (rng.uniform(3)) {
+    case 0:
+      break;
+    case 1: {
+      std::vector<std::int32_t> level{0};
+      for (auto d = 1 + rng.uniform(6); d > 0; --d) {
+        std::vector<std::int32_t> next;
+        for (const auto leaf : level) {
+          const auto children = split(tree, leaf);
+          next.push_back(children.left);
+          next.push_back(children.right);
+        }
+        level = std::move(next);
+      }
+      break;
+    }
+    default: {
+      std::int32_t leaf = 0;
+      for (auto d = 20 + rng.uniform(6); d > 0; --d) {
+        leaf = split(tree, leaf).right;
+      }
+    }
+  }
+  return tree;
+}
+
+TEST(FlatForest, BlocksAndMixedDepthsMatchTreeWalk) {
+  constexpr std::size_t kFeatures = 6;
+  util::Rng rng(29);
+  for (const std::size_t num_trees : {0, 1, 63, 64, 65, 129}) {
+    std::vector<gbdt::Tree> trees;
+    for (std::size_t t = 0; t < num_trees; ++t) {
+      trees.push_back(shaped_tree(rng, kFeatures));
+    }
+    const gbdt::Model model(rng.normal(0.0, 0.5), std::move(trees));
+    const auto forest = gbdt::FlatForest::compile(model);
+    ASSERT_EQ(forest.num_trees(), num_trees);
+
+    // Random rows, plus rows that take every chain to its bottom.
+    auto matrix = random_matrix(rng, 64, kFeatures);
+    matrix.insert(matrix.end(), kFeatures, kMissingGap);
+    matrix.insert(matrix.end(), kFeatures, kInf);
+    for (std::size_t r = 0; r < matrix.size() / kFeatures; ++r) {
+      const std::span<const float> row{matrix.data() + r * kFeatures,
+                                       kFeatures};
+      EXPECT_EQ(forest.predict_raw(row), tree_walk_raw(model, row))
+          << num_trees << " trees, row " << r;
+      EXPECT_EQ(forest.predict_proba(row), model.predict_proba(row))
+          << num_trees << " trees, row " << r;
+    }
+  }
+}
+
 TEST(FlatForest, SaveLoadCompileRoundTrips) {
   util::Rng rng(31);
   const std::size_t num_features = 8;
@@ -187,22 +254,6 @@ TEST(FlatForest, LfoModelPredictServesTheFlatWalk) {
     EXPECT_EQ(served, lfo.booster().predict_proba(row)) << "row " << r;
     EXPECT_EQ(served, lfo.predict(row, scratch)) << "row " << r;
   }
-}
-
-TEST(FlatForest, PipelineDecisionsIdenticalSyncAndAsync) {
-  const auto trace = trace::generate_zipf_trace(6000, 600, 0.9, 21);
-  core::WindowedConfig config;
-  config.lfo.set_cache_size(1 << 22);
-  config.lfo.features.num_gaps = 10;
-  config.lfo.gbdt.num_iterations = 8;
-  config.window_size = 1000;
-  config.swap_lag = 1;
-
-  config.train_threads = 0;
-  const auto sync = core::run_windowed_lfo(trace, config);
-  config.train_threads = 2;
-  const auto async = core::run_windowed_lfo(trace, config);
-  EXPECT_TRUE(core::same_decisions(sync, async));
 }
 
 }  // namespace

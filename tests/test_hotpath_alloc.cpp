@@ -121,7 +121,10 @@ gbdt::Model size_split_model() {
 constexpr std::uint64_t kWarmPasses = 16;
 
 TEST(HotPathAlloc, FlatForestPredictAllocatesNothing) {
-  const auto forest = gbdt::FlatForest::compile(size_split_model());
+  // 129 trees: three walk blocks, the last one tree long.
+  std::vector<gbdt::Tree> trees(129, size_split_model().tree(0));
+  const auto forest =
+      gbdt::FlatForest::compile(gbdt::Model(0.0, std::move(trees)));
   constexpr std::size_t kRows = 256, kDim = 3;
   std::vector<float> matrix(kRows * kDim, 50.0f);
 
