@@ -450,6 +450,10 @@ int main(int argc, char** argv) {
         .set("tree_walk_chained_ns_per_request", walk_chained_ns)
         .set("flat_single_chained_ns_per_request", flat_chained_ns)
         .set("engines_bitwise_identical", bitwise_identical)
+        .set("pipeline_serial_s_per_window",
+             sync_secs / static_cast<double>(sync_result.windows.size()))
+        .set("pipeline_async_s_per_window",
+             async_secs / static_cast<double>(async_result.windows.size()))
         .set("async_pipeline_speedup", sync_secs / async_secs)
         .set("rollout_guard_same_decisions", guard_same_decisions)
         .set("rollout_guard_overhead_pct", guard_overhead_pct)

@@ -34,7 +34,6 @@
 #include <atomic>
 #include <chrono>
 #include <iostream>
-#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -82,19 +81,6 @@ ClientResult run_client(std::uint16_t port, const trace::Trace& trace,
   return result;
 }
 
-/// A model trained on the training window, and the rollout guard's view
-/// of it.
-struct Trained {
-  std::shared_ptr<const core::LfoModel> model;
-  core::RolloutCandidate candidate;
-};
-
-Trained train_window(const trace::Trace& trace, std::size_t window,
-                     const core::LfoConfig& config) {
-  auto result = core::train_on_window(trace.window(0, window), config);
-  return {result.model, core::candidate_of(result)};
-}
-
 struct SweepPoint {
   double reqs_per_sec = 0.0;
   double hit_fraction = 0.0;
@@ -103,8 +89,9 @@ struct SweepPoint {
 
 SweepPoint run_sweep_point(const trace::Trace& trace,
                            const server::ShardedCacheConfig& cache,
-                           const Trained& trained, std::size_t window,
-                           unsigned workers, std::size_t batch) {
+                           const core::TrainResult& trained,
+                           std::size_t window, unsigned workers,
+                           std::size_t batch) {
   server::LfoServerConfig config;
   config.workers = workers;
   config.cache = cache;
@@ -295,7 +282,8 @@ int main(int argc, char** argv) {
             << " num_shards=" << cache.num_shards << " host spin "
             << host.spin_ns << " ns/iter, 1->2 thread scaling "
             << host.scaling_2t << "\n";
-  const auto trained = train_window(trace, window, lfo_config);
+  const auto trained =
+      core::train_on_window(trace.window(0, window), lfo_config);
   std::cout << "# model trained on requests [0, " << window
             << "): train accuracy " << trained.candidate.train_accuracy
             << '\n';

@@ -15,12 +15,26 @@ using Clock = std::chrono::steady_clock;
 double seconds_since(Clock::time_point start) {
   return std::chrono::duration<double>(Clock::now() - start).count();
 }
+
+/// The model's cutoff decisions against the dataset's OPT labels.
+util::BinaryConfusion score_rows(const LfoModel& model,
+                                 const gbdt::Dataset& dataset,
+                                 double cutoff) {
+  util::BinaryConfusion confusion;
+  for (std::size_t i = 0; i < dataset.num_rows(); ++i) {
+    confusion.add(model.predict(dataset.row(i)) >= cutoff,
+                  dataset.label(i) > 0.5f);
+  }
+  return confusion;
+}
 }  // namespace
 
-LfoModel::LfoModel(gbdt::Model model, features::FeatureConfig config)
+LfoModel::LfoModel(gbdt::Model model, features::FeatureConfig config,
+                   obs::FeatureSummary training_summary)
     : model_(std::move(model)),
       forest_(gbdt::FlatForest::compile(model_)),
-      config_(config) {}
+      config_(config),
+      training_summary_(std::move(training_summary)) {}
 
 double LfoModel::predict(std::span<const float> feature_row) const {
   return forest_.predict_proba(feature_row);
@@ -95,9 +109,14 @@ LfoModel LfoModel::load_file(const std::string& path) {
 }
 
 TrainResult train_on_window(std::span<const trace::Request> window,
-                            const LfoConfig& config) {
+                            const LfoConfig& config,
+                            const LfoModel* serving) {
   if (window.empty()) {
     throw std::invalid_argument("train_on_window: empty window");
+  }
+  if (serving != nullptr && serving->feature_config() != config.features) {
+    throw std::invalid_argument(
+        "train_on_window: serving model expects another feature schema");
   }
   TrainResult result;
 
@@ -112,17 +131,38 @@ TrainResult train_on_window(std::span<const trace::Request> window,
   build.cache_size = config.cache_size;
   const auto dataset = features::build_dataset(window, result.opt, build);
   result.num_samples = dataset.num_rows();
-  result.feature_summary = std::make_shared<const obs::FeatureSummary>(
-      obs::summarize_rows(dataset.features_matrix(),
-                          dataset.num_features()));
+  if (serving != nullptr) {
+    result.serving_confusion = score_rows(*serving, dataset, config.cutoff);
+  }
 
   t0 = Clock::now();
   auto booster = gbdt::train(dataset, config.gbdt);
   result.train_seconds = seconds_since(t0);
-  result.train_confusion = gbdt::confusion(booster, dataset, config.cutoff);
+  result.model = std::make_shared<const LfoModel>(
+      std::move(booster), config.features,
+      obs::summarize_rows(dataset.features_matrix(),
+                          dataset.num_features()));
+  result.train_confusion = score_rows(*result.model, dataset, config.cutoff);
   result.train_accuracy = result.train_confusion.accuracy();
-  result.model = std::make_shared<const LfoModel>(std::move(booster),
-                                                  config.features);
+  if (serving != nullptr && serving->training_summary().rows > 0) {
+    result.drift = obs::feature_drift(serving->training_summary(),
+                                      result.model->training_summary());
+  }
+
+  auto& candidate = result.candidate;
+  candidate.train_accuracy = result.train_accuracy;
+  const auto& confusion = result.train_confusion;
+  if (confusion.total() > 0) {
+    const auto total = static_cast<double>(confusion.total());
+    candidate.model_admit_share =
+        static_cast<double>(confusion.tp() + confusion.fp()) / total;
+    candidate.opt_admit_share =
+        static_cast<double>(confusion.tp() + confusion.fn()) / total;
+  }
+  if (result.drift) candidate.feature_drift = result.drift->mean_score;
+  if (result.serving_confusion) {
+    candidate.serving_accuracy = result.serving_confusion->accuracy();
+  }
   return result;
 }
 
@@ -137,14 +177,8 @@ util::BinaryConfusion evaluate_predictions(
   features::DatasetBuildOptions build;
   build.features = model.feature_config();
   build.cache_size = cache_size;
-  const auto dataset = features::build_dataset(window, opt, build);
-
-  util::BinaryConfusion confusion;
-  for (std::size_t i = 0; i < dataset.num_rows(); ++i) {
-    confusion.add(model.predict(dataset.row(i)) >= cutoff,
-                  dataset.label(i) > 0.5f);
-  }
-  return confusion;
+  return score_rows(model, features::build_dataset(window, opt, build),
+                    cutoff);
 }
 
 }  // namespace lfo::core

@@ -3,10 +3,12 @@
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <span>
 #include <string>
 #include <vector>
 
+#include "core/rollout.hpp"
 #include "features/dataset_builder.hpp"
 #include "features/features.hpp"
 #include "gbdt/flat_forest.hpp"
@@ -38,12 +40,13 @@ struct LfoConfig {
   }
 };
 
-/// A trained LFO predictor: the boosted-tree model plus the feature schema
-/// it was trained with. Thread-safe for concurrent prediction (immutable
-/// after construction).
+/// A trained LFO predictor: the boosted-tree model, the feature schema
+/// it was trained with and the feature summary of its training window.
+/// Thread-safe for concurrent prediction (immutable after construction).
 class LfoModel {
  public:
-  LfoModel(gbdt::Model model, features::FeatureConfig config);
+  LfoModel(gbdt::Model model, features::FeatureConfig config,
+           obs::FeatureSummary training_summary = {});
 
   /// Probability that OPT would cache this feature vector, from the
   /// compiled flat forest (bitwise equal to booster().predict_proba).
@@ -62,6 +65,13 @@ class LfoModel {
   const gbdt::FlatForest& forest() const { return forest_; }
   const features::FeatureConfig& feature_config() const { return config_; }
   std::size_t dimension() const { return config_.dimension(); }
+  /// Per-feature mean/stddev of the training matrix: the baseline a
+  /// later window's drift is scored against. Not persisted, so a
+  /// hand-built or loaded model has an empty summary (rows == 0) and
+  /// its drift stays unknown.
+  const obs::FeatureSummary& training_summary() const {
+    return training_summary_;
+  }
 
   /// Fig 8: fraction of tree splits per feature, labelled.
   struct FeatureImportance {
@@ -87,9 +97,10 @@ class LfoModel {
   gbdt::Model model_;
   gbdt::FlatForest forest_;
   features::FeatureConfig config_;
+  obs::FeatureSummary training_summary_;
 };
 
-/// Diagnostics of one training run.
+/// Diagnostics of one training run, and the rollout guard's view of it.
 struct TrainResult {
   std::shared_ptr<const LfoModel> model;
   opt::OptDecisions opt;           ///< the labels used
@@ -101,15 +112,29 @@ struct TrainResult {
   double opt_seconds = 0.0;
   double train_seconds = 0.0;
   std::size_t num_samples = 0;
-  /// Per-feature mean/stddev of the training matrix — the baseline the
-  /// model-health monitor compares later windows against for drift.
-  std::shared_ptr<const obs::FeatureSummary> feature_summary;
+  /// The serving model's cutoff decisions against this window's OPT
+  /// labels (the paper's out-of-sample prediction error); empty when no
+  /// serving model was given.
+  std::optional<util::BinaryConfusion> serving_confusion;
+  /// Feature drift of this window vs the serving model's training
+  /// window; empty when no serving model was given or its summary is
+  /// empty (a loaded or hand-built model).
+  std::optional<obs::DriftScore> drift;
+  /// What the rollout guard judges: train accuracy and the model-vs-OPT
+  /// admit shares from train_confusion, plus drift and serving accuracy
+  /// when known (-1 otherwise).
+  RolloutCandidate candidate;
 };
 
 /// Train an LFO model on one window of requests (paper Fig 2, left side):
-/// compute OPT, derive features, fit the booster.
+/// compute OPT, derive features, fit the booster, and assemble the
+/// rollout candidate. Given the model now serving, also score it on the
+/// window's rows and its drift against the new model's training window.
+/// Throws std::invalid_argument on an empty window, or when `serving`
+/// expects another feature schema than config.features.
 TrainResult train_on_window(std::span<const trace::Request> window,
-                            const LfoConfig& config);
+                            const LfoConfig& config,
+                            const LfoModel* serving = nullptr);
 
 /// Replay `window` through the feature extractor and compare the model's
 /// cutoff decisions against OPT's. This is the paper's "prediction error"

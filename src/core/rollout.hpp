@@ -57,8 +57,8 @@ struct RolloutConfig {
   /// hostile regime changes — a popularity inversion leaves every
   /// candidate's own-window diagnostics healthy while the serving
   /// model's agreement with the new OPT collapses. A candidate with
-  /// serving_accuracy unknown (-1: bootstrap, fallback, evaluation
-  /// disabled) always passes, which is also what makes recovery work:
+  /// serving_accuracy unknown (-1: bootstrap, fallback) always passes,
+  /// which is also what makes recovery work:
   /// after fallback there is no serving model, so the first healthy
   /// candidate re-qualifies. <= 0 disables the gate (the default — the
   /// benign goldens are decision-identical with it off, so it is opt-in
@@ -82,8 +82,8 @@ struct RolloutConfig {
   std::uint32_t drift_fallback_windows = 3;
 };
 
-/// Training-side diagnostics of one candidate model, assembled by the
-/// training task. Everything the gate consumes is derived from the trace
+/// Training-side diagnostics of one candidate model, assembled by
+/// core::train_on_window (TrainResult::candidate). Everything the gate consumes is derived from the trace
 /// and the decision schedule only — no wall-clock, no RNG.
 struct RolloutCandidate {
   /// All training attempts failed; there is no model to evaluate.
@@ -95,11 +95,12 @@ struct RolloutCandidate {
   /// Fraction of training rows OPT admitted.
   double opt_admit_share = -1.0;
   /// Mean feature drift of the candidate's training window vs the
-  /// serving model's training window; -1 when unknown (no serving model).
+  /// serving model's training window; -1 when unknown (no serving model,
+  /// or one without a training summary).
   double feature_drift = -1.0;
   /// Out-of-sample accuracy of the currently SERVING model on this
-  /// candidate's training window (1 - TrainedWindow::prediction_error);
-  /// -1 when unknown (no serving model, or evaluation disabled).
+  /// candidate's training window (TrainResult::serving_confusion); -1
+  /// when unknown (no serving model).
   double serving_accuracy = -1.0;
 };
 

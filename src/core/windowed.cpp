@@ -76,18 +76,12 @@ void serve_window(LfoCache& cache, std::span<const trace::Request> window,
   }
 }
 
-/// Everything one training task hands back to the pipeline. The
-/// prediction error of the model that served the window is evaluated
-/// inside the task too — it needs the freshly derived OPT labels, and
-/// with a training pool it then stays off the serving thread. The same
-/// applies to the model-health confusion and drift scores.
+/// Everything one training task hands back to the pipeline: the
+/// training job's result (which also scores the model that served the
+/// window, off the serving thread when a pool runs the task) plus the
+/// retry record and timing.
 struct TrainedWindow {
   TrainResult result;
-  double prediction_error = -1.0;
-  util::BinaryConfusion confusion;  ///< only meaningful when `evaluated`
-  bool evaluated = false;
-  obs::DriftScore drift;  ///< only meaningful when `drift_valid`
-  bool drift_valid = false;
   /// Attempts consumed (1 = first try succeeded); train_failed is set
   /// when every attempt failed — result.model is null then and the
   /// rollout guard rejects the candidate.
@@ -97,10 +91,10 @@ struct TrainedWindow {
   Clock::time_point finished;
 };
 
-TrainedWindow train_window_task(
-    std::span<const trace::Request> window, const WindowedConfig& config,
-    std::size_t window_index, std::shared_ptr<const LfoModel> serving,
-    std::shared_ptr<const obs::FeatureSummary> serving_summary) {
+TrainedWindow train_window_task(std::span<const trace::Request> window,
+                                const WindowedConfig& config,
+                                std::size_t window_index,
+                                std::shared_ptr<const LfoModel> serving) {
   LFO_TRACE_SPAN("train_window");
   TrainedWindow out;
   out.started = Clock::now();
@@ -116,7 +110,7 @@ TrainedWindow train_window_task(
       if (config.train_fault && config.train_fault(window_index, attempt)) {
         throw std::runtime_error("injected training fault");
       }
-      out.result = train_on_window(window, config.lfo);
+      out.result = train_on_window(window, config.lfo, serving.get());
       out.train_failed = false;
       break;
     } catch (const std::exception& e) {
@@ -127,42 +121,16 @@ TrainedWindow train_window_task(
       out.train_failed = true;
     }
   }
-  if (!out.train_failed) {
-    if (serving) {
-      out.confusion =
-          evaluate_predictions(*serving, window, out.result.opt,
-                               config.lfo.cache_size, config.lfo.cutoff);
-      out.evaluated = true;
-      out.prediction_error = 1.0 - out.confusion.accuracy();
-    }
-    if (serving_summary && out.result.feature_summary) {
-      out.drift =
-          obs::feature_drift(*serving_summary, *out.result.feature_summary);
-      out.drift_valid = true;
-    }
-  }
   out.finished = Clock::now();
   return out;
 }
 
-/// Assemble the gate's view of a trained (or failed) candidate.
+/// The gate's view of a trained (or failed) candidate.
 RolloutCandidate candidate_of(const TrainedWindow& trained) {
-  if (trained.train_failed) {
-    RolloutCandidate failed;
-    failed.train_failed = true;
-    return failed;
-  }
-  auto candidate = core::candidate_of(trained.result);
-  if (trained.drift_valid) candidate.feature_drift = trained.drift.mean_score;
-  // Out-of-sample accuracy of the serving model on the candidate's
-  // window: already computed by the training task for WindowReport's
-  // prediction_error, reused here for the guard's serving-accuracy gate.
-  // Stays -1 (unknown) when nothing was serving — bootstrap and
-  // post-fallback candidates are judged on their own diagnostics only.
-  if (trained.evaluated) {
-    candidate.serving_accuracy = trained.confusion.accuracy();
-  }
-  return candidate;
+  if (!trained.train_failed) return trained.result.candidate;
+  RolloutCandidate failed;
+  failed.train_failed = true;
+  return failed;
 }
 
 /// Copy the training task's diagnostics into the window's report.
@@ -180,18 +148,18 @@ void fill_training_report(WindowReport& report, const TrainedWindow& trained,
   report.train_seconds = trained.result.train_seconds;
   report.opt_bhr = trained.result.opt.bhr;
   report.opt_ohr = trained.result.opt.ohr;
-  report.prediction_error = trained.prediction_error;
 
   auto& health = report.health;
-  if (trained.evaluated) {
-    health.decision_accuracy = trained.confusion.accuracy();
-    health.false_positive_share = trained.confusion.false_positive_share();
-    health.false_negative_share = trained.confusion.false_negative_share();
+  if (const auto& confusion = trained.result.serving_confusion) {
+    report.prediction_error = 1.0 - confusion->accuracy();
+    health.decision_accuracy = confusion->accuracy();
+    health.false_positive_share = confusion->false_positive_share();
+    health.false_negative_share = confusion->false_negative_share();
   }
-  if (trained.drift_valid) {
-    health.feature_drift = trained.drift.mean_score;
-    health.max_feature_drift = trained.drift.max_score;
-    health.drift_worst_feature = trained.drift.worst_feature;
+  if (const auto& drift = trained.result.drift) {
+    health.feature_drift = drift->mean_score;
+    health.max_feature_drift = drift->max_score;
+    health.drift_worst_feature = drift->worst_feature;
     if (drift_warn_threshold > 0.0 &&
         health.feature_drift >= drift_warn_threshold) {
       health.drift_warning = true;
@@ -281,10 +249,7 @@ void apply_rollout(RolloutGuard& guard, LfoCache& cache,
                    WindowedResult& result, std::size_t window_index,
                    std::size_t trained_on,
                    std::shared_ptr<const LfoModel> model,
-                   std::shared_ptr<const obs::FeatureSummary> summary,
-                   const RolloutCandidate& candidate,
-                   std::shared_ptr<const obs::FeatureSummary>&
-                       serving_summary) {
+                   const RolloutCandidate& candidate) {
   const RolloutVerdict verdict = guard.evaluate(candidate);
   auto& current = result.windows[window_index].rollout;
   current.decision = verdict.decision;
@@ -309,13 +274,9 @@ void apply_rollout(RolloutGuard& guard, LfoCache& cache,
       break;
   }
   if (verdict.activate) {
-    result.windows[trained_on].pipeline.training_lag_windows =
-        static_cast<std::uint32_t>(window_index - trained_on);
-    serving_summary = std::move(summary);
     swap_model_into(cache, std::move(model));
   } else if (verdict.clear_model) {
     LFO_COUNTER_INC("lfo_models_cleared_total");
-    serving_summary = nullptr;
     cache.swap_model(nullptr);
   }
 }
@@ -338,20 +299,6 @@ struct TrainJob {
 
 }  // namespace
 
-RolloutCandidate candidate_of(const TrainResult& result) {
-  RolloutCandidate candidate;
-  candidate.train_accuracy = result.train_accuracy;
-  const auto& confusion = result.train_confusion;
-  if (confusion.total() > 0) {
-    const auto total = static_cast<double>(confusion.total());
-    candidate.model_admit_share =
-        static_cast<double>(confusion.tp() + confusion.fp()) / total;
-    candidate.opt_admit_share =
-        static_cast<double>(confusion.tp() + confusion.fn()) / total;
-  }
-  return candidate;
-}
-
 WindowedResult run_windowed_lfo(const trace::Trace& trace,
                                 const WindowedConfig& config) {
   LFO_TRACE_THREAD_LABEL("serve");
@@ -367,13 +314,11 @@ WindowedResult run_windowed_lfo(const trace::Trace& trace,
   // queue too — the collection schedule must not depend on training
   // outcomes — and are rejected by the guard when they surface.
   std::deque<TrainJob> jobs;
-  // Summary of the window the *currently serving* model was trained on.
-  std::shared_ptr<const obs::FeatureSummary> serving_summary;
   // First window whose report has not been handed to window_hook yet.
   std::size_t next_hook = 0;
 
   // Block on the oldest job, fill its window's training diagnostics and
-  // publish them; returns the trained window (model + summary).
+  // publish them; returns the trained window.
   const auto collect = [&] {
     TrainJob job = std::move(jobs.front());
     jobs.pop_front();
@@ -426,10 +371,8 @@ WindowedResult run_windowed_lfo(const trace::Trace& trace,
     if (config.retrain || !cache.has_model()) {
       LFO_COUNTER_INC("lfo_train_jobs_total");
       std::packaged_task<TrainedWindow()> train(
-          [window, &config, window_index, serving = cache.model(),
-           baseline = serving_summary] {
-            return train_window_task(window, config, window_index, serving,
-                                     baseline);
+          [window, &config, window_index, serving = cache.model()] {
+            return train_window_task(window, config, window_index, serving);
           });
       TrainJob job{train.get_future(), window_index, {}};
       if (pool) {
@@ -447,9 +390,7 @@ WindowedResult run_windowed_lfo(const trace::Trace& trace,
       const auto trained_on = jobs.front().window_index;
       TrainedWindow trained = collect();
       apply_rollout(guard, cache, result, window_index, trained_on,
-                    std::move(trained.result.model),
-                    std::move(trained.result.feature_summary),
-                    candidate_of(trained), serving_summary);
+                    std::move(trained.result.model), candidate_of(trained));
     }
     record_rollout_state(guard, result.windows[window_index]);
     publish_boundary(config, result.windows[window_index]);

@@ -99,9 +99,6 @@ struct PipelineStats {
   /// Training jobs submitted but not yet collected when this window
   /// started serving.
   std::uint32_t queue_depth = 0;
-  /// Windows between this window's recording and its model's activation
-  /// (== swap_lag when the model was activated; 0 when it never was).
-  std::uint32_t training_lag_windows = 0;
   /// Wall-clock this window's training ran concurrently with request
   /// serving (before the pipeline blocked on its result, if ever).
   /// Always 0 for inline training (train_threads == 0).
@@ -153,12 +150,6 @@ struct WindowedResult {
   cache::CacheStats overall;
   std::uint64_t bypassed = 0;
 };
-
-/// The rollout guard's view of one training run: train accuracy and the
-/// model-vs-OPT admit shares from its in-sample confusion. Drift and
-/// serving accuracy stay unknown (-1); the windowed driver fills them in
-/// when it has a serving model to compare against.
-RolloutCandidate candidate_of(const TrainResult& result);
 
 /// Drive a trace through LFO's record -> derive OPT -> train -> serve
 /// loop. The cache state and feature history persist across windows; only

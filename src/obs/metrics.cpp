@@ -48,9 +48,9 @@ double LatencyHistogram::bucket_upper_seconds(std::size_t i) {
 
 double LatencyHistogram::quantile(double q) const {
   const auto total = count();
-  // NaN for "no observations", matching util::Percentiles: a 0.0
-  // latency estimate from an empty histogram is indistinguishable from
-  // a real sub-nanosecond measurement. Exporters map it to JSON null.
+  // NaN for "no observations": a 0.0 latency estimate from an empty
+  // histogram is indistinguishable from a real sub-nanosecond
+  // measurement. Exporters map it to JSON null.
   if (total == 0) return std::numeric_limits<double>::quiet_NaN();
   q = std::clamp(q, 0.0, 1.0);
   const double target = q * static_cast<double>(total - 1);

@@ -62,8 +62,8 @@ class LatencyHistogram {
   /// Inclusive upper bound of bucket i, in seconds.
   static double bucket_upper_seconds(std::size_t i);
   /// Streaming quantile estimate in seconds; q clamped to [0,1].
-  /// Returns quiet NaN when no observations were recorded (matching
-  /// util::Percentiles); the JSONL exporter maps that to null.
+  /// Returns quiet NaN when no observations were recorded; the JSONL
+  /// exporter maps that to null.
   double quantile(double q) const;
   void reset();
 

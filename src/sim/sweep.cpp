@@ -6,75 +6,47 @@
 #include "opt/opt.hpp"
 #include "sim/simulator.hpp"
 #include "util/csv.hpp"
-#include "util/logging.hpp"
 
 namespace lfo::sim {
 
 std::vector<HrcPoint> sweep_hit_ratio_curves(const trace::Trace& trace,
-                                             const SweepConfig& config) {
-  std::vector<HrcPoint> points;
+                                             const SweepConfig& config,
+                                             util::ThreadPool* pool) {
+  std::vector<HrcPoint> points;  // one job per point, filled in by run()
   const auto unique = trace.unique_bytes();
   for (const double fraction : config.cache_fractions) {
     const auto cache_size = std::max<std::uint64_t>(
         1, static_cast<std::uint64_t>(static_cast<double>(unique) *
                                       fraction));
     for (const auto& name : config.policies) {
-      auto policy = cache::make_policy(name, cache_size, config.seed);
-      const auto r = simulate_policy(*policy, trace);
-      points.push_back({name, cache_size, fraction, r.bhr, r.ohr});
+      points.push_back({name, cache_size, fraction});
     }
-    if (config.include_opt) {
+    if (config.include_opt) points.push_back({"OPT", cache_size, fraction});
+  }
+
+  const auto run = [&](std::size_t i) {
+    auto& point = points[i];
+    if (point.policy == "OPT") {
       opt::OptConfig oc;
-      oc.cache_size = cache_size;
+      oc.cache_size = point.cache_size;
       oc.mode = opt::OptMode::kGreedyPacking;
       const auto d = opt::compute_opt(
           std::span<const trace::Request>(trace.requests()), oc);
-      points.push_back({"OPT", cache_size, fraction, d.bhr, d.ohr});
-    }
-    util::log_info("hrc sweep: finished fraction ", fraction);
-  }
-  return points;
-}
-
-std::vector<HrcPoint> sweep_hit_ratio_curves_parallel(
-    const trace::Trace& trace, const SweepConfig& config,
-    util::ThreadPool& pool) {
-  struct Job {
-    std::string policy;  // empty = OPT bound
-    std::uint64_t cache_size = 0;
-    double fraction = 0.0;
-  };
-  std::vector<Job> jobs;
-  const auto unique = trace.unique_bytes();
-  for (const double fraction : config.cache_fractions) {
-    const auto cache_size = std::max<std::uint64_t>(
-        1, static_cast<std::uint64_t>(static_cast<double>(unique) *
-                                      fraction));
-    for (const auto& name : config.policies) {
-      jobs.push_back({name, cache_size, fraction});
-    }
-    if (config.include_opt) jobs.push_back({"", cache_size, fraction});
-  }
-
-  // One pre-sized slot per job: tasks never touch shared state, so the
-  // parallel sweep is deterministic and race-free by construction.
-  std::vector<HrcPoint> points(jobs.size());
-  pool.parallel_for(jobs.size(), [&](std::size_t i) {
-    const auto& job = jobs[i];
-    if (job.policy.empty()) {
-      opt::OptConfig oc;
-      oc.cache_size = job.cache_size;
-      oc.mode = opt::OptMode::kGreedyPacking;
-      const auto d = opt::compute_opt(
-          std::span<const trace::Request>(trace.requests()), oc);
-      points[i] = {"OPT", job.cache_size, job.fraction, d.bhr, d.ohr};
+      point.bhr = d.bhr;
+      point.ohr = d.ohr;
     } else {
-      auto policy = cache::make_policy(job.policy, job.cache_size,
+      auto policy = cache::make_policy(point.policy, point.cache_size,
                                        config.seed);
       const auto r = simulate_policy(*policy, trace);
-      points[i] = {job.policy, job.cache_size, job.fraction, r.bhr, r.ohr};
+      point.bhr = r.bhr;
+      point.ohr = r.ohr;
     }
-  });
+  };
+  if (pool != nullptr) {
+    pool->parallel_for(points.size(), run);
+  } else {
+    for (std::size_t i = 0; i < points.size(); ++i) run(i);
+  }
   return points;
 }
 

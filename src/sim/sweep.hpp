@@ -32,17 +32,15 @@ struct SweepConfig {
   bool include_opt = true;
 };
 
-/// Replay the trace once per (policy, size) and collect the curves.
+/// Replay the trace once per (policy, size), plus the OPT bound per size,
+/// and collect the curves: for each size, the policies in config order,
+/// then OPT. Each replay is one job with its own output slot; the jobs
+/// share nothing but the read-only trace. With a pool they run as
+/// parallel tasks on it, without one inline in order; the points are
+/// identical either way.
 std::vector<HrcPoint> sweep_hit_ratio_curves(const trace::Trace& trace,
-                                             const SweepConfig& config);
-
-/// Parallel variant: every (policy, size) replay and every OPT bound runs
-/// as an independent task on `pool`. Results are identical to the serial
-/// sweep, in the same order (each task owns one pre-allocated output slot
-/// and policies share nothing but the read-only trace).
-std::vector<HrcPoint> sweep_hit_ratio_curves_parallel(
-    const trace::Trace& trace, const SweepConfig& config,
-    util::ThreadPool& pool);
+                                             const SweepConfig& config,
+                                             util::ThreadPool* pool = nullptr);
 
 /// Emit the sweep as CSV: policy,cache_fraction,cache_bytes,bhr,ohr.
 void write_hrc_csv(std::ostream& os, const std::vector<HrcPoint>& points);

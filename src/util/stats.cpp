@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
-#include <stdexcept>
 
 namespace lfo::util {
 
@@ -45,70 +43,6 @@ double RunningStats::variance() const {
 }
 
 double RunningStats::stddev() const { return std::sqrt(variance()); }
-
-void Percentiles::ensure_sorted_locked() const {
-  if (!sorted_) {
-    std::sort(xs_.begin(), xs_.end());
-    sorted_ = true;
-  }
-}
-
-double Percentiles::quantile_locked(double q) const {
-  if (xs_.empty()) return std::numeric_limits<double>::quiet_NaN();
-  q = std::clamp(q, 0.0, 1.0);
-  const double pos = q * static_cast<double>(xs_.size() - 1);
-  const auto lo = static_cast<std::size_t>(pos);
-  const double frac = pos - static_cast<double>(lo);
-  if (lo + 1 >= xs_.size()) return xs_.back();
-  return xs_[lo] * (1.0 - frac) + xs_[lo + 1] * frac;
-}
-
-double Percentiles::quantile(double q) const {
-  const MutexLock lock(mu_);
-  ensure_sorted_locked();
-  return quantile_locked(q);
-}
-
-std::vector<double> Percentiles::quantiles(
-    std::span<const double> qs) const {
-  const MutexLock lock(mu_);
-  ensure_sorted_locked();
-  std::vector<double> out;
-  out.reserve(qs.size());
-  for (const double q : qs) out.push_back(quantile_locked(q));
-  return out;
-}
-
-Histogram::Histogram(double lo, double hi, std::size_t bins)
-    : lo_(lo), hi_(hi), counts_(bins, 0) {
-  if (bins == 0 || !(lo < hi)) {
-    throw std::invalid_argument("Histogram: need bins > 0 and lo < hi");
-  }
-}
-
-void Histogram::add(double x) {
-  ++total_;
-  if (x < lo_) {
-    ++underflow_;
-    return;
-  }
-  if (x >= hi_) {
-    ++overflow_;
-    return;
-  }
-  const double t = (x - lo_) / (hi_ - lo_);
-  auto idx = static_cast<std::ptrdiff_t>(t * static_cast<double>(counts_.size()));
-  // Clamp guards the floating-point edge case where t * bins rounds up
-  // to bins even though x < hi.
-  idx = std::clamp<std::ptrdiff_t>(idx, 0,
-                                   static_cast<std::ptrdiff_t>(counts_.size()) - 1);
-  ++counts_[static_cast<std::size_t>(idx)];
-}
-
-double Histogram::bin_lo(std::size_t i) const {
-  return lo_ + (hi_ - lo_) * static_cast<double>(i) /
-                   static_cast<double>(counts_.size());
-}
 
 void BinaryConfusion::add(bool predicted, bool actual) {
   if (predicted && actual) ++tp_;

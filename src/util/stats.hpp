@@ -3,10 +3,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <span>
-#include <vector>
-
-#include "util/thread_annotations.hpp"
 
 namespace lfo::util {
 
@@ -33,79 +29,6 @@ class RunningStats {
   double m2_ = 0.0;
   double min_ = 0.0;
   double max_ = 0.0;
-};
-
-/// Collects samples and answers percentile queries. Stores all samples;
-/// intended for experiment result series (thousands of points), not for
-/// per-request hot paths.
-///
-/// Thread safety: all members (including concurrent add + quantile) are
-/// safe to call from multiple threads. The lazy re-sort that quantile()
-/// performs happens under an internal lock — it used to mutate the
-/// sample vector from a const method unguarded, so two concurrent
-/// readers could sort the same vector at once and read torn data. The
-/// lock discipline is compiler-checked: the samples are LFO_GUARDED_BY
-/// the internal mutex and the _locked helpers declare LFO_REQUIRES.
-class Percentiles {
- public:
-  void add(double x) {
-    const MutexLock lock(mu_);
-    xs_.push_back(x);
-    sorted_ = false;  // new sample invalidates any previous sort
-  }
-  std::size_t count() const {
-    const MutexLock lock(mu_);
-    return xs_.size();
-  }
-  bool empty() const { return count() == 0; }
-
-  /// q in [0,1]; linear interpolation between order statistics.
-  /// Returns quiet NaN when no samples were added — a real measurement
-  /// of 0.0 and "no data" used to be indistinguishable (both returned
-  /// 0.0), which silently corrupted aggregated result tables.
-  double quantile(double q) const;
-  /// Batch query: one sort, one lock acquisition for all of `qs`.
-  std::vector<double> quantiles(std::span<const double> qs) const;
-  double median() const { return quantile(0.5); }
-
- private:
-  /// Sorts the samples if a new add() invalidated them.
-  void ensure_sorted_locked() const LFO_REQUIRES(mu_);
-  /// Pre: samples sorted (call ensure_sorted_locked() first).
-  double quantile_locked(double q) const LFO_REQUIRES(mu_);
-
-  mutable Mutex mu_;
-  mutable std::vector<double> xs_ LFO_GUARDED_BY(mu_);
-  mutable bool sorted_ LFO_GUARDED_BY(mu_) = false;
-};
-
-/// Fixed-bin histogram over [lo, hi). Values outside the range land in
-/// dedicated underflow/overflow counters instead of silently inflating
-/// the edge bins, so a mis-sized range is visible in the data.
-class Histogram {
- public:
-  Histogram(double lo, double hi, std::size_t bins);
-
-  void add(double x);
-  std::size_t bin_count(std::size_t i) const { return counts_.at(i); }
-  std::size_t bins() const { return counts_.size(); }
-  /// Samples below lo / at-or-above hi, respectively.
-  std::size_t underflow() const { return underflow_; }
-  std::size_t overflow() const { return overflow_; }
-  /// All samples ever added, in-range or not.
-  std::size_t total() const { return total_; }
-  /// total() minus the out-of-range samples.
-  std::size_t in_range() const { return total_ - underflow_ - overflow_; }
-  double bin_lo(std::size_t i) const;
-  double bin_hi(std::size_t i) const { return bin_lo(i + 1); }
-
- private:
-  double lo_;
-  double hi_;
-  std::vector<std::size_t> counts_;
-  std::size_t underflow_ = 0;
-  std::size_t overflow_ = 0;
-  std::size_t total_ = 0;
 };
 
 /// Confusion-matrix accumulator for binary classifiers; reports the

@@ -48,11 +48,18 @@ TEST(AsyncPipeline, StressManyWindowsDeepQueue) {
     EXPECT_GE(w.pipeline.wait_seconds, 0.0);
     EXPECT_GT(w.train_seconds, 0.0) << "window " << w.index;
   }
-  // Every activated model waited out exactly swap_lag windows.
+  // Every model waited out exactly swap_lag windows: the one trained on
+  // window i activates at boundary i + swap_lag, and no boundary before
+  // the first model's activates anything.
+  for (std::size_t i = 0; i < config.swap_lag; ++i) {
+    EXPECT_EQ(result.windows[i].rollout.decision,
+              core::RolloutDecision::kNone)
+        << "window " << i;
+  }
   for (std::size_t i = 0; i + config.swap_lag + 1 < result.windows.size();
        ++i) {
-    EXPECT_EQ(result.windows[i].pipeline.training_lag_windows,
-              config.swap_lag)
+    EXPECT_EQ(result.windows[i + config.swap_lag].rollout.decision,
+              core::RolloutDecision::kActivated)
         << "window " << i;
   }
 }
@@ -86,7 +93,8 @@ TEST(AsyncPipeline, SingleWindowTrace) {
   const auto result = core::run_windowed_lfo(trace, config);
   ASSERT_EQ(result.windows.size(), 1u);
   EXPECT_GT(result.windows[0].train_seconds, 0.0);
-  EXPECT_EQ(result.windows[0].pipeline.training_lag_windows, 0u);
+  EXPECT_EQ(result.windows[0].rollout.decision,
+            core::RolloutDecision::kNone);
 }
 
 TEST(AsyncPipeline, InlineTrainingNeverOverlapsServing) {

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <sstream>
+#include <stdexcept>
 #include <vector>
 
 #include "core/lfo_cache.hpp"
@@ -224,6 +226,151 @@ TEST(TrainOnWindow, EmptyWindowThrows) {
   EXPECT_THROW(train_on_window({}, config), std::invalid_argument);
 }
 
+TEST(TrainOnWindow, ScoresTheServingModelOnItsOwnRows) {
+  const auto t = trace::generate_zipf_trace(16000, 600, 1.0, 63);
+  const auto config = fast_lfo_config(t.unique_bytes() / 6);
+  const auto window0 = t.window(0, 8000);
+  const auto window1 = t.window(8000, 8000);
+  const auto a = train_on_window(window0, config);
+  ASSERT_NE(a.model, nullptr);
+  EXPECT_EQ(a.model->training_summary().rows, window0.size());
+
+  const auto b = train_on_window(window1, config, a.model.get());
+  ASSERT_NE(b.model, nullptr);
+
+  // The serving model, scored on the job's own rows, agrees count for
+  // count with a separate replay of the window.
+  ASSERT_TRUE(b.serving_confusion.has_value());
+  const auto replayed = evaluate_predictions(*a.model, window1, b.opt,
+                                             config.cache_size, config.cutoff);
+  EXPECT_EQ(b.serving_confusion->tp(), replayed.tp());
+  EXPECT_EQ(b.serving_confusion->fp(), replayed.fp());
+  EXPECT_EQ(b.serving_confusion->fn(), replayed.fn());
+  EXPECT_EQ(b.serving_confusion->tn(), replayed.tn());
+  EXPECT_EQ(b.candidate.serving_accuracy, replayed.accuracy());
+
+  // Drift is scored against the baseline the serving model carries.
+  ASSERT_TRUE(b.drift.has_value());
+  const auto drift = obs::feature_drift(a.model->training_summary(),
+                                        b.model->training_summary());
+  EXPECT_EQ(b.drift->mean_score, drift.mean_score);
+  EXPECT_EQ(b.drift->max_score, drift.max_score);
+  EXPECT_EQ(b.drift->worst_feature, drift.worst_feature);
+  EXPECT_EQ(b.candidate.feature_drift, drift.mean_score);
+
+  // The in-sample figures: the booster's own confusion on the window's
+  // dataset, and the admit shares derived from it.
+  features::DatasetBuildOptions build;
+  build.features = config.features;
+  build.cache_size = config.cache_size;
+  const auto train = gbdt::confusion(
+      b.model->booster(), features::build_dataset(window1, b.opt, build),
+      config.cutoff);
+  const auto total = static_cast<double>(train.total());
+  EXPECT_EQ(b.train_confusion.tp(), train.tp());
+  EXPECT_EQ(b.train_confusion.fp(), train.fp());
+  EXPECT_EQ(b.train_confusion.fn(), train.fn());
+  EXPECT_EQ(b.train_confusion.tn(), train.tn());
+  EXPECT_EQ(b.candidate.train_accuracy, train.accuracy());
+  EXPECT_EQ(b.candidate.model_admit_share,
+            static_cast<double>(train.tp() + train.fp()) / total);
+  EXPECT_EQ(b.candidate.opt_admit_share,
+            static_cast<double>(train.tp() + train.fn()) / total);
+  EXPECT_FALSE(b.candidate.train_failed);
+}
+
+TEST(TrainOnWindow, WithoutServingModelDriftAndServingAccuracyAreUnknown) {
+  const auto t = trace::generate_zipf_trace(6000, 300, 1.0, 64);
+  const auto config = fast_lfo_config(t.unique_bytes() / 6);
+  const auto result =
+      train_on_window(std::span<const Request>(t.requests()), config);
+  EXPECT_FALSE(result.serving_confusion.has_value());
+  EXPECT_FALSE(result.drift.has_value());
+  EXPECT_EQ(result.candidate.feature_drift, -1.0);
+  EXPECT_EQ(result.candidate.serving_accuracy, -1.0);
+  EXPECT_EQ(result.candidate.train_accuracy, result.train_accuracy);
+}
+
+TEST(TrainOnWindow, RejectsServingModelOfAnotherSchema) {
+  const auto t = trace::generate_zipf_trace(2000, 100, 1.0, 65);
+  const auto config = fast_lfo_config(t.unique_bytes() / 6);
+  auto dense = config.features;
+  dense.thin_gaps = false;
+  const auto serving = small_object_model(dense, 100.0f);
+  EXPECT_THROW(train_on_window(std::span<const Request>(t.requests()),
+                               config, serving.get()),
+               std::invalid_argument);
+}
+
+TEST(TrainOnWindow, LoadedServingModelGivesAccuracyButNoDrift) {
+  // The training summary is not persisted: a loaded model still scores
+  // the window, but its drift is unknown.
+  const auto t = trace::generate_zipf_trace(12000, 400, 1.0, 66);
+  const auto config = fast_lfo_config(t.unique_bytes() / 6);
+  const auto a = train_on_window(t.window(0, 6000), config);
+  std::stringstream file;
+  a.model->save(file);
+  const auto loaded = LfoModel::load(file);
+  EXPECT_EQ(loaded.training_summary().rows, 0u);
+
+  const auto window1 = t.window(6000, 6000);
+  const auto from_trained = train_on_window(window1, config, a.model.get());
+  const auto from_loaded = train_on_window(window1, config, &loaded);
+  ASSERT_TRUE(from_loaded.serving_confusion.has_value());
+  EXPECT_EQ(from_loaded.candidate.serving_accuracy,
+            from_trained.candidate.serving_accuracy);
+  EXPECT_GE(from_loaded.candidate.serving_accuracy, 0.0);
+  EXPECT_FALSE(from_loaded.drift.has_value());
+  EXPECT_EQ(from_loaded.candidate.feature_drift, -1.0);
+  EXPECT_TRUE(from_trained.drift.has_value());
+}
+
+TEST(TrainOnWindow, ServingModelDoesNotChangeTheTrainedModel) {
+  // Scoring the serving model reads the dataset only: the new model, its
+  // labels and its in-sample figures are the same with or without it.
+  const auto t = trace::generate_zipf_trace(12000, 500, 0.9, 67);
+  const auto config = fast_lfo_config(t.unique_bytes() / 8);
+  const auto a = train_on_window(t.window(0, 6000), config);
+  const auto window1 = t.window(6000, 6000);
+  const auto alone = train_on_window(window1, config);
+  const auto scored = train_on_window(window1, config, a.model.get());
+  EXPECT_EQ(alone.opt.cached, scored.opt.cached);
+  EXPECT_EQ(alone.train_accuracy, scored.train_accuracy);
+  EXPECT_EQ(alone.candidate.model_admit_share,
+            scored.candidate.model_admit_share);
+  features::DatasetBuildOptions build;
+  build.features = config.features;
+  build.cache_size = config.cache_size;
+  const auto dataset = features::build_dataset(window1, alone.opt, build);
+  for (std::size_t i = 0; i < dataset.num_rows(); ++i) {
+    ASSERT_EQ(alone.model->predict(dataset.row(i)),
+              scored.model->predict(dataset.row(i)))
+        << "row " << i;
+  }
+}
+
+TEST(TrainOnWindow, TrainingSummaryDescribesTheWindowsRows) {
+  const auto t = trace::generate_zipf_trace(5000, 300, 1.0, 68);
+  const auto config = fast_lfo_config(t.unique_bytes() / 6);
+  const std::span<const Request> window(t.requests());
+  const auto result = train_on_window(window, config);
+  features::DatasetBuildOptions build;
+  build.features = config.features;
+  build.cache_size = config.cache_size;
+  const auto dataset = features::build_dataset(window, result.opt, build);
+  const auto expected = obs::summarize_rows(dataset.features_matrix(),
+                                            dataset.num_features());
+  const auto& summary = result.model->training_summary();
+  EXPECT_EQ(summary.rows, expected.rows);
+  EXPECT_EQ(summary.mean, expected.mean);
+  EXPECT_EQ(summary.stddev, expected.stddev);
+  // A hand-built model carries no baseline.
+  EXPECT_EQ(small_object_model(small_config(), 100.0f)
+                ->training_summary()
+                .rows,
+            0u);
+}
+
 TEST(EvaluatePredictions, PerfectModelHasZeroError) {
   // Evaluate the trained model against the same OPT labels in-sample: the
   // confusion accuracy must equal the training accuracy.
@@ -234,6 +381,42 @@ TEST(EvaluatePredictions, PerfectModelHasZeroError) {
   const auto confusion = evaluate_predictions(
       *result.model, reqs, result.opt, config.cache_size, config.cutoff);
   EXPECT_NEAR(confusion.accuracy(), result.train_accuracy, 1e-9);
+}
+
+TEST(WindowedRunner, ReportsTheJobsServingScoreAndDrift) {
+  // With swap_lag 0 and every model activated, window k is served by the
+  // model trained on window k-1: its prediction error and drift are that
+  // model's score and baseline, exactly as train_on_window reports them.
+  const auto t = trace::generate_zipf_trace(12000, 500, 1.0, 69);
+  WindowedConfig config;
+  config.lfo = fast_lfo_config(t.unique_bytes() / 6);
+  config.window_size = 4000;
+  const auto result = run_windowed_lfo(t, config);
+  ASSERT_EQ(result.windows.size(), 3u);
+
+  std::shared_ptr<const LfoModel> serving;
+  for (std::size_t k = 0; k < result.windows.size(); ++k) {
+    const auto& report = result.windows[k];
+    ASSERT_EQ(report.rollout.decision, RolloutDecision::kActivated) << k;
+    const auto trained = train_on_window(
+        t.window(report.begin, report.length), config.lfo, serving.get());
+    if (serving == nullptr) {
+      EXPECT_EQ(report.prediction_error, -1.0);
+      EXPECT_EQ(report.health.feature_drift, -1.0);
+    } else {
+      EXPECT_EQ(report.prediction_error,
+                1.0 - trained.serving_confusion->accuracy())
+          << k;
+      EXPECT_EQ(report.health.false_positive_share,
+                trained.serving_confusion->false_positive_share())
+          << k;
+      EXPECT_EQ(report.health.feature_drift, trained.drift->mean_score) << k;
+      EXPECT_EQ(report.health.max_feature_drift, trained.drift->max_score)
+          << k;
+    }
+    EXPECT_EQ(report.train_accuracy, trained.train_accuracy) << k;
+    serving = trained.model;
+  }
 }
 
 TEST(WindowedRunner, RunsAllWindowsAndImprovesOverBootstrap) {

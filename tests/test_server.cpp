@@ -32,6 +32,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cerrno>
+#include <cmath>
 #include <chrono>
 #include <cstdint>
 #include <cstring>
@@ -223,6 +224,32 @@ TEST(ShardedRollout, FallbackEngagesOnRejectionStormAndRecovers) {
   EXPECT_EQ(recovered(), 1u);
   EXPECT_EQ(rejected(), budget);
   EXPECT_EQ(fallbacks(), 1u);
+}
+
+TEST(ShardedRollout, ServingAccuracyGateJudgesTheTrainedCandidate) {
+  // train_on_window scores the model it is given as serving, so the
+  // server path's serving-accuracy gate sees a real figure.
+  const auto trace = golden_trace("web");
+  const auto config = golden_config();
+  const auto a = core::train_on_window(trace.window(0, 5000), config);
+  const auto b = core::train_on_window(trace.window(5000, 5000), config,
+                                       a.model.get());
+  EXPECT_EQ(a.candidate.serving_accuracy, -1.0);
+  ASSERT_GT(b.candidate.serving_accuracy, 0.0);
+
+  const double at = b.candidate.serving_accuracy;
+  for (const double min_serving_accuracy : {at, std::nextafter(at, 2.0)}) {
+    auto sconfig = one_shard_config(config.cache_size, config.features);
+    sconfig.rollout.min_serving_accuracy = min_serving_accuracy;
+    server::ShardedLfoCache cache(sconfig);
+    // The first candidate had nothing serving: its accuracy is unknown,
+    // which passes the gate.
+    ASSERT_TRUE(cache.install_candidate(a.candidate, a.model).activate);
+    const auto verdict = cache.install_candidate(b.candidate, b.model);
+    EXPECT_EQ(verdict.activate, min_serving_accuracy == at)
+        << verdict.reason;
+    EXPECT_TRUE(cache.has_model());
+  }
 }
 
 TEST(ShardedRollout, MismatchedSchemaIsRefusedAndChangesNothing) {

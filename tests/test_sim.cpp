@@ -7,6 +7,9 @@
 #include <cmath>
 #include <map>
 #include <sstream>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "core/windowed.hpp"
 #include "sim/sweep.hpp"
@@ -28,6 +31,24 @@ TEST(Sweep, ProducesAllRequestedPoints) {
     EXPECT_LE(p.bhr, 1.0);
     EXPECT_GT(p.cache_size, 0u);
   }
+}
+
+TEST(Sweep, PointsListPoliciesThenOptPerSize) {
+  const auto t = trace::generate_zipf_trace(3000, 200, 0.9, 104);
+  sim::SweepConfig config;
+  config.policies = {"GDSF", "LRU"};
+  config.cache_fractions = {0.2, 0.05};
+  const auto points = sim::sweep_hit_ratio_curves(t, config);
+  const std::vector<std::pair<std::string, double>> expected{
+      {"GDSF", 0.2}, {"LRU", 0.2}, {"OPT", 0.2},
+      {"GDSF", 0.05}, {"LRU", 0.05}, {"OPT", 0.05}};
+  ASSERT_EQ(points.size(), expected.size());
+  for (std::size_t i = 0; i < points.size(); ++i) {
+    EXPECT_EQ(points[i].policy, expected[i].first) << i;
+    EXPECT_EQ(points[i].cache_fraction, expected[i].second) << i;
+  }
+  config.include_opt = false;
+  EXPECT_EQ(sim::sweep_hit_ratio_curves(t, config).size(), 4u);
 }
 
 TEST(Sweep, CurvesAreMonotoneInCacheSize) {

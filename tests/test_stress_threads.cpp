@@ -170,7 +170,7 @@ TEST(SweepStress, ParallelSweepMatchesSerialSweep) {
   const auto serial = lfo::sim::sweep_hit_ratio_curves(trace, config);
   ThreadPool pool(4);
   const auto parallel =
-      lfo::sim::sweep_hit_ratio_curves_parallel(trace, config, pool);
+      lfo::sim::sweep_hit_ratio_curves(trace, config, &pool);
 
   ASSERT_EQ(serial.size(), parallel.size());
   for (std::size_t i = 0; i < serial.size(); ++i) {
@@ -197,8 +197,8 @@ TEST(SweepStress, ConcurrentSweepsShareNothing) {
       pool.parallel_for(64, [&noise](std::size_t) { ++noise; });
     }
   });
-  const auto a = lfo::sim::sweep_hit_ratio_curves_parallel(trace, config, pool);
-  const auto b = lfo::sim::sweep_hit_ratio_curves_parallel(trace, config, pool);
+  const auto a = lfo::sim::sweep_hit_ratio_curves(trace, config, &pool);
+  const auto b = lfo::sim::sweep_hit_ratio_curves(trace, config, &pool);
   noisy.join();
 
   ASSERT_EQ(a.size(), b.size());

@@ -117,30 +117,6 @@ TEST(RunningStats, EmptyIsZero) {
   EXPECT_EQ(stats.variance(), 0.0);
 }
 
-TEST(Percentiles, QuantilesInterpolate) {
-  Percentiles p;
-  for (int i = 1; i <= 100; ++i) p.add(i);
-  EXPECT_DOUBLE_EQ(p.quantile(0.0), 1.0);
-  EXPECT_DOUBLE_EQ(p.quantile(1.0), 100.0);
-  EXPECT_NEAR(p.median(), 50.5, 1e-9);
-  EXPECT_NEAR(p.quantile(0.9), 90.1, 1e-9);
-}
-
-TEST(Histogram, BinsAndOutOfRange) {
-  Histogram h(0.0, 10.0, 10);
-  h.add(0.5);
-  h.add(9.5);
-  h.add(-100.0);  // below lo: counted as underflow, not bin 0
-  h.add(100.0);   // at/above hi: counted as overflow, not the last bin
-  EXPECT_EQ(h.bin_count(0), 1u);
-  EXPECT_EQ(h.bin_count(9), 1u);
-  EXPECT_EQ(h.underflow(), 1u);
-  EXPECT_EQ(h.overflow(), 1u);
-  EXPECT_EQ(h.total(), 4u);
-  EXPECT_EQ(h.in_range(), 2u);
-  EXPECT_DOUBLE_EQ(h.bin_lo(3), 3.0);
-}
-
 TEST(BinaryConfusion, RatesAndShares) {
   BinaryConfusion c;
   c.add(true, true);    // tp

@@ -3,11 +3,7 @@
 
 #include <gtest/gtest.h>
 
-#include <array>
 #include <cmath>
-#include <set>
-#include <thread>
-#include <vector>
 
 #include "util/logging.hpp"
 #include "util/rng.hpp"
@@ -45,88 +41,6 @@ TEST(RunningStatsMore, SingleSampleVarianceIsZero) {
   EXPECT_EQ(s.stddev(), 0.0);
   EXPECT_DOUBLE_EQ(s.min(), 42.0);
   EXPECT_DOUBLE_EQ(s.max(), 42.0);
-}
-
-TEST(PercentilesMore, SingleValue) {
-  Percentiles p;
-  p.add(7.0);
-  EXPECT_DOUBLE_EQ(p.median(), 7.0);
-  EXPECT_DOUBLE_EQ(p.quantile(0.0), 7.0);
-  EXPECT_DOUBLE_EQ(p.quantile(1.0), 7.0);
-}
-
-// An empty collector must signal "no data" rather than report a value
-// that could pass for a real measurement.
-TEST(PercentilesMore, EmptyReturnsNaN) {
-  Percentiles p;
-  EXPECT_TRUE(p.empty());
-  EXPECT_TRUE(std::isnan(p.median()));
-  EXPECT_TRUE(std::isnan(p.quantile(0.0)));
-  EXPECT_TRUE(std::isnan(p.quantile(1.0)));
-  const std::array<double, 2> qs{0.25, 0.75};
-  for (const double v : p.quantiles(qs)) EXPECT_TRUE(std::isnan(v));
-  p.add(0.0);
-  EXPECT_FALSE(p.empty());
-  EXPECT_DOUBLE_EQ(p.median(), 0.0);  // a real 0.0 is still reportable
-}
-
-TEST(PercentilesMore, AddAfterQueryStillSorts) {
-  Percentiles p;
-  p.add(3.0);
-  EXPECT_DOUBLE_EQ(p.median(), 3.0);
-  p.add(1.0);
-  p.add(2.0);
-  EXPECT_DOUBLE_EQ(p.median(), 2.0);
-}
-
-// Regression: quantile() used to lazily sort the sample vector from a
-// const method without synchronisation, so two threads issuing read-only
-// queries against the same (logically immutable) collector raced on the
-// in-place std::sort. Run under TSan this test fails on the old code.
-TEST(PercentilesMore, ConcurrentConstQuantileIsSafe) {
-  Percentiles p;
-  for (int i = 1000; i > 0; --i) p.add(static_cast<double>(i));
-  const Percentiles& view = p;
-  std::vector<std::thread> readers;
-  std::array<double, 8> medians{};
-  readers.reserve(medians.size());
-  for (std::size_t t = 0; t < medians.size(); ++t) {
-    readers.emplace_back(
-        [&view, &medians, t] { medians[t] = view.median(); });
-  }
-  for (auto& r : readers) r.join();
-  for (const double m : medians) EXPECT_DOUBLE_EQ(m, 500.5);
-}
-
-TEST(PercentilesMore, BatchQuantilesMatchSingleQueries) {
-  Percentiles p;
-  for (int i = 0; i < 100; ++i) p.add(static_cast<double>(i));
-  const std::array<double, 3> qs{0.1, 0.5, 0.9};
-  const auto batch = p.quantiles(qs);
-  ASSERT_EQ(batch.size(), qs.size());
-  for (std::size_t i = 0; i < qs.size(); ++i) {
-    EXPECT_DOUBLE_EQ(batch[i], p.quantile(qs[i]));
-  }
-}
-
-TEST(HistogramMore, RejectsBadConstruction) {
-  EXPECT_THROW(Histogram(0.0, 0.0, 10), std::invalid_argument);
-  EXPECT_THROW(Histogram(1.0, 0.0, 10), std::invalid_argument);
-  EXPECT_THROW(Histogram(0.0, 1.0, 0), std::invalid_argument);
-}
-
-TEST(HistogramMore, OutOfRangeBoundaries) {
-  Histogram h(0.0, 10.0, 10);
-  h.add(0.0);    // lo is inclusive: first bin
-  h.add(10.0);   // hi is exclusive: overflow
-  h.add(9.999);  // just under hi: last bin
-  h.add(-1e-9);  // just under lo: underflow
-  EXPECT_EQ(h.bin_count(0), 1u);
-  EXPECT_EQ(h.bin_count(9), 1u);
-  EXPECT_EQ(h.underflow(), 1u);
-  EXPECT_EQ(h.overflow(), 1u);
-  EXPECT_EQ(h.total(), 4u);
-  EXPECT_EQ(h.in_range(), 2u);
 }
 
 TEST(BinaryConfusionMore, DegenerateAllPositive) {

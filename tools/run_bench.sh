@@ -33,10 +33,10 @@ JOBS="$(nproc 2>/dev/null || echo 2)"
 TARGET="bench_fig7_throughput"
 JSON_OUT="BENCH_fig7.json"
 BENCH_NAME="fig7 throughput"
-# Engine columns every fig7 run must emit: bench_diff fails loudly if a
-# run silently stops reporting one instead of the key just vanishing from
-# the diff.
-REQUIRE_KEYS="flat_single_preds_per_sec,flat_single_chained_ns_per_request"
+# Engine columns and learning-loop seconds every fig7 run must emit:
+# bench_diff fails loudly if a run silently stops reporting one instead of
+# the key just vanishing from the diff.
+REQUIRE_KEYS="flat_single_preds_per_sec,flat_single_chained_ns_per_request,pipeline_serial_s_per_window"
 EXTRA_ARGS=()
 for arg in "$@"; do
   case "$arg" in
