@@ -25,7 +25,6 @@
 #include "core/windowed.hpp"
 #include "features/dataset_builder.hpp"
 #include "obs/exporters.hpp"
-#include "obs/flight_recorder.hpp"
 #include "obs/metrics.hpp"
 #include "obs/telemetry_server.hpp"
 #include "obs/trace_span.hpp"
@@ -344,20 +343,16 @@ int main(int argc, char** argv) {
 
   // --- Live telemetry overhead: the obs-on async pipeline again, now
   // with an in-process TelemetryServer being scraped at 1 Hz
-  // (/metrics + /stats?history) and a FlightRecorder capturing one
-  // frame per window boundary. Scrape handlers are pure registry
-  // reads, so decisions must match the unscraped obs-on run and the
-  // wall-clock delta must stay under 2%.
+  // (/metrics + /stats). Scrape handlers are pure registry reads, so
+  // decisions must match the unscraped obs-on run and the wall-clock
+  // delta must stay under 2%.
   double scraped_secs = 0.0;
   double scrape_overhead_pct = 0.0;
   bool telemetry_same_decisions = false;
   std::uint64_t scrape_count = 0;
   {
     obs::set_tracing_enabled(true);
-    obs::FlightRecorder recorder(256);
-    obs::TelemetryServerConfig tconfig;
-    tconfig.flight_recorder = &recorder;
-    obs::TelemetryServer server(std::move(tconfig));
+    obs::TelemetryServer server({});
     if (!server.start()) {
       std::cout << "# telemetry server failed to start: "
                 << server.last_error() << '\n';
@@ -369,8 +364,7 @@ int main(int argc, char** argv) {
           if (!obs::fetch_local(server.port(), "/metrics").empty()) {
             scrapes.fetch_add(1, std::memory_order_relaxed);
           }
-          if (!obs::fetch_local(server.port(), "/stats?history=16")
-                   .empty()) {
+          if (!obs::fetch_local(server.port(), "/stats").empty()) {
             scrapes.fetch_add(1, std::memory_order_relaxed);
           }
           // 1 Hz cadence, polling the stop flag so shutdown is prompt.
@@ -381,14 +375,10 @@ int main(int argc, char** argv) {
           }
         }
       });
-      auto scraped_config = wconfig;
-      scraped_config.flight_recorder = &recorder;
       core::WindowedResult scraped_result;
       for (std::uint64_t rep = 0; rep < obs_repeats; ++rep) {
         obs::clear_trace();
-        recorder.clear();
-        auto [secs, r] =
-            timed_pipeline(pipe_trace, scraped_config, train_threads);
+        auto [secs, r] = timed_pipeline(pipe_trace, wconfig, train_threads);
         if (rep == 0 || secs < scraped_secs) scraped_secs = secs;
         scraped_result = std::move(r);
       }
@@ -410,9 +400,7 @@ int main(int argc, char** argv) {
       std::cout << "# identical decisions (scraped vs unscraped): "
                 << (telemetry_same_decisions ? "yes" : "NO (bug)")
                 << "; scrapes served: " << scrape_count
-                << "; recorder frames: " << recorder.size()
-                << " (windows: " << scraped_result.windows.size()
-                << "); acceptance: overhead < 2%\n";
+                << "; acceptance: overhead < 2%\n";
     }
   }
 

@@ -11,48 +11,69 @@
 //
 // --obs-port starts the loopback telemetry server (0 = ephemeral port;
 // the bound port is printed) serving /metrics, /stats, /healthz, /vars
-// and /trace for the duration of the run. --obs-linger keeps the
-// process (and the endpoints) alive for SECONDS after the simulation
-// finishes, so `curl` has something to talk to.
+// and /trace for the duration of the run. /healthz answers 503 while the
+// rollout guard is in heuristic fallback (the lfo_rollout_state gauge,
+// set at every window boundary), the rule the cache server applies.
+// --obs-linger keeps the process (and the endpoints) alive for SECONDS
+// after the simulation finishes, so `curl` has something to talk to.
+// A malformed value prints the usage line and exits 2.
 
 #include <chrono>
 #include <iomanip>
 #include <iostream>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <thread>
 
 #include "cache/factory.hpp"
+#include "core/rollout.hpp"
 #include "core/windowed.hpp"
-#include "sim/telemetry.hpp"
+#include "obs/metrics.hpp"
+#include "obs/telemetry_server.hpp"
 #include "trace/generator.hpp"
 #include "trace/trace_stats.hpp"
 #include "util/strings.hpp"
+
+namespace {
+
+int usage() {
+  std::cerr << "usage: cdn_server_simulation [--requests=N] [--seed=S]"
+               " [--obs-port=P] [--obs-linger=SECONDS]\n";
+  return 2;
+}
+
+}  // namespace
 
 int main(int argc, char** argv) {
   using namespace lfo;
 
   std::uint64_t num_requests = 240000;
   std::uint64_t seed = 7;
-  bool obs_enabled = false;
-  std::uint64_t obs_port = 0;
+  std::optional<std::uint16_t> obs_port;
   std::uint64_t obs_linger = 0;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg.rfind("--requests=", 0) == 0) {
-      num_requests = *util::parse_uint(arg.substr(11));
+      const auto value = util::parse_uint(arg.substr(11));
+      // At least one request per window (eight windows).
+      if (!value || *value < 8) return usage();
+      num_requests = *value;
     } else if (arg.rfind("--seed=", 0) == 0) {
-      seed = *util::parse_uint(arg.substr(7));
+      const auto value = util::parse_uint(arg.substr(7));
+      if (!value) return usage();
+      seed = *value;
     } else if (arg.rfind("--obs-port=", 0) == 0) {
-      obs_enabled = true;
-      obs_port = *util::parse_uint(arg.substr(11));
+      const auto value = util::parse_uint(arg.substr(11));
+      if (!value || *value > 65535) return usage();
+      obs_port = static_cast<std::uint16_t>(*value);
     } else if (arg.rfind("--obs-linger=", 0) == 0) {
-      obs_linger = *util::parse_uint(arg.substr(13));
+      const auto value = util::parse_uint(arg.substr(13));
+      if (!value) return usage();
+      obs_linger = *value;
     } else {
-      std::cerr << "usage: cdn_server_simulation [--requests=N] [--seed=S]"
-                   " [--obs-port=P] [--obs-linger=SECONDS]\n";
-      return 2;
+      return usage();
     }
   }
 
@@ -81,14 +102,22 @@ int main(int argc, char** argv) {
   lfo_config.lfo.set_cache_size(cache_size);
   lfo_config.window_size = num_requests / 8;
 
-  std::unique_ptr<sim::TelemetrySession> telemetry;
-  if (obs_enabled) {
-    telemetry = std::make_unique<sim::TelemetrySession>(
-        static_cast<std::uint16_t>(obs_port));
-    telemetry->wire(lfo_config);
+  std::unique_ptr<obs::TelemetryServer> telemetry;
+  if (obs_port) {
+    obs::TelemetryServerConfig tconfig;
+    tconfig.port = *obs_port;
+    tconfig.health = [] {
+      const auto state = static_cast<core::RolloutState>(static_cast<int>(
+          obs::MetricsRegistry::instance().gauge("lfo_rollout_state").value()));
+      obs::HealthStatus health;
+      health.serving = state != core::RolloutState::kFallback;
+      health.detail = core::to_string(state);
+      return health;
+    };
+    telemetry = std::make_unique<obs::TelemetryServer>(std::move(tconfig));
     if (!telemetry->start()) {
-      std::cerr << "telemetry: failed to start: "
-                << telemetry->server().last_error() << '\n';
+      std::cerr << "telemetry: failed to start: " << telemetry->last_error()
+                << '\n';
       return 1;
     }
     // Parsed by tools/obs_smoke.sh — keep the format stable.

@@ -7,6 +7,9 @@
 //   make_trace out.bin --format=binary --requests=500000
 //   make_trace out.txt --mix=zipf --objects=10000 --alpha=1.0
 //   make_trace out.txt --drift --flash-crowd
+//
+// A malformed value or an unknown option prints the usage line and
+// exits 2.
 
 #include <iostream>
 #include <string>
@@ -16,15 +19,21 @@
 #include "trace/trace_stats.hpp"
 #include "util/strings.hpp"
 
+namespace {
+
+int usage() {
+  std::cerr << "usage: make_trace OUT_FILE [--requests=N] [--seed=N] "
+               "[--format=text|binary] [--mix=production|zipf] "
+               "[--objects=N] [--alpha=A] [--drift] [--flash-crowd]\n";
+  return 2;
+}
+
+}  // namespace
+
 int main(int argc, char** argv) {
   using namespace lfo;
 
-  if (argc < 2) {
-    std::cerr << "usage: make_trace OUT_FILE [--requests=N] [--seed=N] "
-                 "[--format=text|binary] [--mix=production|zipf] "
-                 "[--objects=N] [--alpha=A] [--drift] [--flash-crowd]\n";
-    return 2;
-  }
+  if (argc < 2) return usage();
   const std::string out_path = argv[1];
   std::uint64_t requests = 200000;
   std::uint64_t seed = 1;
@@ -38,24 +47,31 @@ int main(int argc, char** argv) {
   for (int i = 2; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg.rfind("--requests=", 0) == 0) {
-      requests = *util::parse_uint(arg.substr(11));
+      const auto value = util::parse_uint(arg.substr(11));
+      if (!value) return usage();
+      requests = *value;
     } else if (arg.rfind("--seed=", 0) == 0) {
-      seed = *util::parse_uint(arg.substr(7));
+      const auto value = util::parse_uint(arg.substr(7));
+      if (!value) return usage();
+      seed = *value;
     } else if (arg.rfind("--format=", 0) == 0) {
       format = arg.substr(9);
     } else if (arg.rfind("--mix=", 0) == 0) {
       mix = arg.substr(6);
     } else if (arg.rfind("--objects=", 0) == 0) {
-      objects = *util::parse_uint(arg.substr(10));
+      const auto value = util::parse_uint(arg.substr(10));
+      if (!value) return usage();
+      objects = *value;
     } else if (arg.rfind("--alpha=", 0) == 0) {
-      alpha = *util::parse_double(arg.substr(8));
+      const auto value = util::parse_double(arg.substr(8));
+      if (!value) return usage();
+      alpha = *value;
     } else if (arg == "--drift") {
       drift = true;
     } else if (arg == "--flash-crowd") {
       flash_crowd = true;
     } else {
-      std::cerr << "unknown option: " << arg << '\n';
-      return 2;
+      return usage();
     }
   }
 

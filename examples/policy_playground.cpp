@@ -6,7 +6,8 @@
 //   policy_playground --policy=GDSF           # one policy
 //   policy_playground --trace=reqs.txt --cache-mb=64 --policy=all
 //
-// Text trace format: "object size [cost]" per line, '#' comments.
+// Text trace format: "object size [cost]" per line, '#' comments. A
+// malformed value or an unknown option prints the usage line and exits 2.
 
 #include <algorithm>
 #include <iostream>
@@ -18,6 +19,19 @@
 #include "trace/io.hpp"
 #include "trace/trace_stats.hpp"
 #include "util/strings.hpp"
+
+namespace {
+
+int usage() {
+  std::cerr << "usage: policy_playground [--trace=FILE] [--policy=NAME|"
+               "all] [--cache-mb=N] [--requests=N] [--seed=N]\n"
+               "known policies:";
+  for (const auto& name : lfo::cache::policy_names()) std::cerr << ' ' << name;
+  std::cerr << '\n';
+  return 2;
+}
+
+}  // namespace
 
 int main(int argc, char** argv) {
   using namespace lfo;
@@ -36,18 +50,19 @@ int main(int argc, char** argv) {
     } else if (arg.rfind("--policy=", 0) == 0) {
       policy = value(9);
     } else if (arg.rfind("--cache-mb=", 0) == 0) {
-      cache_mb = *util::parse_uint(value(11));
+      const auto parsed = util::parse_uint(value(11));
+      if (!parsed) return usage();
+      cache_mb = *parsed;
     } else if (arg.rfind("--requests=", 0) == 0) {
-      requests = *util::parse_uint(value(11));
+      const auto parsed = util::parse_uint(value(11));
+      if (!parsed) return usage();
+      requests = *parsed;
     } else if (arg.rfind("--seed=", 0) == 0) {
-      seed = *util::parse_uint(value(7));
+      const auto parsed = util::parse_uint(value(7));
+      if (!parsed) return usage();
+      seed = *parsed;
     } else {
-      std::cerr << "usage: policy_playground [--trace=FILE] [--policy=NAME|"
-                   "all] [--cache-mb=N] [--requests=N] [--seed=N]\n"
-                   "known policies:";
-      for (const auto& name : cache::policy_names()) std::cerr << ' ' << name;
-      std::cerr << '\n';
-      return 2;
+      return usage();
     }
   }
 

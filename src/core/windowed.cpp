@@ -9,7 +9,6 @@
 #include <stdexcept>
 #include <utility>
 
-#include "obs/flight_recorder.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace_span.hpp"
 #include "util/check.hpp"
@@ -173,11 +172,9 @@ void fill_training_report(WindowReport& report, const TrainedWindow& trained,
 }
 
 /// Boundary k, for window k: publish the serve-side gauges and the
-/// guard's post-boundary state, then record the flight-recorder frame.
-/// apply_rollout has already counted this boundary's decision, so the
-/// frame's counter deltas are exactly window k's contribution.
-void publish_boundary(const WindowedConfig& config,
-                      const WindowReport& report) {
+/// guard's post-boundary state (apply_rollout has already counted this
+/// boundary's decision).
+void publish_boundary(const WindowReport& report) {
   LFO_COUNTER_INC("lfo_windows_total");
   LFO_GAUGE_SET("lfo_window_bhr", report.bhr);
   LFO_GAUGE_SET("lfo_window_ohr", report.ohr);
@@ -186,9 +183,6 @@ void publish_boundary(const WindowedConfig& config,
   }
   LFO_GAUGE_SET("lfo_rollout_state",
                 static_cast<double>(static_cast<int>(report.rollout.state)));
-  if (config.flight_recorder != nullptr) {
-    config.flight_recorder->record("window", report.index);
-  }
 }
 
 /// Window k's training was collected: publish its training and
@@ -209,26 +203,6 @@ void publish_training(const WindowReport& report) {
     LFO_HISTOGRAM_OBSERVE_SECONDS("lfo_opt_seconds", report.opt_seconds);
     LFO_HISTOGRAM_OBSERVE_SECONDS("lfo_train_seconds",
                                   report.train_seconds);
-  }
-}
-
-/// Hand a complete report to the user's hook.
-void call_window_hook(const WindowedConfig& config,
-                      const WindowReport& report) {
-  if (!config.window_hook) return;
-  // The header's contract says the hook must not throw: enforce it. An
-  // unwinding hook would abandon the pipeline mid-flight with training
-  // jobs still queued, so fail fast with the offending window instead.
-  try {
-    config.window_hook(report);
-  } catch (const std::exception& e) {
-    LFO_CHECK(false) << "WindowedConfig::window_hook threw for window "
-                     << report.index
-                     << " (contract: must not throw): " << e.what();
-  } catch (...) {
-    LFO_CHECK(false) << "WindowedConfig::window_hook threw a "
-                        "non-std::exception for window "
-                     << report.index << " (contract: must not throw)";
   }
 }
 
@@ -314,8 +288,6 @@ WindowedResult run_windowed_lfo(const trace::Trace& trace,
   // queue too — the collection schedule must not depend on training
   // outcomes — and are rejected by the guard when they surface.
   std::deque<TrainJob> jobs;
-  // First window whose report has not been handed to window_hook yet.
-  std::size_t next_hook = 0;
 
   // Block on the oldest job, fill its window's training diagnostics and
   // publish them; returns the trained window.
@@ -339,16 +311,6 @@ WindowedResult run_windowed_lfo(const trace::Trace& trace,
     publish_training(report);
     return trained;
   };
-  // Windows complete in window order: a window's report is done once
-  // every job up to it has been collected.
-  const auto call_ready_hooks = [&] {
-    const std::size_t ready =
-        jobs.empty() ? result.windows.size() : jobs.front().window_index;
-    for (; next_hook < ready; ++next_hook) {
-      call_window_hook(config, result.windows[next_hook]);
-    }
-  };
-
   std::size_t window_index = 0;
   for (std::size_t begin = 0; begin < trace.size();
        begin += config.window_size) {
@@ -366,26 +328,23 @@ WindowedResult run_windowed_lfo(const trace::Trace& trace,
     serve_window(cache, window, report, previous);
     result.windows.push_back(report);
 
-    // Train on the window just served (unless retraining is disabled
-    // and a model already serves).
-    if (config.retrain || !cache.has_model()) {
-      LFO_COUNTER_INC("lfo_train_jobs_total");
-      std::packaged_task<TrainedWindow()> train(
-          [window, &config, window_index, serving = cache.model()] {
-            return train_window_task(window, config, window_index, serving);
-          });
-      TrainJob job{train.get_future(), window_index, {}};
-      if (pool) {
-        pool->submit([train = std::move(train)]() mutable {
-          LFO_TRACE_THREAD_LABEL("train");
-          train();
+    // Train on the window just served.
+    LFO_COUNTER_INC("lfo_train_jobs_total");
+    std::packaged_task<TrainedWindow()> train(
+        [window, &config, window_index, serving = cache.model()] {
+          return train_window_task(window, config, window_index, serving);
         });
-      } else {
+    TrainJob job{train.get_future(), window_index, {}};
+    if (pool) {
+      pool->submit([train = std::move(train)]() mutable {
+        LFO_TRACE_THREAD_LABEL("train");
         train();
-      }
-      job.submitted = Clock::now();
-      jobs.push_back(std::move(job));
+      });
+    } else {
+      train();
     }
+    job.submitted = Clock::now();
+    jobs.push_back(std::move(job));
     if (jobs.size() > config.swap_lag) {
       const auto trained_on = jobs.front().window_index;
       TrainedWindow trained = collect();
@@ -393,17 +352,13 @@ WindowedResult run_windowed_lfo(const trace::Trace& trace,
                     std::move(trained.result.model), candidate_of(trained));
     }
     record_rollout_state(guard, result.windows[window_index]);
-    publish_boundary(config, result.windows[window_index]);
-    call_ready_hooks();
+    publish_boundary(result.windows[window_index]);
     ++window_index;
   }
 
   // Drain jobs whose models never activate (trailing windows): their
   // training diagnostics still land in the reports.
-  while (!jobs.empty()) {
-    collect();
-    call_ready_hooks();
-  }
+  while (!jobs.empty()) collect();
   LFO_CHECK(!pool || pool->pending() == 0u)
       << "pipeline drained but training tasks remain queued";
 

@@ -13,13 +13,7 @@
 #include "obs/model_health.hpp"
 #include "trace/trace.hpp"
 
-namespace lfo::obs {
-class FlightRecorder;
-}  // namespace lfo::obs
-
 namespace lfo::core {
-
-struct WindowReport;
 
 /// Bounded retry for failed training jobs: total attempts are
 /// 1 + kMaxTrainRetries before the window's job counts as failed.
@@ -28,11 +22,9 @@ inline constexpr std::uint32_t kMaxTrainRetries = 2;
 /// Configuration of the sliding-window pipeline (paper Fig 2).
 struct WindowedConfig {
   LfoConfig lfo;
+  /// Requests per window; a model is trained on every window (the
+  /// paper's design).
   std::size_t window_size = 50000;
-  /// Retrain after every window (the paper's design). When false, the
-  /// first trained model is kept for the rest of the trace (ablation:
-  /// quantifies the value of continuous retraining under drift).
-  bool retrain = true;
   /// Deferred activation: the model trained on window t starts serving at
   /// window t+1+swap_lag. A lag of 1 models asynchronous training that
   /// runs while the next window is already being served — the paper's §3
@@ -54,15 +46,6 @@ struct WindowedConfig {
   /// them with ~5x margin on the quiet side (see EXPERIMENTS.md
   /// "Observability"). <= 0 disables the warning.
   double drift_warn_threshold = 0.1;
-  /// Per-window emit hook, invoked from the serving thread once per
-  /// window, in window order, when the window's report is complete:
-  /// after its training job is collected (boundary k + swap_lag, or the
-  /// drain at the end of the trace), so its training and model-health
-  /// fields are filled in (a window that trains nothing under
-  /// retrain = false waits for the windows before it). Must not throw:
-  /// a throwing hook fails fast via LFO_CHECK instead of unwinding
-  /// mid-pipeline. Reading the report cannot change caching decisions.
-  std::function<void(const WindowReport&)> window_hook;
   /// Health-gated model rollout (core::RolloutGuard): freshly trained
   /// models are shadow-scored against the last served window before
   /// activation; failing models are rejected (last-good model keeps
@@ -82,14 +65,6 @@ struct WindowedConfig {
   /// threads when train_threads > 0.
   std::function<bool(std::size_t window_index, std::uint32_t attempt)>
       train_fault;
-  /// Telemetry flight recorder (obs::FlightRecorder): when set, the
-  /// pipeline records one frame per window boundary k, after window k's
-  /// rollout decision and serve-side gauges are published — so frame k's
-  /// rollout counter deltas are exactly window k's decision, at every
-  /// train_threads. Frames precede the window's hook. A pure registry
-  /// read; never changes decisions (verified by the same_decisions
-  /// scrape tests).
-  obs::FlightRecorder* flight_recorder = nullptr;
 };
 
 /// Observability of the retraining pipeline, per window. These fields

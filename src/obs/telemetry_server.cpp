@@ -102,17 +102,6 @@ std::pair<bool, std::string_view> query_param(std::string_view query,
   return {false, {}};
 }
 
-/// Strict non-negative integer parse; returns (ok, value).
-std::pair<bool, std::size_t> parse_size(std::string_view text) {
-  if (text.empty() || text.size() > 9) return {false, 0};
-  std::size_t value = 0;
-  for (const char c : text) {
-    if (c < '0' || c > '9') return {false, 0};
-    value = value * 10 + static_cast<std::size_t>(c - '0');
-  }
-  return {true, value};
-}
-
 }  // namespace
 
 /// One scrape connection: read the request head, write the reply, close.
@@ -341,13 +330,6 @@ HttpResponse TelemetryServer::handle_request(
     return resp;
   }
   if (path == "/stats") {
-    std::size_t history = 0;
-    const auto [has_history, history_text] = query_param(query, "history");
-    if (has_history) {
-      const auto [ok, n] = parse_size(history_text);
-      if (!ok) return bad_request(400, "history must be a small integer");
-      history = n;
-    }
     std::ostringstream body;
     char ts[64];
     std::snprintf(ts, sizeof(ts), "%.17g",
@@ -356,15 +338,7 @@ HttpResponse TelemetryServer::handle_request(
     append_build_info_json(body);
     body << ',';
     append_snapshot_json(body, snapshot());
-    body << ",\"history\":[";
-    if (config_.flight_recorder != nullptr && history > 0) {
-      const auto frames = config_.flight_recorder->history(history);
-      for (std::size_t i = 0; i < frames.size(); ++i) {
-        if (i > 0) body << ',';
-        write_frame_json(body, frames[i]);
-      }
-    }
-    body << "]}";
+    body << '}';
     resp.content_type = "application/json";
     resp.body = body.str();
     return resp;

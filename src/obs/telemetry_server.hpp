@@ -10,7 +10,6 @@
 #include <thread>
 #include <vector>
 
-#include "obs/flight_recorder.hpp"
 #include "obs/metrics.hpp"
 
 /// Marker consumed by tools/lfo_lint.py: the tagged function DEFINITION
@@ -41,9 +40,6 @@ struct TelemetryServerConfig {
   /// TCP port to bind on 127.0.0.1. 0 picks an ephemeral port; read the
   /// actual one back via TelemetryServer::port().
   std::uint16_t port = 0;
-  /// Flight recorder backing `/stats?history=N` and `/trace` context.
-  /// May be null: history queries then return an empty array.
-  FlightRecorder* flight_recorder = nullptr;
   /// Callback behind /healthz. Null means "always serving".
   std::function<HealthStatus()> health = nullptr;
   /// Scrape-time hook: appends series the registry does not hold (facts
@@ -71,12 +67,12 @@ struct TelemetryServerConfig {
 /// locks this down with deliberately slow clients). Endpoints:
 ///
 ///   GET /metrics            Prometheus text exposition (exporters.cpp)
-///   GET /stats[?history=N]  JSON snapshot + last N flight frames
+///   GET /stats              JSON snapshot + build info
 ///   GET /healthz            200/503 from the health callback
 ///   GET /vars?name=<m>      single metric as a bare value
 ///   GET /trace              chrome://tracing JSON dump
 ///
-/// Every handler is a pure registry/recorder read (plus the read-only
+/// Every handler is a pure registry read (plus the read-only
 /// `collect` hook) — serving a scrape can never change a caching
 /// decision (tests/test_telemetry_server.cpp asserts same_decisions with
 /// a live scraper). Binds 127.0.0.1 only:

@@ -4,8 +4,8 @@
 // Shared obs-suite test helpers: a strict mini JSON parser, a Prometheus
 // text-exposition validator, an HTTP response splitter, the golden
 // trace/pipeline fixtures and registry counter deltas — used by
-// test_obs.cpp, test_flight_recorder.cpp, test_telemetry_server.cpp,
-// test_obs_stress.cpp, test_rollout.cpp and test_server.cpp so every
+// test_obs.cpp, test_telemetry_server.cpp, test_obs_stress.cpp,
+// test_rollout.cpp and test_server.cpp so every
 // suite parses formats with the same (deliberately unforgiving) code
 // instead of ad-hoc string matching.
 

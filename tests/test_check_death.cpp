@@ -8,11 +8,8 @@
 #include <unistd.h>
 
 #include <csignal>
-#include <stdexcept>
 #include <string>
 
-#include "core/windowed.hpp"
-#include "trace/generator.hpp"
 #include "util/check.hpp"
 
 namespace {
@@ -124,39 +121,6 @@ TEST(CheckDeath, DcheckOperandEvaluation) {
   EXPECT_EQ(g_evaluations, 0)
       << "disabled LFO_DCHECK must not evaluate its operands";
 #endif
-}
-
-void windowed_run_with_throwing_hook() {
-  const auto trace = lfo::trace::generate_zipf_trace(1200, 100, 0.9, 7);
-  lfo::core::WindowedConfig config;
-  config.lfo.set_cache_size(1 << 20);
-  config.lfo.features.num_gaps = 4;
-  config.lfo.gbdt.num_iterations = 3;
-  config.window_size = 400;
-  config.window_hook = [](const lfo::core::WindowReport& report) {
-    throw std::runtime_error("hook exploded at window " +
-                             std::to_string(report.index));
-  };
-  lfo::core::run_windowed_lfo(trace, config);
-}
-
-// WindowedConfig::window_hook documents a no-throw contract. Before the
-// guard, an exception escaping the hook unwound run_windowed_lfo from an
-// arbitrary window boundary — silently truncating the run (or, in async
-// mode, tearing down the process from a training thread). The pipeline
-// now converts a throwing hook into an LFO_CHECK failure that names the
-// hook and the window instead of unwinding.
-TEST(CheckDeath, ThrowingWindowHookFailsFast) {
-  const auto death = run_in_fork(&windowed_run_with_throwing_hook);
-  EXPECT_TRUE(death.aborted)
-      << "throwing window_hook must abort, not unwind; stderr: "
-      << death.stderr_text;
-  EXPECT_NE(death.stderr_text.find("window_hook"), std::string::npos)
-      << "missing hook name in: " << death.stderr_text;
-  EXPECT_NE(death.stderr_text.find("must not throw"), std::string::npos)
-      << "missing contract text in: " << death.stderr_text;
-  EXPECT_NE(death.stderr_text.find("hook exploded"), std::string::npos)
-      << "missing the hook's own message in: " << death.stderr_text;
 }
 
 #if LFO_DEBUG_CHECKS

@@ -442,19 +442,5 @@ TEST(WindowedRunner, RunsAllWindowsAndImprovesOverBootstrap) {
   }
 }
 
-TEST(WindowedRunner, RetrainOffKeepsFirstModel) {
-  const auto t = trace::generate_zipf_trace(12000, 400, 1.0, 63);
-  WindowedConfig config;
-  config.lfo = fast_lfo_config(t.unique_bytes() / 6);
-  config.window_size = 4000;
-  config.retrain = false;
-  const auto result = run_windowed_lfo(t, config);
-  ASSERT_EQ(result.windows.size(), 3u);
-  // Only the first window trains.
-  EXPECT_GT(result.windows[0].train_accuracy, 0.0);
-  EXPECT_EQ(result.windows[1].train_accuracy, 0.0);
-  EXPECT_EQ(result.windows[2].train_accuracy, 0.0);
-}
-
 }  // namespace
 }  // namespace lfo::core

@@ -148,24 +148,4 @@ TEST(PipelineDeterminism, AsyncIdenticalAcrossPoolSizes) {
   }
 }
 
-TEST(PipelineDeterminism, RetrainDisabledStillMatches) {
-  // retrain=false takes the "train only until a model serves" branch,
-  // whose schedule depends on swap_lag; a training pool must reproduce
-  // it too.
-  const auto trace = trace::generate_zipf_trace(5000, 500, 0.9, 5);
-  for (const std::uint32_t lag : {0u, 1u, 2u}) {
-    auto config = pipeline_config(1 << 21);
-    config.retrain = false;
-    config.swap_lag = lag;
-    config.train_threads = 0;
-    const auto sync = core::run_windowed_lfo(trace, config);
-    for (const std::size_t threads : {1u, 2u, 4u}) {
-      config.train_threads = threads;
-      const auto async = core::run_windowed_lfo(trace, config);
-      EXPECT_TRUE(core::same_decisions(sync, async))
-          << "train_threads=" << threads << " swap_lag=" << lag;
-    }
-  }
-}
-
 }  // namespace

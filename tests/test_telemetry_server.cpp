@@ -1,10 +1,9 @@
-// obs::TelemetryServer + sim::TelemetrySession suite: request routing
-// and malformed-input handling (driven in-process through
-// handle_request_for_test), live socket round-trips over 127.0.0.1,
-// stalled, trickling and surplus peers and accepts out of descriptors
-// against the one-thread event loop, decision-neutrality of serving
-// scrapes during a windowed run, and the acceptance test that
-// /stats?history=20 reproduces the rollout torture timeline over HTTP.
+// obs::TelemetryServer suite: request routing and malformed-input
+// handling (driven in-process through handle_request_for_test), live
+// socket round-trips over 127.0.0.1, stalled, trickling and surplus
+// peers and accepts out of descriptors against the one-thread event
+// loop, and decision-neutrality of serving scrapes during a windowed
+// run.
 
 #include <gtest/gtest.h>
 
@@ -22,22 +21,18 @@
 #include <thread>
 #include <vector>
 
-#include "core/rollout.hpp"
 #include "core/windowed.hpp"
 #include "fd_test_util.hpp"
 #include "obs/build_info.hpp"
 #include "obs/metrics.hpp"
 #include "obs/telemetry_server.hpp"
 #include "obs_test_util.hpp"
-#include "sim/telemetry.hpp"
-#include "trace/generator.hpp"
 #include "util/socket.hpp"
 
 namespace {
 
 using namespace lfo;
 using testutil::JsonParser;
-using testutil::JsonValue;
 using testutil::parse_http_response;
 
 // ------------------------------------------------------- request routing
@@ -63,11 +58,6 @@ TEST(TelemetryRouting, MalformedRequestsGet4xxNotAborts) {
   EXPECT_EQ(handle("GET /vars?name= HTTP/1.1\r\n\r\n").status, 400);
   EXPECT_EQ(handle("GET /vars?name=no_such_metric HTTP/1.1\r\n\r\n").status,
             404);
-  EXPECT_EQ(handle("GET /stats?history=abc HTTP/1.1\r\n\r\n").status, 400);
-  EXPECT_EQ(handle("GET /stats?history=-3 HTTP/1.1\r\n\r\n").status, 400);
-  EXPECT_EQ(
-      handle("GET /stats?history=99999999999999 HTTP/1.1\r\n\r\n").status,
-      400);
 }
 
 TEST(TelemetryRouting, EndpointsAnswerInProcess) {
@@ -88,10 +78,12 @@ TEST(TelemetryRouting, EndpointsAnswerInProcess) {
   ASSERT_TRUE(doc.has_value());
   EXPECT_NE(doc->find("counters"), nullptr);
   EXPECT_NE(doc->find("build_info"), nullptr);
-  const auto* history = doc->find("history");
-  ASSERT_NE(history, nullptr);
-  EXPECT_EQ(history->kind, JsonValue::Kind::kArray);
-  EXPECT_TRUE(history->items.empty()) << "no recorder attached";
+  EXPECT_NE(doc->find("monotonic_seconds"), nullptr);
+  // /stats takes no parameters: a query string is ignored.
+  EXPECT_EQ(server.handle_request_for_test(
+                    "GET /stats?history=abc HTTP/1.1\r\n\r\n")
+                .status,
+            200);
 
   const auto vars = server.handle_request_for_test(
       "GET /vars?name=test_vars_total HTTP/1.1\r\n\r\n");
@@ -125,41 +117,6 @@ TEST(TelemetryRouting, HealthCallbackControlsStatusCode) {
   const auto* detail = doc->find("detail");
   ASSERT_NE(detail, nullptr);
   EXPECT_EQ(detail->text, "rollout fallback");
-}
-
-TEST(TelemetryRouting, StatsHistoryServesRecorderFrames) {
-  obs::FlightRecorder recorder(8);
-  obs::MetricsRegistry::instance()
-      .counter("test_history_total")
-      .reset();
-  obs::MetricsRegistry::instance().counter("test_history_total").add(4);
-  recorder.record("one");
-  obs::MetricsRegistry::instance().counter("test_history_total").add(2);
-  recorder.record("two", 7);
-
-  obs::TelemetryServerConfig config;
-  config.flight_recorder = &recorder;
-  obs::TelemetryServer server(std::move(config));
-  const auto resp = server.handle_request_for_test(
-      "GET /stats?history=5 HTTP/1.1\r\n\r\n");
-  EXPECT_EQ(resp.status, 200);
-  const auto doc = JsonParser(resp.body).parse();
-  ASSERT_TRUE(doc.has_value());
-  const auto* history = doc->find("history");
-  ASSERT_NE(history, nullptr);
-  ASSERT_EQ(history->items.size(), 2u);
-  const auto& second = history->items[1];
-  const auto* label = second.find("label");
-  ASSERT_NE(label, nullptr);
-  EXPECT_EQ(label->text, "two");
-  const auto* window = second.find("window_index");
-  ASSERT_NE(window, nullptr);
-  EXPECT_DOUBLE_EQ(window->number, 7.0);
-  const auto* deltas = second.find("counter_deltas");
-  ASSERT_NE(deltas, nullptr);
-  const auto* step = deltas->find("test_history_total");
-  ASSERT_NE(step, nullptr);
-  EXPECT_DOUBLE_EQ(step->number, 2.0);
 }
 
 // --------------------------------------------------- live socket round-trip
@@ -429,189 +386,37 @@ TEST(TelemetryServer, OversizedRequestHeadGets431) {
 
 // ------------------------------------------------- decision neutrality
 
-TEST(TelemetrySession, ScrapedRunMakesIdenticalDecisions) {
+TEST(TelemetryServer, ScrapedRunMakesIdenticalDecisions) {
   const auto trace = testutil::golden_trace("web");
-  auto bare_config = testutil::golden_lfo_config();
-  const auto bare = core::run_windowed_lfo(trace, bare_config);
+  const auto config = testutil::golden_lfo_config();
+  const auto bare = core::run_windowed_lfo(trace, config);
 
-  sim::TelemetrySession session;
-  auto wired_config = testutil::golden_lfo_config();
-  session.wire(wired_config);
-  ASSERT_TRUE(session.start()) << session.server().last_error();
+  obs::TelemetryServer server({});
+  ASSERT_TRUE(server.start()) << server.last_error();
+  const testutil::CounterDelta windows("lfo_windows_total");
 
   std::atomic<bool> stop{false};
   std::atomic<std::size_t> scrapes{0};
   std::thread scraper([&] {
     while (!stop.load(std::memory_order_acquire)) {
       for (const char* target :
-           {"/metrics", "/stats?history=4", "/healthz", "/trace",
+           {"/metrics", "/stats", "/healthz", "/trace",
             "/vars?name=lfo_windows_total"}) {
-        const auto raw = obs::fetch_local(session.port(), target);
+        const auto raw = obs::fetch_local(server.port(), target);
         if (!raw.empty()) scrapes.fetch_add(1, std::memory_order_relaxed);
       }
     }
   });
-  const auto scraped = core::run_windowed_lfo(trace, wired_config);
+  const auto scraped = core::run_windowed_lfo(trace, config);
   stop.store(true, std::memory_order_release);
   scraper.join();
-  session.stop();
 
   EXPECT_GT(scrapes.load(), 0u) << "scraper never reached the server";
   EXPECT_TRUE(core::same_decisions(bare, scraped))
       << "serving telemetry changed caching decisions";
-  EXPECT_EQ(session.recorder().total_recorded(), scraped.windows.size());
-}
-
-// --------------------------------------- torture timeline over /stats
-
-TEST(TelemetrySession, StatsHistoryReproducesTortureTimelineOverHttp) {
-  trace::GeneratorConfig gen;
-  gen.num_requests = 20000;
-  gen.seed = 303;
-  gen.classes = {trace::web_class(3000)};
-  gen.drift.reshuffle_interval = 5000;
-  gen.drift.reshuffle_fraction = 0.3;
-  gen.drift.flash_crowd_probability = 1.0;
-  gen.drift.flash_crowd_share = 0.3;
-  gen.drift.flash_crowd_duration = 3000;
-  const auto trace = trace::generate_trace(gen);
-
-  core::WindowedConfig config;
-  config.lfo.set_cache_size(4ULL << 20);
-  config.lfo.features.num_gaps = 8;
-  config.lfo.gbdt.num_iterations = 5;
-  config.window_size = 1000;
-  config.swap_lag = 1;
-  config.rollout.min_train_accuracy = 0.0;
-  config.rollout.max_admission_delta = 1.0;
-  config.train_fault = [](std::size_t window_index, std::uint32_t) {
-    return window_index >= 5 && window_index < 10;
-  };
-
-  sim::TelemetrySession session;
-  session.wire(config);
-  ASSERT_TRUE(session.start()) << session.server().last_error();
-
-  obs::MetricsRegistry::instance().reset_all();
-  const auto result = core::run_windowed_lfo(trace, config);
-  ASSERT_EQ(result.windows.size(), 20u);
-
-  const auto raw =
-      obs::fetch_local(session.port(), "/stats?history=20");
-  const auto parts = parse_http_response(raw);
-  ASSERT_TRUE(parts.ok);
-  ASSERT_EQ(parts.status, 200);
-  const auto doc = JsonParser(parts.body).parse();
-  ASSERT_TRUE(doc.has_value());
-  const auto* history = doc->find("history");
-  ASSERT_NE(history, nullptr);
-  ASSERT_EQ(history->items.size(), 20u);
-
-  // Reconstruct the decision timeline purely from the HTTP payload.
-  const auto delta_of = [](const JsonValue& frame, const char* name) {
-    const auto* deltas = frame.find("counter_deltas");
-    if (deltas == nullptr) return 0.0;
-    const auto* v = deltas->find(name);
-    return v == nullptr ? 0.0 : v->number;
-  };
-  const auto state_of = [](const JsonValue& frame) {
-    const auto* gauges = frame.find("gauges");
-    if (gauges == nullptr) return -1.0;
-    const auto* v = gauges->find("lfo_rollout_state");
-    return v == nullptr ? -1.0 : v->number;
-  };
-  double activated = 0, rejected = 0, fallbacks = 0, recovered = 0;
-  for (std::size_t i = 0; i < history->items.size(); ++i) {
-    const auto& frame = history->items[i];
-    const auto* window = frame.find("window_index");
-    ASSERT_NE(window, nullptr) << "frame " << i;
-    EXPECT_DOUBLE_EQ(window->number, static_cast<double>(i));
-    EXPECT_DOUBLE_EQ(
-        state_of(frame),
-        static_cast<double>(
-            static_cast<int>(result.windows[i].rollout.state)))
-        << "window " << i;
-    activated += delta_of(frame, "lfo_rollout_activated_total");
-    rejected += delta_of(frame, "lfo_rollout_rejected_total");
-    fallbacks += delta_of(frame, "lfo_rollout_fallback_total");
-    recovered += delta_of(frame, "lfo_rollout_recovered_total");
-  }
-  EXPECT_DOUBLE_EQ(activated, 14.0);
-  EXPECT_DOUBLE_EQ(rejected, 5.0);
-  EXPECT_DOUBLE_EQ(fallbacks, 1.0);
-  EXPECT_DOUBLE_EQ(recovered, 1.0);
-  // The fallback episode sits exactly where the per-window reports put
-  // it: entered at window 8, exited at window 11.
-  EXPECT_DOUBLE_EQ(delta_of(history->items[8], "lfo_rollout_fallback_total"),
-                   1.0);
-  EXPECT_DOUBLE_EQ(state_of(history->items[8]),
-                   static_cast<double>(
-                       static_cast<int>(core::RolloutState::kFallback)));
-  EXPECT_DOUBLE_EQ(
-      delta_of(history->items[11], "lfo_rollout_recovered_total"), 1.0);
-  EXPECT_DOUBLE_EQ(state_of(history->items[11]),
-                   static_cast<double>(
-                       static_cast<int>(core::RolloutState::kServing)));
-
-  // The session's health view tracked the run: the guard recovered (so
-  // fallback no longer gates /healthz), but the flash crowd leaves the
-  // final window's drift warning active — the endpoint must keep saying
-  // 503 for exactly that reason.
-  ASSERT_EQ(result.windows[19].rollout.state, core::RolloutState::kServing);
-  ASSERT_TRUE(result.windows[19].health.drift_warning);
-  const auto health = session.health();
-  EXPECT_FALSE(health.serving);
-  EXPECT_EQ(health.detail, "feature drift warning active");
-  EXPECT_EQ(parse_http_response(
-                obs::fetch_local(session.port(), "/healthz"))
-                .status,
-            503);
-  session.stop();
-}
-
-TEST(TelemetrySession, HealthzGoes503OnFallbackAndDriftWarning) {
-  sim::TelemetrySession session;
-  core::WindowedConfig config;
-  session.wire(config);
-  ASSERT_TRUE(session.start()) << session.server().last_error();
-  EXPECT_TRUE(session.health().serving) << "no window yet: healthy";
-
-  // Drive the chained hook directly with synthetic reports — wire()'s
-  // contract is that the hook mirrors rollout state + drift into the
-  // health view, whatever pipeline produced the report.
-  core::WindowReport report;
-  report.rollout.state = core::RolloutState::kFallback;
-  config.window_hook(report);
-  EXPECT_FALSE(session.health().serving);
-  EXPECT_EQ(parse_http_response(
-                obs::fetch_local(session.port(), "/healthz"))
-                .status,
-            503);
-
-  report.rollout.state = core::RolloutState::kServing;
-  report.health.drift_warning = true;
-  config.window_hook(report);
-  EXPECT_FALSE(session.health().serving) << "drift warning must gate";
-
-  report.health.drift_warning = false;
-  config.window_hook(report);
-  EXPECT_TRUE(session.health().serving);
-  EXPECT_EQ(parse_http_response(
-                obs::fetch_local(session.port(), "/healthz"))
-                .status,
-            200);
-  session.stop();
-}
-
-TEST(TelemetrySession, WireChainsTheCallersHook) {
-  sim::TelemetrySession session;
-  core::WindowedConfig config;
-  int calls = 0;
-  config.window_hook = [&calls](const core::WindowReport&) { ++calls; };
-  session.wire(config);
-  core::WindowReport report;
-  config.window_hook(report);
-  EXPECT_EQ(calls, 1) << "caller's hook must still run after wire()";
+  // Every window boundary was published to the registry the scrapes read.
+  EXPECT_EQ(windows(), scraped.windows.size());
+  server.stop();
 }
 
 }  // namespace

@@ -7,8 +7,13 @@
 #
 # Default binary: ./build/examples/cdn_server_simulation (built by the
 # standard `cmake --build build` invocation). Checks:
+#   argv      — a malformed --requests or an out-of-range --obs-port
+#               prints the usage line and exits 2 (a malformed
+#               --requests too for the make_trace and policy_playground
+#               examples beside the binary)
 #   /metrics  — 200, valid-looking exposition, lfo_build_info present
-#   /stats    — 200, parses as JSON (python3 json module)
+#   /stats    — 200, parses as JSON (python3 json module), and its gauges
+#               carry the per-window lfo_window_bhr and lfo_rollout_state
 #   /healthz  — 200 and "serving":true after a healthy run
 #   /vars     — 200 for a known metric, 404 for an unknown one
 #   malformed — a raw garbage request line gets 400, not a hang/abort
@@ -24,6 +29,23 @@ if [[ ! -x "$BIN" ]]; then
   echo "obs_smoke: binary not found: $BIN (build the examples first)" >&2
   exit 2
 fi
+
+fail() { echo "obs_smoke: FAIL: $*" >&2; exit 1; }
+
+# Bad argv values are refused up front, never parsed into garbage.
+expect_usage() {
+  local code=0
+  timeout 20 "$@" >/dev/null 2>&1 || code=$?
+  [[ "$code" == "2" ]] || fail "$* exited $code, want 2"
+}
+EXAMPLES="$(dirname "$BIN")"
+[[ -x "$EXAMPLES/make_trace" && -x "$EXAMPLES/policy_playground" ]] \
+  || fail "make_trace and policy_playground not built beside $BIN"
+expect_usage "$BIN" --requests=abc
+expect_usage "$BIN" --obs-port=70000
+expect_usage "$EXAMPLES/make_trace" /dev/null --requests=abc
+expect_usage "$EXAMPLES/policy_playground" --requests=abc
+echo "obs_smoke: bad argv values exit 2"
 
 LOG="$(mktemp)"
 trap 'kill "$SIM_PID" 2>/dev/null || true; rm -f "$LOG"' EXIT
@@ -61,8 +83,6 @@ for _ in $(seq 1 100); do
   sleep 0.2
 done
 
-fail() { echo "obs_smoke: FAIL: $*" >&2; exit 1; }
-
 BASE="http://127.0.0.1:$PORT"
 
 METRICS="$(curl -fsS --max-time 5 "$BASE/metrics")" \
@@ -72,12 +92,14 @@ grep -q '^lfo_build_info{revision=' <<<"$METRICS" \
 grep -q '^# TYPE lfo_' <<<"$METRICS" || fail "/metrics missing TYPE lines"
 echo "obs_smoke: /metrics ok ($(wc -l <<<"$METRICS") lines)"
 
-curl -fsS --max-time 5 "$BASE/stats?history=8" | python3 -c '
+curl -fsS --max-time 5 "$BASE/stats" | python3 -c '
 import json, sys
 doc = json.load(sys.stdin)
 assert "build_info" in doc and "counters" in doc, sorted(doc)
-assert isinstance(doc.get("history"), list), "history missing"
-' || fail "/stats?history=8 invalid"
+gauges = doc.get("gauges", {})
+for name in ("lfo_window_bhr", "lfo_rollout_state"):
+    assert name in gauges, name + " missing from /stats gauges"
+' || fail "/stats invalid"
 echo "obs_smoke: /stats ok"
 
 HEALTH_CODE="$(curl -s --max-time 5 -o /tmp/obs_smoke_health.json \

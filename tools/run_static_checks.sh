@@ -122,7 +122,7 @@ fi
 
 if [[ "$SKIP_OBS" -eq 0 ]]; then
   banner "obs: Release build + tier1"
-  release_build lfo_tests cdn_server_simulation
+  release_build lfo_tests cdn_server_simulation make_trace policy_playground
   ctest --test-dir "$RELEASE_DIR" -L tier1 --no-tests=error --output-on-failure -j "$JOBS"
   banner "obs: live telemetry endpoint smoke (tools/obs_smoke.sh)"
   tools/obs_smoke.sh "./$RELEASE_DIR/examples/cdn_server_simulation"
@@ -131,8 +131,7 @@ fi
 if [[ "$SKIP_FAULTS" -eq 0 ]]; then
   banner "fault gate: Release build + ctest -L faults"
   # Every target labeled "faults" in tests/CMakeLists.txt.
-  release_build test_rollout test_adversarial test_flight_recorder \
-                test_telemetry_server
+  release_build test_rollout test_adversarial test_telemetry_server
   # Injected training failures (WindowedConfig::train_fault) must drive
   # the rollout guard through fallback and recovery deterministically,
   # keep BHR at or above the heuristic-only baseline, and — with no
