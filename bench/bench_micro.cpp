@@ -10,6 +10,7 @@
 #include "gbdt/gbdt.hpp"
 #include "opt/opt.hpp"
 #include "trace/generator.hpp"
+#include "trace/scenario.hpp"
 #include "trace/zipf.hpp"
 #include "util/rng.hpp"
 
@@ -75,6 +76,39 @@ BENCHMARK(BM_GbdtTrain)
     ->Arg(20000)
     ->Arg(50000)
     ->Unit(benchmark::kMillisecond);
+
+/// The fit on lfo_bench's wide_churn shape: a 50K-request window of the
+/// production mix at scale 2 with 30% one-hit ids, labelled by greedy
+/// OPT at a 5% cache, with num_gaps = 50 (16 features) and the paper's
+/// GBDT defaults, fitted serially.
+void BM_GbdtTrainWideChurn(benchmark::State& state) {
+  static const gbdt::Dataset data = [] {
+    trace::scenario::FloodConfig flood;
+    flood.base.num_requests = 50000;
+    flood.base.seed = 1;
+    flood.base.cost_model = trace::CostModel::kByteHitRatio;
+    flood.base.classes = trace::production_mix(2.0);
+    flood.flood_fraction = 0.3;
+    flood.flood_duration = flood.base.num_requests;
+    const auto trace = trace::scenario::one_hit_flood(flood);
+    core::LfoConfig config;
+    config.set_cache_size(trace.unique_bytes() / 20);
+    config.features.num_gaps = 50;
+    const auto window = trace.window(0, trace.size());
+    features::DatasetBuildOptions build;
+    build.features = config.features;
+    build.cache_size = config.cache_size;
+    return features::build_dataset(
+        window, opt::compute_opt(window, config.opt), build);
+  }();
+  const auto params = gbdt::Params::paper_defaults();
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(gbdt::train(data, params));
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<int64_t>(data.num_rows()));
+}
+BENCHMARK(BM_GbdtTrainWideChurn)->Unit(benchmark::kMillisecond);
 
 /// One trained LFO model shared by the predictor microbenchmarks (GBDT
 /// training is itself benchmarked above; re-training per benchmark would

@@ -275,6 +275,9 @@ struct TrainJob {
 
 WindowedResult run_windowed_lfo(const trace::Trace& trace,
                                 const WindowedConfig& config) {
+  if (config.window_size == 0) {
+    throw std::invalid_argument("run_windowed_lfo: window_size must be > 0");
+  }
   LFO_TRACE_THREAD_LABEL("serve");
   WindowedResult result;
   LfoCache cache(config.lfo.cache_size, config.lfo.features,

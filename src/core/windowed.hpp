@@ -130,6 +130,7 @@ struct WindowedResult {
 /// loop. The cache state and feature history persist across windows; only
 /// the model is swapped at window boundaries. With config.train_threads
 /// > 0 the train side runs on a thread pool overlapped with serving.
+/// Throws std::invalid_argument when config.window_size is 0.
 WindowedResult run_windowed_lfo(const trace::Trace& trace,
                                 const WindowedConfig& config);
 

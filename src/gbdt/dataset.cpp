@@ -114,7 +114,7 @@ void radix_sort_by_key(std::vector<std::uint64_t>& items,
 }  // namespace
 
 BinnedDataset::BinnedDataset(const Dataset& data, std::uint32_t max_bins)
-    : num_rows_(data.num_rows()) {
+    : num_rows_(data.num_rows()), num_features_(data.num_features()) {
   if (max_bins < 2 || max_bins > 256) {
     throw std::invalid_argument("BinnedDataset: max_bins must be in [2,256]");
   }
@@ -140,13 +140,13 @@ BinnedDataset::BinnedDataset(const Dataset& data, std::uint32_t max_bins)
     }
     bins_.push_back(build_bins(distinct, max_bins));
     const auto& bounds = bins_.back().upper_bounds;
-    std::uint8_t* out = binned_.data() + c * num_rows_;
+    std::uint8_t* out = binned_.data() + c;
     std::size_t bin = 0;
     std::size_t d = 0;
     for (std::size_t i = 0; i < sorted.size(); ++i) {
       if (i > 0 && (sorted[i] >> 32) != (sorted[i - 1] >> 32)) ++d;
       while (bin < bounds.size() && bounds[bin] < distinct[d]) ++bin;
-      out[sorted[i] & 0xffffffffu] = static_cast<std::uint8_t>(bin);
+      out[(sorted[i] & 0xffffffffu) * cols] = static_cast<std::uint8_t>(bin);
     }
   }
 }

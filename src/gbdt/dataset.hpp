@@ -33,7 +33,7 @@ class Dataset {
     return {features_.data() + r * num_features_, num_features_};
   }
   std::span<const float> labels() const { return labels_; }
-  /// The whole row-major feature matrix (for batched prediction).
+  /// The whole row-major feature matrix (obs::summarize_rows reads it).
   std::span<const float> features_matrix() const { return features_; }
 
  private:
@@ -53,8 +53,10 @@ struct FeatureBins {
   std::uint32_t bin_for(float value) const;
 };
 
-/// Histogram-binned view of a Dataset: uint8 bin ids, column-major for
-/// cache-friendly histogram construction.
+/// Histogram-binned view of a Dataset: uint8 bin ids, row-major. The
+/// trainer walks a leaf's rows once and adds each row's gradients to
+/// every candidate feature's histogram, so a row's bins are adjacent
+/// bytes (at 16 features, four rows to a 64-byte cache line).
 class BinnedDataset {
  public:
   /// Build quantile bins (at most `max_bins` <= 256 per feature) from the
@@ -63,14 +65,14 @@ class BinnedDataset {
   BinnedDataset(const Dataset& data, std::uint32_t max_bins);
 
   std::size_t num_rows() const { return num_rows_; }
-  std::size_t num_features() const { return bins_.size(); }
+  std::size_t num_features() const { return num_features_; }
   const FeatureBins& feature_bins(std::size_t f) const { return bins_[f]; }
   std::uint8_t bin(std::size_t row, std::size_t col) const {
-    return binned_[col * num_rows_ + row];
+    return binned_[row * num_features_ + col];
   }
-  /// Column view for histogram loops.
-  std::span<const std::uint8_t> column(std::size_t col) const {
-    return {binned_.data() + col * num_rows_, num_rows_};
+  /// Row r's bins, one byte per feature.
+  std::span<const std::uint8_t> row(std::size_t r) const {
+    return {binned_.data() + r * num_features_, num_features_};
   }
   /// The raw threshold value separating bin b from bin b+1 of feature f
   /// (used to emit trees that predict directly from raw floats).
@@ -80,8 +82,9 @@ class BinnedDataset {
 
  private:
   std::size_t num_rows_;
+  std::size_t num_features_;
   std::vector<FeatureBins> bins_;
-  std::vector<std::uint8_t> binned_;  // column-major
+  std::vector<std::uint8_t> binned_;  // row-major
 };
 
 }  // namespace lfo::gbdt

@@ -21,12 +21,10 @@
 namespace lfo::gbdt {
 
 double sigmoid(double x) {
-  if (x >= 0) {
-    const double z = std::exp(-x);
-    return 1.0 / (1.0 + z);
-  }
-  const double z = std::exp(x);
-  return z / (1.0 + z);
+  // exp(-|x|) never overflows; for x < 0 it is exp(x), and z / (1 + z)
+  // is the two-branch form's negative half, bit for bit.
+  const double z = std::exp(-std::abs(x));
+  return (x >= 0 ? 1.0 : z) / (1.0 + z);
 }
 
 Model::Model(double base_score, std::vector<Tree> trees)
@@ -143,7 +141,9 @@ struct FixedPointUnit {
   double unit = 1.0;
   double inverse = 1.0;
 
-  std::int64_t to_fixed(double x) const { return std::llround(x * inverse); }
+  std::int64_t to_fixed(double x) const {
+    return round_half_away(x * inverse);
+  }
   double to_double(std::int64_t sum) const {
     return static_cast<double>(sum) * unit;
   }
@@ -197,7 +197,8 @@ class Trainer {
         rng_(params.seed),
         scores_(data.num_rows(), 0.0),
         gradients_(data.num_rows(), 0.0),
-        hessians_(data.num_rows(), 0.0) {
+        hessians_(data.num_rows(), 0.0),
+        spill_(data.num_rows()) {
     if (params.objective == Objective::kBinaryLogistic) {
       // Base score: log-odds of the positive-label prior.
       double pos = 0.0;
@@ -340,18 +341,21 @@ class Trainer {
     return offsets_[fi + 1] - offsets_[fi];
   }
 
-  /// Histogram of candidate feature `fi` over leaf rows [begin, end).
-  void build_histogram(std::size_t fi, std::size_t begin, std::size_t end,
-                       GradSum* hist) const {
-    std::fill_n(hist, feature_bins(fi), GradSum{});
-    const auto column =
-        binned_.column(static_cast<std::size_t>(features_[fi]));
+  /// Histograms of candidate features [lo, hi) over leaf rows [begin,
+  /// end), into buffer `id`, in one pass over the rows: each row's
+  /// fixed-point g/h is read once and added to every feature's bin, and
+  /// its bins are adjacent bytes. Sums are exact integers, so the order
+  /// rows are added in cannot move a bin.
+  void build_histograms(std::size_t lo, std::size_t hi, std::size_t begin,
+                        std::size_t end, std::uint32_t id) {
+    GradSum* hist = hists_[id].data();
+    std::fill(hist + offsets_[lo], hist + offsets_[hi], GradSum{});
     for (std::size_t i = begin; i < end; ++i) {
       const LeafRow& lr = leaf_rows_[i];
-      GradSum& bin = hist[column[lr.row]];
-      bin.g += lr.g;
-      bin.h += lr.h;
-      bin.count += 1;
+      const auto bins = binned_.row(lr.row);
+      for (std::size_t fi = lo; fi < hi; ++fi) {
+        hist[offsets_[fi] + bins[features_[fi]]] += {lr.g, lr.h, 1};
+      }
     }
   }
 
@@ -398,16 +402,20 @@ class Trainer {
     return best;
   }
 
-  /// Run fn(fi) for every candidate feature, fanned out over the pool when
-  /// a leaf of `rows` rows is big enough.
+  /// Run fn(lo, hi) over contiguous ranges of candidate features that
+  /// cover each feature once: one range per pool worker when a leaf of
+  /// `rows` rows is big enough, else one range.
   template <typename F>
-  void for_each_feature(std::size_t rows, F&& fn) {
-    if (pool_ != nullptr && features_.size() > 1 &&
-        rows * features_.size() >= kParallelSplitMinWork) {
-      pool_->parallel_for(features_.size(), fn);
-    } else {
-      for (std::size_t fi = 0; fi < features_.size(); ++fi) fn(fi);
-    }
+  void for_each_feature_range(std::size_t rows, F&& fn) {
+    const std::size_t n = features_.size();
+    const std::size_t ranges =
+        pool_ != nullptr && rows * n >= kParallelSplitMinWork
+            ? std::min(pool_->size(), n)
+            : 1;
+    if (ranges <= 1) return fn(std::size_t{0}, n);
+    pool_->parallel_for(ranges, [&](std::size_t k) {
+      fn(k * n / ranges, (k + 1) * n / ranges);
+    });
   }
 
   /// The per-feature winners reduced strictly in feature order (strict >
@@ -426,13 +434,15 @@ class Trainer {
   void evaluate_root(LeafTask& root) {
     root.hist = acquire_histogram();
     std::vector<SplitInfo> per_feature(features_.size());
-    for_each_feature(root.end - root.begin, [&](std::size_t fi) {
-      if (feature_bins(fi) < 2) return;  // constant feature
-      GradSum* hist = feature_histogram(root.hist, fi);
-      build_histogram(fi, root.begin, root.end, hist);
-      check_histogram(fi, hist, root.sum, "root");
-      per_feature[fi] = scan_histogram(fi, hist, root.sum);
-    });
+    for_each_feature_range(
+        root.end - root.begin, [&](std::size_t lo, std::size_t hi) {
+          build_histograms(lo, hi, root.begin, root.end, root.hist);
+          for (std::size_t fi = lo; fi < hi; ++fi) {
+            const GradSum* hist = feature_histogram(root.hist, fi);
+            check_histogram(fi, hist, root.sum, "root");
+            per_feature[fi] = scan_histogram(fi, hist, root.sum);
+          }
+        });
     root.best = reduce(per_feature);
   }
 
@@ -449,18 +459,19 @@ class Trainer {
     large.hist = parent_hist;
     std::vector<SplitInfo> small_best(features_.size());
     std::vector<SplitInfo> large_best(features_.size());
-    for_each_feature(small.end - small.begin, [&](std::size_t fi) {
-      const std::uint32_t bins = feature_bins(fi);
-      if (bins < 2) return;  // constant feature
-      GradSum* sh = feature_histogram(small.hist, fi);
-      GradSum* lh = feature_histogram(large.hist, fi);
-      build_histogram(fi, small.begin, small.end, sh);
-      for (std::uint32_t b = 0; b < bins; ++b) lh[b] -= sh[b];
-      check_histogram(fi, sh, small.sum, "built");
-      check_histogram(fi, lh, large.sum, "subtracted sibling");
-      small_best[fi] = scan_histogram(fi, sh, small.sum);
-      large_best[fi] = scan_histogram(fi, lh, large.sum);
-    });
+    for_each_feature_range(
+        small.end - small.begin, [&](std::size_t lo, std::size_t hi) {
+          build_histograms(lo, hi, small.begin, small.end, small.hist);
+          for (std::size_t fi = lo; fi < hi; ++fi) {
+            const GradSum* sh = feature_histogram(small.hist, fi);
+            GradSum* lh = feature_histogram(large.hist, fi);
+            for (std::uint32_t b = 0; b < feature_bins(fi); ++b) lh[b] -= sh[b];
+            check_histogram(fi, sh, small.sum, "built");
+            check_histogram(fi, lh, large.sum, "subtracted sibling");
+            small_best[fi] = scan_histogram(fi, sh, small.sum);
+            large_best[fi] = scan_histogram(fi, lh, large.sum);
+          }
+        });
     small.best = reduce(small_best);
     large.best = reduce(large_best);
   }
@@ -479,6 +490,10 @@ class Trainer {
   Tree grow_tree() {
     const auto rows = sample_rows();
     features_ = sample_features();
+    // A constant feature has one bin and no split.
+    std::erase_if(features_, [&](std::int32_t f) {
+      return binned_.feature_bins(static_cast<std::size_t>(f)).num_bins() < 2;
+    });
     layout_histograms();
     const bool bagged = rows.size() != data_.num_rows();
 
@@ -518,15 +533,21 @@ class Trainer {
           << "split lost gradient mass";
       LFO_DCHECK_EQ(s.left.h + s.right.h, task.sum.h)
           << "split lost hessian mass";
-      // Partition rows of this leaf by the chosen split.
-      const auto column =
-          binned_.column(static_cast<std::size_t>(s.feature));
-      auto mid_it = std::stable_partition(
-          leaf_rows_.begin() + static_cast<std::ptrdiff_t>(task.begin),
-          leaf_rows_.begin() + static_cast<std::ptrdiff_t>(task.end),
-          [&](const LeafRow& lr) { return column[lr.row] <= s.bin; });
-      const auto mid =
-          static_cast<std::size_t>(mid_it - leaf_rows_.begin());
+      // Partition the leaf's rows stably and branch-free: each row goes to
+      // both cursors (left in place, right in spill_); one advances.
+      const auto feature = static_cast<std::size_t>(s.feature);
+      std::size_t mid = task.begin;
+      std::size_t spilled = 0;
+      for (std::size_t i = task.begin; i < task.end; ++i) {
+        const LeafRow lr = leaf_rows_[i];
+        const bool goes_left = binned_.bin(lr.row, feature) <= s.bin;
+        leaf_rows_[mid] = lr;
+        spill_[spilled] = lr;
+        mid += goes_left;
+        spilled += !goes_left;
+      }
+      std::copy_n(spill_.begin(), spilled,
+                  leaf_rows_.begin() + static_cast<std::ptrdiff_t>(mid));
       LFO_DCHECK_EQ(mid - task.begin, s.left.count)
           << "partition disagrees with the split's histogram";
 
@@ -606,7 +627,7 @@ class Trainer {
     }
   }
 
-  /// Minimum rows*features of a leaf before the per-feature fan-out (or
+  /// Minimum rows*features of a leaf before the feature-range fan-out (or
   /// an elementwise loop) is worth the pool's task overhead. Purely a
   /// performance knob: results are identical either way.
   static constexpr std::size_t kParallelSplitMinWork = 8192;
@@ -629,9 +650,11 @@ class Trainer {
   // This round's fixed-point units.
   FixedPointUnit g_unit_;
   FixedPointUnit h_unit_;
-  // Per tree: sampled rows in leaf order, candidate features, and a pool
-  // of histogram buffers (one per open leaf, at most num_leaves).
+  // Per tree: sampled rows in leaf order (and the partition's buffer for
+  // a split's right rows), candidate features, and a pool of histogram
+  // buffers (one per open leaf, at most num_leaves).
   std::vector<LeafRow> leaf_rows_;
+  std::vector<LeafRow> spill_;
   std::vector<std::int32_t> features_;
   std::vector<std::uint32_t> offsets_;
   std::vector<std::vector<GradSum>> hists_;

@@ -98,6 +98,15 @@ Model train(const Dataset& data, const Params& params,
 /// Numerically stable sigmoid.
 double sigmoid(double x);
 
+/// std::llround (halves away from zero) for |x| < 2^63, inlined: the
+/// trainer rounds every gradient to fixed point with it. Truncation to
+/// an integer is exact, and so is the fraction it leaves.
+inline std::int64_t round_half_away(double x) {
+  const auto whole = static_cast<std::int64_t>(x);
+  const double frac = x - static_cast<double>(whole);
+  return whole + (frac >= 0.5) - (frac <= -0.5);
+}
+
 /// Mean logistic loss of the model on a dataset. This and confusion()
 /// compile the model into a FlatForest once per call and score through
 /// the serving walk (bitwise equal to Model::predict_proba).

@@ -442,5 +442,18 @@ TEST(WindowedRunner, RunsAllWindowsAndImprovesOverBootstrap) {
   }
 }
 
+TEST(WindowedRunner, ZeroWindowSizeIsRefused) {
+  // A zero step would serve empty windows forever, one report each.
+  const auto t = trace::generate_zipf_trace(1000, 100, 1.0, 63);
+  WindowedConfig config;
+  config.lfo = fast_lfo_config(t.unique_bytes() / 6);
+  config.window_size = 0;
+  for (const std::size_t threads : {0u, 2u}) {
+    config.train_threads = threads;
+    EXPECT_THROW(run_windowed_lfo(t, config), std::invalid_argument)
+        << "train_threads=" << threads;
+  }
+}
+
 }  // namespace
 }  // namespace lfo::core

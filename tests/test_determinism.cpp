@@ -48,19 +48,25 @@ std::string model_dump(const gbdt::Model& model) {
 }
 
 TEST(GbdtDeterminism, SameModelAtAnyThreadCount) {
-  const auto data = make_dataset(3000, 12, 42);
-  gbdt::Params params;
-  params.num_iterations = 12;
-  params.num_leaves = 15;
-  params.seed = 7;
+  // The pool cuts the candidate features into one contiguous range per
+  // worker. Counts that do not divide 12 or 53 give uneven ranges, and a
+  // range cut that dropped or doubled a feature would move the dump.
+  for (const std::size_t features : {12u, 53u}) {
+    const auto data = make_dataset(3000, features, 42);
+    gbdt::Params params;
+    params.num_iterations = 12;
+    params.num_leaves = 15;
+    params.seed = 7;
 
-  params.num_threads = 1;
-  const auto serial = model_dump(gbdt::train(data, params));
-  for (const std::uint32_t threads : {2u, 8u}) {
-    params.num_threads = threads;
-    const auto parallel = model_dump(gbdt::train(data, params));
-    EXPECT_EQ(serial, parallel)
-        << "model dump drifted at num_threads=" << threads;
+    params.num_threads = 1;
+    const auto serial = model_dump(gbdt::train(data, params));
+    for (const std::uint32_t threads : {2u, 3u, 4u, 8u}) {
+      params.num_threads = threads;
+      const auto parallel = model_dump(gbdt::train(data, params));
+      EXPECT_EQ(serial, parallel) << "model dump drifted at num_threads="
+                                  << threads << ", " << features
+                                  << " features";
+    }
   }
 }
 
@@ -77,7 +83,7 @@ TEST(GbdtDeterminism, SameModelWithSamplingAndEarlyStopping) {
 
   params.num_threads = 1;
   const auto serial = model_dump(gbdt::train(data, params));
-  for (const std::uint32_t threads : {2u, 8u}) {
+  for (const std::uint32_t threads : {2u, 3u, 8u}) {
     params.num_threads = threads;
     EXPECT_EQ(serial, model_dump(gbdt::train(data, params)))
         << "sampled model drifted at num_threads=" << threads;

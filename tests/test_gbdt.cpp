@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <limits>
 #include <sstream>
 #include <vector>
@@ -226,6 +228,32 @@ TEST(BinnedDataset, MatchesSortUniqueReference) {
   }
 }
 
+TEST(BinnedDataset, RowMajorBinsMatchEachColumnBinnedAlone) {
+  // Three columns of different shapes binned together: every row's bins
+  // sit at row(r)[c], and each equals the column's binning on its own.
+  util::Rng rng(22);
+  std::vector<std::vector<float>> columns(3);
+  for (int i = 0; i < 3000; ++i) {
+    columns[0].push_back(static_cast<float>(rng.uniform(7)));
+    columns[1].push_back(static_cast<float>(rng.pareto(1.0, 1.2)));
+    columns[2].push_back(static_cast<float>(rng.uniform01()) - 0.5f);
+  }
+  Dataset d(columns.size());
+  for (std::size_t r = 0; r < columns[0].size(); ++r) {
+    const float row[3] = {columns[0][r], columns[1][r], columns[2][r]};
+    d.add_row(row, 0.0f);
+  }
+  const BinnedDataset binned(d, 64);
+  ASSERT_EQ(binned.num_features(), columns.size());
+  for (std::size_t c = 0; c < columns.size(); ++c) {
+    const auto ref = reference_binning(columns[c], 64);
+    for (std::size_t r = 0; r < d.num_rows(); ++r) {
+      ASSERT_EQ(binned.bin(r, c), ref.bins[r]) << "row " << r << " col " << c;
+      ASSERT_EQ(binned.row(r)[c], binned.bin(r, c));
+    }
+  }
+}
+
 TEST(Tree, SingleLeafPredictsRootValue) {
   Tree t(0.25);
   const float row[1] = {0.0f};
@@ -278,6 +306,83 @@ TEST(Sigmoid, StableAndCorrect) {
   EXPECT_NEAR(sigmoid(-2.0), 1.0 - sigmoid(2.0), 1e-12);
   EXPECT_NEAR(sigmoid(1000.0), 1.0, 1e-12);   // no overflow
   EXPECT_NEAR(sigmoid(-1000.0), 0.0, 1e-12);  // no underflow
+}
+
+/// The two-branch sigmoid the branch-free one replaced.
+double two_branch_sigmoid(double x) {
+  if (x >= 0) {
+    const double z = std::exp(-x);
+    return 1.0 / (1.0 + z);
+  }
+  const double z = std::exp(x);
+  return z / (1.0 + z);
+}
+
+bool same_bits(double a, double b) {
+  return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
+}
+
+TEST(Sigmoid, BranchFreeMatchesTwoBranchReferenceBitwise) {
+  using limits = std::numeric_limits<double>;
+  const double edges[] = {0.0,   -0.0,   limits::denorm_min(),
+                          -limits::denorm_min(), limits::min() / 3,
+                          1e-300, -1e-300, 745.0, -745.0,
+                          745.2, -745.2, 36.8, -36.8,
+                          limits::infinity(), -limits::infinity(),
+                          limits::max(), -limits::max()};
+  for (const double x : edges) {
+    EXPECT_TRUE(same_bits(sigmoid(x), two_branch_sigmoid(x)))
+        << "x=" << x << ": " << sigmoid(x) << " vs "
+        << two_branch_sigmoid(x);
+  }
+  EXPECT_TRUE(std::isnan(sigmoid(limits::quiet_NaN())));
+  EXPECT_TRUE(std::isnan(two_branch_sigmoid(limits::quiet_NaN())));
+
+  util::Rng rng(31);
+  std::size_t mismatches = 0;
+  for (int i = 0; i < 1'000'000; ++i) {
+    // Scores of every scale a boosted model produces, and beyond.
+    const double x = rng.uniform_real(-1.0, 1.0) *
+                     std::ldexp(1.0, static_cast<int>(rng.uniform(24)) - 12);
+    mismatches += !same_bits(sigmoid(x), two_branch_sigmoid(x));
+  }
+  EXPECT_EQ(mismatches, 0u);
+}
+
+TEST(RoundHalfAway, MatchesLlround) {
+  const auto expect_llround = [](double x) {
+    EXPECT_EQ(round_half_away(x), std::llround(x)) << std::hexfloat << x;
+  };
+  const double half_ulp_below = std::nextafter(0.5, 0.0);
+  const double half_ulp_above = std::nextafter(0.5, 1.0);
+  for (const double x :
+       {0.0, -0.0, 0.5, -0.5, 1.5, -1.5, 2.5, -2.5, 1e15 + 0.5,
+        -(1e15 + 0.5), half_ulp_below, -half_ulp_below, half_ulp_above,
+        -half_ulp_above, 1.0 - half_ulp_below, 0x1p52 + 0.5,
+        -(0x1p52 + 0.5), 0x1p52 - 0.5, -(0x1p52 - 0.5), 0x1p51 + 0.5,
+        -(0x1p51 + 0.5), 0x1p53 + 2.0, 0x1p62, -0x1p62,
+        std::nextafter(0x1p63, 0.0), -0x1p63, 1e-320, -1e-320}) {
+    expect_llround(x);
+  }
+  // Every exact tie n + 1/2 over a range of magnitudes.
+  for (std::int64_t n = -1000; n <= 1000; ++n) {
+    expect_llround(static_cast<double>(n) + 0.5);
+  }
+
+  util::Rng rng(32);
+  std::size_t mismatches = 0;
+  for (int i = 0; i < 1'000'000; ++i) {
+    // Magnitudes from 2^-8 to 2^62: the fixed-point values a gradient
+    // of any scale rounds to.
+    double x = rng.uniform_real(-1.0, 1.0) *
+               std::ldexp(1.0, static_cast<int>(rng.uniform(71)) - 8);
+    // A quarter of them exact ties.
+    if (i % 4 == 0 && std::abs(x) < 0x1p52) {
+      x = std::trunc(x) + std::copysign(0.5, x);
+    }
+    mismatches += round_half_away(x) != std::llround(x);
+  }
+  EXPECT_EQ(mismatches, 0u);
 }
 
 TEST(Train, LearnsLinearlySeparableData) {
