@@ -140,7 +140,7 @@ WindowedResult run_windowed_lfo(const trace::Trace& trace,
 /// rollout guard's state / decision / train_failed record. Wall-clock
 /// fields (opt_seconds, train_seconds, PipelineStats) are ignored — they
 /// are the only fields allowed to differ across train_threads (inline
-/// or pooled training) or GBDT thread counts.
+/// or pooled training).
 bool same_decisions(const WindowedResult& a, const WindowedResult& b);
 
 }  // namespace lfo::core

@@ -3,12 +3,10 @@
 #include <algorithm>
 #include <cmath>
 #include <fstream>
-#include <memory>
 #include <numeric>
 #include <ostream>
 #include <queue>
 #include <stdexcept>
-#include <thread>
 #include <utility>
 
 #include "gbdt/flat_forest.hpp"
@@ -16,7 +14,6 @@
 #include "obs/trace_span.hpp"
 #include "util/check.hpp"
 #include "util/rng.hpp"
-#include "util/thread_pool.hpp"
 
 namespace lfo::gbdt {
 
@@ -161,8 +158,12 @@ FixedPointUnit fixed_point_unit(std::span<const double> values) {
   return {std::ldexp(1.0, exp - 62), std::ldexp(1.0, 62 - exp)};
 }
 
+/// LightGBM's default minimum split gain, which the paper keeps (§2.3):
+/// a split is taken only when its gain beats this strictly.
+constexpr double kMinSplitGain = 0.0;
+
 struct SplitInfo {
-  double gain = 0.0;
+  double gain = kMinSplitGain;
   std::int32_t feature = -1;
   std::uint32_t bin = 0;  ///< go left when bin <= this
   GradSum left, right;
@@ -189,10 +190,9 @@ struct GainLess {
 
 class Trainer {
  public:
-  Trainer(const Dataset& data, const Params& params, util::ThreadPool* pool)
+  Trainer(const Dataset& data, const Params& params)
       : data_(data),
         params_(params),
-        pool_(pool),
         binned_(data, kMaxBins),
         rng_(params.seed),
         scores_(data.num_rows(), 0.0),
@@ -219,7 +219,7 @@ class Trainer {
     std::fill(scores_.begin(), scores_.end(), base_score_);
   }
 
-  Model run(TrainLog* log) {
+  Model run() {
     LFO_TRACE_SPAN("gbdt_train");
     std::vector<Tree> trees;
     trees.reserve(params_.num_iterations);
@@ -228,7 +228,6 @@ class Trainer {
       LFO_COUNTER_INC("lfo_gbdt_boost_rounds_total");
       compute_gradients();
       trees.push_back(grow_tree());
-      if (log) log->train_logloss.push_back(current_logloss());
     }
     return Model(base_score_, std::move(trees));
   }
@@ -236,40 +235,21 @@ class Trainer {
  private:
   void compute_gradients() {
     if (params_.objective == Objective::kBinaryLogistic) {
-      run_elementwise(data_.num_rows(), [&](std::size_t r) {
+      for (std::size_t r = 0; r < data_.num_rows(); ++r) {
         const double p = sigmoid(scores_[r]);
         const double y = data_.label(r) > 0.5f ? 1.0 : 0.0;
         gradients_[r] = p - y;
         hessians_[r] = std::max(p * (1.0 - p), 1e-12);
-      });
+      }
     } else {
       // L2: loss = 1/2 (score - y)^2; gradient = residual, hessian = 1.
-      run_elementwise(data_.num_rows(), [&](std::size_t r) {
+      for (std::size_t r = 0; r < data_.num_rows(); ++r) {
         gradients_[r] = scores_[r] - static_cast<double>(data_.label(r));
         hessians_[r] = 1.0;
-      });
+      }
     }
     g_unit_ = fixed_point_unit(gradients_);
     h_unit_ = fixed_point_unit(hessians_);
-  }
-
-  /// Mean loss (logloss or squared error, per objective) over the
-  /// dataset.
-  double current_logloss() const {
-    double loss = 0.0;
-    for (std::size_t r = 0; r < data_.num_rows(); ++r) {
-      if (params_.objective == Objective::kBinaryLogistic) {
-        const double p =
-            std::clamp(sigmoid(scores_[r]), 1e-15, 1.0 - 1e-15);
-        const double y = data_.label(r) > 0.5f ? 1.0 : 0.0;
-        loss -= y * std::log(p) + (1.0 - y) * std::log(1.0 - p);
-      } else {
-        const double d = scores_[r] - static_cast<double>(data_.label(r));
-        loss += 0.5 * d * d;
-      }
-    }
-    // train() refuses an empty dataset.
-    return loss / static_cast<double>(data_.num_rows());
   }
 
   std::vector<std::int32_t> sample_features() {
@@ -341,19 +321,20 @@ class Trainer {
     return offsets_[fi + 1] - offsets_[fi];
   }
 
-  /// Histograms of candidate features [lo, hi) over leaf rows [begin,
-  /// end), into buffer `id`, in one pass over the rows: each row's
-  /// fixed-point g/h is read once and added to every feature's bin, and
-  /// its bins are adjacent bytes. Sums are exact integers, so the order
-  /// rows are added in cannot move a bin.
-  void build_histograms(std::size_t lo, std::size_t hi, std::size_t begin,
-                        std::size_t end, std::uint32_t id) {
+  /// Histograms of every candidate feature over leaf rows [begin, end),
+  /// into buffer `id`, in one pass over the rows: each row's fixed-point
+  /// g/h is read once and added to every feature's bin, and its bins are
+  /// adjacent bytes. Sums are exact integers, so the order rows are added
+  /// in cannot move a bin.
+  void build_histograms(std::size_t begin, std::size_t end,
+                        std::uint32_t id) {
     GradSum* hist = hists_[id].data();
-    std::fill(hist + offsets_[lo], hist + offsets_[hi], GradSum{});
+    const std::size_t features = features_.size();
+    std::fill(hist, hist + offsets_[features], GradSum{});
     for (std::size_t i = begin; i < end; ++i) {
       const LeafRow& lr = leaf_rows_[i];
       const auto bins = binned_.row(lr.row);
-      for (std::size_t fi = lo; fi < hi; ++fi) {
+      for (std::size_t fi = 0; fi < features; ++fi) {
         hist[offsets_[fi] + bins[features_[fi]]] += {lr.g, lr.h, 1};
       }
     }
@@ -374,13 +355,12 @@ class Trainer {
 #endif
   }
 
-  /// Best split of candidate feature `fi` for a leaf with totals `sum`
-  /// and histogram `hist`. Reads only that histogram, so features can be
-  /// scanned concurrently.
-  SplitInfo scan_histogram(std::size_t fi, const GradSum* hist,
-                           const GradSum& sum) const {
-    SplitInfo best;
-    best.gain = kMinSplitGain;
+  /// Improve `best` with the splits of candidate feature `fi` for a leaf
+  /// with totals `sum` and histogram `hist`. Features are scanned in
+  /// order and strict > keeps the first of equal gains, so the chosen
+  /// split is the first (feature, bin) with the leaf's highest gain.
+  void scan_histogram(std::size_t fi, const GradSum* hist,
+                      const GradSum& sum, SplitInfo& best) const {
     const double parent_obj = objective(sum);
     GradSum left;
     for (std::uint32_t b = 0; b + 1 < feature_bins(fi); ++b) {
@@ -399,51 +379,17 @@ class Trainer {
         best.right = right;
       }
     }
-    return best;
-  }
-
-  /// Run fn(lo, hi) over contiguous ranges of candidate features that
-  /// cover each feature once: one range per pool worker when a leaf of
-  /// `rows` rows is big enough, else one range.
-  template <typename F>
-  void for_each_feature_range(std::size_t rows, F&& fn) {
-    const std::size_t n = features_.size();
-    const std::size_t ranges =
-        pool_ != nullptr && rows * n >= kParallelSplitMinWork
-            ? std::min(pool_->size(), n)
-            : 1;
-    if (ranges <= 1) return fn(std::size_t{0}, n);
-    pool_->parallel_for(ranges, [&](std::size_t k) {
-      fn(k * n / ranges, (k + 1) * n / ranges);
-    });
-  }
-
-  /// The per-feature winners reduced strictly in feature order (strict >
-  /// keeps the first of equal gains), so the chosen split, tie-breaks
-  /// included, is identical at any thread count.
-  SplitInfo reduce(std::span<const SplitInfo> per_feature) const {
-    SplitInfo best;
-    best.gain = kMinSplitGain;
-    for (const auto& s : per_feature) {
-      if (s.valid() && s.gain > best.gain) best = s;
-    }
-    return best;
   }
 
   /// Build the root's histogram and find its best split.
   void evaluate_root(LeafTask& root) {
     root.hist = acquire_histogram();
-    std::vector<SplitInfo> per_feature(features_.size());
-    for_each_feature_range(
-        root.end - root.begin, [&](std::size_t lo, std::size_t hi) {
-          build_histograms(lo, hi, root.begin, root.end, root.hist);
-          for (std::size_t fi = lo; fi < hi; ++fi) {
-            const GradSum* hist = feature_histogram(root.hist, fi);
-            check_histogram(fi, hist, root.sum, "root");
-            per_feature[fi] = scan_histogram(fi, hist, root.sum);
-          }
-        });
-    root.best = reduce(per_feature);
+    build_histograms(root.begin, root.end, root.hist);
+    for (std::size_t fi = 0; fi < features_.size(); ++fi) {
+      const GradSum* hist = feature_histogram(root.hist, fi);
+      check_histogram(fi, hist, root.sum, "root");
+      scan_histogram(fi, hist, root.sum, root.best);
+    }
   }
 
   /// Give the children of a split their histograms and best splits. The
@@ -457,23 +403,16 @@ class Trainer {
     LeafTask& large = left_smaller ? right : left;
     small.hist = acquire_histogram();
     large.hist = parent_hist;
-    std::vector<SplitInfo> small_best(features_.size());
-    std::vector<SplitInfo> large_best(features_.size());
-    for_each_feature_range(
-        small.end - small.begin, [&](std::size_t lo, std::size_t hi) {
-          build_histograms(lo, hi, small.begin, small.end, small.hist);
-          for (std::size_t fi = lo; fi < hi; ++fi) {
-            const GradSum* sh = feature_histogram(small.hist, fi);
-            GradSum* lh = feature_histogram(large.hist, fi);
-            for (std::uint32_t b = 0; b < feature_bins(fi); ++b) lh[b] -= sh[b];
-            check_histogram(fi, sh, small.sum, "built");
-            check_histogram(fi, lh, large.sum, "subtracted sibling");
-            small_best[fi] = scan_histogram(fi, sh, small.sum);
-            large_best[fi] = scan_histogram(fi, lh, large.sum);
-          }
-        });
-    small.best = reduce(small_best);
-    large.best = reduce(large_best);
+    build_histograms(small.begin, small.end, small.hist);
+    for (std::size_t fi = 0; fi < features_.size(); ++fi) {
+      const GradSum* sh = feature_histogram(small.hist, fi);
+      GradSum* lh = feature_histogram(large.hist, fi);
+      for (std::uint32_t b = 0; b < feature_bins(fi); ++b) lh[b] -= sh[b];
+      check_histogram(fi, sh, small.sum, "built");
+      check_histogram(fi, lh, large.sum, "subtracted sibling");
+      scan_histogram(fi, sh, small.sum, small.best);
+      scan_histogram(fi, lh, large.sum, large.best);
+    }
   }
 
   double objective(const GradSum& s) const {
@@ -499,11 +438,11 @@ class Trainer {
 
     // Round this tree's gradients to fixed point, in leaf order.
     leaf_rows_.resize(rows.size());
-    run_elementwise(rows.size(), [&](std::size_t i) {
+    for (std::size_t i = 0; i < rows.size(); ++i) {
       const auto r = rows[i];
       leaf_rows_[i] = {g_unit_.to_fixed(gradients_[r]),
                        h_unit_.to_fixed(hessians_[r]), r};
-    });
+    }
     GradSum root_sum;
     for (const auto& lr : leaf_rows_) root_sum += {lr.g, lr.h, 1};
 
@@ -594,12 +533,11 @@ class Trainer {
     // future gradients see every tree, through a full prediction. Sampled
     // rows already sit in their leaf's slice: a bin at or below the split
     // bin holds exactly the values at or below its threshold, so the leaf
-    // value is the one predict() would return. Each element is computed
-    // independently, so the parallel path is bitwise-deterministic.
+    // value is the one predict() would return.
     if (bagged) {
-      run_elementwise(data_.num_rows(), [&](std::size_t r) {
+      for (std::size_t r = 0; r < data_.num_rows(); ++r) {
         scores_[r] += tree.predict(data_.row(r));
-      });
+      }
     } else {
       for (std::int32_t node = 0; node < tree.num_nodes(); ++node) {
         if (!tree.is_leaf(node)) continue;
@@ -616,31 +554,14 @@ class Trainer {
     return tree;
   }
 
-  /// Run fn(i) for i in [0, n), on the pool when one is attached and the
-  /// job is big enough. fn must write only to index-i state.
-  template <typename F>
-  void run_elementwise(std::size_t n, F&& fn) {
-    if (pool_ != nullptr && n >= kParallelSplitMinWork) {
-      pool_->parallel_for(n, fn);
-    } else {
-      for (std::size_t i = 0; i < n; ++i) fn(i);
-    }
-  }
-
-  /// Minimum rows*features of a leaf before the feature-range fan-out (or
-  /// an elementwise loop) is worth the pool's task overhead. Purely a
-  /// performance knob: results are identical either way.
-  static constexpr std::size_t kParallelSplitMinWork = 8192;
-  /// LightGBM's defaults, which the paper keeps (§2.3): no L2 leaf
-  /// regularization, no minimum split gain. kMaxBins is the quantile
-  /// bin cap per feature (BinnedDataset).
+  /// LightGBM's default, which the paper keeps (§2.3): no L2 leaf
+  /// regularization. kMaxBins is the quantile bin cap per feature
+  /// (BinnedDataset).
   static constexpr double kLambdaL2 = 0.0;
-  static constexpr double kMinSplitGain = 0.0;
   static constexpr std::uint32_t kMaxBins = 64;
 
   const Dataset& data_;
   const Params& params_;
-  util::ThreadPool* pool_;
   BinnedDataset binned_;
   util::Rng rng_;
   double base_score_ = 0.0;
@@ -663,30 +584,14 @@ class Trainer {
 
 }  // namespace
 
-Model train(const Dataset& data, const Params& params, TrainLog* log,
-            util::ThreadPool* pool) {
+Model train(const Dataset& data, const Params& params) {
   if (data.num_rows() == 0) {
     throw std::invalid_argument("train: empty dataset");
   }
   if (params.num_leaves < 2) {
     throw std::invalid_argument("train: num_leaves must be >= 2");
   }
-  // An externally supplied pool wins; otherwise spin one up when the
-  // caller asked for threads. The pool only affects wall-clock, never the
-  // trained model (deterministic per-feature reduction).
-  std::unique_ptr<util::ThreadPool> owned;
-  if (pool == nullptr && params.num_threads != 1) {
-    const auto threads =
-        params.num_threads != 0
-            ? params.num_threads
-            : std::max(1u, std::thread::hardware_concurrency());
-    if (threads > 1) {
-      owned = std::make_unique<util::ThreadPool>(threads);
-      pool = owned.get();
-    }
-  }
-  Trainer trainer(data, params, pool);
-  return trainer.run(log);
+  return Trainer(data, params).run();
 }
 
 double logloss(const Model& model, const Dataset& data) {

@@ -11,10 +11,6 @@
 #include "gbdt/tree.hpp"
 #include "util/stats.hpp"
 
-namespace lfo::util {
-class ThreadPool;
-}
-
 namespace lfo::gbdt {
 
 /// Training objective.
@@ -35,14 +31,6 @@ struct Params {
   double feature_fraction = 1.0;    ///< fraction of features tried per tree
   double bagging_fraction = 1.0;    ///< fraction of rows sampled per tree
   std::uint64_t seed = 1;
-
-  /// Worker threads for histogram construction and per-feature split
-  /// finding. Training is seed-deterministic: a fixed seed yields a
-  /// bitwise-identical model at ANY thread count, because histograms hold
-  /// exact integer (fixed-point) gradient sums, which no summation order
-  /// can change, and the split reduction always runs in feature order.
-  /// 1 = serial; 0 = hardware concurrency.
-  std::uint32_t num_threads = 1;
 
   /// The paper's configuration: LightGBM defaults with 30 iterations.
   static Params paper_defaults() {
@@ -83,17 +71,13 @@ class Model {
   std::vector<Tree> trees_;
 };
 
-/// Per-iteration training diagnostics.
-struct TrainLog {
-  std::vector<double> train_logloss;  ///< after each iteration
-};
-
-/// Train a binary classifier with logistic loss. When params.num_threads
-/// != 1 (or an external `pool` is supplied) histogram construction and
-/// split finding are parallelized per feature; the result is bitwise
-/// identical to a serial run with the same seed.
-Model train(const Dataset& data, const Params& params,
-            TrainLog* log = nullptr, util::ThreadPool* pool = nullptr);
+/// Fit params.num_iterations trees to params.objective (logistic loss
+/// or L2) on the calling thread. Training is seed-deterministic: a fixed
+/// seed yields a bitwise-identical model for any row order, because
+/// histograms hold exact integer (fixed-point) gradient sums, which no
+/// summation order can change. Throws std::invalid_argument on an empty
+/// dataset or num_leaves < 2.
+Model train(const Dataset& data, const Params& params);
 
 /// Numerically stable sigmoid.
 double sigmoid(double x);

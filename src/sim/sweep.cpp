@@ -10,9 +10,8 @@
 namespace lfo::sim {
 
 std::vector<HrcPoint> sweep_hit_ratio_curves(const trace::Trace& trace,
-                                             const SweepConfig& config,
-                                             util::ThreadPool* pool) {
-  std::vector<HrcPoint> points;  // one job per point, filled in by run()
+                                             const SweepConfig& config) {
+  std::vector<HrcPoint> points;
   const auto unique = trace.unique_bytes();
   for (const double fraction : config.cache_fractions) {
     const auto cache_size = std::max<std::uint64_t>(
@@ -24,8 +23,7 @@ std::vector<HrcPoint> sweep_hit_ratio_curves(const trace::Trace& trace,
     if (config.include_opt) points.push_back({"OPT", cache_size, fraction});
   }
 
-  const auto run = [&](std::size_t i) {
-    auto& point = points[i];
+  for (auto& point : points) {
     if (point.policy == "OPT") {
       opt::OptConfig oc;
       oc.cache_size = point.cache_size;
@@ -41,11 +39,6 @@ std::vector<HrcPoint> sweep_hit_ratio_curves(const trace::Trace& trace,
       point.bhr = r.bhr;
       point.ohr = r.ohr;
     }
-  };
-  if (pool != nullptr) {
-    pool->parallel_for(points.size(), run);
-  } else {
-    for (std::size_t i = 0; i < points.size(); ++i) run(i);
   }
   return points;
 }

@@ -7,7 +7,6 @@
 #include <vector>
 
 #include "trace/trace.hpp"
-#include "util/thread_pool.hpp"
 
 namespace lfo::sim {
 
@@ -34,13 +33,11 @@ struct SweepConfig {
 
 /// Replay the trace once per (policy, size), plus the OPT bound per size,
 /// and collect the curves: for each size, the policies in config order,
-/// then OPT. Each replay is one job with its own output slot; the jobs
-/// share nothing but the read-only trace. With a pool they run as
-/// parallel tasks on it, without one inline in order; the points are
-/// identical either way.
+/// then OPT. The replays run one after another on the calling thread.
+/// Throws std::invalid_argument for a policy name make_policy does not
+/// know.
 std::vector<HrcPoint> sweep_hit_ratio_curves(const trace::Trace& trace,
-                                             const SweepConfig& config,
-                                             util::ThreadPool* pool = nullptr);
+                                             const SweepConfig& config);
 
 /// Emit the sweep as CSV: policy,cache_fraction,cache_bytes,bhr,ohr.
 void write_hrc_csv(std::ostream& os, const std::vector<HrcPoint>& points);

@@ -61,22 +61,4 @@ void ThreadPool::worker_loop() {
   }
 }
 
-void ThreadPool::parallel_for(std::size_t n,
-                              const std::function<void(std::size_t)>& fn) {
-  if (n == 0) return;
-  const std::size_t chunks = std::min(n, size() * 4);
-  const std::size_t chunk_size = (n + chunks - 1) / chunks;
-  std::vector<std::future<void>> futs;
-  futs.reserve(chunks);
-  for (std::size_t c = 0; c < chunks; ++c) {
-    const std::size_t begin = c * chunk_size;
-    const std::size_t end = std::min(n, begin + chunk_size);
-    if (begin >= end) break;
-    futs.push_back(submit([begin, end, &fn] {
-      for (std::size_t i = begin; i < end; ++i) fn(i);
-    }));
-  }
-  for (auto& f : futs) f.get();
-}
-
 }  // namespace lfo::util

@@ -21,8 +21,8 @@ class ThreadPoolStopped : public std::runtime_error {
   ThreadPoolStopped() : std::runtime_error("ThreadPool: pool is stopped") {}
 };
 
-/// Fixed-size worker pool. Used by the throughput bench (paper Fig 7) to run
-/// the LFO predictor on N threads, and by parallel training utilities.
+/// Fixed-size worker pool. run_windowed_lfo trains windows on one when
+/// WindowedConfig::train_threads is nonzero.
 ///
 /// Shutdown contract: shutdown() (or destruction) stops admission first,
 /// then drains every task already queued, then joins the workers. submit()
@@ -37,8 +37,6 @@ class ThreadPool {
 
   ThreadPool(const ThreadPool&) = delete;
   ThreadPool& operator=(const ThreadPool&) = delete;
-
-  std::size_t size() const { return workers_.size(); }
 
   /// Tasks queued but not yet picked up by a worker (observability; the
   /// value may be stale by the time the caller reads it).
@@ -65,16 +63,11 @@ class ThreadPool {
     return fut;
   }
 
-  /// Run fn(i) for i in [0, n) across the pool and wait for all of them.
-  /// Work is chunked so tiny iterations do not pay per-task overhead.
-  void parallel_for(std::size_t n, const std::function<void(std::size_t)>& fn);
-
  private:
   void worker_loop();
 
   /// Written only by the constructor and joined by the one shutdown()
-  /// caller that owns joining_; size() reads it unlocked, which is safe
-  /// because the vector itself never changes after construction.
+  /// caller that owns joining_.
   std::vector<std::thread> workers_;
   mutable Mutex mu_;
   CondVar cv_;       // workers wait here for tasks/stop

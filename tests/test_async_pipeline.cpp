@@ -36,7 +36,6 @@ TEST(AsyncPipeline, StressManyWindowsDeepQueue) {
   auto config = small_window_config();
   config.swap_lag = 3;
   config.train_threads = 4;
-  config.lfo.gbdt.num_threads = 2;  // nested parallelism inside each job
   const auto result = core::run_windowed_lfo(trace, config);
 
   ASSERT_EQ(result.windows.size(), 24u);

@@ -411,13 +411,17 @@ TEST(Train, LoglossDecreasesMonotonically) {
   const auto data = xor_dataset(2000, 4);
   Params params;
   params.num_iterations = 20;
-  TrainLog log;
-  const auto model = train(data, params, &log);
+  const auto model = train(data, params);
   EXPECT_EQ(model.num_trees(), 20u);  // every iteration adds a tree
-  ASSERT_EQ(log.train_logloss.size(), 20u);
-  for (std::size_t i = 1; i < log.train_logloss.size(); ++i) {
-    EXPECT_LE(log.train_logloss[i], log.train_logloss[i - 1] + 1e-9)
-        << "at iteration " << i;
+  // The model of the first k trees scores each row as the trainer did
+  // after round k: same base score, same trees in the same order.
+  std::vector<Tree> prefix = {model.tree(0)};
+  double previous = logloss(Model(model.base_score(), prefix), data);
+  for (std::size_t k = 2; k <= model.num_trees(); ++k) {
+    prefix.push_back(model.tree(k - 1));
+    const double loss = logloss(Model(model.base_score(), prefix), data);
+    EXPECT_LE(loss, previous + 1e-9) << "at iteration " << k;
+    previous = loss;
   }
 }
 

@@ -1,5 +1,5 @@
-// Frozen GBDT fits: the FNV-1a-64 hash of Model::save for three fixed
-// training sets, at 1 and 4 threads. The decision goldens
+// Frozen GBDT fits: the FNV-1a-64 hash of Model::save for four fixed
+// training sets. The decision goldens
 // (test_golden_traces) only see a model through the caching decisions it
 // makes; these hashes pin the model itself (every split feature,
 // threshold and leaf value, to the last bit) across commits, so a
@@ -45,8 +45,9 @@ std::string model_dump(const gbdt::Model& model) {
 }
 
 /// A 20K-request production-mix window labelled by greedy OPT at a 5%
-/// cache, with lfo_bench's feature schema (num_gaps = 50: 16 features).
-gbdt::Dataset production_window() {
+/// cache, with lfo_bench's feature schema (num_gaps = 50: 16 features)
+/// or, with `thin_gaps` off, the paper's dense one (53 features).
+gbdt::Dataset production_window(bool thin_gaps = true) {
   trace::GeneratorConfig gen;
   gen.num_requests = 20'000;
   gen.seed = 17;
@@ -56,6 +57,7 @@ gbdt::Dataset production_window() {
   core::LfoConfig lfo;
   lfo.set_cache_size(trace.unique_bytes() / 20);
   lfo.features.num_gaps = 50;
+  lfo.features.thin_gaps = thin_gaps;
   const auto window = trace.window(0, trace.size());
   features::DatasetBuildOptions build;
   build.features = lfo.features;
@@ -79,15 +81,11 @@ gbdt::Dataset huge_label_regression() {
   return data;
 }
 
-void expect_hash(const gbdt::Dataset& data, gbdt::Params params,
+void expect_hash(const gbdt::Dataset& data, const gbdt::Params& params,
                  std::uint64_t expected, const char* what) {
-  for (const std::uint32_t threads : {1u, 4u}) {
-    params.num_threads = threads;
-    const auto hash = fnv1a64(model_dump(gbdt::train(data, params)));
-    EXPECT_EQ(hash, expected)
-        << what << " at num_threads=" << threads << ": model hash now 0x"
-        << std::hex << hash;
-  }
+  const auto hash = fnv1a64(model_dump(gbdt::train(data, params)));
+  EXPECT_EQ(hash, expected)
+      << what << ": model hash now 0x" << std::hex << hash;
 }
 
 TEST(GbdtGolden, ModelDumpsMatchRecordedHashes) {
@@ -108,6 +106,10 @@ TEST(GbdtGolden, ModelDumpsMatchRecordedHashes) {
   l2.learning_rate = 0.3;
   expect_hash(huge_label_regression(), l2, 0x929874de16d68458ULL,
               "huge-label L2");
+
+  const auto dense = production_window(false);
+  ASSERT_EQ(dense.num_features(), 53u);
+  expect_hash(dense, params, 0x3d663ef5b803418aULL, "dense-schema production window");
 }
 
 }  // namespace

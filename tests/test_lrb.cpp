@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <utility>
+#include <vector>
 
 #include "cache/lru.hpp"
 #include "cache/random_cache.hpp"
@@ -58,10 +60,22 @@ TEST(RegressionObjective, LossDecreases) {
   gbdt::Params params;
   params.objective = gbdt::Objective::kRegressionL2;
   params.num_iterations = 25;
-  gbdt::TrainLog log;
-  (void)gbdt::train(data, params, &log);
-  ASSERT_EQ(log.train_logloss.size(), 25u);
-  EXPECT_LT(log.train_logloss.back(), log.train_logloss.front() * 0.5);
+  const auto model = gbdt::train(data, params);
+  ASSERT_EQ(model.num_trees(), 25u);
+  // Mean ½(score − y)² of the model of the first k trees: the loss the
+  // trainer's scores had after round k.
+  const auto loss_after = [&](std::size_t k) {
+    std::vector<gbdt::Tree> trees;
+    for (std::size_t i = 0; i < k; ++i) trees.push_back(model.tree(i));
+    const gbdt::Model prefix(model.base_score(), std::move(trees));
+    double loss = 0.0;
+    for (std::size_t r = 0; r < data.num_rows(); ++r) {
+      const double d = prefix.predict_raw(data.row(r)) - data.label(r);
+      loss += 0.5 * d * d;
+    }
+    return loss / static_cast<double>(data.num_rows());
+  };
+  EXPECT_LT(loss_after(25), loss_after(1) * 0.5);
 }
 
 core::LrbConfig fast_lrb() {

@@ -6,6 +6,7 @@
 
 #include <cmath>
 #include <map>
+#include <stdexcept>
 #include <sstream>
 #include <string>
 #include <utility>
@@ -95,6 +96,16 @@ TEST(Sweep, CsvHasHeaderAndRows) {
   const auto text = os.str();
   EXPECT_NE(text.find("policy,cache_fraction"), std::string::npos);
   EXPECT_NE(text.find("LRU,0.1,1024,0.5,0.6"), std::string::npos);
+}
+
+TEST(Sweep, UnknownPolicyThrowsInvalidArgument) {
+  // The unknown name comes after a policy that replays, at both sizes:
+  // the error surfaces from the middle of the sweep, not before it.
+  const auto t = trace::generate_zipf_trace(2000, 200, 0.9, 105);
+  sim::SweepConfig config;
+  config.policies = {"LRU", "NoSuchPolicy"};
+  config.cache_fractions = {0.05, 0.2};
+  EXPECT_THROW(sim::sweep_hit_ratio_curves(t, config), std::invalid_argument);
 }
 
 core::WindowedConfig fast_windowed(std::uint64_t cache_size,

@@ -1,7 +1,8 @@
 // TSan-targeted stress tests (ctest label "stress"): hammer the ThreadPool
-// shutdown contract and the parallel sweep from many threads. These run in
-// every suite, but their real job is under the `tsan` preset where the
-// scheduler interleavings are checked for data races.
+// shutdown contract and concurrent const feature extraction from many
+// threads. These run in every suite, but their real job is under the
+// `tsan` preset where the scheduler interleavings are checked for data
+// races.
 
 #include <gtest/gtest.h>
 
@@ -14,7 +15,6 @@
 #include <vector>
 
 #include "features/features.hpp"
-#include "sim/sweep.hpp"
 #include "trace/generator.hpp"
 #include "util/thread_pool.hpp"
 
@@ -100,20 +100,6 @@ TEST(ThreadPoolStress, RepeatedCreateDestroyCycles) {
   EXPECT_EQ(total.load(), 25 * 20);
 }
 
-TEST(ThreadPoolStress, ParallelForFromManyThreads) {
-  ThreadPool pool(4);
-  std::atomic<std::uint64_t> counted{0};
-  std::vector<std::thread> callers;
-  callers.reserve(4);
-  for (int t = 0; t < 4; ++t) {
-    callers.emplace_back([&] {
-      pool.parallel_for(1000, [&counted](std::size_t) { ++counted; });
-    });
-  }
-  for (auto& c : callers) c.join();
-  EXPECT_EQ(counted.load(), 4000U);
-}
-
 TEST(FeatureExtractorStress, ConcurrentConstExtractIsRaceFree) {
   // extract() used to write through a `mutable` gap buffer, making
   // concurrent const extraction a data race. With caller-owned scratch
@@ -158,55 +144,6 @@ TEST(FeatureExtractorStress, ConcurrentConstExtractIsRaceFree) {
   }
   for (auto& r : readers) r.join();
   EXPECT_EQ(mismatches.load(), 0u);
-}
-
-TEST(SweepStress, ParallelSweepMatchesSerialSweep) {
-  const auto trace = lfo::trace::generate_zipf_trace(800, 100, 0.9, 13);
-  lfo::sim::SweepConfig config;
-  config.policies = {"LRU", "GDSF", "S4LRU"};
-  config.cache_fractions = {0.05, 0.2};
-  config.include_opt = true;
-
-  const auto serial = lfo::sim::sweep_hit_ratio_curves(trace, config);
-  ThreadPool pool(4);
-  const auto parallel =
-      lfo::sim::sweep_hit_ratio_curves(trace, config, &pool);
-
-  ASSERT_EQ(serial.size(), parallel.size());
-  for (std::size_t i = 0; i < serial.size(); ++i) {
-    EXPECT_EQ(serial[i].policy, parallel[i].policy);
-    EXPECT_EQ(serial[i].cache_size, parallel[i].cache_size);
-    EXPECT_EQ(serial[i].bhr, parallel[i].bhr) << serial[i].policy;
-    EXPECT_EQ(serial[i].ohr, parallel[i].ohr) << serial[i].policy;
-  }
-}
-
-TEST(SweepStress, ConcurrentSweepsShareNothing) {
-  // Two sweeps over the same read-only trace on one pool, interleaved
-  // with direct parallel_for traffic: TSan verifies isolation.
-  const auto trace = lfo::trace::generate_zipf_trace(500, 80, 1.0, 29);
-  lfo::sim::SweepConfig config;
-  config.policies = {"LRU", "LFUDA"};
-  config.cache_fractions = {0.1};
-  config.include_opt = false;
-
-  ThreadPool pool(4);
-  std::atomic<int> noise{0};
-  std::thread noisy([&] {
-    for (int i = 0; i < 20; ++i) {
-      pool.parallel_for(64, [&noise](std::size_t) { ++noise; });
-    }
-  });
-  const auto a = lfo::sim::sweep_hit_ratio_curves(trace, config, &pool);
-  const auto b = lfo::sim::sweep_hit_ratio_curves(trace, config, &pool);
-  noisy.join();
-
-  ASSERT_EQ(a.size(), b.size());
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    EXPECT_EQ(a[i].bhr, b[i].bhr);
-    EXPECT_EQ(a[i].ohr, b[i].ohr);
-  }
-  EXPECT_EQ(noise.load(), 20 * 64);
 }
 
 }  // namespace

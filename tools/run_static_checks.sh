@@ -10,7 +10,7 @@
 #   1. asan-ubsan preset: configure, build the test suite, run ctest under
 #      AddressSanitizer + UndefinedBehaviorSanitizer (LFO_DCHECKs on).
 #   2. tsan preset: configure, build, run the "stress" ctest label
-#      (ThreadPool, parallel sweep, the retraining pipeline's training
+#      (ThreadPool, the retraining pipeline's training
 #      pool, concurrent const feature extraction, telemetry scrapes under
 #      writer load, the telemetry port's event loop, and the cache
 #      server's cross-worker frame dispatch) under ThreadSanitizer.
